@@ -14,7 +14,6 @@ import numpy as np
 
 from embmask import (
     BenchmarkSpec,
-    DomainDataset,
     MaskGenConfig,
     Mlp,
     TrainConfig,
@@ -27,6 +26,7 @@ from embmask import (
     train_erm,
 )
 from embmask.evaluate import emg_masks
+from embmask.synthbench import pool_domains
 
 
 def parse_args():
@@ -48,11 +48,7 @@ def parse_args():
 def main():
     args = parse_args()
     train, unseen, _ = generate_benchmark(BenchmarkSpec(seed=args.bench_seed))
-    pooled = DomainDataset(
-        np.concatenate([d.features for d in train]),
-        np.concatenate([d.labels for d in train]),
-        -1,
-    )
+    pooled = pool_domains(train)
     dim = train[0].dim
     n_classes = int(max(d.labels.max() for d in train)) + 1
     mask_cfg = MaskGenConfig(tau=args.tau, inference_mode=args.inference_mode)

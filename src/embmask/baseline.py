@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
+from .evaluate import masked_accuracy
 from .nn import SplitModel
-from .synthbench import DomainDataset
+from .synthbench import DomainDataset, pool_domains
 
 Array = np.ndarray
 
@@ -49,19 +50,6 @@ class SweepTable:
             fh.write(f"# best_percent={self.best_percent:g}\n")
 
 
-def _pooled(datasets: list[DomainDataset]) -> tuple[Array, Array]:
-    return (
-        np.concatenate([d.features for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
-    )
-
-
-def _masked_accuracy(split: SplitModel, z: Array, labels: Array, mask=None) -> float:
-    zm = z if mask is None else z * mask
-    preds = np.argmax(split.predict_np(zm), axis=1)
-    return float(np.mean(preds == labels))
-
-
 def permutation_importance(
     split: SplitModel,
     datasets: list[DomainDataset],
@@ -74,12 +62,12 @@ def permutation_importance(
     """
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
-    x, labels = _pooled(datasets)
-    if len(x) == 0:
+    pooled = pool_domains(datasets)
+    if pooled.n == 0:
         raise UsageError("permutation importance needs non-empty data")
     rng = rng if rng is not None else np.random.default_rng(0)
-    z = split.encode_np(x)
-    base = _masked_accuracy(split, z, labels)
+    z = split.encode_np(pooled.features)
+    base = masked_accuracy(split, z, pooled.labels)
     d = z.shape[1]
     scores = np.zeros(d)
     for k in range(d):
@@ -87,7 +75,7 @@ def permutation_importance(
         for _ in range(repeats):
             zp = z.copy()
             zp[:, k] = zp[rng.permutation(len(zp)), k]
-            drops.append(base - _masked_accuracy(split, zp, labels))
+            drops.append(base - masked_accuracy(split, zp, pooled.labels))
         scores[k] = np.mean(drops)
     return ImportanceReport(scores=scores, repeats=repeats, baseline_accuracy=base)
 
@@ -126,8 +114,8 @@ def sweep_mask_percent(
         raise UsageError("percent grid must include 0")
     report = permutation_importance(split, train_data, repeats=repeats, rng=rng)
 
-    x_tr, y_tr = _pooled(train_data)
-    z_tr = split.encode_np(x_tr)
+    pooled = pool_domains(train_data)
+    z_tr = split.encode_np(pooled.features)
     z_un = split.encode_np(unseen_data.features)
 
     table = SweepTable()
@@ -136,10 +124,8 @@ def sweep_mask_percent(
         table.rows.append(
             SweepRow(
                 percent=p,
-                unseen_accuracy=_masked_accuracy(
-                    split, z_un, unseen_data.labels, mask
-                ),
-                train_accuracy=_masked_accuracy(split, z_tr, y_tr, mask),
+                unseen_accuracy=masked_accuracy(split, z_un, unseen_data.labels, mask),
+                train_accuracy=masked_accuracy(split, z_tr, pooled.labels, mask),
             )
         )
     best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))

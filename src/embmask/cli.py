@@ -21,6 +21,7 @@ from .baseline import sweep_mask_percent, permutation_importance, global_mask_fr
 from .config import Field, load_config, parse_grid, parse_hidden
 from .errors import ConfigError, EmbmaskError
 from .evaluate import (
+    DISTANCE_KINDS,
     RunReport,
     accuracy,
     bound_terms,
@@ -37,6 +38,7 @@ from .synthbench import (
     generate_benchmark,
     load_csv_dataset,
     load_oracle,
+    pool_domains,
     save_csv_dataset,
     save_oracle,
 )
@@ -86,6 +88,16 @@ _MASK = {
     "mask.clamp_eps": Field(float, 1e-12),
 }
 
+# Where eval and export-embeddings take their mask from: none, a global
+# bottom-p% permutation-importance mask, or the trained generator.
+_MASK_SOURCE = {
+    "eval.mode": Field(str, "none"),
+    "emg.model": Field(str, ""),
+    "eval.mask_percent": Field(float, 50.0),
+    "eval.repeats": Field(int, 5),
+    **_MASK,
+}
+
 _BASE = {
     "data.dir": Field(str, required=True),
     "base.model": Field(str, ""),
@@ -111,15 +123,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_TRAIN,
         **_MASK,
     },
-    "eval": {
-        **_COMMON,
-        **_BASE,
-        "eval.mode": Field(str, "none"),
-        "emg.model": Field(str, ""),
-        "eval.mask_percent": Field(float, 50.0),
-        "eval.repeats": Field(int, 5),
-        **_MASK,
-    },
+    "eval": {**_COMMON, **_BASE, **_MASK_SOURCE},
     "sweep-global": {
         **_COMMON,
         **_BASE,
@@ -137,11 +141,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_COMMON,
         **_BASE,
         "export.which": Field(str, "unseen"),
-        "eval.mode": Field(str, "none"),
-        "emg.model": Field(str, ""),
-        "eval.mask_percent": Field(float, 50.0),
-        "eval.repeats": Field(int, 5),
-        **_MASK,
+        **_MASK_SOURCE,
     },
 }
 
@@ -193,6 +193,29 @@ def _load_split(cfg):
     model = Mlp.from_store(store)
     idx = cfg["base.split_index"]
     return split_model(model, None if idx < 0 else idx)
+
+
+def _load_generator(cfg) -> Mlp:
+    store = load_params(_require_model(cfg["emg.model"], "EMG model"))
+    return Mlp.from_store(store, prefix="g.")
+
+
+def _mask_source(cfg, split, train_data):
+    """``masks_for(data)`` for the configured eval.mode: None, the global
+    bottom-p% mask, or the generator's per-sample masks for ``data``."""
+    mode = cfg["eval.mode"]
+    if mode not in ("none", "global", "emg"):
+        raise ConfigError(f"unknown eval mode {mode!r}")
+    mask_cfg = _mask_cfg(cfg)
+    if mode == "none":
+        return lambda data: None
+    if mode == "global":
+        rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
+        report = permutation_importance(split, train_data, cfg["eval.repeats"], rng)
+        mask = global_mask_from_scores(report.scores, cfg["eval.mask_percent"])
+        return lambda data: mask
+    gen = _load_generator(cfg)
+    return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
 
 def _snapshot(run: RunDirectory, cfg: dict) -> None:
@@ -253,10 +276,10 @@ def cmd_gen_data(cfg) -> int:
 
 def cmd_train_erm(cfg) -> int:
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
     tc = _train_cfg(cfg, cfg["seed"])
     hidden = parse_hidden(cfg["model.hidden"])
+    run = RunDirectory(cfg["out_dir"])
+    _snapshot(run, cfg)
     dim = train_data[0].dim
     n_classes = int(max(d.labels.max() for d in train_data)) + 1
     model, trace = train_erm(tc, train_data, [dim, *hidden, n_classes])
@@ -270,16 +293,17 @@ def cmd_train_erm(cfg) -> int:
 def cmd_train_emg(cfg) -> int:
     split = _load_split(cfg)
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
+    hidden = parse_hidden(cfg["emg.hidden"])
+    tc = _train_cfg(cfg, cfg["seed"], max_epochs_key="emg.max_epochs")
+    mask_cfg = _mask_cfg(cfg)
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
-    hidden = parse_hidden(cfg["emg.hidden"])
     gen = Mlp(
         [train_data[0].dim, *hidden, split.embedding_dim],
         prefix="g.",
         seed=cfg["seed"] + 1,
     )
-    tc = _train_cfg(cfg, cfg["seed"], max_epochs_key="emg.max_epochs")
-    gen, trace = train_emg(split, gen, train_data, _mask_cfg(cfg), tc)
+    gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)
     save_params(gen.store, run.file("emg_model"))
     trace.to_csv(run.file("emg_trace.csv"))
     run.register("emg_model.manifest", "emg_model.params", "emg_trace.csv")
@@ -290,43 +314,16 @@ def cmd_train_emg(cfg) -> int:
 def cmd_eval(cfg) -> int:
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    mode = cfg["eval.mode"]
-    if mode not in ("none", "global", "emg"):
-        raise ConfigError(f"unknown eval mode {mode!r}")
-    gen = None
-    if mode == "emg":
-        gen_store = load_params(_require_model(cfg["emg.model"], "EMG model"))
-        gen = Mlp.from_store(gen_store, prefix="g.")
+    masks_for = _mask_source(cfg, split, train_data)
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
 
-    global_mask = None
-    if mode == "global":
-        rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
-        report = permutation_importance(split, train_data, cfg["eval.repeats"], rng)
-        global_mask = global_mask_from_scores(report.scores, cfg["eval.mask_percent"])
-
-    def masked_accuracy(data: DomainDataset) -> float:
-        if mode == "none":
-            return accuracy(split, data)
-        if mode == "global":
-            return accuracy(split, data, global_mask)
-        masks = emg_masks(gen, data.features, _mask_cfg(cfg), seed=cfg["seed"])
-        return accuracy(split, data, masks)
-
     report = RunReport(seeds=[cfg["seed"]], config_echo={k: str(v) for k, v in cfg.items()})
-    for d in train_data:
-        report.per_domain_mean[f"train_domain_{d.domain_index}"] = masked_accuracy(d)
-        report.per_domain_stderr[f"train_domain_{d.domain_index}"] = 0.0
-    pooled = DomainDataset(
-        features=np.concatenate([d.features for d in train_data]),
-        labels=np.concatenate([d.labels for d in train_data]),
-        domain_index=-1,
-    )
-    report.per_domain_mean["train_pooled"] = masked_accuracy(pooled)
-    report.per_domain_stderr["train_pooled"] = 0.0
-    report.per_domain_mean["unseen"] = masked_accuracy(unseen)
-    report.per_domain_stderr["unseen"] = 0.0
+    named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
+    named += [("train_pooled", pool_domains(train_data)), ("unseen", unseen)]
+    for key, data in named:
+        report.per_domain_mean[key] = accuracy(split, data, masks_for(data))
+        report.per_domain_stderr[key] = 0.0
     report.to_json(run.file("report.json"))
     run.register("report.json")
     run.finalize()
@@ -336,6 +333,7 @@ def cmd_eval(cfg) -> int:
 def cmd_sweep_global(cfg) -> int:
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
+    grid = parse_grid(cfg["sweep.grid"])
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
     rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
@@ -343,7 +341,7 @@ def cmd_sweep_global(cfg) -> int:
         split,
         train_data,
         unseen,
-        percent_grid=parse_grid(cfg["sweep.grid"]),
+        percent_grid=grid,
         repeats=cfg["sweep.repeats"],
         rng=rng,
     )
@@ -354,18 +352,21 @@ def cmd_sweep_global(cfg) -> int:
 
 
 def cmd_bound_check(cfg) -> int:
+    distance = cfg["bound.distance"]
+    if distance not in ("both", *DISTANCE_KINDS):
+        raise ConfigError(f"bound.distance must be both, L1 or L2, got {distance!r}")
+    mask_cfg = _mask_cfg(cfg)
     split = _load_split(cfg)
     _train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
     if oracle is None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
-    gen_store = load_params(_require_model(cfg["emg.model"], "EMG model"))
-    gen = Mlp.from_store(gen_store, prefix="g.")
+    gen = _load_generator(cfg)
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
 
-    kinds = ("L1", "L2") if cfg["bound.distance"] == "both" else (cfg["bound.distance"],)
+    kinds = ("L1", "L2") if distance == "both" else (distance,)
     z = split.encode_np(unseen.features)
-    masks = emg_masks(gen, unseen.features, _mask_cfg(cfg), seed=cfg["seed"])
+    masks = emg_masks(gen, unseen.features, mask_cfg, seed=cfg["seed"])
     reports = {k: bound_terms(split, oracle, z, masks, k).to_dict() for k in kinds}
     run.write_text("bound.json", json.dumps(reports, indent=1, sort_keys=True) + "\n")
     run.finalize()
@@ -373,41 +374,22 @@ def cmd_bound_check(cfg) -> int:
 
 
 def cmd_export_embeddings(cfg) -> int:
+    which = cfg["export.which"]
+    if which not in ("train", "unseen"):
+        raise ConfigError(f"export.which must be train or unseen, got {which!r}")
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    mode = cfg["eval.mode"]
-    gen = None
-    if mode == "emg":
-        gen_store = load_params(_require_model(cfg["emg.model"], "EMG model"))
-        gen = Mlp.from_store(gen_store, prefix="g.")
+    masks_for = _mask_source(cfg, split, train_data)
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
 
-    if cfg["export.which"] == "train":
-        datasets = train_data
-    elif cfg["export.which"] == "unseen":
-        datasets = [unseen]
-    else:
-        raise ConfigError(f"export.which must be train or unseen")
-
-    global_mask = None
-    if mode == "global":
-        rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
-        report = permutation_importance(split, train_data, cfg["eval.repeats"], rng)
-        global_mask = global_mask_from_scores(report.scores, cfg["eval.mask_percent"])
-    elif mode not in ("none", "emg"):
-        raise ConfigError(f"unknown eval mode {mode!r}")
-
-    for i, data in enumerate(datasets):
-        name = f"embeddings_{data.domain_index}.csv"
-        masks = None
-        if mode == "global":
-            masks = global_mask
-        elif mode == "emg":
-            masks = emg_masks(gen, data.features, _mask_cfg(cfg), seed=cfg["seed"])
+    for data in train_data if which == "train" else [unseen]:
+        masks = masks_for(data)
+        if cfg["eval.mode"] == "emg":
             mask_name = f"masks_{data.domain_index}.csv"
             export_masks(masks, run.file(mask_name))
             run.register(mask_name)
+        name = f"embeddings_{data.domain_index}.csv"
         export_embeddings(split, data, run.file(name), masks)
         run.register(name)
     run.finalize()

@@ -51,24 +51,22 @@ def emg_masks(
     return inference_mask(p, cfg, rng)
 
 
-def predict_logits(split: SplitModel, x: Array, masks: Array | None = None) -> Array:
-    z = split.encode_np(x)
-    if masks is not None:
-        if masks.ndim == 1:
-            masks = np.broadcast_to(masks, z.shape)
-        z = z * masks
-    return split.predict_np(z)
+def masked_accuracy(
+    split: SplitModel, z: Array, labels: Array, masks: Array | None = None
+) -> float:
+    """Fraction of argmax-correct predictions on embeddings ``z``; argmax
+    ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
+    a single global mask (d,) broadcast over the rows, or None."""
+    zm = z if masks is None else z * masks
+    preds = np.argmax(split.predict_np(zm), axis=1)
+    return float(np.mean(preds == labels))
 
 
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
-    """Fraction of argmax-correct predictions; argmax ties resolve to the
-    lowest class index. ``masks`` is per-sample (n x d), a single global
-    mask (d,), or None for the unmasked model."""
+    """``masked_accuracy`` of the encoded dataset; rejects empty data."""
     if data.n == 0:
         raise UsageError("accuracy of empty dataset is undefined")
-    logits = predict_logits(split, data.features, masks)
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == data.labels))
+    return masked_accuracy(split, split.encode_np(data.features), data.labels, masks)
 
 
 @dataclass
@@ -146,8 +144,6 @@ def export_embeddings(
     """CSV rows: sample id, label, domain index, then the (masked) embedding."""
     z = split.encode_np(data.features)
     if masks is not None:
-        if masks.ndim == 1:
-            masks = np.broadcast_to(masks, z.shape)
         z = z * masks + 0.0  # + 0.0 normalizes -0.0 in the text output
     d = z.shape[1]
     with open(path, "w", newline="") as fh:

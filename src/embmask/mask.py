@@ -46,20 +46,6 @@ class MaskGenConfig:
             raise ConfigError(f"clamp_eps out of range: {self.clamp_eps}")
 
 
-@dataclass
-class MaskSample:
-    """One stochastic mask draw: probabilities, the noise used, and the mask.
-
-    ``m`` stays a graph tensor so the EMG objective can differentiate
-    through it; ``p`` likewise. Noise vectors are raw arrays (constants).
-    """
-
-    p: T.Tensor
-    h: Array | None
-    h_prime: Array | None
-    m: T.Tensor
-
-
 def gumbel_sample(
     rng: np.random.Generator, shape: tuple[int, ...], clamp_eps: float = 1e-12
 ) -> Array:
@@ -101,14 +87,16 @@ def training_mask(
     leaves,
     cfg: MaskGenConfig,
     rng: np.random.Generator,
-) -> MaskSample:
-    """Stochastic mask for a training batch; fresh Gumbel noise per call."""
-    logits = generator.forward(T.Tensor(x), leaves)
-    p = T.sigmoid(logits)
+) -> T.Tensor:
+    """Stochastic mask for a training batch; fresh Gumbel noise per call.
+
+    The mask stays a graph tensor so the EMG objective can differentiate
+    through it to the generator; the noise enters as a constant.
+    """
+    p = T.sigmoid(generator.forward(T.Tensor(x), leaves))
     h = gumbel_sample(rng, p.shape, cfg.clamp_eps)
     h_prime = gumbel_sample(rng, p.shape, cfg.clamp_eps)
-    m = gumbel_softmax_mask(p, h, h_prime, cfg.tau)
-    return MaskSample(p=p, h=h, h_prime=h_prime, m=m)
+    return gumbel_softmax_mask(p, h, h_prime, cfg.tau)
 
 
 def inference_mask(
@@ -140,17 +128,6 @@ def inference_mask(
         hp = gumbel_sample(rng, p.shape, cfg.clamp_eps)
         acc += gumbel_softmax_mask(p, h, hp, cfg.tau)
     return acc / cfg.sample_count
-
-
-def apply_mask(m, z):
-    """Elementwise product m * z; works on tensors or raw arrays."""
-    if isinstance(m, T.Tensor) or isinstance(z, T.Tensor):
-        return T.mul(m, z)
-    m = np.asarray(m, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if m.shape != z.shape:
-        raise ShapeMismatchError(f"apply_mask: shapes {m.shape} and {z.shape}")
-    return m * z
 
 
 def drop_probabilities(generator: Mlp, x: Array) -> Array:

@@ -70,10 +70,6 @@ class ParamStore:
     def frozen(self) -> bool:
         return all(not p.trainable for p in self._params.values())
 
-    @property
-    def num_params(self) -> int:
-        return sum(p.value.size for p in self._params.values())
-
     def leaves(self) -> dict[str, T.Tensor]:
         """Fresh leaf tensors for one forward/backward pass."""
         return {
@@ -262,6 +258,18 @@ def save_params(store: ParamStore, path: str) -> None:
         fh.write(bytes(payload))
 
 
+def _manifest_entry(line: str) -> tuple[str, tuple[int, ...], int, bool]:
+    """``name=... shape=AxB offset=N trainable=0|1`` -> its parsed fields."""
+    fields = dict(tok.split("=", 1) for tok in line.split())
+    shape = fields["shape"]
+    return (
+        fields["name"],
+        () if shape == "scalar" else tuple(int(s) for s in shape.split("x")),
+        int(fields["offset"]),
+        bool(int(fields["trainable"])),
+    )
+
+
 def load_params(path: str) -> ParamStore:
     manifest = path + ".manifest"
     payload_path = path + ".params"
@@ -271,8 +279,11 @@ def load_params(path: str) -> ParamStore:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("count="):
         raise CorruptFileError(f"bad manifest header in {manifest}")
-    count = int(lines[0].split("=", 1)[1])
-    entries = lines[1:]
+    try:
+        count = int(lines[0].split("=", 1)[1])
+        entries = [_manifest_entry(ln) for ln in lines[1:]]
+    except (KeyError, ValueError) as exc:
+        raise CorruptFileError(f"bad manifest entry in {manifest}: {exc!r}") from None
     if len(entries) != count:
         raise CorruptFileError(
             f"manifest {manifest} declares {count} entries, found {len(entries)}"
@@ -282,16 +293,7 @@ def load_params(path: str) -> ParamStore:
 
     store = ParamStore()
     expected_end = 0
-    for ln in entries:
-        fields = dict(tok.split("=", 1) for tok in ln.split())
-        name = fields["name"]
-        shape = (
-            ()
-            if fields["shape"] == "scalar"
-            else tuple(int(s) for s in fields["shape"].split("x"))
-        )
-        offset = int(fields["offset"])
-        trainable = bool(int(fields["trainable"]))
+    for name, shape, offset, trainable in entries:
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
         if offset + nbytes > len(payload):
             raise CorruptFileError(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError
+from .errors import ConfigError, CorruptFileError, CsvParseError
 
 Array = np.ndarray
 
@@ -83,6 +83,15 @@ class DomainDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+
+def pool_domains(datasets: list[DomainDataset]) -> DomainDataset:
+    """Concatenate domains into one dataset with domain index -1."""
+    return DomainDataset(
+        features=np.concatenate([d.features for d in datasets]),
+        labels=np.concatenate([d.labels for d in datasets]),
+        domain_index=-1,
+    )
 
 
 def _unit(v: Array) -> Array:
@@ -189,19 +198,15 @@ def generate_benchmark(
 # 17 significant digits so a round trip preserves every float64 exactly.
 
 
-def save_csv_dataset(data: DomainDataset, path: str, include_domain: bool = True) -> None:
-    d = data.dim
+def save_csv_dataset(data: DomainDataset, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = [f"f{i}" for i in range(d)] + ["label"]
-        if include_domain:
-            header.append("domain")
-        writer.writerow(header)
+        writer.writerow([f"f{i}" for i in range(data.dim)] + ["label", "domain"])
         for i in range(data.n):
-            row = [f"{v:.17g}" for v in data.features[i]] + [str(int(data.labels[i]))]
-            if include_domain:
-                row.append(str(data.domain_index))
-            writer.writerow(row)
+            writer.writerow(
+                [f"{v:.17g}" for v in data.features[i]]
+                + [str(int(data.labels[i])), str(data.domain_index)]
+            )
 
 
 def load_csv_dataset(
@@ -243,9 +248,12 @@ def load_csv_dataset(
     if domain_column and len(domains) > 1:
         raise CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")
     domain_index = domains.pop() if domains else -1
-    n = len(feats)
+    features = np.array(feats, dtype=np.float64).reshape(len(feats), len(feature_columns))
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise CsvParseError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature value")
     return DomainDataset(
-        features=np.array(feats, dtype=np.float64).reshape(n, len(feature_columns)),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         domain_index=domain_index,
     )
@@ -270,17 +278,20 @@ def save_oracle(oracle: Oracle, path: str) -> None:
 
 
 def load_oracle(path: str) -> Oracle:
-    with open(path) as fh:
-        blob = json.load(fh)
-    return Oracle(
-        shared_dims=blob["shared_dims"],
-        specific_dims=blob["specific_dims"],
-        class_means=np.array(blob["class_means"]),
-        domain_maps={int(k): np.array(v) for k, v in blob["domain_maps"].items()},
-        unseen_map=np.array(blob["unseen_map"]),
-        mixing_matrix=(
-            np.array(blob["mixing_matrix"])
-            if blob["mixing_matrix"] is not None
-            else None
-        ),
-    )
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        return Oracle(
+            shared_dims=blob["shared_dims"],
+            specific_dims=blob["specific_dims"],
+            class_means=np.array(blob["class_means"]),
+            domain_maps={int(k): np.array(v) for k, v in blob["domain_maps"].items()},
+            unseen_map=np.array(blob["unseen_map"]),
+            mixing_matrix=(
+                np.array(blob["mixing_matrix"])
+                if blob["mixing_matrix"] is not None
+                else None
+            ),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptFileError(f"corrupt oracle file {path}: {exc!r}") from None

@@ -9,7 +9,7 @@ require equal shapes; the only broadcasting allowed is scalar-with-tensor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,35 +49,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- arithmetic sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, 1.0 / float(other))
-        raise UsageError("tensor division only supports scalar divisors")
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- backward pass ----------------------------------------------------
 
@@ -232,17 +203,6 @@ def log(x) -> Tensor:
     return out
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(np.exp(x.data), _parents=(x,))
-
-    def bw(g: Array) -> None:
-        _accum(x, g * out.data)
-
-    out._backward_fn = bw
-    return out
-
-
 def sigmoid_np(x: Array) -> Array:
     """Numerically stable logistic function on raw arrays."""
     pos = x >= 0
@@ -293,25 +253,6 @@ def clip(x, lo: float, hi: float) -> Tensor:
 # -- row-wise normalizers ------------------------------------------------------
 
 
-def softmax_rows(logits) -> Tensor:
-    """Row-wise softmax of an n-by-c matrix via max subtraction."""
-    x = _as_tensor(logits)
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"softmax_rows: expected 2-d input, got {x.shape}")
-    if np.isnan(x.data).any():
-        raise NumericError("softmax_rows: NaN in input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s, _parents=(x,))
-
-    def bw(g: Array) -> None:
-        _accum(x, s * (g - (g * s).sum(axis=1, keepdims=True)))
-
-    out._backward_fn = bw
-    return out
-
-
 def log_softmax_rows(logits) -> Tensor:
     x = _as_tensor(logits)
     if x.data.ndim != 2:
@@ -341,18 +282,6 @@ def tsum(x) -> Tensor:
 
     def bw(g: Array) -> None:
         _accum(x, np.broadcast_to(g, x.data.shape).copy())
-
-    out._backward_fn = bw
-    return out
-
-
-def tmean(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-    out = Tensor(np.sum(x.data) / n, _parents=(x,))
-
-    def bw(g: Array) -> None:
-        _accum(x, np.broadcast_to(g / n, x.data.shape).copy())
 
     out._backward_fn = bw
     return out
@@ -421,7 +350,3 @@ def _const_leaves(
         out[k] = Tensor(np.array(data, copy=True), requires_grad=False)
     return out
 
-
-def constants(arrays: Mapping[str, Array]) -> dict[str, Tensor]:
-    """Wrap raw arrays as non-differentiable leaf tensors."""
-    return {k: Tensor(v) for k, v in arrays.items()}

@@ -84,8 +84,7 @@ def hard_ce(labels: Array, logits: T.Tensor) -> T.Tensor:
         raise UsageError(f"label out of range [0, {c})")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    lsm = T.log_softmax_rows(logits)
-    return T.mul(T.tsum(T.mul(T.Tensor(onehot), lsm)), -1.0 / n)
+    return _cross_entropy(onehot, logits)
 
 
 def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
@@ -101,12 +100,15 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
         raise ShapeMismatchError(
             f"soft_ce: shapes {target.shape} and {pred_logits.shape}"
         )
-    n = target.shape[0]
-    shifted = target - target.max(axis=1, keepdims=True)
-    q = np.exp(shifted)
+    q = np.exp(target - target.max(axis=1, keepdims=True))
     q /= q.sum(axis=1, keepdims=True)
-    lsm = T.log_softmax_rows(pred_logits)
-    return T.mul(T.tsum(T.mul(T.Tensor(q), lsm)), -1.0 / n)
+    return _cross_entropy(q, pred_logits)
+
+
+def _cross_entropy(q: Array, logits: T.Tensor) -> T.Tensor:
+    """Mean over rows of -sum_j q_ij log softmax(logits)_ij; q is constant."""
+    lsm = T.log_softmax_rows(logits)
+    return T.mul(T.tsum(T.mul(T.Tensor(q), lsm)), -1.0 / q.shape[0])
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -275,13 +277,8 @@ def train_emg(
 
     def val_loss_fn(_):
         leaves = generator.store.leaves()
-        ms = training_mask(generator, x_va, leaves, mask_cfg, _clone_rng(val_rng))
-        masked = T.mul(ms.m, T.Tensor(z_va))
-        frozen = {n: T.Tensor(base_store[n]) for n in base_store.names()}
-        pred = split.model._apply(
-            masked, frozen, split.split_index, split.model.n_layers
-        )
-        return soft_ce(target_va, pred).item()
+        rng = _clone_rng(val_rng)
+        return _emg_loss(split, generator, leaves, x_va, z_va, target_va, mask_cfg, rng).item()
 
     # Base-model parameters are not in the generator's store, so _fit can
     # only ever touch theta_G. Leaves for the frozen model enter as constants.
@@ -317,15 +314,16 @@ def _emg_forward(split, generator, mask_cfg, noise_rng, train_cfg):
             target = np.where(
                 np.arange(target.shape[1])[None, :] == hard[:, None], 1e3, 0.0
             )
-        ms = training_mask(generator, xb, leaves, mask_cfg, noise_rng)
-        masked = T.mul(ms.m, T.Tensor(z))
-        frozen = {n: T.Tensor(split.model.store[n]) for n in split.model.store.names()}
-        pred = split.model._apply(
-            masked, frozen, split.split_index, split.model.n_layers
-        )
-        return soft_ce(target, pred)
+        return _emg_loss(split, generator, leaves, xb, z, target, mask_cfg, noise_rng)
 
     return forward_loss
+
+
+def _emg_loss(split, gen, leaves, x, z, target, mask_cfg, rng) -> T.Tensor:
+    """Soft cross entropy between ``target`` logits and the frozen predictor
+    on the masked embedding m * z, with m drawn from the generator under rng."""
+    m = training_mask(gen, x, leaves, mask_cfg, rng)
+    return soft_ce(target, split.predict_t(T.mul(m, T.Tensor(z))))
 
 
 # -- shared epoch loop ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -208,3 +209,61 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
     assert run_cmd("gen-data", pipeline["cfg"], out_dir=tmp_path / "ignored", **SMALL_BENCH) == 0
     assert target.exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize(
+    "cmd, overrides",
+    [
+        ("export-embeddings", {"eval.mode": "bogus"}),
+        ("export-embeddings", {"export.which": "all"}),
+        ("eval", {"eval.mode": "emg", "mask.inference_mode": "zzz"}),
+        ("bound-check", {"bound.distance": "L3"}),
+        ("train-emg", {"mask.tau": 0}),
+        ("train-erm", {"train.val_fraction": 2}),
+        ("sweep-global", {"sweep.grid": "0,x"}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ",".join(v),
+)
+def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd, overrides):
+    inputs = {"data.dir": pipeline["data"]}
+    if cmd != "train-erm":
+        inputs["base.model"] = pipeline["base"]
+    if cmd in ("eval", "bound-check", "export-embeddings"):
+        inputs["emg.model"] = pipeline["emg"]
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs, **overrides) == 3
+    err = capsys.readouterr().err
+    assert "error code=3" in err
+    assert str(overrides.get("export.which", "")) in err
+    assert not out.exists()
+
+
+def _corrupt_manifest(data, base):
+    path = base.with_suffix(".manifest")
+    path.write_text(path.read_text().replace(" offset=0 ", " ", 1))
+
+
+def _corrupt_oracle(data, base):
+    path = data / "oracle.json"
+    path.write_text(path.read_text()[:100])
+
+
+def _nan_feature(data, base):
+    path = data / "unseen.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "nan" + lines[5][lines[5].index(",") :]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_manifest, _corrupt_oracle, _nan_feature])
+def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    shutil.copytree(pipeline["base"].parent, tmp_path / "erm")
+    base = tmp_path / "erm" / pipeline["base"].name
+    corrupt(data, base)
+    out = tmp_path / "out"
+    assert run_cmd("eval", pipeline["cfg"], out_dir=out, **{"data.dir": data, "base.model": base}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=1") and "Traceback" not in err
+    assert not out.exists()

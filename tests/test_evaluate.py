@@ -5,7 +5,7 @@ import pytest
 
 from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
 from embmask.errors import ContractError, UsageError
-from embmask.evaluate import export_embeddings, export_masks, predict_logits
+from embmask.evaluate import export_embeddings, export_masks, masked_accuracy
 from embmask.synthbench import Oracle
 
 
@@ -48,7 +48,43 @@ def test_accuracy_all_ones_mask_identical_to_none():
     split = _affine_split(rng.normal(size=(4, 3)), rng.normal(size=3))
     data = DomainDataset(rng.normal(size=(50, 4)), rng.integers(3, size=50), 0)
     assert accuracy(split, data) == accuracy(split, data, np.ones(4))
-    assert (predict_logits(split, data.features) == predict_logits(split, data.features, np.ones(4))).all()
+    z = split.encode_np(data.features)
+    assert masked_accuracy(split, z, data.labels) == masked_accuracy(split, z, data.labels, np.ones(4))
+
+
+def test_global_mask_equals_its_broadcast_bitwise():
+    rng = np.random.default_rng(11)
+    model = Mlp([5, 6, 3], seed=3)
+    split = split_model(model)
+    z = split.encode_np(rng.normal(size=(200, 5)))
+    labels = rng.integers(3, size=200)
+    mask = rng.uniform(size=6)
+    per_sample = np.broadcast_to(mask, z.shape).copy()
+    assert masked_accuracy(split, z, labels, mask) == masked_accuracy(split, z, labels, per_sample)
+
+
+def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
+    # Split 0 is an identity encoder, so the embedding is the input itself.
+    split = _affine_split(np.eye(2), np.array([0.0, 0.5]))
+    z = np.array([[3.0, 7.0], [2.0, -1.0]])
+    labels = np.array([1, 0])
+    data = DomainDataset(z, labels, 0)
+    path = tmp_path / "emb.csv"
+    for mask, acc, row in (
+        (np.ones(2), 1.0, ["3", "7"]),
+        (np.zeros(2), 0.5, ["0", "0"]),
+        (np.array([1.0, 0.0]), 0.5, ["3", "0"]),
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0, ["0", "7"]),
+    ):
+        assert masked_accuracy(split, z, labels, mask) == acc
+        export_embeddings(split, data, str(path), mask)
+        assert path.read_text().splitlines()[1].split(",")[3:] == row
+    assert masked_accuracy(split, z, labels) == 1.0
+    for bad in (np.ones(3), np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            masked_accuracy(split, z, labels, bad)
+        with pytest.raises(ValueError):
+            export_embeddings(split, data, str(path), bad)
 
 
 def test_accuracy_empty_data_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, apply_mask, gumbel_sample, gumbel_softmax_mask, inference_mask, training_mask
+from embmask import Mlp, MaskGenConfig, gumbel_sample, gumbel_softmax_mask, inference_mask, training_mask
 from embmask import tensor as T
 from embmask.errors import ConfigError, ShapeMismatchError
 
@@ -109,9 +109,9 @@ def test_training_mask_stochastic_but_seed_deterministic():
     gen = Mlp([3, 4], seed=0)
     x = np.random.default_rng(1).normal(size=(5, 3))
     cfg = MaskGenConfig()
-    m1 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(7)).m.data
-    m2 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(8)).m.data
-    m3 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(7)).m.data
+    m1 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(7)).data
+    m2 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(8)).data
+    m3 = training_mask(gen, x, gen.store.leaves(), cfg, np.random.default_rng(7)).data
     assert not (m1 == m2).all()
     assert (m1 == m3).all()
 
@@ -127,7 +127,8 @@ def test_training_mask_gradient_matches_finite_differences():
     def f(leaves):
         logits = gen.forward(T.Tensor(x), leaves)
         p = T.sigmoid(logits)
-        return T.tmean(gumbel_softmax_mask(p, h, hp, cfg.tau))
+        m = gumbel_softmax_mask(p, h, hp, cfg.tau)
+        return T.mul(T.tsum(m), 1.0 / m.size)
 
     assert T.grad_check(f, gen.store.state_copy()) < 1e-4
 
@@ -156,15 +157,6 @@ def test_sample_avg_requires_rng_and_stays_open():
         inference_mask(p, cfg)
     m = inference_mask(p, cfg, np.random.default_rng(0))
     assert ((m > 0.0) & (m < 1.0)).all()
-
-
-def test_apply_mask_identity_zero_and_select():
-    z = np.array([3.0, 7.0])
-    assert (apply_mask(np.ones(2), z) == z).all()
-    assert (apply_mask(np.zeros(2), z) == 0.0).all()
-    assert (apply_mask(np.array([1.0, 0.0]), z) == np.array([3.0, 0.0])).all()
-    with pytest.raises(ShapeMismatchError):
-        apply_mask(np.ones(3), z)
 
 
 def test_config_validation():

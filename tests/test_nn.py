@@ -175,6 +175,28 @@ def test_truncated_payload_raises(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (" offset=0 ", " "),  # field missing
+        ("offset=0", "offset=zero"),  # non-integer field
+        ("shape=3x2", "shape=3xq"),
+        ("shape=3x2", "shape=3x2 stray"),  # token without '='
+        ("count=2", "count=two"),
+    ],
+    ids=["missing-field", "non-integer", "bad-shape", "token-without-equals", "bad-count"],
+)
+def test_malformed_manifest_raises_corrupt_file(tmp_path, old, new):
+    path = str(tmp_path / "model")
+    save_params(Mlp([3, 2], seed=1).store, path)
+    manifest = tmp_path / "model.manifest"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new, 1))
+    with pytest.raises(CorruptFileError):
+        load_params(path)
+
+
 def test_missing_files_raise(tmp_path):
     with pytest.raises(CorruptFileError):
         load_params(str(tmp_path / "nothing"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from embmask import BenchmarkSpec, DomainDataset, TrainConfig, accuracy, generate_benchmark, split_model, train_erm
-from embmask.errors import ConfigError, CsvParseError
+from embmask.errors import ConfigError, CorruptFileError, CsvParseError
 from embmask.synthbench import load_csv_dataset, load_oracle, save_csv_dataset, save_oracle
 
 
@@ -137,6 +137,15 @@ def test_csv_bad_cell_reports_row_number(tmp_path):
     assert ":3:" in str(exc.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature_reports_row_number(tmp_path, value):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{value},1\n")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv_dataset(str(path), ["f0", "f1"], "label")
+    assert f"{path}:3:" in str(exc.value)
+
+
 def test_csv_missing_column_rejected(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("f0,label\n1.0,0\n")
@@ -156,3 +165,20 @@ def test_oracle_json_round_trip(tmp_path):
     for k, v in oracle.domain_maps.items():
         assert (loaded.domain_maps[k] == v).all()
     assert (loaded.unseen_map == oracle.unseen_map).all()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
+        pytest.param(lambda text: text.replace('"unseen_map"', '"unseen"'), id="missing-key"),
+        pytest.param(lambda text: "[1, 2]", id="not-an-object"),
+    ],
+)
+def test_corrupt_oracle_raises_corrupt_file(tmp_path, corrupt):
+    _, _, oracle = generate_benchmark(BenchmarkSpec(samples_per_domain=2, unseen_samples=2))
+    path = tmp_path / "oracle.json"
+    save_oracle(oracle, str(path))
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(CorruptFileError):
+        load_oracle(str(path))
