@@ -157,13 +157,15 @@ def _require_path(path: str, what: str) -> str:
     return path
 
 
-def _require_model(prefix: str, what: str) -> str:
+def _load_model(prefix: str, what: str):
+    """Parameters saved at ``prefix`` inside a verified run directory."""
     if not prefix:
         raise MissingArtifact(f"{what} not configured")
     for suffix in (".manifest", ".params"):
         if not os.path.exists(prefix + suffix):
             raise MissingArtifact(f"{what} not found: {prefix}{suffix}")
-    return prefix
+    RunDirectory.verify(os.path.dirname(prefix) or ".")
+    return load_params(prefix)
 
 
 def _load_data_dir(data_dir: str):
@@ -173,6 +175,7 @@ def _load_data_dir(data_dir: str):
     oracle_path = os.path.join(data_dir, "oracle.json")
     if not train_paths or not os.path.exists(unseen_path):
         raise MissingArtifact(f"no benchmark CSVs in {data_dir}")
+    RunDirectory.verify(data_dir)
     oracle = load_oracle(oracle_path) if os.path.exists(oracle_path) else None
 
     def load(path: str) -> DomainDataset:
@@ -187,8 +190,7 @@ def _load_data_dir(data_dir: str):
 
 
 def _load_split(cfg):
-    prefix = _require_model(cfg["base.model"], "base model")
-    store = load_params(prefix)
+    store = _load_model(cfg["base.model"], "base model")
     store.freeze()
     model = Mlp.from_store(store)
     idx = cfg["base.split_index"]
@@ -196,8 +198,7 @@ def _load_split(cfg):
 
 
 def _load_generator(cfg) -> Mlp:
-    store = load_params(_require_model(cfg["emg.model"], "EMG model"))
-    return Mlp.from_store(store, prefix="g.")
+    return Mlp.from_store(_load_model(cfg["emg.model"], "EMG model"), prefix="g.")
 
 
 def _mask_source(cfg, split, train_data):

@@ -9,10 +9,6 @@ class ShapeMismatchError(EmbmaskError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class MathDomainError(EmbmaskError, ValueError):
-    """An input lies outside the mathematical domain of an operation."""
-
-
 class NumericError(EmbmaskError, ValueError):
     """Non-finite values where finite ones are required."""
 

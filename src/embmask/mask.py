@@ -57,28 +57,61 @@ def gumbel_sample(
 _P_EPS = 1e-12  # probabilities clamped to [eps, 1-eps] before logs
 
 
-def gumbel_softmax_mask(
-    p: T.Tensor | Array, h: Array, h_prime: Array, tau: float
-) -> T.Tensor | Array:
-    """Soft keep-mask from drop probabilities p and Gumbel noise h, h'.
+def sigmoid_np(x: Array) -> Array:
+    """Numerically stable logistic function on raw arrays."""
+    pos = x >= 0
+    out = np.empty_like(x, dtype=np.float64)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    Accepts either a graph tensor (differentiable wrt p) or a raw array
-    (returns a raw array).
+
+def _check_noise(p_shape, h: Array, h_prime: Array) -> None:
+    if np.shape(h) != p_shape or np.shape(h_prime) != p_shape:
+        raise ShapeMismatchError(
+            f"noise shapes {np.shape(h)}, {np.shape(h_prime)} != p shape {p_shape}"
+        )
+
+
+def gumbel_softmax_mask(p: Array, h: Array, h_prime: Array, tau: float) -> Array:
+    """Soft keep-mask from drop probabilities p and Gumbel noise h, h'."""
+    p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
+    _check_noise(p.shape, h, h_prime)
+    z = (np.log1p(-p) - np.log(p) + np.asarray(h) - np.asarray(h_prime)) / tau
+    return np.clip(sigmoid_np(z), _P_EPS, 1.0 - _P_EPS)
+
+
+def relaxed_mask(logits: T.Tensor, h: Array, h_prime: Array, tau: float) -> T.Tensor:
+    """The training mask as one tape op, from generator logits to the clipped
+    soft mask; differentiable wrt the logits, the noise is a constant.
+
+    p = clip(sigmoid(logits)), m = clip(sigmoid((log(1-p) - log p + h - h')/tau)).
+    Where neither clip is active dm/dlogit = -m(1-m)/tau; where one is, 0.
+    The forward takes log(1-p), not the log1p of ``gumbel_softmax_mask``, and
+    the backward applies the chain rule one factor at a time in a fixed
+    order: changing either moves trained generators in the last bits, and
+    with them every run-directory artifact downstream.
     """
-    if isinstance(p, T.Tensor):
-        pc = T.clip(p, _P_EPS, 1.0 - _P_EPS)
-        logits = T.sub(T.log(T.sub(1.0, pc)), T.log(pc))
-        noise = np.asarray(h, dtype=np.float64) - np.asarray(h_prime, dtype=np.float64)
-        if noise.shape != pc.shape:
-            raise ShapeMismatchError(
-                f"noise shape {noise.shape} != p shape {pc.shape}"
-            )
-        m = T.sigmoid(T.mul(T.add(logits, T.Tensor(noise)), 1.0 / tau))
-        # keep the mask strictly inside (0,1) even where sigmoid saturates
-        return T.clip(m, _P_EPS, 1.0 - _P_EPS)
-    p_arr = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
-    z = (np.log1p(-p_arr) - np.log(p_arr) + np.asarray(h) - np.asarray(h_prime)) / tau
-    return np.clip(T.sigmoid_np(z), _P_EPS, 1.0 - _P_EPS)
+    s = sigmoid_np(logits.data)
+    p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
+    _check_noise(p.shape, h, h_prime)
+    one_minus_p = 1.0 - p
+    noise = np.asarray(h, dtype=np.float64) - np.asarray(h_prime, dtype=np.float64)
+    inv_tau = 1.0 / tau
+    m0 = sigmoid_np((np.log(one_minus_p) - np.log(p) + noise) * inv_tau)
+    out = T.Tensor(np.clip(m0, _P_EPS, 1.0 - _P_EPS), _parents=(logits,))
+
+    def bw(g: Array) -> None:
+        def dlogits() -> Array:
+            dz = g * ((m0 >= _P_EPS) & (m0 <= 1.0 - _P_EPS)) * m0 * (1.0 - m0) * inv_tau
+            dp = -(dz / one_minus_p) + (-dz) / p
+            return dp * ((s >= _P_EPS) & (s <= 1.0 - _P_EPS)) * s * (1.0 - s)
+
+        T.accumulate(logits, dlogits)
+
+    out._backward_fn = bw
+    return out
 
 
 def training_mask(
@@ -93,10 +126,10 @@ def training_mask(
     The mask stays a graph tensor so the EMG objective can differentiate
     through it to the generator; the noise enters as a constant.
     """
-    p = T.sigmoid(generator.forward(T.Tensor(x), leaves))
-    h = gumbel_sample(rng, p.shape, cfg.clamp_eps)
-    h_prime = gumbel_sample(rng, p.shape, cfg.clamp_eps)
-    return gumbel_softmax_mask(p, h, h_prime, cfg.tau)
+    logits = generator.forward(T.Tensor(x), leaves)
+    h = gumbel_sample(rng, logits.shape, cfg.clamp_eps)
+    h_prime = gumbel_sample(rng, logits.shape, cfg.clamp_eps)
+    return relaxed_mask(logits, h, h_prime, cfg.tau)
 
 
 def inference_mask(
@@ -132,4 +165,4 @@ def inference_mask(
 
 def drop_probabilities(generator: Mlp, x: Array) -> Array:
     """p = sigmoid(G(x)) on raw arrays, for evaluation paths."""
-    return T.sigmoid_np(generator.forward_np(x))
+    return sigmoid_np(generator.forward_np(x))

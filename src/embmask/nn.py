@@ -139,14 +139,12 @@ class Mlp:
             raise UsageError(f"no layers with prefix {prefix!r} in store")
         return cls(sizes, store=store, prefix=prefix, init=False)
 
-    def _apply(
-        self, x: T.Tensor, leaves: Mapping[str, T.Tensor], start: int, stop: int
-    ) -> T.Tensor:
+    def _apply(self, x: T.Tensor, leaves, start: int, stop: int) -> T.Tensor:
+        """Layers ``start..stop-1`` on the tape; ``leaves`` maps parameter
+        names to leaf tensors, or to raw arrays that enter as constants."""
         h = x
         for i in range(start, stop):
-            w = leaves[f"{self.prefix}w{i}"]
-            b = leaves[f"{self.prefix}b{i}"]
-            h = T.add_rowvec(T.matmul(h, w), b)
+            h = T.linear(h, leaves[f"{self.prefix}w{i}"], leaves[f"{self.prefix}b{i}"])
             if i < self.n_layers - 1:
                 h = T.relu(h)
         return h
@@ -210,11 +208,7 @@ class SplitModel:
 
     def predict_t(self, z: T.Tensor) -> T.Tensor:
         """Predictor forward on a tensor; parameters enter as constants."""
-        leaves = {
-            n: T.Tensor(self.model.store[n])
-            for n in self.model.store.names()
-        }
-        return self.model._apply(z, leaves, self.split_index, self.model.n_layers)
+        return self.model._apply(z, self.model.store, self.split_index, self.model.n_layers)
 
     def predictor_affine_params(self) -> tuple[Array, Array]:
         if not self.predictor_is_affine:

@@ -61,7 +61,15 @@ class RunDirectory:
 
     @staticmethod
     def verify(path: str) -> None:
-        """Raise CorruptFileError if any manifest checksum fails."""
+        """Raise CorruptFileError unless ``path`` is a complete run whose
+        artifacts all match their manifest checksums."""
+        status_path = os.path.join(path, STATUS_FILE)
+        if not os.path.exists(status_path):
+            raise CorruptFileError(f"no {STATUS_FILE} in {path}")
+        with open(status_path) as fh:
+            status = fh.read().strip()
+        if status != "complete":
+            raise CorruptFileError(f"run {path} has STATUS {status!r}, not 'complete'")
         manifest = os.path.join(path, MANIFEST_FILE)
         if not os.path.exists(manifest):
             raise CorruptFileError(f"no manifest in {path}")
@@ -70,7 +78,9 @@ class RunDirectory:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                digest, name = line.split("  ", 1)
+                digest, sep, name = line.partition("  ")
+                if not sep:
+                    raise CorruptFileError(f"bad manifest line {line!r} in {path}")
                 target = os.path.join(path, name)
                 if not os.path.exists(target):
                     raise CorruptFileError(f"missing artifact {name} in {path}")

@@ -42,9 +42,6 @@ class TrainConfig:
     patience: int = 10
     val_fraction: float = 0.2
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hard_target: bool = False  # EMG ablation: argmax target instead of soft
 
     def __post_init__(self):
@@ -84,7 +81,7 @@ def hard_ce(labels: Array, logits: T.Tensor) -> T.Tensor:
         raise UsageError(f"label out of range [0, {c})")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    return _cross_entropy(onehot, logits)
+    return T.cross_entropy(onehot, logits)
 
 
 def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
@@ -93,25 +90,21 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
     The target distribution is a constant: gradients flow only through the
     prediction side.
     """
-    target = target_logits.data if isinstance(target_logits, T.Tensor) else np.asarray(
-        target_logits, dtype=np.float64
-    )
+    target = np.asarray(target_logits, dtype=np.float64)
     if target.shape != pred_logits.shape:
         raise ShapeMismatchError(
             f"soft_ce: shapes {target.shape} and {pred_logits.shape}"
         )
     q = np.exp(target - target.max(axis=1, keepdims=True))
     q /= q.sum(axis=1, keepdims=True)
-    return _cross_entropy(q, pred_logits)
-
-
-def _cross_entropy(q: Array, logits: T.Tensor) -> T.Tensor:
-    """Mean over rows of -sum_j q_ij log softmax(logits)_ij; q is constant."""
-    lsm = T.log_softmax_rows(logits)
-    return T.mul(T.tsum(T.mul(T.Tensor(q), lsm)), -1.0 / q.shape[0])
+    return T.cross_entropy(q, pred_logits)
 
 
 # -- optimizer ----------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -122,13 +115,7 @@ class AdamState:
 
 
 def optimizer_step(
-    store: ParamStore,
-    grads: dict[str, Array],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    store: ParamStore, grads: dict[str, Array], state: AdamState, lr: float
 ) -> AdamState:
     """One bias-corrected adaptive-moment update on the trainable parameters."""
     for name in grads:
@@ -137,17 +124,17 @@ def optimizer_step(
         if not store.is_trainable(name):
             raise ContractError(f"gradient for frozen parameter {name!r}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        store.set_value(name, store[name] - lr * m_hat / (np.sqrt(v_hat) + eps))
+        store.set_value(name, store[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return state
 
 
@@ -323,7 +310,7 @@ def _emg_loss(split, gen, leaves, x, z, target, mask_cfg, rng) -> T.Tensor:
     """Soft cross entropy between ``target`` logits and the frozen predictor
     on the masked embedding m * z, with m drawn from the generator under rng."""
     m = training_mask(gen, x, leaves, mask_cfg, rng)
-    return soft_ce(target, split.predict_t(T.mul(m, T.Tensor(z))))
+    return soft_ce(target, split.predict_t(T.mul(m, z)))
 
 
 # -- shared epoch loop ---------------------------------------------------------------
@@ -358,15 +345,7 @@ def _fit(
             leaves = store.leaves()
             loss = forward_loss(leaves, x_tr[idx], y_tr[idx])
             grads = T.backward_grads(loss, leaves)
-            optimizer_step(
-                store,
-                grads,
-                state,
-                config.learning_rate,
-                config.beta1,
-                config.beta2,
-                config.eps,
-            )
+            optimizer_step(store, grads, state, config.learning_rate)
             epoch_losses.append(loss.item())
 
         if val_loss_fn is not None:

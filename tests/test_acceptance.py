@@ -25,6 +25,7 @@ from embmask import (
     sweep_mask_percent,
     train_emg,
     train_erm,
+    training_mask,
 )
 from embmask import tensor as T
 from embmask.evaluate import emg_masks
@@ -60,16 +61,13 @@ def test_criterion_1_gradient_correctness():
             base.store.freeze()
             split = split_model(base)
             gen = Mlp([din, 3, emb], prefix="g.", seed=i + 1)
-            h = -np.log(-np.log(rng.uniform(1e-6, 1 - 1e-6, size=(batch, emb))))
-            hp = -np.log(-np.log(rng.uniform(1e-6, 1 - 1e-6, size=(batch, emb))))
             z = split.encode_np(x)
             target = split.predict_np(z)
 
-            def f(leaves, gen=gen, split=split, x=x, z=z, target=target, h=h, hp=hp):
-                p = T.sigmoid(gen.forward(T.Tensor(x), leaves))
-                m = gumbel_softmax_mask(p, h, hp, 0.1)
-                pred = split.predict_t(T.mul(m, T.Tensor(z)))
-                return soft_ce(target, pred)
+            def f(leaves, gen=gen, split=split, x=x, z=z, target=target, seed=2000 + i):
+                # the rng is re-seeded per call: every evaluation sees one noise draw
+                m = training_mask(gen, x, leaves, MaskGenConfig(tau=0.1), np.random.default_rng(seed))
+                return soft_ce(target, split.predict_t(T.mul(m, z)))
 
             err = T.grad_check(f, gen.store.state_copy())
         worst = max(worst, err)

@@ -255,7 +255,33 @@ def _nan_feature(data, base):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_manifest, _corrupt_oracle, _nan_feature])
+def _flip_param_byte(data, base):
+    path = base.with_suffix(".params")
+    blob = bytearray(path.read_bytes())
+    blob[0] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+def _incomplete_data_dir(data, base):
+    (data / "STATUS").write_text("incomplete\n")
+
+
+def _garbled_manifest_line(data, base):
+    with open(data / "MANIFEST.txt", "a") as fh:
+        fh.write("not-a-manifest-line\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _corrupt_manifest,
+        _corrupt_oracle,
+        _nan_feature,
+        _flip_param_byte,
+        _incomplete_data_dir,
+        _garbled_manifest_line,
+    ],
+)
 def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, corrupt):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)

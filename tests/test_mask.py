@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from embmask import Mlp, MaskGenConfig, gumbel_sample, gumbel_softmax_mask, inference_mask, training_mask
 from embmask import tensor as T
 from embmask.errors import ConfigError, ShapeMismatchError
+from embmask.mask import relaxed_mask, sigmoid_np
 
 EULER_MASCHERONI = 0.5772156649015329
+
+
+def _total(t):
+    """Sum of all entries of a 2-d tensor: ones(1, n) @ t @ ones(m, 1)."""
+    n, m = t.shape
+    return T.linear(T.linear(np.ones((1, n)), t, np.zeros(m)), np.ones((m, 1)), np.zeros(1))
 
 
 class _FixedUniform:
@@ -46,6 +53,10 @@ def test_gumbel_moments_monte_carlo():
 # -- mask formula ---------------------------------------------------------------
 
 
+def test_sigmoid_at_zero():
+    assert sigmoid_np(np.array([0.0]))[0] == 0.5
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
 def test_mask_symmetry_at_half(tau):
     zeros = np.zeros(4)
@@ -62,14 +73,32 @@ def test_mask_tau_one_no_noise_is_one_minus_p():
 def test_mask_hand_oracle_tau_half():
     m = gumbel_softmax_mask(np.array([0.2]), np.zeros(1), np.zeros(1), 0.5)
     np.testing.assert_allclose(m, 0.64 / 0.68, atol=1e-12)
-    # same value through the differentiable tensor path
-    mt = gumbel_softmax_mask(T.Tensor([0.2]), np.zeros(1), np.zeros(1), 0.5)
-    np.testing.assert_allclose(mt.data, 0.64 / 0.68, atol=1e-12)
+    # same value through the training op, from the logit of p = 0.2
+    mt = relaxed_mask(T.Tensor([[math.log(0.25)]]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5)
+    np.testing.assert_allclose(mt.data, [[0.64 / 0.68]], atol=1e-12)
 
 
 def test_mask_noise_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        gumbel_softmax_mask(T.Tensor(np.full(3, 0.5)), np.zeros(2), np.zeros(2), 0.1)
+        gumbel_softmax_mask(np.full(3, 0.5), np.zeros(2), np.zeros(2), 0.1)
+    with pytest.raises(ShapeMismatchError):
+        relaxed_mask(T.Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros((3, 2)), 0.1)
+
+
+def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
+    # m = sigmoid((h - h' - logit)/tau), so dm/dlogit = -m(1-m)/tau while no
+    # clip is active. Logit 40 saturates p (p clip); noise -30 at tau 0.5
+    # drives m below 1e-12 (m clip): both get exactly 0.
+    tau = 0.5
+    logits = T.Tensor([[-1.0, 0.3, 2.0, 40.0, 0.0]], requires_grad=True)
+    h = np.array([[0.4, -0.2, 0.0, 0.0, 0.0]])
+    h_prime = np.array([[0.0, 0.1, -0.3, 0.0, 30.0]])
+    m = relaxed_mask(logits, h, h_prime, tau)
+    _total(m).backward()
+    free = m.data[0, :3]
+    np.testing.assert_allclose(logits.grad[0, :3], -free * (1.0 - free) / tau, rtol=1e-12)
+    assert (logits.grad[0, 3:] == 0.0).all()
+    assert m.data[0, 4] == 1e-12
 
 
 @settings(deadline=None, max_examples=80)
@@ -121,14 +150,10 @@ def test_training_mask_gradient_matches_finite_differences():
     x = rng.normal(size=(4, 3))
     gen = Mlp([3, 4], seed=2)
     cfg = MaskGenConfig()
-    h = gumbel_sample(np.random.default_rng(5), (4, 4))
-    hp = gumbel_sample(np.random.default_rng(6), (4, 4))
 
     def f(leaves):
-        logits = gen.forward(T.Tensor(x), leaves)
-        p = T.sigmoid(logits)
-        m = gumbel_softmax_mask(p, h, hp, cfg.tau)
-        return T.mul(T.tsum(m), 1.0 / m.size)
+        # re-seeded per call, so every evaluation sees the same noise
+        return _total(training_mask(gen, x, leaves, cfg, np.random.default_rng(5)))
 
     assert T.grad_check(f, gen.store.state_copy()) < 1e-4
 

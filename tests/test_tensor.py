@@ -7,15 +7,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from embmask import tensor as T
-from embmask.errors import MathDomainError, ShapeMismatchError, UsageError
+from embmask.errors import ShapeMismatchError, UsageError
 
 
-def _mean(x):
-    return T.mul(T.tsum(x), 1.0 / x.size)
+def _total(t):
+    """Sum of all entries of a 2-d tensor: ones(1, n) @ t @ ones(m, 1)."""
+    n, m = t.shape
+    col_sums = T.linear(np.ones((1, n)), t, np.zeros(m))
+    return T.linear(col_sums, np.ones((m, 1)), np.zeros(1))
 
 
 def _softmax(logits):
-    return np.exp(T.log_softmax_rows(T.Tensor(logits)).data)
+    """exp(log softmax) entry by entry, read off one-row cross entropies:
+    cross_entropy(e_j, row) = -log softmax(row)_j."""
+    logits = np.asarray(logits, dtype=np.float64)
+    out = np.empty_like(logits)
+    for i, j in np.ndindex(*logits.shape):
+        onehot = np.zeros((1, logits.shape[1]))
+        onehot[0, j] = 1.0
+        out[i, j] = np.exp(-T.cross_entropy(onehot, logits[i : i + 1]).item())
+    return out
+
+
+def _softmax_weights(rng, shape):
+    q = np.exp(rng.normal(size=shape))
+    return q / q.sum(axis=1, keepdims=True)
 
 
 # -- forward semantics --------------------------------------------------------
@@ -23,27 +39,38 @@ def _softmax(logits):
 
 def test_matmul_identity():
     m = np.array([[1.5, -2.0], [0.25, 7.0]])
-    out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(m))
+    out = T.linear(T.Tensor(np.eye(2)), T.Tensor(m), np.zeros(2))
     np.testing.assert_array_equal(out.data, m)
 
 
 def test_matmul_hand_oracle():
-    out = T.matmul(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[5.0], [6.0]]))
+    out = T.linear(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[5.0], [6.0]]), np.zeros(1))
     np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
+
+
+def test_linear_adds_bias_to_every_row():
+    out = T.linear(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 0.0], [6.0, 1.0]]), np.array([0.5, -1.0]))
+    np.testing.assert_array_equal(out.data, [[17.5, 1.0], [39.5, 3.0]])
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeMismatchError) as exc:
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+        T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))), np.zeros(3))
     assert "(2, 3)" in str(exc.value)
+    with pytest.raises(ShapeMismatchError):
+        T.linear(np.ones((2, 3)), np.ones((3, 2)), np.zeros(3))
 
 
 def test_matmul_grad_is_ones_times_bt():
     a = np.array([[0.3, -1.2], [2.0, 0.5]])
     b = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 0.0]])
     ta = T.Tensor(a, requires_grad=True)
-    T.tsum(T.matmul(ta, T.Tensor(b))).backward()
+    tb = T.Tensor(b, requires_grad=True)
+    bias = T.Tensor(np.zeros(3), requires_grad=True)
+    _total(T.linear(ta, tb, bias)).backward()
     np.testing.assert_allclose(ta.grad, np.ones((2, 3)) @ b.T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tb.grad, a.T @ np.ones((2, 3)), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(bias.grad, [2.0, 2.0, 2.0])
 
 
 def test_relu_definition():
@@ -51,29 +78,19 @@ def test_relu_definition():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
-def test_log_exp_inverse_pair():
-    out = T.log(T.Tensor([1.0, np.e, np.exp(0.3), 0.5]))
-    np.testing.assert_allclose(out.data, [0.0, 1.0, 0.3, -np.log(2.0)], atol=1e-15)
-
-
-def test_sigmoid_at_zero():
-    assert T.sigmoid(T.Tensor([0.0])).data[0] == 0.5
-
-
-def test_log_domain_error_reports_first_offender():
-    with pytest.raises(MathDomainError) as exc:
-        T.log(T.Tensor([1.0, 2.0, -3.0, 0.0]))
-    assert "index 2" in str(exc.value)
-
-
 def test_binary_op_rejects_unequal_shapes():
     with pytest.raises(ShapeMismatchError):
-        T.add(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
+        T.mul(T.Tensor(np.ones(3)), T.Tensor(np.ones(4)))
 
 
-def test_scalar_broadcast_allowed():
-    out = T.mul(T.Tensor(np.ones((2, 2))), 3.0)
-    np.testing.assert_array_equal(out.data, 3.0 * np.ones((2, 2)))
+def test_mul_hand_oracle_and_grads():
+    a = T.Tensor([[1.0, 2.0]], requires_grad=True)
+    b = T.Tensor([[3.0, -4.0]], requires_grad=True)
+    out = T.mul(a, b)
+    np.testing.assert_array_equal(out.data, [[3.0, -8.0]])
+    _total(out).backward()
+    np.testing.assert_array_equal(a.grad, b.data)
+    np.testing.assert_array_equal(b.grad, a.data)
 
 
 def test_softmax_uniform_rows():
@@ -106,27 +123,42 @@ def test_softmax_rows_sum_to_one(logits):
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_cross_entropy_gradient_is_softmax_minus_target_over_n():
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    q = _softmax_weights(rng, (3, 4))
+    T.cross_entropy(q, x).backward()
+    np.testing.assert_allclose(x.grad, (_softmax(x.data) - q) / 3, rtol=0, atol=1e-15)
+
+
+def test_cross_entropy_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        T.cross_entropy(np.ones((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(ShapeMismatchError):
+        T.cross_entropy(np.ones(3), np.zeros(3))
+
+
 # -- backward -----------------------------------------------------------------
 
 
 def test_backward_square():
     w = T.Tensor([3.0], requires_grad=True)
-    T.tsum(T.mul(w, w)).backward()
+    T.mul(w, w).backward()
     np.testing.assert_array_equal(w.grad, [6.0])
 
 
 def test_backward_requires_scalar_loss():
     w = T.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(UsageError):
-        T.mul(w, 2.0).backward()
+        T.mul(w, w).backward()
 
 
 def test_frozen_leaf_absent_from_grad_map():
     leaves = {
-        "w": T.Tensor(np.ones(2), requires_grad=True),
+        "w": T.Tensor(np.ones((3, 2)), requires_grad=True),
         "frozen": T.Tensor(np.ones(2), requires_grad=False),
     }
-    loss = T.tsum(T.mul(leaves["w"], leaves["frozen"]))
+    loss = T.cross_entropy(np.full((4, 2), 0.5), T.linear(np.ones((4, 3)), leaves["w"], leaves["frozen"]))
     grads = T.backward_grads(loss, leaves)
     assert set(grads) == {"w"}
 
@@ -135,10 +167,11 @@ def test_backward_deterministic_bitwise():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 3))
     w = rng.normal(size=(3, 2))
+    q = _softmax_weights(rng, (4, 2))
 
     def run():
         leaves = {"w": T.Tensor(w, requires_grad=True)}
-        loss = _mean(T.sigmoid(T.matmul(T.Tensor(x), leaves["w"])))
+        loss = T.cross_entropy(q, T.relu(T.linear(x, leaves["w"], np.zeros(2))))
         return T.backward_grads(loss, leaves)["w"], loss.item()
 
     g1, l1 = run()
@@ -153,9 +186,10 @@ def test_backward_deterministic_bitwise():
 def test_grad_check_linear_model():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 3))
+    q = _softmax_weights(rng, (5, 2))
 
     def f(leaves):
-        return T.tsum(T.add_rowvec(T.matmul(T.Tensor(x), leaves["w"]), leaves["b"]))
+        return T.cross_entropy(q, T.linear(x, leaves["w"], leaves["b"]))
 
     err = T.grad_check(f, {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)})
     assert err <= 1e-6
@@ -164,11 +198,11 @@ def test_grad_check_linear_model():
 def test_grad_check_two_layer_relu():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(4, 3)) + 0.05  # keep pre-activations off the kink
+    q = _softmax_weights(rng, (4, 2))
 
     def f(leaves):
-        h = T.relu(T.add_rowvec(T.matmul(T.Tensor(x), leaves["w0"]), leaves["b0"]))
-        out = T.add_rowvec(T.matmul(h, leaves["w1"]), leaves["b1"])
-        return _mean(T.mul(out, out))
+        h = T.relu(T.linear(x, leaves["w0"], leaves["b0"]))
+        return T.cross_entropy(q, T.linear(h, leaves["w1"], leaves["b1"]))
 
     params = {
         "w0": rng.normal(size=(3, 4)),
@@ -181,7 +215,7 @@ def test_grad_check_two_layer_relu():
 
 def test_grad_check_constant_function_is_zero():
     def f(leaves):
-        return T.tsum(T.mul(T.Tensor(np.ones(2)), 2.0))
+        return T.cross_entropy(np.ones((1, 2)), np.array([[0.0, 2.0]]))
 
     assert T.grad_check(f, {"w": np.ones(3)}) == 0.0
 
@@ -189,14 +223,15 @@ def test_grad_check_constant_function_is_zero():
 @settings(deadline=None, max_examples=20)
 @given(st.integers(0, 10_000))
 def test_grad_check_random_smooth_composites(seed):
-    # log/sigmoid/log-softmax composites are smooth everywhere, so the
-    # finite-difference bound applies at any random point.
+    # products of affine maps under cross entropy are smooth everywhere, so
+    # the finite-difference bound applies at any random point.
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, 2))
+    q = _softmax_weights(rng, (3, 4))
 
     def f(leaves):
-        h = T.sigmoid(T.matmul(T.Tensor(x), leaves["w"]))
-        h = T.log(T.add(h, 0.1))
-        return _mean(T.mul(T.log_softmax_rows(h), h))
+        h = T.mul(T.linear(x, leaves["w"], leaves["b"]), T.linear(x, leaves["v"], leaves["b"]))
+        return T.cross_entropy(q, h)
 
-    assert T.grad_check(f, {"w": rng.normal(size=(2, 4))}) <= 1e-4
+    params = {"w": rng.normal(size=(2, 4)), "v": rng.normal(size=(2, 4)), "b": rng.normal(size=4)}
+    assert T.grad_check(f, params) <= 1e-4

@@ -22,7 +22,14 @@ from embmask import (
     train_erm,
 )
 from embmask import tensor as T
-from embmask.errors import ConfigError, ContractError, DegenerateDataError, ShapeMismatchError, UsageError
+from embmask.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateDataError,
+    NumericError,
+    ShapeMismatchError,
+    UsageError,
+)
 from embmask.train import AdamState, optimizer_step, pooled_split
 
 
@@ -89,6 +96,21 @@ def test_soft_ce_hand_oracle():
     loss = soft_ce(np.array([[0.0, 0.0]]), T.Tensor([[0.0, math.log(3.0)]]))
     np.testing.assert_allclose(loss.item(), 0.5 * math.log(16.0 / 3.0), atol=1e-12)
     np.testing.assert_allclose(loss.item(), 0.8369882167858358, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [
+        lambda: hard_ce(np.array([0, 1]), T.Tensor([[np.inf, 0.0], [0.0, 1.0]])),
+        lambda: hard_ce(np.array([0]), T.Tensor([[np.nan, 0.0]])),
+        lambda: soft_ce(np.array([[np.inf, 0.0]]), T.Tensor([[0.0, 0.0]])),
+        lambda: soft_ce(np.array([[0.0, 0.0]]), T.Tensor([[0.0, -np.inf]])),
+    ],
+    ids=["hard_inf_logit", "hard_nan_logit", "soft_inf_target", "soft_neg_inf_logit"],
+)
+def test_non_finite_loss_input_raises(loss):
+    with pytest.raises(NumericError):
+        loss()
 
 
 def test_soft_ce_shape_mismatch():
