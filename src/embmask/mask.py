@@ -36,8 +36,8 @@ class MaskGenConfig:
     clamp_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.inference_mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
         if self.inference_mode == "sample_avg" and self.sample_count < 1:
@@ -82,35 +82,45 @@ def gumbel_softmax_mask(p: Array, h: Array, h_prime: Array, tau: float) -> Array
     return np.clip(sigmoid_np(z), _P_EPS, 1.0 - _P_EPS)
 
 
-def relaxed_mask(logits: T.Tensor, h: Array, h_prime: Array, tau: float) -> T.Tensor:
-    """The training mask as one tape op, from generator logits to the clipped
-    soft mask; differentiable wrt the logits, the noise is a constant.
+def relaxed_mask_np(
+    logits: Array, h: Array, h_prime: Array, tau: float
+) -> tuple[Array, tuple]:
+    """The training mask from generator logits, and what its gradient needs.
 
     p = clip(sigmoid(logits)), m = clip(sigmoid((log(1-p) - log p + h - h')/tau)).
-    Where neither clip is active dm/dlogit = -m(1-m)/tau; where one is, 0.
-    The forward takes log(1-p), not the log1p of ``gumbel_softmax_mask``, and
-    the backward applies the chain rule one factor at a time in a fixed
-    order: changing either moves trained generators in the last bits, and
-    with them every run-directory artifact downstream.
+    The forward takes log(1-p), not the log1p of ``gumbel_softmax_mask``:
+    changing it would move trained generators in the last bits, and with
+    them every run-directory artifact downstream.
     """
-    s = sigmoid_np(logits.data)
+    s = sigmoid_np(logits)
     p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
     _check_noise(p.shape, h, h_prime)
     one_minus_p = 1.0 - p
     noise = np.asarray(h, dtype=np.float64) - np.asarray(h_prime, dtype=np.float64)
     inv_tau = 1.0 / tau
     m0 = sigmoid_np((np.log(one_minus_p) - np.log(p) + noise) * inv_tau)
-    out = T.Tensor(np.clip(m0, _P_EPS, 1.0 - _P_EPS), _parents=(logits,))
+    return np.clip(m0, _P_EPS, 1.0 - _P_EPS), (s, p, one_minus_p, m0, inv_tau)
 
-    def bw(g: Array) -> None:
-        def dlogits() -> Array:
-            dz = g * ((m0 >= _P_EPS) & (m0 <= 1.0 - _P_EPS)) * m0 * (1.0 - m0) * inv_tau
-            dp = -(dz / one_minus_p) + (-dz) / p
-            return dp * ((s >= _P_EPS) & (s <= 1.0 - _P_EPS)) * s * (1.0 - s)
 
-        T.accumulate(logits, dlogits)
+def relaxed_mask_grad(g: Array, cache: tuple) -> Array:
+    """Gradient wrt the logits of ``relaxed_mask_np``, given dloss/dm.
 
-    out._backward_fn = bw
+    Where neither clip is active dm/dlogit = -m(1-m)/tau; where one is, 0.
+    The chain rule is applied one factor at a time in a fixed order, for
+    the same reason the forward keeps log(1-p).
+    """
+    s, p, one_minus_p, m0, inv_tau = cache
+    dz = g * ((m0 >= _P_EPS) & (m0 <= 1.0 - _P_EPS)) * m0 * (1.0 - m0) * inv_tau
+    dp = -(dz / one_minus_p) + (-dz) / p
+    return dp * ((s >= _P_EPS) & (s <= 1.0 - _P_EPS)) * s * (1.0 - s)
+
+
+def relaxed_mask(logits: T.Tensor, h: Array, h_prime: Array, tau: float) -> T.Tensor:
+    """``relaxed_mask_np`` as one tape op; differentiable wrt the logits,
+    the noise is a constant."""
+    m, cache = relaxed_mask_np(logits.data, h, h_prime, tau)
+    out = T.Tensor(m, _parents=(logits,))
+    out._backward_fn = lambda g: T.accumulate(logits, lambda: relaxed_mask_grad(g, cache))
     return out
 
 
@@ -121,10 +131,9 @@ def training_mask(
     cfg: MaskGenConfig,
     rng: np.random.Generator,
 ) -> T.Tensor:
-    """Stochastic mask for a training batch; fresh Gumbel noise per call.
-
-    The mask stays a graph tensor so the EMG objective can differentiate
-    through it to the generator; the noise enters as a constant.
+    """Stochastic mask for a training batch on the reference tape; fresh
+    Gumbel noise per call. ``train.emg_forward`` draws the same noise in the
+    same order, so the tests compare the two bit for bit.
     """
     logits = generator.forward(T.Tensor(x), leaves)
     h = gumbel_sample(rng, logits.shape, cfg.clamp_eps)

@@ -4,6 +4,10 @@ An ``Mlp`` is a stack of linear layers with relu between them and an identity
 output. Parameters live in a ``ParamStore`` keyed by name with per-parameter
 trainable flags; freezing flips the flag and the store's checksum makes the
 freeze contract checkable (frozen bytes must survive a whole training run).
+The trainable values are views into one flat vector, so training updates
+them all with one vectorized optimizer step; ``Mlp.forward_train`` and
+``Mlp.backward_train`` are the fused NumPy forward and backward that
+training uses.
 """
 
 from __future__ import annotations
@@ -28,15 +32,40 @@ class _Param:
 
 
 class ParamStore:
-    """Named parameter storage with trainable flags."""
+    """Named parameter storage with trainable flags.
+
+    The trainable values, in insertion order, are views into one contiguous
+    float64 vector ``flat``; frozen values are not in it.
+    """
 
     def __init__(self):
         self._params: dict[str, _Param] = {}
+        self.flat = np.zeros(0)
 
     def add(self, name: str, value: Array, trainable: bool = True) -> None:
         if name in self._params:
             raise UsageError(f"duplicate parameter name {name!r}")
-        self._params[name] = _Param(np.asarray(value, dtype=np.float64), trainable)
+        self._params[name] = _Param(np.array(value, dtype=np.float64), trainable)
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy the trainable values into a new ``flat`` and rebind each to
+        its view of it."""
+        trainable = [p.value.ravel() for p in self._params.values() if p.trainable]
+        self.flat = np.concatenate(trainable) if trainable else np.zeros(0)
+        for name, view in self.views(self.flat).items():
+            self._params[name].value = view
+
+    def views(self, vec: Array) -> dict[str, Array]:
+        """Each trainable parameter's view of ``vec``, a vector laid out like
+        ``flat`` (a gradient, say)."""
+        out = {}
+        offset = 0
+        for name, p in self._params.items():
+            if p.trainable:
+                out[name] = vec[offset : offset + p.value.size].reshape(p.value.shape)
+                offset += p.value.size
+        return out
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -50,7 +79,7 @@ class ParamStore:
             raise ShapeMismatchError(
                 f"set_value {name}: {p.value.shape} vs {value.shape}"
             )
-        p.value = np.asarray(value, dtype=np.float64)
+        p.value[...] = value
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -65,13 +94,14 @@ class ParamStore:
         """Mark every parameter non-trainable. Idempotent."""
         for p in self._params.values():
             p.trainable = False
+        self._pack()
 
     @property
     def frozen(self) -> bool:
         return all(not p.trainable for p in self._params.values())
 
     def leaves(self) -> dict[str, T.Tensor]:
-        """Fresh leaf tensors for one forward/backward pass."""
+        """Fresh leaf tensors for one pass on the reference tape."""
         return {
             n: T.Tensor(p.value, requires_grad=p.trainable)
             for n, p in self._params.items()
@@ -88,10 +118,6 @@ class ParamStore:
 
     def state_copy(self) -> dict[str, Array]:
         return {n: p.value.copy() for n, p in self._params.items()}
-
-    def load_state(self, state: Mapping[str, Array]) -> None:
-        for n, v in state.items():
-            self.set_value(n, v.copy())
 
 
 class Mlp:
@@ -150,27 +176,64 @@ class Mlp:
         return h
 
     def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ShapeMismatchError(
-                f"input width {x.shape[1]} != model input dim {self.layer_sizes[0]}"
-            )
+        """The reference forward on the tape."""
+        self._check_width(x, 0)
         return self._apply(x, leaves, 0, self.n_layers)
+
+    def _check_width(self, x, layer: int) -> None:
+        if x.shape[1] != self.layer_sizes[layer]:
+            raise ShapeMismatchError(
+                f"input width {x.shape[1]} != model input dim {self.layer_sizes[layer]}"
+            )
+
+    def _layer_np(self, h: Array, i: int) -> Array:
+        h = T.linear_np(h, self.store[f"{self.prefix}w{i}"], self.store[f"{self.prefix}b{i}"])
+        return T.relu_np(h) if i < self.n_layers - 1 else h
 
     def _apply_np(self, x: Array, start: int, stop: int) -> Array:
         h = np.asarray(x, dtype=np.float64)
         for i in range(start, stop):
-            h = h @ self.store[f"{self.prefix}w{i}"] + self.store[f"{self.prefix}b{i}"]
-            if i < self.n_layers - 1:
-                h = np.maximum(h, 0.0)
+            h = self._layer_np(h, i)
         return h
 
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ShapeMismatchError(
-                f"input width {x.shape[1]} != model input dim {self.layer_sizes[0]}"
-            )
+        self._check_width(x, 0)
         return self._apply_np(x, 0, self.n_layers)
+
+    def forward_train(self, x: Array, start: int = 0) -> list[Array]:
+        """Layers ``start..`` on raw arrays, keeping what ``backward_train``
+        needs: the input of every layer, then the output (the last entry,
+        bitwise that of forward_np)."""
+        self._check_width(x, start)
+        acts = [np.asarray(x, dtype=np.float64)]
+        for i in range(start, self.n_layers):
+            acts.append(self._layer_np(acts[-1], i))
+        return acts
+
+    def backward_train(
+        self,
+        acts: list[Array],
+        g: Array,
+        grads: Mapping[str, Array] | None,
+        start: int = 0,
+    ) -> Array | None:
+        """Backpropagate the output gradient ``g`` of a ``forward_train``
+        pass.
+
+        A trainable model passes ``grads``, views into the flat gradient
+        vector, and each layer writes its weight and bias gradient there. A
+        frozen one passes None and gets the gradient wrt its input back.
+        """
+        for i in reversed(range(start, self.n_layers)):
+            if i < self.n_layers - 1:
+                g = T.relu_grad(g, acts[i - start + 1])
+            if grads is not None:
+                grads[f"{self.prefix}b{i}"][...] = T.linear_grad_b(g)
+                grads[f"{self.prefix}w{i}"][...] = T.linear_grad_w(g, acts[i - start])
+            if i > start or grads is None:
+                g = T.linear_grad_x(g, self.store[f"{self.prefix}w{i}"])
+        return None if grads is not None else g
 
 
 @dataclass
@@ -207,7 +270,8 @@ class SplitModel:
         return self.model._apply_np(z, self.split_index, self.model.n_layers)
 
     def predict_t(self, z: T.Tensor) -> T.Tensor:
-        """Predictor forward on a tensor; parameters enter as constants."""
+        """Predictor forward on the reference tape; parameters enter as
+        constants."""
         return self.model._apply(z, self.model.store, self.split_index, self.model.n_layers)
 
     def predictor_affine_params(self) -> tuple[Array, Array]:
@@ -297,7 +361,7 @@ def load_params(path: str) -> ParamStore:
         value = np.frombuffer(
             payload, dtype="<f8", count=nbytes // 8, offset=offset
         ).reshape(shape)
-        store.add(name, value.copy(), trainable=trainable)
+        store.add(name, value, trainable=trainable)
         expected_end = max(expected_end, offset + nbytes)
     if expected_end != len(payload):
         raise CorruptFileError(

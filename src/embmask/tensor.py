@@ -1,12 +1,15 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Array arithmetic of the training graphs, and the autodiff tape that is
+the tests' reference for it.
 
-numpy-backed: every op computes its forward in NumPy, records its parents
-and a hand-derived local backward, and ``Tensor.backward()`` replays the
-implicit tape in reverse topological order. The op set is exactly what the
-two training graphs need: ``linear`` (x @ w + b), ``relu``, elementwise
-``mul`` (equal shapes) and ``cross_entropy``; the mask op lives in
-``embmask.mask``. The tape remains only because the benchmark's tracer
-hooks ``Tensor`` and ``backward_grads``.
+Training does not use the tape: ``nn``, ``mask`` and ``train`` run fused
+NumPy steps that call the array functions here (``linear_np``,
+``linear_grad_*``, ``relu_np``, ``relu_grad``, ``cross_entropy_np``,
+``cross_entropy_grad``) directly. The tape ops ``linear``, ``relu``, ``mul``
+and ``cross_entropy`` call the same functions, record their parents, and
+``Tensor.backward()`` replays them in reverse topological order, so the
+tests can compare the fused gradients with ``backward_grads`` bit for bit
+and finite-difference both. The benchmark's tracer also hooks ``Tensor``
+and ``backward_grads``.
 """
 
 from __future__ import annotations
@@ -93,15 +96,71 @@ def _as_tensor(x) -> Tensor:
 
 def accumulate(t: Tensor, grad: Callable[[], Array]) -> None:
     """Add ``grad()`` into ``t.grad``; the gradient is only computed when
-    ``t`` requires one. Ops defined outside this module use it too."""
+    ``t`` requires one. Ops defined outside this module use it too.
+
+    The first contribution is stored as computed, so a node with one
+    consumer holds exactly the array the fused steps compute, down to the
+    sign of a zero.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad()
+    g = grad()
+    t.grad = g if t.grad is None else t.grad + g
 
 
-# -- ops ------------------------------------------------------------------------
+# -- array arithmetic, shared by the tape ops and the fused training steps -------
+
+
+def linear_np(x: Array, w: Array, b: Array) -> Array:
+    return x @ w + b
+
+
+def linear_grad_x(g: Array, w: Array) -> Array:
+    return g @ w.T
+
+
+def linear_grad_w(g: Array, x: Array) -> Array:
+    return x.T @ g
+
+
+def linear_grad_b(g: Array) -> Array:
+    return g.sum(axis=0)
+
+
+def relu_np(x: Array) -> Array:
+    return np.maximum(x, 0.0)
+
+
+def relu_grad(g: Array, x: Array) -> Array:
+    """Subgradient 0 at exactly 0. ``x`` may be relu's input or its output:
+    both are positive at the same entries."""
+    return g * (x > 0.0)
+
+
+def cross_entropy_np(q: Array, x: Array) -> tuple[Array, Array]:
+    """Mean over rows of -sum_j q_ij log softmax(x)_ij, and log softmax(x).
+
+    Raises NumericError on non-finite logits or target weights, so a
+    diverged model or a broken target cannot yield a NaN loss.
+    """
+    if x.ndim != 2 or q.shape != x.shape:
+        raise ShapeMismatchError(f"cross_entropy: target {q.shape} and logits {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericError("cross_entropy: non-finite logits")
+    if not np.isfinite(q).all():
+        raise NumericError("cross_entropy: non-finite target weights")
+    shifted = x - x.max(axis=1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return np.sum(q * lsm) * (-1.0 / q.shape[0]), lsm
+
+
+def cross_entropy_grad(g, q: Array, lsm: Array) -> Array:
+    """Gradient wrt the logits, given the loss gradient ``g`` (1 at the root)."""
+    d = (g * (-1.0 / q.shape[0])) * q
+    return d - np.exp(lsm) * d.sum(axis=1, keepdims=True)
+
+
+# -- tape ops ---------------------------------------------------------------------
 
 
 def linear(x, w, b) -> Tensor:
@@ -115,24 +174,23 @@ def linear(x, w, b) -> Tensor:
         or b.shape != (w.shape[1],)
     ):
         raise ShapeMismatchError(f"linear: shapes {x.shape}, {w.shape} and {b.shape}")
-    out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b))
+    out = Tensor(linear_np(x.data, w.data, b.data), _parents=(x, w, b))
 
     def bw(g: Array) -> None:
-        accumulate(b, lambda: g.sum(axis=0))
-        accumulate(x, lambda: g @ w.data.T)
-        accumulate(w, lambda: x.data.T @ g)
+        accumulate(b, lambda: linear_grad_b(g))
+        accumulate(x, lambda: linear_grad_x(g, w.data))
+        accumulate(w, lambda: linear_grad_w(g, x.data))
 
     out._backward_fn = bw
     return out
 
 
 def relu(x) -> Tensor:
-    # Subgradient 0 at exactly 0.
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
+    out = Tensor(relu_np(x.data), _parents=(x,))
 
     def bw(g: Array) -> None:
-        accumulate(x, lambda: g * (x.data > 0.0))
+        accumulate(x, lambda: relu_grad(g, x.data))
 
     out._backward_fn = bw
     return out
@@ -154,31 +212,12 @@ def mul(a, b) -> Tensor:
 
 
 def cross_entropy(q, logits) -> Tensor:
-    """Mean over rows of -sum_j q_ij log softmax(logits)_ij; q is a constant.
-
-    Raises NumericError on non-finite logits or target weights, so a
-    diverged model or a broken target cannot yield a NaN loss.
-    """
+    """``cross_entropy_np`` on the tape; q is a constant."""
     q = np.asarray(q, dtype=np.float64)
     x = _as_tensor(logits)
-    if x.data.ndim != 2 or q.shape != x.shape:
-        raise ShapeMismatchError(
-            f"cross_entropy: target {q.shape} and logits {x.shape}"
-        )
-    if not np.isfinite(x.data).all():
-        raise NumericError("cross_entropy: non-finite logits")
-    if not np.isfinite(q).all():
-        raise NumericError("cross_entropy: non-finite target weights")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    scale = -1.0 / q.shape[0]
-    out = Tensor(np.sum(q * lsm) * scale, _parents=(x,))
-
-    def bw(g: Array) -> None:
-        d = (g * scale) * q
-        accumulate(x, lambda: d - np.exp(lsm) * d.sum(axis=1, keepdims=True))
-
-    out._backward_fn = bw
+    loss, lsm = cross_entropy_np(q, x.data)
+    out = Tensor(loss, _parents=(x,))
+    out._backward_fn = lambda g: accumulate(x, lambda: cross_entropy_grad(g, q, lsm))
     return out
 
 

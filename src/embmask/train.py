@@ -10,12 +10,19 @@ gradient could reach theta_G through it anyway. Domain labels are never used.
 "Until convergence" is concretized as patience-based early stopping on a
 training-domain validation split; the returned parameters are those of the
 best-validation epoch.
+
+Both graphs train through fused NumPy steps (``erm_forward``,
+``emg_forward``): a forward that keeps its intermediates and a hand-derived
+backward that writes into views of one flat gradient vector, followed by
+one vectorized Adam step over the store's flat parameter vector. The tape
+losses ``hard_ce`` and ``soft_ce`` are the tests' reference for them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .mask import MaskGenConfig, training_mask
+from .mask import MaskGenConfig, gumbel_sample, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
 from .synthbench import DomainDataset
 
@@ -49,6 +56,10 @@ class TrainConfig:
             raise ConfigError("val_fraction must be in (0, 1)")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size, patience, max_epochs must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -71,17 +82,34 @@ class TrainTrace:
 # -- losses -------------------------------------------------------------------
 
 
-def hard_ce(labels: Array, logits: T.Tensor) -> T.Tensor:
-    """Mean cross entropy against integer class labels, via log-sum-exp."""
+def _onehot(labels: Array, shape: tuple[int, ...]) -> Array:
+    """One-hot targets for integer class labels, checked against the shape
+    of the logits."""
     labels = np.asarray(labels)
-    n, c = logits.shape
+    n, c = shape
     if labels.shape != (n,):
         raise ShapeMismatchError(f"labels shape {labels.shape} vs batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise UsageError(f"label out of range [0, {c})")
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    return T.cross_entropy(onehot, logits)
+    return onehot
+
+
+def _softmax_target(target_logits, shape: tuple[int, ...]) -> Array:
+    """softmax(target_logits) row-wise, checked against the shape of the
+    predicted logits."""
+    target = np.asarray(target_logits, dtype=np.float64)
+    if target.shape != shape:
+        raise ShapeMismatchError(f"soft_ce: shapes {target.shape} and {shape}")
+    q = np.exp(target - target.max(axis=1, keepdims=True))
+    q /= q.sum(axis=1, keepdims=True)
+    return q
+
+
+def hard_ce(labels: Array, logits: T.Tensor) -> T.Tensor:
+    """Mean cross entropy against integer class labels, via log-sum-exp."""
+    return T.cross_entropy(_onehot(labels, logits.shape), logits)
 
 
 def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
@@ -90,14 +118,62 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
     The target distribution is a constant: gradients flow only through the
     prediction side.
     """
-    target = np.asarray(target_logits, dtype=np.float64)
-    if target.shape != pred_logits.shape:
-        raise ShapeMismatchError(
-            f"soft_ce: shapes {target.shape} and {pred_logits.shape}"
-        )
-    q = np.exp(target - target.max(axis=1, keepdims=True))
-    q /= q.sum(axis=1, keepdims=True)
-    return T.cross_entropy(q, pred_logits)
+    return T.cross_entropy(_softmax_target(target_logits, pred_logits.shape), pred_logits)
+
+
+# -- fused training steps -------------------------------------------------------
+#
+# Each returns the batch loss and a ``backward(grads)`` that writes the
+# gradient wrt the trainable parameters into ``grads``, the views
+# ``ParamStore.views`` gives of a flat gradient vector. They repeat the tape's
+# arithmetic op for op (both call the array functions of ``tensor`` and
+# ``mask``), so their gradients equal ``backward_grads`` on the tape bit for bit.
+
+Backward = Callable[[Mapping[str, Array]], None]
+
+
+def erm_forward(model: Mlp, x: Array, labels: Array) -> tuple[float, Backward]:
+    """``hard_ce(labels, model.forward(x))``, fused."""
+    acts = model.forward_train(x)
+    q = _onehot(labels, acts[-1].shape)
+    loss, lsm = T.cross_entropy_np(q, acts[-1])
+
+    def backward(grads: Mapping[str, Array]) -> None:
+        model.backward_train(acts, T.cross_entropy_grad(1.0, q, lsm), grads)
+
+    return float(loss), backward
+
+
+def emg_forward(
+    split: SplitModel,
+    generator: Mlp,
+    x: Array,
+    z: Array,
+    target: Array,
+    mask_cfg: MaskGenConfig,
+    rng: np.random.Generator,
+) -> tuple[float, Backward]:
+    """The EMG objective, fused: soft cross entropy between ``target``
+    logits and the frozen predictor on m * z, with m the training mask the
+    generator gives x under fresh Gumbel noise from rng (the tape's
+    ``soft_ce(target, split.predict_t(mul(training_mask(...), z)))``)."""
+    gen_acts = generator.forward_train(x)
+    logits = gen_acts[-1]
+    h = gumbel_sample(rng, logits.shape, mask_cfg.clamp_eps)
+    h_prime = gumbel_sample(rng, logits.shape, mask_cfg.clamp_eps)
+    m, mask_cache = relaxed_mask_np(logits, h, h_prime, mask_cfg.tau)
+    if m.shape != z.shape:
+        raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}")
+    pred_acts = split.model.forward_train(m * z, split.split_index)
+    q = _softmax_target(target, pred_acts[-1].shape)
+    loss, lsm = T.cross_entropy_np(q, pred_acts[-1])
+
+    def backward(grads: Mapping[str, Array]) -> None:
+        g = T.cross_entropy_grad(1.0, q, lsm)
+        g = split.model.backward_train(pred_acts, g, None, split.split_index)
+        generator.backward_train(gen_acts, relaxed_mask_grad(g * z, mask_cache), grads)
+
+    return float(loss), backward
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -109,32 +185,31 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: dict[str, Array] = field(default_factory=dict)
-    v: dict[str, Array] = field(default_factory=dict)
+    m: Array | None = None
+    v: Array | None = None
     t: int = 0
 
 
 def optimizer_step(
-    store: ParamStore, grads: dict[str, Array], state: AdamState, lr: float
+    store: ParamStore, grad: Array, state: AdamState, lr: float
 ) -> AdamState:
-    """One bias-corrected adaptive-moment update on the trainable parameters."""
-    for name in grads:
-        if name not in store:
-            raise ContractError(f"gradient for unknown parameter {name!r}")
-        if not store.is_trainable(name):
-            raise ContractError(f"gradient for frozen parameter {name!r}")
+    """One bias-corrected adaptive-moment update of ``store.flat`` (the
+    trainable parameters) by the flat gradient ``grad``."""
+    params = store.flat
+    if np.shape(grad) != params.shape:
+        raise ContractError(
+            f"gradient of shape {np.shape(grad)} for {params.size} trainable values"
+        )
+    if state.m is None:
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
     state.t += 1
-    bc1 = 1.0 - ADAM_BETA1 ** state.t
-    bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        store.set_value(name, store[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    params -= (
+        lr * (state.m / (1.0 - ADAM_BETA1**state.t))
+        / (np.sqrt(state.v / (1.0 - ADAM_BETA2**state.t)) + ADAM_EPS)
+    )
     return state
 
 
@@ -210,15 +285,12 @@ def train_erm(
 
     model = Mlp(layer_sizes, seed=config.seed)
     trace = _fit(
-        model,
+        model.store,
         config,
-        forward_loss=lambda leaves, xb, yb: hard_ce(
-            yb, model.forward(T.Tensor(xb), leaves)
-        ),
+        forward=lambda xb, yb: erm_forward(model, xb, yb),
+        val_loss=lambda: erm_forward(model, x_va, y_va)[0],
         x_tr=x_tr,
         y_tr=y_tr,
-        x_va=x_va,
-        y_va=y_va,
     )
     return model, trace
 
@@ -262,22 +334,23 @@ def train_emg(
     val_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xA1)))
     noise_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xB2)))
 
-    def val_loss_fn(_):
-        leaves = generator.store.leaves()
+    def forward(xb, _yb):
+        z, target = _emg_target(split, xb, train_cfg.hard_target)
+        return emg_forward(split, generator, xb, z, target, mask_cfg, noise_rng)
+
+    def val_loss():
         rng = _clone_rng(val_rng)
-        return _emg_loss(split, generator, leaves, x_va, z_va, target_va, mask_cfg, rng).item()
+        return emg_forward(split, generator, x_va, z_va, target_va, mask_cfg, rng)[0]
 
     # Base-model parameters are not in the generator's store, so _fit can
-    # only ever touch theta_G. Leaves for the frozen model enter as constants.
+    # only ever touch theta_G.
     trace = _fit(
-        generator,
+        generator.store,
         train_cfg,
-        forward_loss=_emg_forward(split, generator, mask_cfg, noise_rng, train_cfg),
+        forward=forward,
+        val_loss=val_loss,
         x_tr=x_tr,
         y_tr=np.zeros(len(x_tr), dtype=np.int64),
-        x_va=x_va,
-        y_va=np.zeros(len(x_va), dtype=np.int64),
-        val_loss_fn=val_loss_fn,
     )
 
     if base_store.checksum() != checksum_before:
@@ -292,46 +365,41 @@ def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
     return out
 
 
-def _emg_forward(split, generator, mask_cfg, noise_rng, train_cfg):
-    def forward_loss(leaves, xb, _yb):
-        z = split.encode_np(xb)
-        target = split.predict_np(z)
-        if train_cfg.hard_target:
-            hard = np.argmax(target, axis=1)
-            target = np.where(
-                np.arange(target.shape[1])[None, :] == hard[:, None], 1e3, 0.0
-            )
-        return _emg_loss(split, generator, leaves, xb, z, target, mask_cfg, noise_rng)
-
-    return forward_loss
-
-
-def _emg_loss(split, gen, leaves, x, z, target, mask_cfg, rng) -> T.Tensor:
-    """Soft cross entropy between ``target`` logits and the frozen predictor
-    on the masked embedding m * z, with m drawn from the generator under rng."""
-    m = training_mask(gen, x, leaves, mask_cfg, rng)
-    return soft_ce(target, split.predict_t(T.mul(m, z)))
+def _emg_target(split: SplitModel, x: Array, hard_target: bool) -> tuple[Array, Array]:
+    """A training batch's embedding z = g(x) and target logits c(z); with
+    ``hard_target``, logits 1e3 at the argmax and 0 elsewhere."""
+    z = split.encode_np(x)
+    target = split.predict_np(z)
+    if hard_target:
+        hard = np.argmax(target, axis=1)
+        target = np.where(np.arange(target.shape[1])[None, :] == hard[:, None], 1e3, 0.0)
+    return z, target
 
 
 # -- shared epoch loop ---------------------------------------------------------------
 
 
 def _fit(
-    model: Mlp,
+    store: ParamStore,
     config: TrainConfig,
-    forward_loss,
+    forward,
+    val_loss,
     x_tr: Array,
     y_tr: Array,
-    x_va: Array,
-    y_va: Array,
-    val_loss_fn=None,
 ) -> TrainTrace:
-    store = model.store
+    """Adam over shuffled minibatches with patience-based early stopping;
+    ``forward(xb, yb)`` is a fused step, ``val_loss()`` the validation loss."""
+    frozen = [n for n in store.names() if not store.is_trainable(n)]
+    if frozen:
+        raise ContractError(f"cannot train a model with frozen parameters {frozen}")
+    params = store.flat
+    grad = np.zeros_like(params)
+    grads = store.views(grad)
     state = AdamState()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC3)))
     trace = TrainTrace()
     best_val = np.inf
-    best_state = store.state_copy()
+    best_params = params.copy()
     best_epoch = -1
     epochs_since_best = 0
     n = len(x_tr)
@@ -342,24 +410,19 @@ def _fit(
         epoch_losses = []
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            leaves = store.leaves()
-            loss = forward_loss(leaves, x_tr[idx], y_tr[idx])
-            grads = T.backward_grads(loss, leaves)
-            optimizer_step(store, grads, state, config.learning_rate)
-            epoch_losses.append(loss.item())
+            loss, backward = forward(x_tr[idx], y_tr[idx])
+            backward(grads)
+            optimizer_step(store, grad, state, config.learning_rate)
+            epoch_losses.append(loss)
 
-        if val_loss_fn is not None:
-            val = val_loss_fn(None)
-        else:
-            leaves = store.leaves()
-            val = forward_loss(leaves, x_va, y_va).item()
+        val = val_loss()
         trace.train_loss.append(float(np.mean(epoch_losses)))
         trace.val_loss.append(val)
         trace.wall_clock.append(time.perf_counter() - t0)
 
         if val < best_val:
             best_val = val
-            best_state = store.state_copy()
+            best_params = params.copy()
             best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -367,6 +430,6 @@ def _fit(
             if epochs_since_best >= config.patience:
                 break
 
-    store.load_state(best_state)
+    params[...] = best_params
     trace.selected_epoch = best_epoch
     return trace

@@ -31,12 +31,31 @@ from embmask import tensor as T
 from embmask.evaluate import emg_masks
 from embmask.cli import main
 from embmask.synthbench import DomainDataset, Oracle
-from embmask.train import hard_ce
+from embmask.train import emg_forward, erm_forward, hard_ce
+
+
+def _fused_grad_check(store, forward, eps=1e-5):
+    """``T.grad_check`` for a fused step: its gradient against central finite
+    differences of its loss, one entry of ``store.flat`` at a time."""
+    grad = np.zeros_like(store.flat)
+    forward()[1](store.views(grad))
+    flat = store.flat
+    num = np.zeros_like(flat)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + eps
+        lp = forward()[0]
+        flat[i] = keep - eps
+        lm = forward()[0]
+        flat[i] = keep
+        num[i] = (lp - lm) / (2.0 * eps)
+    return float((np.abs(grad - num) / np.maximum(1.0, np.abs(grad))).max())
 
 
 def test_criterion_1_gradient_correctness():
     """50 random networks (including the full masked-predictor pipeline with
-    fixed noise): analytic vs central finite differences, rel err < 1e-4."""
+    fixed noise): analytic vs central finite differences, rel err < 1e-4,
+    for the tape and for the fused steps training uses."""
     t0 = time.perf_counter()
     worst = 0.0
     for i in range(50):
@@ -54,6 +73,9 @@ def test_criterion_1_gradient_correctness():
                 return hard_ce(labels, model.forward(T.Tensor(x), leaves))
 
             err = T.grad_check(f, model.store.state_copy())
+            fused_err = _fused_grad_check(
+                model.store, lambda model=model, x=x, labels=labels: erm_forward(model, x, labels)
+            )
         else:
             # frozen base + mask generator, Gumbel noise held fixed
             emb = int(rng.integers(2, 4))
@@ -70,8 +92,15 @@ def test_criterion_1_gradient_correctness():
                 return soft_ce(target, split.predict_t(T.mul(m, z)))
 
             err = T.grad_check(f, gen.store.state_copy())
-        worst = max(worst, err)
+            fused_err = _fused_grad_check(
+                gen.store,
+                lambda gen=gen, split=split, x=x, z=z, target=target, seed=2000 + i: emg_forward(
+                    split, gen, x, z, target, MaskGenConfig(tau=0.1), np.random.default_rng(seed)
+                ),
+            )
+        worst = max(worst, err, fused_err)
         assert err < 1e-4, f"network {i}: rel err {err:.3e}"
+        assert fused_err < 1e-4, f"network {i}, fused: rel err {fused_err:.3e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"criterion 1 PASS: 50 networks, max rel err {worst:.2e}, {elapsed:.1f}s")

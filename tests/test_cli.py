@@ -221,6 +221,16 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
         ("train-emg", {"mask.tau": 0}),
         ("train-erm", {"train.val_fraction": 2}),
         ("sweep-global", {"sweep.grid": "0,x"}),
+        *(
+            pytest.param(cmd, {key: value}, id=f"{cmd}-{key}={value}")
+            for cmd, key, value in (
+                ("train-erm", "train.learning_rate", "nan"),
+                ("train-erm", "train.learning_rate", -1),
+                ("train-erm", "train.learning_rate", 0),
+                ("train-emg", "mask.tau", "nan"),
+                ("train-emg", "mask.tau", "inf"),
+            )
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
 )

@@ -75,10 +75,24 @@ def test_freeze_is_idempotent_and_total():
 
 def test_optimizer_step_rejects_frozen_params():
     model = Mlp([2, 2])
+    grad = np.ones_like(model.store.flat)
     model.store.freeze()
-    grads = {"w0": np.ones((2, 2))}
     with pytest.raises(ContractError):
-        optimizer_step(model.store, grads, AdamState(), 1e-3)
+        optimizer_step(model.store, grad, AdamState(), 1e-3)
+
+
+def test_trainable_values_are_views_of_flat():
+    store = Mlp([3, 4, 2], seed=0).store
+    before = store.state_copy()
+    assert store.flat.size == sum(v.size for v in before.values())
+    store.flat += 1.0
+    for n, v in before.items():
+        assert (store[n] == v + 1.0).all()
+        assert (store.views(store.flat)[n] == store[n]).all()
+    store.freeze()
+    assert store.flat.size == 0
+    for n, v in before.items():  # frozen values keep their bytes
+        assert (store[n] == v + 1.0).all()
 
 
 def test_checksum_tracks_values():

@@ -20,6 +20,7 @@ from embmask import (
     split_model,
     train_emg,
     train_erm,
+    training_mask,
 )
 from embmask import tensor as T
 from embmask.errors import (
@@ -30,7 +31,14 @@ from embmask.errors import (
     ShapeMismatchError,
     UsageError,
 )
-from embmask.train import AdamState, optimizer_step, pooled_split
+from embmask.train import (
+    AdamState,
+    _emg_target,
+    emg_forward,
+    erm_forward,
+    optimizer_step,
+    pooled_split,
+)
 
 
 def _small_benchmark(seed=0):
@@ -137,8 +145,7 @@ def test_soft_ce_gibbs_inequality(target, pred):
 def test_optimizer_zero_gradient_leaves_params():
     model = Mlp([2, 2], seed=0)
     before = model.store.state_copy()
-    grads = {n: np.zeros_like(v) for n, v in before.items()}
-    optimizer_step(model.store, grads, AdamState(), 0.1)
+    optimizer_step(model.store, np.zeros_like(model.store.flat), AdamState(), 0.1)
     for n, v in before.items():
         assert (model.store[n] == v).all()
 
@@ -148,16 +155,86 @@ def test_optimizer_single_step_hand_oracle():
     store.set_value("w0", np.array([[1.0]]))
     g = 0.5
     lr = 0.1
-    optimizer_step(store, {"w0": np.array([[g]])}, AdamState(), lr)
+    grad = np.zeros_like(store.flat)
+    store.views(grad)["w0"][...] = g
+    optimizer_step(store, grad, AdamState(), lr)
     # t=1: bias-corrected m_hat = g, v_hat = g^2, step = lr*g/(|g|+eps)
     expected = 1.0 - lr * g / (abs(g) + 1e-8)
     np.testing.assert_allclose(store["w0"], [[expected]], atol=1e-15)
 
 
 def test_optimizer_rejects_unknown_name():
-    model = Mlp([2, 2])
+    model = Mlp([2, 2])  # 6 trainable values: a 1-value gradient names none of them
     with pytest.raises(ContractError):
-        optimizer_step(model.store, {"nope": np.ones(1)}, AdamState(), 0.1)
+        optimizer_step(model.store, np.ones(1), AdamState(), 0.1)
+
+
+# -- fused steps vs the tape ------------------------------------------------------
+
+
+def _randomize(store, rng):
+    for name in store.names():
+        store.set_value(name, rng.normal(size=store[name].shape))
+
+
+def _fused(store, forward):
+    """Loss and gradient of a fused step; the gradient vector starts as NaN,
+    so an entry the backward never writes shows."""
+    grads = store.views(np.full_like(store.flat, np.nan))
+    loss, backward = forward()
+    backward(grads)
+    return loss, grads
+
+
+def _assert_bitwise(loss, grads, tape_loss, tape_grads):
+    assert loss == tape_loss.item()
+    assert grads.keys() == tape_grads.keys()
+    for name, g in tape_grads.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "sizes", [[5, 3], [5, 7, 3], [5, 6, 4, 3], [5, 4, 6, 5, 3]], ids=lambda s: f"{len(s) - 1}_layers"
+)
+def test_fused_erm_gradient_equals_tape_bitwise(sizes):
+    rng = np.random.default_rng(len(sizes))
+    model = Mlp(sizes, seed=3)
+    _randomize(model.store, rng)
+    x = rng.normal(size=(9, 5))
+    labels = rng.integers(3, size=9)
+    leaves = model.store.leaves()
+    tape_loss = hard_ce(labels, model.forward(T.Tensor(x), leaves))
+    tape_grads = T.backward_grads(tape_loss, leaves)
+    loss, grads = _fused(model.store, lambda: erm_forward(model, x, labels))
+    _assert_bitwise(loss, grads, tape_loss, tape_grads)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5])
+@pytest.mark.parametrize("hard_target", [False, True], ids=["soft", "hard_target"])
+@pytest.mark.parametrize(
+    "base_sizes, split_at",
+    [([5, 6, 3], None), ([5, 6, 4, 3], 1)],
+    ids=["affine_predictor", "two_layer_predictor"],
+)
+def test_fused_emg_gradient_equals_tape_bitwise(base_sizes, split_at, hard_target, tau):
+    rng = np.random.default_rng(7)
+    base = Mlp(base_sizes, seed=2)
+    _randomize(base.store, rng)
+    base.store.freeze()
+    split = split_model(base, split_at)
+    gen = Mlp([5, 4, split.embedding_dim], prefix="g.", seed=5)
+    _randomize(gen.store, rng)
+    x = rng.normal(size=(10, 5))
+    z, target = _emg_target(split, x, hard_target)
+    cfg = MaskGenConfig(tau=tau)
+    leaves = gen.store.leaves()
+    m = training_mask(gen, x, leaves, cfg, np.random.default_rng(11))
+    tape_loss = soft_ce(target, split.predict_t(T.mul(m, z)))
+    tape_grads = T.backward_grads(tape_loss, leaves)
+    loss, grads = _fused(
+        gen.store, lambda: emg_forward(split, gen, x, z, target, cfg, np.random.default_rng(11))
+    )
+    _assert_bitwise(loss, grads, tape_loss, tape_grads)
 
 
 # -- data splits --------------------------------------------------------------------
@@ -225,6 +302,15 @@ def test_emg_requires_frozen_base():
     model, _ = train_erm(TrainConfig(seed=0, max_epochs=4), train, [8, 8, 3])
     split = split_model(model)
     gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+    with pytest.raises(ContractError):
+        train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=0, max_epochs=2))
+
+
+def test_emg_rejects_frozen_generator():
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+    gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+    gen.store.freeze()
     with pytest.raises(ContractError):
         train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=0, max_epochs=2))
 
