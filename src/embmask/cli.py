@@ -14,6 +14,8 @@ import glob
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -60,33 +62,27 @@ _COMMON = {
     "out_dir": Field(str, required=True),
 }
 
-_BENCH = {
-    "benchmark.num_classes": Field(int, 5),
-    "benchmark.d_shared": Field(int, 8),
-    "benchmark.d_specific": Field(int, 8),
-    "benchmark.num_train_domains": Field(int, 3),
-    "benchmark.samples_per_domain": Field(int, 1000),
-    "benchmark.unseen_samples": Field(int, 1000),
-    "benchmark.spurious_strength": Field(float, 0.9),
-    "benchmark.noise_sigma": Field(float, 0.5),
-    "benchmark.mixing": Field(bool, False),
-}
 
-_TRAIN = {
-    "train.batch_size": Field(int, 64),
-    "train.learning_rate": Field(float, 1e-3),
-    "train.max_epochs": Field(int, 80),
-    "train.patience": Field(int, 10),
-    "train.val_fraction": Field(float, 0.2),
-    "train.hard_target": Field(bool, False),
-}
+def _section(cls, prefix: str, *skip: str, **defaults) -> dict[str, Field]:
+    """A ``prefix.<field>`` key for each field of dataclass ``cls`` not in
+    ``skip``, typed like the field and defaulted by ``defaults`` or the field."""
+    types = get_type_hints(cls)
+    return {
+        f"{prefix}.{f.name}": Field(types[f.name], defaults.get(f.name, f.default))
+        for f in fields(cls)
+        if f.name not in skip
+    }
 
-_MASK = {
-    "mask.tau": Field(float, 0.1),
-    "mask.inference_mode": Field(str, "noise_free"),
-    "mask.sample_count": Field(int, 8),
-    "mask.clamp_eps": Field(float, 1e-12),
-}
+
+def _build(cls, cfg: dict, prefix: str, **fixed):
+    """``cls`` from the ``prefix.*`` keys of ``cfg``; ``fixed`` supplies the
+    fields that have no key of their own."""
+    head = prefix + "."
+    kwargs = {k[len(head):]: v for k, v in cfg.items() if k.startswith(head)}
+    return cls(**kwargs, **fixed)
+
+
+_MASK = _section(MaskGenConfig, "mask")
 
 # Where eval and export-embeddings take their mask from: none, a global
 # bottom-p% permutation-importance mask, or the trained generator.
@@ -105,12 +101,13 @@ _BASE = {
 }
 
 SCHEMAS: dict[str, dict[str, Field]] = {
-    "gen-data": {**_COMMON, **_BENCH},
+    "gen-data": {**_COMMON, **_section(BenchmarkSpec, "benchmark", "seed")},
     "train-erm": {
         **_COMMON,
         "data.dir": Field(str, required=True),
         "model.hidden": Field(str, "64"),
-        **_TRAIN,
+        # hard_target is an EMG ablation: ERM trains on the labels.
+        **_section(TrainConfig, "train", "seed", "hard_target", max_epochs=80),
     },
     "train-emg": {
         **_COMMON,
@@ -120,8 +117,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         # objective is minimized by the keep-everything mask, so the
         # filtering benefit lives in the early epochs.
         "emg.max_epochs": Field(int, 3),
-        **_TRAIN,
-        **_MASK,
+        **_section(TrainConfig, "train", "seed", "max_epochs"),
+        # Training draws its own noise: the inference settings do not apply.
+        **_section(MaskGenConfig, "mask", "inference_mode", "sample_count"),
     },
     "eval": {**_COMMON, **_BASE, **_MASK_SOURCE},
     "sweep-global": {
@@ -207,7 +205,7 @@ def _mask_source(cfg, split, train_data):
     mode = cfg["eval.mode"]
     if mode not in ("none", "global", "emg"):
         raise ConfigError(f"unknown eval mode {mode!r}")
-    mask_cfg = _mask_cfg(cfg)
+    mask_cfg = _build(MaskGenConfig, cfg, "mask")
     if mode == "none":
         return lambda data: None
     if mode == "global":
@@ -224,43 +222,11 @@ def _snapshot(run: RunDirectory, cfg: dict) -> None:
     run.write_text("config.txt", "\n".join(lines) + "\n")
 
 
-def _mask_cfg(cfg) -> MaskGenConfig:
-    return MaskGenConfig(
-        tau=cfg["mask.tau"],
-        inference_mode=cfg["mask.inference_mode"],
-        sample_count=cfg["mask.sample_count"],
-        clamp_eps=cfg["mask.clamp_eps"],
-    )
-
-
-def _train_cfg(cfg, seed: int, max_epochs_key: str = "train.max_epochs") -> TrainConfig:
-    return TrainConfig(
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.learning_rate"],
-        max_epochs=cfg[max_epochs_key],
-        patience=cfg["train.patience"],
-        val_fraction=cfg["train.val_fraction"],
-        seed=seed,
-        hard_target=cfg["train.hard_target"],
-    )
-
-
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_gen_data(cfg) -> int:
-    spec = BenchmarkSpec(
-        num_classes=cfg["benchmark.num_classes"],
-        d_shared=cfg["benchmark.d_shared"],
-        d_specific=cfg["benchmark.d_specific"],
-        num_train_domains=cfg["benchmark.num_train_domains"],
-        samples_per_domain=cfg["benchmark.samples_per_domain"],
-        unseen_samples=cfg["benchmark.unseen_samples"],
-        spurious_strength=cfg["benchmark.spurious_strength"],
-        noise_sigma=cfg["benchmark.noise_sigma"],
-        mixing=cfg["benchmark.mixing"],
-        seed=cfg["seed"],
-    )
+    spec = _build(BenchmarkSpec, cfg, "benchmark", seed=cfg["seed"])
     train, unseen, oracle = generate_benchmark(spec)
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
@@ -277,7 +243,7 @@ def cmd_gen_data(cfg) -> int:
 
 def cmd_train_erm(cfg) -> int:
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    tc = _train_cfg(cfg, cfg["seed"])
+    tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"])
     hidden = parse_hidden(cfg["model.hidden"])
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
@@ -295,8 +261,8 @@ def cmd_train_emg(cfg) -> int:
     split = _load_split(cfg)
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
     hidden = parse_hidden(cfg["emg.hidden"])
-    tc = _train_cfg(cfg, cfg["seed"], max_epochs_key="emg.max_epochs")
-    mask_cfg = _mask_cfg(cfg)
+    tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
+    mask_cfg = _build(MaskGenConfig, cfg, "mask")
     run = RunDirectory(cfg["out_dir"])
     _snapshot(run, cfg)
     gen = Mlp(
@@ -356,7 +322,7 @@ def cmd_bound_check(cfg) -> int:
     distance = cfg["bound.distance"]
     if distance not in ("both", *DISTANCE_KINDS):
         raise ConfigError(f"bound.distance must be both, L1 or L2, got {distance!r}")
-    mask_cfg = _mask_cfg(cfg)
+    mask_cfg = _build(MaskGenConfig, cfg, "mask")
     split = _load_split(cfg)
     _train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
     if oracle is None:

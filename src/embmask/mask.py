@@ -59,12 +59,8 @@ _P_EPS = 1e-12  # probabilities clamped to [eps, 1-eps] before logs
 
 def sigmoid_np(x: Array) -> Array:
     """Numerically stable logistic function on raw arrays."""
-    pos = x >= 0
-    out = np.empty_like(x, dtype=np.float64)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_noise(p_shape, h: Array, h_prime: Array) -> None:

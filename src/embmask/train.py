@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     ContractError,
     DegenerateDataError,
+    NumericError,
     ShapeMismatchError,
     UsageError,
 )
@@ -102,6 +103,8 @@ def _softmax_target(target_logits, shape: tuple[int, ...]) -> Array:
     target = np.asarray(target_logits, dtype=np.float64)
     if target.shape != shape:
         raise ShapeMismatchError(f"soft_ce: shapes {target.shape} and {shape}")
+    if not np.isfinite(target).all():
+        raise NumericError("soft_ce: non-finite target logits")
     q = np.exp(target - target.max(axis=1, keepdims=True))
     q /= q.sum(axis=1, keepdims=True)
     return q

@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from embmask.cli import main
+from embmask.cli import SCHEMAS, main
 from embmask.rundir import RunDirectory
 
 SMALL_BENCH = {
@@ -56,6 +56,51 @@ def pipeline(tmp_path_factory):
         == 0
     )
     return {"root": root, "cfg": cfg, "data": data_dir, "base": base, "emg": emg_dir / "emg_model"}
+
+
+_RUN = ["seed", "out_dir"]
+_BASE = [*_RUN, "data.dir", "base.model", "base.split_index"]
+_MASK = ["mask.tau", "mask.inference_mode", "mask.sample_count", "mask.clamp_eps"]
+_MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", "eval.repeats", *_MASK]
+_TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
+
+# Every key of every command, so that a new field of BenchmarkSpec,
+# TrainConfig or MaskGenConfig does not become a CLI key unnoticed.
+COMMAND_KEYS = {
+    "gen-data": [
+        *_RUN,
+        *(
+            f"benchmark.{k}"
+            for k in (
+                "num_classes", "d_shared", "d_specific", "num_train_domains",
+                "samples_per_domain", "unseen_samples", "spurious_strength",
+                "noise_sigma", "mixing",
+            )
+        ),
+    ],
+    "train-erm": [*_RUN, "data.dir", "model.hidden", *_TRAIN, "train.max_epochs"],
+    "train-emg": [
+        *_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "train.hard_target",
+        "mask.tau", "mask.clamp_eps",
+    ],
+    "eval": [*_BASE, *_MASK_SOURCE],
+    "sweep-global": [*_BASE, "sweep.grid", "sweep.repeats"],
+    "bound-check": [*_BASE, "emg.model", "bound.distance", *_MASK],
+    "export-embeddings": [*_BASE, "export.which", *_MASK_SOURCE],
+}
+
+
+def test_command_keys_are_pinned(pipeline):
+    assert {c: sorted(s) for c, s in SCHEMAS.items()} == {
+        c: sorted(keys) for c, keys in COMMAND_KEYS.items()
+    }
+    emg_dir = pipeline["emg"].parent
+    lines = (emg_dir / "config.txt").read_text().splitlines()
+    config = dict(line.split(" = ", 1) for line in lines)
+    assert sorted(config) == sorted(COMMAND_KEYS["train-emg"])
+    trace = (emg_dir / "emg_trace.csv").read_text().splitlines()[1:]
+    epochs = [row for row in trace if not row.startswith("#")]
+    assert 1 <= len(epochs) <= int(config["emg.max_epochs"])
 
 
 def test_gen_data_rundir_complete_and_verifies(pipeline):
@@ -229,6 +274,10 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
                 ("train-erm", "train.learning_rate", 0),
                 ("train-emg", "mask.tau", "nan"),
                 ("train-emg", "mask.tau", "inf"),
+                # Keys a command does not read are not accepted.
+                ("train-emg", "train.max_epochs", 5),
+                ("train-erm", "train.hard_target", "true"),
+                ("train-emg", "mask.sample_count", 4),
             )
         ),
     ],

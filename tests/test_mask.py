@@ -57,6 +57,26 @@ def test_sigmoid_at_zero():
     assert sigmoid_np(np.array([0.0]))[0] == 0.5
 
 
+def _sigmoid_two_branch(x):
+    """Logistic function computed separately on x >= 0 and x < 0."""
+    pos = x >= 0
+    out = np.empty_like(x, dtype=np.float64)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    edges = [0.0, 5e-324, 1e-310, 709.0, 710.0, 745.0, 746.0, 1e308, np.inf]
+    rng = np.random.default_rng(0)
+    inputs = [np.array(edges + [-v for v in edges])]
+    inputs += [rng.normal(scale=s, size=(64, 64)) for s in (0.1, 1.0, 10.0, 100.0, 1000.0)]
+    for x in inputs:
+        assert sigmoid_np(x).tobytes() == _sigmoid_two_branch(x).tobytes()
+    assert np.isnan(sigmoid_np(np.array([np.nan, 1.0])))[0]
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
 def test_mask_symmetry_at_half(tau):
     zeros = np.zeros(4)

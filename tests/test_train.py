@@ -116,6 +116,7 @@ def test_soft_ce_hand_oracle():
     ],
     ids=["hard_inf_logit", "hard_nan_logit", "soft_inf_target", "soft_neg_inf_logit"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_loss_input_raises(loss):
     with pytest.raises(NumericError):
         loss()
