@@ -7,7 +7,7 @@ synthetic multi-domain benchmark with known shared/specific features, and
 empirical generalization-bound diagnostics.
 """
 
-from .mask import MaskGenConfig, gumbel_sample, gumbel_softmax_mask, inference_mask, training_mask
+from .mask import MaskGenConfig, gumbel_sample, inference_mask, training_mask
 from .nn import Mlp, ParamStore, SplitModel, load_params, save_params, split_model
 from .synthbench import BenchmarkSpec, DomainDataset, generate_benchmark
 from .train import TrainConfig, TrainTrace, hard_ce, soft_ce, train_emg, train_erm
@@ -17,7 +17,6 @@ from .baseline import global_mask_from_scores, permutation_importance, sweep_mas
 __all__ = [
     "MaskGenConfig",
     "gumbel_sample",
-    "gumbel_softmax_mask",
     "inference_mask",
     "training_mask",
     "Mlp",

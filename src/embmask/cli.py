@@ -177,10 +177,7 @@ def _load_data_dir(data_dir: str):
     oracle = load_oracle(oracle_path) if os.path.exists(oracle_path) else None
 
     def load(path: str) -> DomainDataset:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        feats = [c for c in header if c.startswith("f")]
-        data = load_csv_dataset(path, feats, "label", "domain" if "domain" in header else None)
+        data = load_csv_dataset(path)
         data.oracle = oracle
         return data
 

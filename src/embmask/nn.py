@@ -84,9 +84,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def trainable_names(self) -> list[str]:
-        return [n for n, p in self._params.items() if p.trainable]
-
     def is_trainable(self, name: str) -> bool:
         return self._params[name].trainable
 

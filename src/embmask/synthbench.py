@@ -209,12 +209,9 @@ def save_csv_dataset(data: DomainDataset, path: str) -> None:
             )
 
 
-def load_csv_dataset(
-    path: str,
-    feature_columns: list[str],
-    label_column: str = "label",
-    domain_column: str | None = None,
-) -> DomainDataset:
+def load_csv_dataset(path: str) -> DomainDataset:
+    """Read a CSV in the schema above: the features are the ``f*`` columns in
+    header order, ``label`` is required and ``domain`` is read if present."""
     if not os.path.exists(path):
         raise CsvParseError(f"no such file: {path}")
     with open(path, newline="") as fh:
@@ -223,13 +220,11 @@ def load_csv_dataset(
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file") from None
-        required = list(feature_columns) + [label_column] + (
-            [domain_column] if domain_column else []
-        )
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise CsvParseError(f"{path}: missing columns {missing}")
-        col_idx = {c: header.index(c) for c in required}
+        feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
+        if not feat_idx or "label" not in header:
+            raise CsvParseError(f"{path}: needs f* feature columns and a label column")
+        label_idx = header.index("label")
+        domain_idx = header.index("domain") if "domain" in header else None
 
         feats: list[list[float]] = []
         labels: list[int] = []
@@ -238,17 +233,17 @@ def load_csv_dataset(
             if len(row) != len(header):
                 raise CsvParseError(f"{path}:{rownum}: expected {len(header)} cells")
             try:
-                feats.append([float(row[col_idx[c]]) for c in feature_columns])
-                labels.append(int(row[col_idx[label_column]]))
-                if domain_column:
-                    domains.add(int(row[col_idx[domain_column]]))
+                feats.append([float(row[i]) for i in feat_idx])
+                labels.append(int(row[label_idx]))
+                if domain_idx is not None:
+                    domains.add(int(row[domain_idx]))
             except ValueError as exc:
                 raise CsvParseError(f"{path}:{rownum}: {exc}") from None
 
-    if domain_column and len(domains) > 1:
+    if len(domains) > 1:
         raise CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")
     domain_index = domains.pop() if domains else -1
-    features = np.array(feats, dtype=np.float64).reshape(len(feats), len(feature_columns))
+    features = np.array(feats, dtype=np.float64).reshape(len(feats), len(feat_idx))
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         raise CsvParseError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature value")

@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .mask import MaskGenConfig, gumbel_sample, relaxed_mask_grad, relaxed_mask_np
+from .mask import MaskGenConfig, gumbel_noise, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
 from .synthbench import DomainDataset
 
@@ -162,9 +162,7 @@ def emg_forward(
     ``soft_ce(target, split.predict_t(mul(training_mask(...), z)))``)."""
     gen_acts = generator.forward_train(x)
     logits = gen_acts[-1]
-    h = gumbel_sample(rng, logits.shape, mask_cfg.clamp_eps)
-    h_prime = gumbel_sample(rng, logits.shape, mask_cfg.clamp_eps)
-    m, mask_cache = relaxed_mask_np(logits, h, h_prime, mask_cfg.tau)
+    m, mask_cache = relaxed_mask_np(logits, gumbel_noise(rng, logits.shape), mask_cfg.tau)
     if m.shape != z.shape:
         raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}")
     pred_acts = split.model.forward_train(m * z, split.split_index)

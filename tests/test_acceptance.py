@@ -18,7 +18,6 @@ from embmask import (
     accuracy,
     bound_terms,
     generate_benchmark,
-    gumbel_softmax_mask,
     inference_mask,
     soft_ce,
     split_model,
@@ -29,6 +28,7 @@ from embmask import (
 )
 from embmask import tensor as T
 from embmask.evaluate import emg_masks
+from embmask.mask import keep_mask
 from embmask.cli import main
 from embmask.synthbench import DomainDataset, Oracle
 from embmask.train import emg_forward, erm_forward, hard_ce
@@ -115,7 +115,7 @@ def test_criterion_2_gumbel_max_statistics():
     for p in (0.1, 0.5, 0.9):
         h = -np.log(-np.log(np.clip(rng.random(n), 1e-12, 1 - 1e-12)))
         hp = -np.log(-np.log(np.clip(rng.random(n), 1e-12, 1 - 1e-12)))
-        m = gumbel_softmax_mask(np.full(n, p), h, hp, 0.01)
+        m = keep_mask(np.full(n, p), h - hp, 0.01)[0]
         keep = float((m > 0.5).mean())
         tol = 3.0 * math.sqrt(p * (1.0 - p) / n)
         assert abs(keep - (1.0 - p)) <= tol, f"p={p}: keep {keep} vs {1-p} +- {tol}"

@@ -60,7 +60,7 @@ def pipeline(tmp_path_factory):
 
 _RUN = ["seed", "out_dir"]
 _BASE = [*_RUN, "data.dir", "base.model", "base.split_index"]
-_MASK = ["mask.tau", "mask.inference_mode", "mask.sample_count", "mask.clamp_eps"]
+_MASK = ["mask.tau", "mask.inference_mode", "mask.sample_count"]
 _MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", "eval.repeats", *_MASK]
 _TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
 
@@ -81,7 +81,7 @@ COMMAND_KEYS = {
     "train-erm": [*_RUN, "data.dir", "model.hidden", *_TRAIN, "train.max_epochs"],
     "train-emg": [
         *_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "train.hard_target",
-        "mask.tau", "mask.clamp_eps",
+        "mask.tau",
     ],
     "eval": [*_BASE, *_MASK_SOURCE],
     "sweep-global": [*_BASE, "sweep.grid", "sweep.repeats"],
@@ -278,6 +278,9 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
                 ("train-emg", "train.max_epochs", 5),
                 ("train-erm", "train.hard_target", "true"),
                 ("train-emg", "mask.sample_count", 4),
+                # The Gumbel clamp is a constant, not a key.
+                ("train-emg", "mask.clamp_eps", 1e-12),
+                ("eval", "mask.clamp_eps", 1e-12),
             )
         ),
     ],

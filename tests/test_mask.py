@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, gumbel_sample, gumbel_softmax_mask, inference_mask, training_mask
+from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask, training_mask
 from embmask import tensor as T
 from embmask.errors import ConfigError, ShapeMismatchError
-from embmask.mask import relaxed_mask, sigmoid_np
+from embmask.mask import gumbel_noise, keep_mask, relaxed_mask, relaxed_mask_np, sigmoid_np
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -79,30 +79,29 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
 def test_mask_symmetry_at_half(tau):
-    zeros = np.zeros(4)
-    m = gumbel_softmax_mask(np.full(4, 0.5), zeros, zeros, tau)
+    m = keep_mask(np.full(4, 0.5), np.zeros(4), tau)[0]
     np.testing.assert_allclose(m, 0.5, atol=1e-15)
 
 
 def test_mask_tau_one_no_noise_is_one_minus_p():
     p = np.array([0.2, 0.5, 0.9])
-    m = gumbel_softmax_mask(p, np.zeros(3), np.zeros(3), 1.0)
+    m = keep_mask(p, np.zeros(3), 1.0)[0]
     np.testing.assert_allclose(m, 1.0 - p, atol=1e-15)
 
 
 def test_mask_hand_oracle_tau_half():
-    m = gumbel_softmax_mask(np.array([0.2]), np.zeros(1), np.zeros(1), 0.5)
+    m = keep_mask(np.array([0.2]), np.zeros(1), 0.5)[0]
     np.testing.assert_allclose(m, 0.64 / 0.68, atol=1e-12)
     # same value through the training op, from the logit of p = 0.2
-    mt = relaxed_mask(T.Tensor([[math.log(0.25)]]), np.zeros((1, 1)), np.zeros((1, 1)), 0.5)
+    mt = relaxed_mask(T.Tensor([[math.log(0.25)]]), np.zeros((1, 1)), 0.5)
     np.testing.assert_allclose(mt.data, [[0.64 / 0.68]], atol=1e-12)
 
 
 def test_mask_noise_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        gumbel_softmax_mask(np.full(3, 0.5), np.zeros(2), np.zeros(2), 0.1)
+        relaxed_mask_np(np.zeros(3), np.zeros(2), 0.1)
     with pytest.raises(ShapeMismatchError):
-        relaxed_mask(T.Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros((3, 2)), 0.1)
+        relaxed_mask(T.Tensor(np.zeros((2, 3))), np.zeros((3, 2)), 0.1)
 
 
 def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
@@ -113,7 +112,7 @@ def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
     logits = T.Tensor([[-1.0, 0.3, 2.0, 40.0, 0.0]], requires_grad=True)
     h = np.array([[0.4, -0.2, 0.0, 0.0, 0.0]])
     h_prime = np.array([[0.0, 0.1, -0.3, 0.0, 30.0]])
-    m = relaxed_mask(logits, h, h_prime, tau)
+    m = relaxed_mask(logits, h - h_prime, tau)
     _total(m).backward()
     free = m.data[0, :3]
     np.testing.assert_allclose(logits.grad[0, :3], -free * (1.0 - free) / tau, rtol=1e-12)
@@ -130,9 +129,7 @@ def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
 def test_mask_stays_inside_open_unit_interval(tau, p, seed):
     rng = np.random.default_rng(seed)
     p = np.array(p)
-    h = gumbel_sample(rng, p.shape)
-    hp = gumbel_sample(rng, p.shape)
-    m = gumbel_softmax_mask(p, h, hp, tau)
+    m = keep_mask(p, gumbel_noise(rng, p.shape), tau)[0]
     assert np.isfinite(m).all()
     assert ((m > 0.0) & (m < 1.0)).all()
 
@@ -152,6 +149,31 @@ def test_noise_free_mask_decreasing_in_p(tau, seed):
 
 
 # -- training / inference entry points --------------------------------------------
+
+
+def _logits():
+    """Generator-like logits, including ones that saturate the p clip."""
+    logits = np.random.default_rng(4).normal(scale=3.0, size=(16, 8))
+    logits[0, :4] = [-40.0, 40.0, 0.0, 1e-3]
+    return logits
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 3.0])
+def test_noise_free_inference_is_training_mask_without_noise_bitwise(tau):
+    logits = _logits()
+    m = inference_mask(sigmoid_np(logits), MaskGenConfig(tau=tau))
+    m_train, _ = relaxed_mask_np(logits, np.zeros_like(logits), tau)
+    assert m.tobytes() == m_train.tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5])
+def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau):
+    logits = _logits()
+    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=1)
+    m = inference_mask(sigmoid_np(logits), cfg, np.random.default_rng(9))
+    noise = gumbel_noise(np.random.default_rng(9), logits.shape)
+    m_train, _ = relaxed_mask_np(logits, noise, tau)
+    assert m.tobytes() == m_train.tobytes()
 
 
 def test_training_mask_stochastic_but_seed_deterministic():
@@ -211,5 +233,3 @@ def test_config_validation():
         MaskGenConfig(inference_mode="nope")
     with pytest.raises(ConfigError):
         MaskGenConfig(inference_mode="sample_avg", sample_count=0)
-    with pytest.raises(ConfigError):
-        MaskGenConfig(clamp_eps=0.7)

@@ -70,7 +70,8 @@ def test_freeze_is_idempotent_and_total():
     model.store.freeze()
     model.store.freeze()
     assert model.store.frozen
-    assert model.store.trainable_names() == []
+    assert model.store.flat.size == 0
+    assert not any(model.store.is_trainable(n) for n in model.store.names())
 
 
 def test_optimizer_step_rejects_frozen_params():

@@ -107,8 +107,7 @@ def test_csv_round_trip_exact(tmp_path):
     train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=25, unseen_samples=5))
     path = str(tmp_path / "d0.csv")
     save_csv_dataset(train[0], path)
-    cols = [f"f{i}" for i in range(train[0].dim)]
-    loaded = load_csv_dataset(path, cols, "label", "domain")
+    loaded = load_csv_dataset(path)
     # 17 significant digits round-trip float64 exactly
     assert (loaded.features == train[0].features).all()
     assert (loaded.labels == train[0].labels).all()
@@ -119,13 +118,13 @@ def test_csv_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(CsvParseError):
-        load_csv_dataset(str(path), ["f0"], "label")
+        load_csv_dataset(str(path))
 
 
 def test_csv_header_only_is_valid_empty_dataset(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("f0,f1,label\n")
-    data = load_csv_dataset(str(path), ["f0", "f1"], "label")
+    data = load_csv_dataset(str(path))
     assert data.n == 0 and data.dim == 2
 
 
@@ -133,7 +132,7 @@ def test_csv_bad_cell_reports_row_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,label\n1.0,0\noops,1\n")
     with pytest.raises(CsvParseError) as exc:
-        load_csv_dataset(str(path), ["f0"], "label")
+        load_csv_dataset(str(path))
     assert ":3:" in str(exc.value)
 
 
@@ -142,15 +141,16 @@ def test_csv_non_finite_feature_reports_row_number(tmp_path, value):
     path = tmp_path / "nan.csv"
     path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{value},1\n")
     with pytest.raises(CsvParseError) as exc:
-        load_csv_dataset(str(path), ["f0", "f1"], "label")
+        load_csv_dataset(str(path))
     assert f"{path}:3:" in str(exc.value)
 
 
 def test_csv_missing_column_rejected(tmp_path):
-    path = tmp_path / "cols.csv"
-    path.write_text("f0,label\n1.0,0\n")
-    with pytest.raises(CsvParseError):
-        load_csv_dataset(str(path), ["f0", "f9"], "label")
+    for name, text in (("nolabel.csv", "f0,f1,domain\n1.0,2.0,0\n"), ("nofeat.csv", "label,domain\n0,0\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(CsvParseError):
+            load_csv_dataset(str(path))
 
 
 def test_oracle_json_round_trip(tmp_path):
