@@ -74,7 +74,7 @@ def main():
 
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6B)))
         table = sweep_mask_percent(split, train, unseen, rng=rng)
-        best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))
+        best = next(r for r in table.rows if r.percent == table.best_percent)
         row["global_best_percent"] = best.percent
         row["global_unseen"] = best.unseen_accuracy
 

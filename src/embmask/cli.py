@@ -14,7 +14,7 @@ import glob
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -331,7 +331,7 @@ def cmd_bound_check(cfg) -> int:
     kinds = ("L1", "L2") if distance == "both" else (distance,)
     z = split.encode_np(unseen.features)
     masks = emg_masks(gen, unseen.features, mask_cfg, seed=cfg["seed"])
-    reports = {k: bound_terms(split, oracle, z, masks, k).to_dict() for k in kinds}
+    reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in kinds}
     run.write_text("bound.json", json.dumps(reports, indent=1, sort_keys=True) + "\n")
     run.finalize()
     return EXIT_OK

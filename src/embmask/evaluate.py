@@ -81,16 +81,6 @@ class BoundReport:
     # Expectations over the unseen domain are estimated by the sample mean
     # over its finite sample; the integral itself is not computable.
 
-    def to_dict(self) -> dict:
-        return {
-            "distance_kind": self.distance_kind,
-            "ge": self.ge,
-            "term_sh": self.term_sh,
-            "term_sp": self.term_sp,
-            "violation_count": self.violation_count,
-            "n": self.n,
-        }
-
 
 def bound_terms(
     split: SplitModel,

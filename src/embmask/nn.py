@@ -1,20 +1,19 @@
 """Feed-forward models, the encoder/predictor split, freezing, serialization.
 
 An ``Mlp`` is a stack of linear layers with relu between them and an identity
-output. Parameters live in a ``ParamStore`` keyed by name with per-parameter
-trainable flags; freezing flips the flag and the store's checksum makes the
+output. Its parameters live in a ``ParamStore``: named views of one flat
+float64 vector, so training updates them all with one vectorized optimizer
+step. A store is trainable or ``frozen`` as a whole; its checksum makes the
 freeze contract checkable (frozen bytes must survive a whole training run).
-The trainable values are views into one flat vector, so training updates
-them all with one vectorized optimizer step; ``Mlp.forward_train`` and
-``Mlp.backward_train`` are the fused NumPy forward and backward that
-training uses.
+``Mlp.forward_train`` and ``Mlp.backward_train`` are the fused NumPy forward
+and backward that training uses.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -25,96 +24,69 @@ from .errors import ContractError, CorruptFileError, ShapeMismatchError, UsageEr
 Array = np.ndarray
 
 
-@dataclass
-class _Param:
-    value: Array
-    trainable: bool = True
-
-
 class ParamStore:
-    """Named parameter storage with trainable flags.
-
-    The trainable values, in insertion order, are views into one contiguous
-    float64 vector ``flat``; frozen values are not in it.
-    """
+    """Named parameters, in insertion order, as views into one contiguous
+    float64 vector ``flat``; ``frozen`` marks the whole store untrainable."""
 
     def __init__(self):
-        self._params: dict[str, _Param] = {}
+        self._values: dict[str, Array] = {}
         self.flat = np.zeros(0)
+        self.frozen = False
 
-    def add(self, name: str, value: Array, trainable: bool = True) -> None:
-        if name in self._params:
+    def add(self, name: str, value: Array) -> None:
+        if name in self._values:
             raise UsageError(f"duplicate parameter name {name!r}")
-        self._params[name] = _Param(np.array(value, dtype=np.float64), trainable)
-        self._pack()
-
-    def _pack(self) -> None:
-        """Copy the trainable values into a new ``flat`` and rebind each to
-        its view of it."""
-        trainable = [p.value.ravel() for p in self._params.values() if p.trainable]
-        self.flat = np.concatenate(trainable) if trainable else np.zeros(0)
-        for name, view in self.views(self.flat).items():
-            self._params[name].value = view
+        self._values[name] = np.asarray(value, dtype=np.float64)
+        self.flat = np.concatenate([self.flat, self._values[name].ravel()])
+        self._values = self.views(self.flat)
 
     def views(self, vec: Array) -> dict[str, Array]:
-        """Each trainable parameter's view of ``vec``, a vector laid out like
-        ``flat`` (a gradient, say)."""
+        """Each parameter's view of ``vec``, a vector laid out like ``flat``
+        (a gradient, say)."""
         out = {}
         offset = 0
-        for name, p in self._params.items():
-            if p.trainable:
-                out[name] = vec[offset : offset + p.value.size].reshape(p.value.shape)
-                offset += p.value.size
+        for name, value in self._values.items():
+            out[name] = vec[offset : offset + value.size].reshape(value.shape)
+            offset += value.size
         return out
 
     def __contains__(self, name: str) -> bool:
-        return name in self._params
+        return name in self._values
 
     def __getitem__(self, name: str) -> Array:
-        return self._params[name].value
+        return self._values[name]
 
     def set_value(self, name: str, value: Array) -> None:
-        p = self._params[name]
-        if p.value.shape != value.shape:
-            raise ShapeMismatchError(
-                f"set_value {name}: {p.value.shape} vs {value.shape}"
-            )
-        p.value[...] = value
+        p = self._values[name]
+        if p.shape != value.shape:
+            raise ShapeMismatchError(f"set_value {name}: {p.shape} vs {value.shape}")
+        p[...] = value
 
     def names(self) -> list[str]:
-        return list(self._params)
-
-    def is_trainable(self, name: str) -> bool:
-        return self._params[name].trainable
+        return list(self._values)
 
     def freeze(self) -> None:
-        """Mark every parameter non-trainable. Idempotent."""
-        for p in self._params.values():
-            p.trainable = False
-        self._pack()
-
-    @property
-    def frozen(self) -> bool:
-        return all(not p.trainable for p in self._params.values())
+        """Mark the store untrainable. Idempotent; the values stay views of
+        ``flat``."""
+        self.frozen = True
 
     def leaves(self) -> dict[str, T.Tensor]:
         """Fresh leaf tensors for one pass on the reference tape."""
         return {
-            n: T.Tensor(p.value, requires_grad=p.trainable)
-            for n, p in self._params.items()
+            n: T.Tensor(v, requires_grad=not self.frozen) for n, v in self._values.items()
         }
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for name in sorted(self._params):
-            p = self._params[name]
+        for name in sorted(self._values):
+            value = self._values[name]
             h.update(name.encode())
-            h.update(str(p.value.shape).encode())
-            h.update(np.ascontiguousarray(p.value).tobytes())
+            h.update(str(value.shape).encode())
+            h.update(np.ascontiguousarray(value).tobytes())
         return h.hexdigest()
 
     def state_copy(self) -> dict[str, Array]:
-        return {n: p.value.copy() for n, p in self._params.items()}
+        return {n: v.copy() for n, v in self._values.items()}
 
 
 class Mlp:
@@ -292,40 +264,39 @@ def split_model(model: Mlp, split_index: int | None = None) -> SplitModel:
 # -- serialization -----------------------------------------------------------
 #
 # Two files per store: ``<path>.manifest`` (text; one key/value line per
-# parameter: name, shape, byte offset, trainable flag) and ``<path>.params``
-# (flat little-endian float64 payload). Round-trip is bitwise exact.
+# parameter: name, shape, byte offset, the store's trainable flag) and
+# ``<path>.params`` (``flat``, little-endian float64). Round-trip is bitwise
+# exact.
 
 
 def save_params(store: ParamStore, path: str) -> None:
     lines = [f"count={len(store.names())}"]
-    payload = bytearray()
+    offset = 0
     for name in store.names():
         value = store[name]
         shape = "x".join(str(s) for s in value.shape) or "scalar"
         lines.append(
-            f"name={name} shape={shape} offset={len(payload)} "
-            f"trainable={int(store.is_trainable(name))}"
+            f"name={name} shape={shape} offset={offset} trainable={int(not store.frozen)}"
         )
-        payload += np.ascontiguousarray(value, dtype="<f8").tobytes()
+        offset += value.size * 8
     with open(path + ".manifest", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(path + ".params", "wb") as fh:
-        fh.write(bytes(payload))
+        fh.write(store.flat.astype("<f8").tobytes())
 
 
 def _manifest_entry(line: str) -> tuple[str, tuple[int, ...], int, bool]:
     """``name=... shape=AxB offset=N trainable=0|1`` -> its parsed fields."""
     fields = dict(tok.split("=", 1) for tok in line.split())
-    shape = fields["shape"]
-    return (
-        fields["name"],
-        () if shape == "scalar" else tuple(int(s) for s in shape.split("x")),
-        int(fields["offset"]),
-        bool(int(fields["trainable"])),
-    )
+    shape = () if fields["shape"] == "scalar" else tuple(map(int, fields["shape"].split("x")))
+    if any(s < 0 for s in shape):
+        raise ValueError(f"negative dimension in shape {shape}")
+    return fields["name"], shape, int(fields["offset"]), bool(int(fields["trainable"]))
 
 
 def load_params(path: str) -> ParamStore:
+    """The store ``save_params`` wrote: entries laid end to end in order,
+    unique names and one trainable flag, or ``CorruptFileError``."""
     manifest = path + ".manifest"
     payload_path = path + ".params"
     if not os.path.exists(manifest) or not os.path.exists(payload_path):
@@ -343,25 +314,33 @@ def load_params(path: str) -> ParamStore:
         raise CorruptFileError(
             f"manifest {manifest} declares {count} entries, found {len(entries)}"
         )
+    names = [e[0] for e in entries]
+    if len(set(names)) != len(names):
+        raise CorruptFileError(f"manifest {manifest} repeats a parameter name")
+    flags = {e[3] for e in entries}
+    if len(flags) > 1:
+        raise CorruptFileError(f"manifest {manifest} mixes trainable flags")
     with open(payload_path, "rb") as fh:
         payload = fh.read()
 
     store = ParamStore()
-    expected_end = 0
-    for name, shape, offset, trainable in entries:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if offset + nbytes > len(payload):
+    end = 0
+    for name, shape, offset, _ in entries:
+        if offset != end:
             raise CorruptFileError(
-                f"payload {payload_path} truncated: need {offset + nbytes} bytes, "
-                f"have {len(payload)}"
+                f"manifest {manifest}: {name} at byte {offset}, expected {end}"
             )
-        value = np.frombuffer(
-            payload, dtype="<f8", count=nbytes // 8, offset=offset
-        ).reshape(shape)
-        store.add(name, value, trainable=trainable)
-        expected_end = max(expected_end, offset + nbytes)
-    if expected_end != len(payload):
+        size = int(np.prod(shape, dtype=np.int64))
+        end += size * 8
+        if end > len(payload):
+            raise CorruptFileError(
+                f"payload {payload_path} truncated: need {end} bytes, have {len(payload)}"
+            )
+        store.add(name, np.frombuffer(payload, "<f8", size, offset).reshape(shape))
+    if end != len(payload):
         raise CorruptFileError(
-            f"payload {payload_path} length {len(payload)} != manifest total {expected_end}"
+            f"payload {payload_path} length {len(payload)} != manifest total {end}"
         )
+    if flags == {False}:
+        store.freeze()
     return store

@@ -1,21 +1,22 @@
 """Losses, the Adam optimizer, ERM fine-tuning, and mask-generator training.
 
-The mask generator is trained against a frozen encoder/predictor pair: for
-each batch, z = g(x), a stochastic mask m is drawn from G(x), and theta_G is
-updated to minimize the cross entropy between the predictor's distribution on
-the masked embedding c(m * z) and its distribution on the original embedding
-c(z). The target distribution is detached -- the base model is frozen, so no
-gradient could reach theta_G through it anyway. Domain labels are never used.
+A fit is per-row constants computed once, plus a step over row indices.
+Both graphs are cross entropy against a fixed per-row target distribution q:
+for ERM, the one-hot labels; for EMG, the frozen encoder/predictor pair's
+softmax(c(z)) on the embedding z = g(x), computed once with z since the base
+model cannot change. Each EMG step draws a stochastic mask m from G(x) and
+updates theta_G to minimize the cross entropy between q and the predictor's
+distribution on the masked embedding c(m * z). Domain labels are never used.
 
 "Until convergence" is concretized as patience-based early stopping on a
 training-domain validation split; the returned parameters are those of the
 best-validation epoch.
 
-Both graphs train through fused NumPy steps (``erm_forward``,
-``emg_forward``): a forward that keeps its intermediates and a hand-derived
-backward that writes into views of one flat gradient vector, followed by
-one vectorized Adam step over the store's flat parameter vector. The tape
-losses ``hard_ce`` and ``soft_ce`` are the tests' reference for them.
+Each step is fused NumPy (``erm_forward``, ``emg_forward``): a forward that
+keeps its intermediates and a hand-derived backward that writes into views of
+one flat gradient vector, followed by one vectorized Adam step over the
+store's flat parameter vector. The tape losses ``hard_ce`` and ``soft_ce``
+are the tests' reference for them.
 """
 
 from __future__ import annotations
@@ -83,18 +84,13 @@ class TrainTrace:
 # -- losses -------------------------------------------------------------------
 
 
-def _onehot(labels: Array, shape: tuple[int, ...]) -> Array:
-    """One-hot targets for integer class labels, checked against the shape
-    of the logits."""
+def _onehot(labels: Array, c: int) -> Array:
+    """Width-c one-hot targets for integer class labels (``cross_entropy``
+    checks them against the logits' shape)."""
     labels = np.asarray(labels)
-    n, c = shape
-    if labels.shape != (n,):
-        raise ShapeMismatchError(f"labels shape {labels.shape} vs batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise UsageError(f"label out of range [0, {c})")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    return onehot
+    return np.eye(c)[labels]
 
 
 def _softmax_target(target_logits, shape: tuple[int, ...]) -> Array:
@@ -112,7 +108,7 @@ def _softmax_target(target_logits, shape: tuple[int, ...]) -> Array:
 
 def hard_ce(labels: Array, logits: T.Tensor) -> T.Tensor:
     """Mean cross entropy against integer class labels, via log-sum-exp."""
-    return T.cross_entropy(_onehot(labels, logits.shape), logits)
+    return T.cross_entropy(_onehot(labels, logits.shape[1]), logits)
 
 
 def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
@@ -135,10 +131,10 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
 Backward = Callable[[Mapping[str, Array]], None]
 
 
-def erm_forward(model: Mlp, x: Array, labels: Array) -> tuple[float, Backward]:
-    """``hard_ce(labels, model.forward(x))``, fused."""
+def erm_forward(model: Mlp, x: Array, q: Array) -> tuple[float, Backward]:
+    """``cross_entropy(q, model.forward(x))``, fused; ``hard_ce`` when q is
+    one-hot."""
     acts = model.forward_train(x)
-    q = _onehot(labels, acts[-1].shape)
     loss, lsm = T.cross_entropy_np(q, acts[-1])
 
     def backward(grads: Mapping[str, Array]) -> None:
@@ -152,21 +148,20 @@ def emg_forward(
     generator: Mlp,
     x: Array,
     z: Array,
-    target: Array,
+    q: Array,
     mask_cfg: MaskGenConfig,
     rng: np.random.Generator,
 ) -> tuple[float, Backward]:
-    """The EMG objective, fused: soft cross entropy between ``target``
-    logits and the frozen predictor on m * z, with m the training mask the
-    generator gives x under fresh Gumbel noise from rng (the tape's
-    ``soft_ce(target, split.predict_t(mul(training_mask(...), z)))``)."""
+    """The EMG objective, fused: cross entropy between the target
+    distribution q and the frozen predictor on m * z, with m the training
+    mask the generator gives x under fresh Gumbel noise from rng (the tape's
+    ``cross_entropy(q, split.predict_t(mul(training_mask(...), z)))``)."""
     gen_acts = generator.forward_train(x)
     logits = gen_acts[-1]
     m, mask_cache = relaxed_mask_np(logits, gumbel_noise(rng, logits.shape), mask_cfg.tau)
     if m.shape != z.shape:
         raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}")
     pred_acts = split.model.forward_train(m * z, split.split_index)
-    q = _softmax_target(target, pred_acts[-1].shape)
     loss, lsm = T.cross_entropy_np(q, pred_acts[-1])
 
     def backward(grads: Mapping[str, Array]) -> None:
@@ -194,12 +189,14 @@ class AdamState:
 def optimizer_step(
     store: ParamStore, grad: Array, state: AdamState, lr: float
 ) -> AdamState:
-    """One bias-corrected adaptive-moment update of ``store.flat`` (the
-    trainable parameters) by the flat gradient ``grad``."""
+    """One bias-corrected adaptive-moment update of ``store.flat`` by the
+    flat gradient ``grad``."""
+    if store.frozen:
+        raise ContractError("cannot update a frozen parameter store")
     params = store.flat
     if np.shape(grad) != params.shape:
         raise ContractError(
-            f"gradient of shape {np.shape(grad)} for {params.size} trainable values"
+            f"gradient of shape {np.shape(grad)} for {params.size} parameter values"
         )
     if state.m is None:
         state.m = np.zeros_like(params)
@@ -285,13 +282,14 @@ def train_erm(
         )
 
     model = Mlp(layer_sizes, seed=config.seed)
+    q_tr = _onehot(y_tr, layer_sizes[-1])
+    q_va = _onehot(y_va, layer_sizes[-1])
     trace = _fit(
         model.store,
         config,
-        forward=lambda xb, yb: erm_forward(model, xb, yb),
-        val_loss=lambda: erm_forward(model, x_va, y_va)[0],
-        x_tr=x_tr,
-        y_tr=y_tr,
+        step=lambda idx: erm_forward(model, x_tr[idx], q_tr[idx]),
+        val_loss=lambda: erm_forward(model, x_va, q_va)[0],
+        n=len(x_tr),
     )
     return model, trace
 
@@ -308,10 +306,11 @@ def train_emg(
 ) -> tuple[Mlp, TrainTrace]:
     """Train the mask generator against the frozen encoder/predictor.
 
-    Per batch: z = g(x); draw m from G(x) with fresh Gumbel noise; update
-    theta_G to minimize the cross entropy between c(m * z) and the detached
-    c(z). Raises if the base model is not frozen, and verifies by checksum
-    that it stayed bitwise intact.
+    z = g(x) and the target q come from ``_emg_target`` once per row. Per
+    batch: draw m from G(x) with fresh Gumbel noise and update theta_G to
+    minimize the cross entropy between q and c(m * z). Raises if the base
+    model is not frozen, and verifies by checksum that it stayed bitwise
+    intact.
     """
     base_store = split.model.store
     if not base_store.frozen:
@@ -323,35 +322,28 @@ def train_emg(
         )
     checksum_before = base_store.checksum()
 
-    x_tr, y_tr, x_va, y_va = pooled_split(
-        datasets, train_cfg.val_fraction, train_cfg.seed
-    )
-    del y_tr, y_va  # EMG training is label- and domain-free
-
-    z_va = split.encode_np(x_va)
-    target_va = split.predict_np(z_va)
-    # Fixed noise realization for validation so epochs are comparable and
-    # the selection rule is deterministic.
-    val_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xA1)))
+    # EMG training is label- and domain-free.
+    x_tr, _, x_va, _ = pooled_split(datasets, train_cfg.val_fraction, train_cfg.seed)
+    z_tr, q_tr = _emg_target(split, x_tr, train_cfg.hard_target)
+    z_va, q_va = _emg_target(split, x_va, train_cfg.hard_target)
     noise_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xB2)))
 
-    def forward(xb, _yb):
-        z, target = _emg_target(split, xb, train_cfg.hard_target)
-        return emg_forward(split, generator, xb, z, target, mask_cfg, noise_rng)
-
     def val_loss():
-        rng = _clone_rng(val_rng)
-        return emg_forward(split, generator, x_va, z_va, target_va, mask_cfg, rng)[0]
+        # The same noise draw every epoch, so epochs are comparable and the
+        # selection rule is deterministic.
+        rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xA1)))
+        return emg_forward(split, generator, x_va, z_va, q_va, mask_cfg, rng)[0]
 
     # Base-model parameters are not in the generator's store, so _fit can
     # only ever touch theta_G.
     trace = _fit(
         generator.store,
         train_cfg,
-        forward=forward,
+        step=lambda idx: emg_forward(
+            split, generator, x_tr[idx], z_tr[idx], q_tr[idx], mask_cfg, noise_rng
+        ),
         val_loss=val_loss,
-        x_tr=x_tr,
-        y_tr=np.zeros(len(x_tr), dtype=np.int64),
+        n=len(x_tr),
     )
 
     if base_store.checksum() != checksum_before:
@@ -359,22 +351,15 @@ def train_emg(
     return generator, trace
 
 
-def _clone_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Copy so the fixed validation noise stream is reused, not consumed."""
-    out = np.random.default_rng()
-    out.bit_generator.state = rng.bit_generator.state
-    return out
-
-
 def _emg_target(split: SplitModel, x: Array, hard_target: bool) -> tuple[Array, Array]:
-    """A training batch's embedding z = g(x) and target logits c(z); with
-    ``hard_target``, logits 1e3 at the argmax and 0 elsewhere."""
+    """The per-row constants of an EMG fit: the embedding z = g(x) and the
+    target distribution softmax(c(z)), or with ``hard_target`` the one-hot
+    of its argmax."""
     z = split.encode_np(x)
-    target = split.predict_np(z)
+    logits = split.predict_np(z)
     if hard_target:
-        hard = np.argmax(target, axis=1)
-        target = np.where(np.arange(target.shape[1])[None, :] == hard[:, None], 1e3, 0.0)
-    return z, target
+        return z, _onehot(np.argmax(logits, axis=1), logits.shape[1])
+    return z, _softmax_target(logits, logits.shape)
 
 
 # -- shared epoch loop ---------------------------------------------------------------
@@ -383,16 +368,15 @@ def _emg_target(split: SplitModel, x: Array, hard_target: bool) -> tuple[Array, 
 def _fit(
     store: ParamStore,
     config: TrainConfig,
-    forward,
-    val_loss,
-    x_tr: Array,
-    y_tr: Array,
+    step: Callable[[Array], tuple[float, Backward]],
+    val_loss: Callable[[], float],
+    n: int,
 ) -> TrainTrace:
-    """Adam over shuffled minibatches with patience-based early stopping;
-    ``forward(xb, yb)`` is a fused step, ``val_loss()`` the validation loss."""
-    frozen = [n for n in store.names() if not store.is_trainable(n)]
-    if frozen:
-        raise ContractError(f"cannot train a model with frozen parameters {frozen}")
+    """Adam over shuffled minibatches of the n training rows with
+    patience-based early stopping; ``step(idx)`` is the fused step on the
+    rows ``idx``, ``val_loss()`` the validation loss."""
+    if store.frozen:
+        raise ContractError("cannot train a frozen parameter store")
     params = store.flat
     grad = np.zeros_like(params)
     grads = store.views(grad)
@@ -403,15 +387,13 @@ def _fit(
     best_params = params.copy()
     best_epoch = -1
     epochs_since_best = 0
-    n = len(x_tr)
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, backward = forward(x_tr[idx], y_tr[idx])
+            loss, backward = step(order[start : start + config.batch_size])
             backward(grads)
             optimizer_step(store, grad, state, config.learning_rate)
             epoch_losses.append(loss)

@@ -31,7 +31,7 @@ from embmask.evaluate import emg_masks
 from embmask.mask import keep_mask
 from embmask.cli import main
 from embmask.synthbench import DomainDataset, Oracle
-from embmask.train import emg_forward, erm_forward, hard_ce
+from embmask.train import _emg_target, _onehot, emg_forward, erm_forward, hard_ce
 
 
 def _fused_grad_check(store, forward, eps=1e-5):
@@ -73,8 +73,9 @@ def test_criterion_1_gradient_correctness():
                 return hard_ce(labels, model.forward(T.Tensor(x), leaves))
 
             err = T.grad_check(f, model.store.state_copy())
+            q = _onehot(labels, 3)
             fused_err = _fused_grad_check(
-                model.store, lambda model=model, x=x, labels=labels: erm_forward(model, x, labels)
+                model.store, lambda model=model, x=x, q=q: erm_forward(model, x, q)
             )
         else:
             # frozen base + mask generator, Gumbel noise held fixed
@@ -83,7 +84,7 @@ def test_criterion_1_gradient_correctness():
             base.store.freeze()
             split = split_model(base)
             gen = Mlp([din, 3, emb], prefix="g.", seed=i + 1)
-            z = split.encode_np(x)
+            z, q = _emg_target(split, x, False)
             target = split.predict_np(z)
 
             def f(leaves, gen=gen, split=split, x=x, z=z, target=target, seed=2000 + i):
@@ -94,8 +95,8 @@ def test_criterion_1_gradient_correctness():
             err = T.grad_check(f, gen.store.state_copy())
             fused_err = _fused_grad_check(
                 gen.store,
-                lambda gen=gen, split=split, x=x, z=z, target=target, seed=2000 + i: emg_forward(
-                    split, gen, x, z, target, MaskGenConfig(tau=0.1), np.random.default_rng(seed)
+                lambda gen=gen, split=split, x=x, z=z, q=q, seed=2000 + i: emg_forward(
+                    split, gen, x, z, q, MaskGenConfig(tau=0.1), np.random.default_rng(seed)
                 ),
             )
         worst = max(worst, err, fused_err)

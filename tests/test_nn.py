@@ -8,7 +8,7 @@ import pytest
 from embmask import Mlp, ParamStore, load_params, save_params, split_model
 from embmask import tensor as T
 from embmask.errors import ContractError, CorruptFileError, ShapeMismatchError, UsageError
-from embmask.train import AdamState, optimizer_step
+from embmask.train import AdamState, TrainConfig, _fit, optimizer_step
 
 # sha256 of Mlp([4,3,2], seed=123).forward_np(linspace input), frozen at first run
 GOLDEN_FORWARD_SHA = "65d07fe41994939cf434d4d8644d62e6bcf054279fd8c0e8c8457838c293cfe2"
@@ -70,8 +70,6 @@ def test_freeze_is_idempotent_and_total():
     model.store.freeze()
     model.store.freeze()
     assert model.store.frozen
-    assert model.store.flat.size == 0
-    assert not any(model.store.is_trainable(n) for n in model.store.names())
 
 
 def test_optimizer_step_rejects_frozen_params():
@@ -90,10 +88,21 @@ def test_trainable_values_are_views_of_flat():
     for n, v in before.items():
         assert (store[n] == v + 1.0).all()
         assert (store.views(store.flat)[n] == store[n]).all()
+
+
+def test_freeze_keeps_flat_bound_and_blocks_training():
+    store = Mlp([3, 4, 2], seed=0).store
+    flat = store.flat
+    before = store.checksum()
     store.freeze()
-    assert store.flat.size == 0
-    for n, v in before.items():  # frozen values keep their bytes
-        assert (store[n] == v + 1.0).all()
+    assert store.flat is flat and store.checksum() == before
+    for name in store.names():
+        assert np.shares_memory(store[name], flat)
+    with pytest.raises(ContractError):
+        optimizer_step(store, np.zeros_like(flat), AdamState(), 1e-3)
+    with pytest.raises(ContractError):
+        _fit(store, TrainConfig(), step=None, val_loss=None, n=1)
+    assert store.checksum() == before
 
 
 def test_checksum_tracks_values():
@@ -162,9 +171,9 @@ def test_save_load_round_trip_bitwise(tmp_path):
     save_params(model.store, path)
     loaded = load_params(path)
     assert loaded.names() == model.store.names()
+    assert loaded.frozen
     for name in model.store.names():
         assert (loaded[name] == model.store[name]).all()
-        assert loaded.is_trainable(name) == model.store.is_trainable(name)
     # save -> load -> save reproduces identical bytes
     save_params(loaded, str(tmp_path / "again"))
     for suffix in (".manifest", ".params"):
@@ -197,9 +206,23 @@ def test_truncated_payload_raises(tmp_path):
         ("offset=0", "offset=zero"),  # non-integer field
         ("shape=3x2", "shape=3xq"),
         ("shape=3x2", "shape=3x2 stray"),  # token without '='
+        ("shape=3x2", "shape=-3x-2"),
         ("count=2", "count=two"),
+        ("name=w0 shape=3x2 offset=0", "name=w0 shape=3x2 offset=16"),  # w0's last row is b0
+        ("name=b0", "name=w0"),
+        ("trainable=1", "trainable=0"),  # the one-flag store cannot hold both
     ],
-    ids=["missing-field", "non-integer", "bad-shape", "token-without-equals", "bad-count"],
+    ids=[
+        "missing-field",
+        "non-integer",
+        "bad-shape",
+        "token-without-equals",
+        "negative-dims",
+        "bad-count",
+        "not-end-to-end",
+        "duplicate-name",
+        "mixed-trainable-flags",
+    ],
 )
 def test_malformed_manifest_raises_corrupt_file(tmp_path, old, new):
     path = str(tmp_path / "model")
@@ -210,6 +233,12 @@ def test_malformed_manifest_raises_corrupt_file(tmp_path, old, new):
     manifest.write_text(text.replace(old, new, 1))
     with pytest.raises(CorruptFileError):
         load_params(path)
+
+
+def test_trainable_store_loads_trainable(tmp_path):
+    path = str(tmp_path / "model")
+    save_params(Mlp([3, 2], seed=1).store, path)
+    assert not load_params(path).frozen
 
 
 def test_missing_files_raise(tmp_path):

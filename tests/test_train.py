@@ -34,6 +34,7 @@ from embmask.errors import (
 from embmask.train import (
     AdamState,
     _emg_target,
+    _onehot,
     emg_forward,
     erm_forward,
     optimizer_step,
@@ -206,7 +207,7 @@ def test_fused_erm_gradient_equals_tape_bitwise(sizes):
     leaves = model.store.leaves()
     tape_loss = hard_ce(labels, model.forward(T.Tensor(x), leaves))
     tape_grads = T.backward_grads(tape_loss, leaves)
-    loss, grads = _fused(model.store, lambda: erm_forward(model, x, labels))
+    loss, grads = _fused(model.store, lambda: erm_forward(model, x, _onehot(labels, 3)))
     _assert_bitwise(loss, grads, tape_loss, tape_grads)
 
 
@@ -226,14 +227,14 @@ def test_fused_emg_gradient_equals_tape_bitwise(base_sizes, split_at, hard_targe
     gen = Mlp([5, 4, split.embedding_dim], prefix="g.", seed=5)
     _randomize(gen.store, rng)
     x = rng.normal(size=(10, 5))
-    z, target = _emg_target(split, x, hard_target)
+    z, q = _emg_target(split, x, hard_target)
     cfg = MaskGenConfig(tau=tau)
     leaves = gen.store.leaves()
     m = training_mask(gen, x, leaves, cfg, np.random.default_rng(11))
-    tape_loss = soft_ce(target, split.predict_t(T.mul(m, z)))
+    tape_loss = T.cross_entropy(q, split.predict_t(T.mul(m, z)))
     tape_grads = T.backward_grads(tape_loss, leaves)
     loss, grads = _fused(
-        gen.store, lambda: emg_forward(split, gen, x, z, target, cfg, np.random.default_rng(11))
+        gen.store, lambda: emg_forward(split, gen, x, z, q, cfg, np.random.default_rng(11))
     )
     _assert_bitwise(loss, grads, tape_loss, tape_grads)
 
@@ -333,6 +334,31 @@ def test_emg_keeps_base_bitwise_and_improves_val_loss():
     assert split.model.store.checksum() == before
     assert trace.val_loss[trace.selected_epoch] <= trace.val_loss[0]
     assert trace.selected_epoch == int(np.argmin(trace.val_loss))
+
+
+def test_emg_target_is_softmax_or_one_hot_of_predictor():
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+    x = train[0].features[:12]
+    logits = split.predict_np(split.encode_np(x))
+    z, q = _emg_target(split, x, False)
+    assert (z == split.encode_np(x)).all()
+    np.testing.assert_allclose(q, np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True))
+    _, q_hard = _emg_target(split, x, True)
+    assert (q_hard == _onehot(np.argmax(logits, axis=1), 3)).all()
+
+
+def test_emg_hard_target_selects_on_hard_validation_loss():
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+    cfg = TrainConfig(seed=3, max_epochs=3, hard_target=True)
+    gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+    gen, trace = train_emg(split, gen, train, MaskGenConfig(), cfg)
+    _, _, x_va, _ = pooled_split(train, cfg.val_fraction, cfg.seed)
+    z, q = _emg_target(split, x_va, True)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA1)))
+    loss = emg_forward(split, gen, x_va, z, q, MaskGenConfig(), rng)[0]
+    assert trace.val_loss[trace.selected_epoch] == loss
 
 
 def test_emg_deterministic_given_seed():
