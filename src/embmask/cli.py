@@ -10,7 +10,7 @@ input artifact, 3 config parse error, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import glob
+import fnmatch
 import json
 import os
 import sys
@@ -21,7 +21,7 @@ import numpy as np
 
 from .baseline import sweep_mask_percent, permutation_importance, global_mask_from_scores
 from .config import Field, load_config, parse_grid, parse_hidden
-from .errors import ConfigError, EmbmaskError
+from .errors import ConfigError, CorruptFileError, EmbmaskError
 from .evaluate import (
     DISTANCE_KINDS,
     RunReport,
@@ -36,7 +36,6 @@ from .nn import Mlp, load_params, save_params, split_model
 from .rundir import RunDirectory
 from .synthbench import (
     BenchmarkSpec,
-    DomainDataset,
     generate_benchmark,
     load_csv_dataset,
     load_oracle,
@@ -86,6 +85,10 @@ _MASK = _section(MaskGenConfig, "mask")
 
 # Where eval and export-embeddings take their mask from: none, a global
 # bottom-p% permutation-importance mask, or the trained generator.
+EVAL_MODES = ("none", "global", "emg")
+# The domains export-embeddings writes: every training domain, or the unseen one.
+EXPORT_WHICH = ("train", "unseen")
+
 _MASK_SOURCE = {
     "eval.mode": Field(str, "none"),
     "emg.model": Field(str, ""),
@@ -147,41 +150,38 @@ SCHEMAS: dict[str, dict[str, Field]] = {
 # -- shared helpers ------------------------------------------------------------
 
 
-def _require_path(path: str, what: str) -> str:
+def _require_path(path: str, what: str) -> None:
     if not path:
         raise MissingArtifact(f"{what} not configured")
     if not os.path.exists(path):
         raise MissingArtifact(f"{what} not found: {path}")
-    return path
 
 
 def _load_model(prefix: str, what: str):
-    """Parameters saved at ``prefix`` inside a verified run directory."""
+    """Parameters saved at ``prefix``, listed in its run's verified manifest."""
     if not prefix:
         raise MissingArtifact(f"{what} not configured")
-    for suffix in (".manifest", ".params"):
-        if not os.path.exists(prefix + suffix):
-            raise MissingArtifact(f"{what} not found: {prefix}{suffix}")
-    RunDirectory.verify(os.path.dirname(prefix) or ".")
+    run_path, name = os.path.split(prefix)
+    files = (name + ".manifest", name + ".params")
+    for file in files:
+        _require_path(os.path.join(run_path, file), what)
+    if not set(files) <= set(RunDirectory.verify(run_path or ".")):
+        raise CorruptFileError(f"{what} {prefix} is not in its run's manifest")
     return load_params(prefix)
 
 
 def _load_data_dir(data_dir: str):
+    """Train domains, unseen domain and oracle (or None) listed in the
+    verified manifest of ``data_dir``."""
     _require_path(data_dir, "data directory")
-    train_paths = sorted(glob.glob(os.path.join(data_dir, "train_domain_*.csv")))
-    unseen_path = os.path.join(data_dir, "unseen.csv")
-    oracle_path = os.path.join(data_dir, "oracle.json")
-    if not train_paths or not os.path.exists(unseen_path):
+    listed = RunDirectory.verify(data_dir)
+    train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"))
+    if not train_names or "unseen.csv" not in listed:
         raise MissingArtifact(f"no benchmark CSVs in {data_dir}")
-    RunDirectory.verify(data_dir)
-    oracle = load_oracle(oracle_path) if os.path.exists(oracle_path) else None
-
-    def load(path: str) -> DomainDataset:
-        data = load_csv_dataset(path)
-        data.oracle = oracle
-        return data
-
-    return [load(p) for p in train_paths], load(unseen_path), oracle
+    oracle_path = os.path.join(data_dir, "oracle.json")
+    oracle = load_oracle(oracle_path) if "oracle.json" in listed else None
+    train = [load_csv_dataset(os.path.join(data_dir, n)) for n in train_names]
+    return train, load_csv_dataset(os.path.join(data_dir, "unseen.csv")), oracle
 
 
 def _load_split(cfg):
@@ -200,33 +200,30 @@ def _mask_source(cfg, split, train_data):
     """``masks_for(data)`` for the configured eval.mode: None, the global
     bottom-p% mask, or the generator's per-sample masks for ``data``."""
     mode = cfg["eval.mode"]
-    if mode not in ("none", "global", "emg"):
+    if mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval mode {mode!r}")
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
     if mode == "none":
         return lambda data: None
     if mode == "global":
+        percent, repeats = cfg["eval.mask_percent"], cfg["eval.repeats"]
+        if not (0.0 <= percent <= 100.0 and repeats >= 1):
+            raise ConfigError("eval.mask_percent must be in [0, 100] and eval.repeats >= 1")
         rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
-        report = permutation_importance(split, train_data, cfg["eval.repeats"], rng)
-        mask = global_mask_from_scores(report.scores, cfg["eval.mask_percent"])
+        report = permutation_importance(split, train_data, repeats, rng)
+        mask = global_mask_from_scores(report.scores, percent)
         return lambda data: mask
     gen = _load_generator(cfg)
     return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
 
-def _snapshot(run: RunDirectory, cfg: dict) -> None:
-    lines = [f"{k} = {cfg[k]}" for k in sorted(cfg)]
-    run.write_text("config.txt", "\n".join(lines) + "\n")
-
-
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_gen_data(cfg) -> int:
+def cmd_gen_data(cfg) -> None:
     spec = _build(BenchmarkSpec, cfg, "benchmark", seed=cfg["seed"])
     train, unseen, oracle = generate_benchmark(spec)
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
     for d in train:
         name = f"train_domain_{d.domain_index}.csv"
         save_csv_dataset(d, run.file(name))
@@ -235,15 +232,13 @@ def cmd_gen_data(cfg) -> int:
     save_oracle(oracle, run.file("oracle.json"))
     run.register("unseen.csv", "oracle.json")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_train_erm(cfg) -> int:
+def cmd_train_erm(cfg) -> None:
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"])
     hidden = parse_hidden(cfg["model.hidden"])
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
     dim = train_data[0].dim
     n_classes = int(max(d.labels.max() for d in train_data)) + 1
     model, trace = train_erm(tc, train_data, [dim, *hidden, n_classes])
@@ -251,17 +246,15 @@ def cmd_train_erm(cfg) -> int:
     trace.to_csv(run.file("erm_trace.csv"))
     run.register("base_model.manifest", "base_model.params", "erm_trace.csv")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_train_emg(cfg) -> int:
+def cmd_train_emg(cfg) -> None:
     split = _load_split(cfg)
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
     gen = Mlp(
         [train_data[0].dim, *hidden, split.embedding_dim],
         prefix="g.",
@@ -272,15 +265,13 @@ def cmd_train_emg(cfg) -> int:
     trace.to_csv(run.file("emg_trace.csv"))
     run.register("emg_model.manifest", "emg_model.params", "emg_trace.csv")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_eval(cfg) -> int:
+def cmd_eval(cfg) -> None:
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     masks_for = _mask_source(cfg, split, train_data)
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
 
     report = RunReport(seeds=[cfg["seed"]], config_echo={k: str(v) for k, v in cfg.items()})
     named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
@@ -291,15 +282,15 @@ def cmd_eval(cfg) -> int:
     report.to_json(run.file("report.json"))
     run.register("report.json")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_sweep_global(cfg) -> int:
+def cmd_sweep_global(cfg) -> None:
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     grid = parse_grid(cfg["sweep.grid"])
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    if cfg["sweep.repeats"] < 1:
+        raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
+    run = RunDirectory(cfg["out_dir"], cfg)
     rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
     table = sweep_mask_percent(
         split,
@@ -312,10 +303,9 @@ def cmd_sweep_global(cfg) -> int:
     table.to_csv(run.file("sweep.csv"))
     run.register("sweep.csv")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_bound_check(cfg) -> int:
+def cmd_bound_check(cfg) -> None:
     distance = cfg["bound.distance"]
     if distance not in ("both", *DISTANCE_KINDS):
         raise ConfigError(f"bound.distance must be both, L1 or L2, got {distance!r}")
@@ -325,8 +315,7 @@ def cmd_bound_check(cfg) -> int:
     if oracle is None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
     gen = _load_generator(cfg)
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
 
     kinds = ("L1", "L2") if distance == "both" else (distance,)
     z = split.encode_np(unseen.features)
@@ -334,18 +323,16 @@ def cmd_bound_check(cfg) -> int:
     reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in kinds}
     run.write_text("bound.json", json.dumps(reports, indent=1, sort_keys=True) + "\n")
     run.finalize()
-    return EXIT_OK
 
 
-def cmd_export_embeddings(cfg) -> int:
+def cmd_export_embeddings(cfg) -> None:
     which = cfg["export.which"]
-    if which not in ("train", "unseen"):
+    if which not in EXPORT_WHICH:
         raise ConfigError(f"export.which must be train or unseen, got {which!r}")
     split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     masks_for = _mask_source(cfg, split, train_data)
-    run = RunDirectory(cfg["out_dir"])
-    _snapshot(run, cfg)
+    run = RunDirectory(cfg["out_dir"], cfg)
 
     for data in train_data if which == "train" else [unseen]:
         masks = masks_for(data)
@@ -357,7 +344,6 @@ def cmd_export_embeddings(cfg) -> int:
         export_embeddings(split, data, run.file(name), masks)
         run.register(name)
     run.finalize()
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -399,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, SCHEMAS[args.command], overrides)
         if "EMBMASK_OUT_DIR" in os.environ:
             cfg["out_dir"] = os.environ["EMBMASK_OUT_DIR"]
-        return COMMANDS[args.command](cfg)
+        COMMANDS[args.command](cfg)
+        return EXIT_OK
     except ConfigError as exc:
         print(f'error code=3 msg="{exc}"', file=sys.stderr)
         return EXIT_CONFIG_ERROR

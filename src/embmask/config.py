@@ -93,19 +93,25 @@ def load_config(
 
 
 def parse_grid(raw: str) -> list[float]:
-    """Comma-separated percent list, e.g. '0,5,10'."""
+    """Comma-separated percents in [0, 100] including 0, e.g. '0,5,10'."""
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        grid = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {raw!r}: {exc}") from None
+    if 0.0 not in grid or not all(0.0 <= p <= 100.0 for p in grid):
+        raise ConfigError(f"bad grid {raw!r}: percents must lie in [0, 100] and include 0")
+    return grid
 
 
 def parse_hidden(raw: str) -> list[int]:
-    """Comma-separated hidden sizes; empty string means no hidden layers."""
+    """Comma-separated hidden sizes >= 1; empty string means no hidden layers."""
     raw = raw.strip()
     if not raw:
         return []
     try:
-        return [int(tok) for tok in raw.split(",")]
+        sizes = [int(tok) for tok in raw.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad hidden sizes {raw!r}: {exc}") from None
+    if min(sizes) < 1:
+        raise ConfigError(f"bad hidden sizes {raw!r}: each must be >= 1")
+    return sizes

@@ -14,7 +14,6 @@ and including the bias would double-count it.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import ContractError, UsageError
 from .mask import MaskGenConfig, drop_probabilities, inference_mask
 from .nn import Mlp, SplitModel
-from .synthbench import DomainDataset, Oracle
+from .synthbench import DomainDataset, Oracle, save_table
 
 Array = np.ndarray
 
@@ -135,25 +134,15 @@ def export_embeddings(
     z = split.encode_np(data.features)
     if masks is not None:
         z = z * masks + 0.0  # + 0.0 normalizes -0.0 in the text output
-    d = z.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "domain"] + [f"e{i}" for i in range(d)])
-        for i in range(data.n):
-            writer.writerow(
-                [i, int(data.labels[i]), data.domain_index]
-                + [f"{v:.17g}" for v in z[i]]
-            )
+    header = ["id", "label", "domain"] + [f"e{i}" for i in range(z.shape[1])]
+    ids, domains = np.arange(data.n), np.full(data.n, data.domain_index)
+    save_table(path, header, ids, data.labels, domains, z)
 
 
 def export_masks(masks: Array, path: str) -> None:
     """One row per sample: sample id followed by the d mask values."""
-    d = masks.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"m{i}" for i in range(d)])
-        for i, row in enumerate(masks):
-            writer.writerow([i] + [f"{v:.17g}" for v in row])
+    header = ["id"] + [f"m{i}" for i in range(masks.shape[1])]
+    save_table(path, header, np.arange(len(masks)), masks)
 
 
 @dataclass

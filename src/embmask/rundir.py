@@ -1,7 +1,9 @@
 """Run-directory layout: config snapshot, artifacts, checksummed manifest.
 
-A run starts with a STATUS file saying ``incomplete``; on success the
-manifest (sha256 per artifact) is written and STATUS flips to ``complete``.
+A run starts with a STATUS file saying ``incomplete`` and its config
+snapshot ``config.txt``, the first artifact; on success the manifest (sha256
+per artifact) is written and STATUS flips to ``complete``. Readers take only
+the files a manifest lists: others may be left from an earlier run.
 Wall-clock information never enters manifest-tracked files, so identical
 config+seed reruns produce identical bytes.
 """
@@ -26,11 +28,13 @@ def _sha256(path: str) -> str:
 
 
 class RunDirectory:
-    def __init__(self, path: str):
+    def __init__(self, path: str, config: dict):
         self.path = path
         self._artifacts: list[str] = []
         os.makedirs(path, exist_ok=True)
         self._write_status("incomplete")
+        lines = [f"{k} = {config[k]}" for k in sorted(config)]
+        self.write_text("config.txt", "\n".join(lines) + "\n")
 
     def _write_status(self, status: str) -> None:
         with open(os.path.join(self.path, STATUS_FILE), "w") as fh:
@@ -60,9 +64,10 @@ class RunDirectory:
         self._write_status("complete")
 
     @staticmethod
-    def verify(path: str) -> None:
-        """Raise CorruptFileError unless ``path`` is a complete run whose
-        artifacts all match their manifest checksums."""
+    def verify(path: str) -> list[str]:
+        """The artifact names listed in the manifest of ``path``; raise
+        CorruptFileError unless it is a complete run whose artifacts all
+        match their manifest checksums."""
         status_path = os.path.join(path, STATUS_FILE)
         if not os.path.exists(status_path):
             raise CorruptFileError(f"no {STATUS_FILE} in {path}")
@@ -73,6 +78,7 @@ class RunDirectory:
         manifest = os.path.join(path, MANIFEST_FILE)
         if not os.path.exists(manifest):
             raise CorruptFileError(f"no manifest in {path}")
+        names = []
         with open(manifest) as fh:
             for line in fh:
                 line = line.rstrip("\n")
@@ -86,3 +92,5 @@ class RunDirectory:
                     raise CorruptFileError(f"missing artifact {name} in {path}")
                 if _sha256(target) != digest:
                     raise CorruptFileError(f"checksum mismatch for {name} in {path}")
+                names.append(name)
+        return names

@@ -74,7 +74,6 @@ class DomainDataset:
     features: Array
     labels: Array
     domain_index: int  # metadata only; never fed to EMG training
-    oracle: Oracle | None = None
 
     @property
     def n(self) -> int:
@@ -172,7 +171,7 @@ def generate_benchmark(
         x = np.concatenate([shared, specific], axis=1)
         if mixing_matrix is not None:
             x = x @ mixing_matrix.T
-        return DomainDataset(features=x, labels=y, domain_index=idx, oracle=oracle)
+        return DomainDataset(features=x, labels=y, domain_index=idx)
 
     train = [
         make_domain(
@@ -196,17 +195,29 @@ def generate_benchmark(
 #
 # Schema: header ``f0..f{D-1},label[,domain]``; values as decimal text with
 # 17 significant digits so a round trip preserves every float64 exactly.
+# ``save_table`` writes every per-sample CSV: datasets, embeddings and masks.
+
+# Rows formatted per write: bounds the text held in memory at once.
+_TABLE_CHUNK_ROWS = 128
+
+
+def save_table(path: str, header: list[str], *blocks: Array) -> None:
+    """``header``, then one row per sample of the ``blocks`` side by side (a
+    1-D block is one column): integers as %d, floats as %.17g, CRLF line ends
+    as ``csv.writer`` writes them."""
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    fmts = ["%d" if b.dtype.kind in "iu" else "%.17g" for b in blocks for _ in range(b.shape[1])]
+    line = ",".join(fmts) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(blocks[0]), _TABLE_CHUNK_ROWS):
+            parts = [b[start : start + _TABLE_CHUNK_ROWS].tolist() for b in blocks]
+            fh.writelines(line % tuple(sum(row, [])) for row in zip(*parts))
 
 
 def save_csv_dataset(data: DomainDataset, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(data.dim)] + ["label", "domain"])
-        for i in range(data.n):
-            writer.writerow(
-                [f"{v:.17g}" for v in data.features[i]]
-                + [str(int(data.labels[i])), str(data.domain_index)]
-            )
+    header = [f"f{i}" for i in range(data.dim)] + ["label", "domain"]
+    save_table(path, header, data.features, data.labels, np.full(data.n, data.domain_index))
 
 
 def load_csv_dataset(path: str) -> DomainDataset:

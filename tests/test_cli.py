@@ -1,12 +1,14 @@
 """End-to-end CLI: run directories, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
-from embmask.cli import SCHEMAS, main
+from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
 from embmask.rundir import RunDirectory
 
 SMALL_BENCH = {
@@ -281,7 +283,21 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
                 # The Gumbel clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
+                # Out-of-range values are config errors, not run failures.
+                ("sweep-global", "sweep.grid", "10,20"),
+                ("sweep-global", "sweep.grid", "0,150"),
+                ("sweep-global", "sweep.repeats", 0),
+                ("train-erm", "model.hidden", 0),
+                ("train-emg", "emg.hidden", -3),
             )
+        ),
+        pytest.param(
+            "eval",
+            {"eval.mode": "global", "eval.mask_percent": 150},
+            id="eval-global-eval.mask_percent=150",
+        ),
+        pytest.param(
+            "eval", {"eval.mode": "global", "eval.repeats": 0}, id="eval-global-eval.repeats=0"
         ),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
@@ -355,3 +371,57 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_inputs_outside_the_manifest_are_not_read(pipeline, tmp_path, capsys):
+    cfg, base = pipeline["cfg"], pipeline["base"]
+    # gen-data with fewer domains into the same directory leaves the old
+    # train_domain_2.csv behind, outside the new manifest.
+    data = tmp_path / "data"
+    for domains in (3, 2):
+        bench = {**SMALL_BENCH, "benchmark.num_train_domains": domains}
+        assert run_cmd("gen-data", cfg, out_dir=data, **bench) == 0
+    assert (data / "train_domain_2.csv").exists()
+    out = tmp_path / "eval"
+    assert run_cmd("eval", cfg, out_dir=out, **{"data.dir": data, "base.model": base}) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["per_domain_mean"]) == [
+        "train_domain_0", "train_domain_1", "train_pooled", "unseen",
+    ]
+
+    # eval into the directory of a train-erm run: base_model.* stay on disk
+    # but are no longer part of that run.
+    erm = tmp_path / "erm"
+    shutil.copytree(base.parent, erm)
+    stale = erm / base.name
+    assert run_cmd("eval", cfg, out_dir=erm, **{"data.dir": data, "base.model": stale}) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval_stale"
+    assert run_cmd("eval", cfg, out_dir=out, **{"data.dir": data, "base.model": stale}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=1") and "manifest" in err
+    assert not out.exists()
+
+
+def test_artifact_digest_chain_covers_every_code_path(monkeypatch):
+    """scripts/artifact_digests.py is the byte-identity check of refactors:
+    its CHAIN runs every command, every eval.mode of each command that takes
+    one, and both export.which values."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the script sets it on import
+    path = Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def used(key):
+        """(command, value of ``key``) for every CHAIN run whose command takes it."""
+        return {
+            (cmd, settings.get(key, SCHEMAS[cmd][key].default))
+            for cmd, _out, settings in script.CHAIN
+            if key in SCHEMAS[cmd]
+        }
+
+    assert {cmd for cmd, _out, _settings in script.CHAIN} == set(COMMANDS)
+    mode_commands = [cmd for cmd, schema in SCHEMAS.items() if "eval.mode" in schema]
+    assert used("eval.mode") == {(cmd, m) for cmd in mode_commands for m in EVAL_MODES}
+    assert used("export.which") == {("export-embeddings", w) for w in EXPORT_WHICH}

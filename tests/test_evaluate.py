@@ -6,7 +6,7 @@ import pytest
 from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
 from embmask.errors import ContractError, UsageError
 from embmask.evaluate import export_embeddings, export_masks, masked_accuracy
-from embmask.synthbench import Oracle
+from embmask.synthbench import Oracle, save_csv_dataset
 
 
 def _affine_split(w, b, split_index=0):
@@ -186,6 +186,36 @@ def test_export_masks_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "id,m0,m1,m2"
     assert len(lines) == 5
+
+
+def test_per_sample_csv_bytes(tmp_path):
+    """The exact bytes of the three per-sample CSVs: CRLF after the header
+    and every row, integer id/label/domain columns, 17 significant digits,
+    a masked -0.0 written as 0, and a header-only file for zero rows."""
+    split = _affine_split(np.eye(2), np.zeros(2))  # identity encoder: z = x
+    data = DomainDataset(np.array([[0.1, -2.5], [1 / 3, 1e-20]]), np.array([1, 0]), 7)
+    masks = np.array([[1.0, 0.0], [0.0, 0.7]])
+    empty = DomainDataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 7)
+
+    def written(write, *args):
+        path = tmp_path / "out.csv"
+        write(*args, str(path))
+        return path.read_bytes()
+
+    assert written(save_csv_dataset, data) == (
+        b"f0,f1,label,domain\r\n"
+        b"0.10000000000000001,-2.5,1,7\r\n"
+        b"0.33333333333333331,9.9999999999999995e-21,0,7\r\n"
+    )
+    assert written(lambda path: export_embeddings(split, data, path, masks)) == (
+        b"id,label,domain,e0,e1\r\n"
+        b"0,1,7,0.10000000000000001,0\r\n"
+        b"1,0,7,0,6.9999999999999992e-21\r\n"
+    )
+    assert written(export_masks, masks) == b"id,m0,m1\r\n0,1,0\r\n1,0,0.69999999999999996\r\n"
+    assert written(save_csv_dataset, empty) == b"f0,f1,label,domain\r\n"
+    assert written(lambda path: export_embeddings(split, empty, path)) == b"id,label,domain,e0,e1\r\n"
+    assert written(export_masks, np.zeros((0, 2))) == b"id,m0,m1\r\n"
 
 
 # -- aggregation -----------------------------------------------------------------------
