@@ -72,7 +72,6 @@ def main_cli() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_root", help="directory to write the run directories into")
     args = ap.parse_args()
-    os.environ.pop("EMBMASK_OUT_DIR", None)  # would redirect every run
     os.makedirs(args.out_root, exist_ok=True)
     os.chdir(args.out_root)
     for digest, out in run_chain():

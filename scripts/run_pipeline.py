@@ -85,11 +85,11 @@ def main():
             f"global p={best.percent:g} un {best.unseen_accuracy:.3f}"
         )
 
-    agg = aggregate_runs(reports, list(args.seeds))
+    mean, stderr = aggregate_runs(reports)
     print("\nmean +- stderr over seeds:")
-    for key in sorted(agg.per_domain_mean):
-        print(f"  {key:22s} {agg.per_domain_mean[key]:.4f} +- {agg.per_domain_stderr[key]:.4f}")
-    gain = agg.per_domain_mean["masked_unseen"] - agg.per_domain_mean["unmasked_unseen"]
+    for key in sorted(mean):
+        print(f"  {key:22s} {mean[key]:.4f} +- {stderr[key]:.4f}")
+    gain = mean["masked_unseen"] - mean["unmasked_unseen"]
     print(f"\nper-sample masking unseen-domain gain: {gain:+.4f}")
 
     if args.out:
@@ -97,8 +97,8 @@ def main():
             json.dump(
                 {
                     "per_seed": reports,
-                    "mean": agg.per_domain_mean,
-                    "stderr": agg.per_domain_stderr,
+                    "mean": mean,
+                    "stderr": stderr,
                     "seeds": list(args.seeds),
                 },
                 fh,

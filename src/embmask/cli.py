@@ -1,10 +1,16 @@
 """Command-line front end.
 
 One config file per command (strict flat key/value format, see config.py)
-with ``--set key=value`` overrides. Every command writes into a fresh or
-existing run directory whose artifacts are checksummed in a manifest, and is
-idempotent given identical config and seed. Exit codes: 0 success, 2 missing
-input artifact, 3 config parse error, 1 anything else.
+with ``--set key=value`` overrides; the config is the only way in, ``out_dir``
+included. Every command writes into a fresh or existing run directory whose
+artifacts are checksummed in a manifest, and is idempotent given identical
+config and seed. Its ``config.txt`` holds only the keys that shaped the run:
+``eval`` and ``export-embeddings`` leave out the mask-source keys their
+``eval.mode`` does not read, and reject them unless they hold their defaults.
+Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
+value out of range), 1 anything else (including inputs whose widths do not
+fit together). Configuration and inputs are checked before ``out_dir`` is
+created.
 """
 
 from __future__ import annotations
@@ -21,10 +27,9 @@ import numpy as np
 
 from .baseline import sweep_mask_percent, permutation_importance, global_mask_from_scores
 from .config import Field, load_config, parse_grid, parse_hidden
-from .errors import ConfigError, CorruptFileError, EmbmaskError
+from .errors import ConfigError, CorruptFileError, EmbmaskError, ShapeMismatchError
 from .evaluate import (
     DISTANCE_KINDS,
-    RunReport,
     accuracy,
     bound_terms,
     emg_masks,
@@ -83,9 +88,15 @@ def _build(cls, cfg: dict, prefix: str, **fixed):
 
 _MASK = _section(MaskGenConfig, "mask")
 
-# Where eval and export-embeddings take their mask from: none, a global
-# bottom-p% permutation-importance mask, or the trained generator.
-EVAL_MODES = ("none", "global", "emg")
+# Where eval and export-embeddings take their mask from (none, a global
+# bottom-p% permutation-importance mask, or the trained generator), each with
+# the mask-source keys it reads. Any other mask-source key must keep its
+# default, and config.txt leaves it out.
+EVAL_MODES = {
+    "none": (),
+    "global": ("eval.mask_percent", "eval.repeats"),
+    "emg": ("emg.model", *_MASK),
+}
 # The domains export-embeddings writes: every training domain, or the unseen one.
 EXPORT_WHICH = ("train", "unseen")
 
@@ -135,7 +146,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_COMMON,
         **_BASE,
         "emg.model": Field(str, ""),
-        "bound.distance": Field(str, "both"),
         **_MASK,
     },
     "export-embeddings": {
@@ -184,25 +194,45 @@ def _load_data_dir(data_dir: str):
     return train, load_csv_dataset(os.path.join(data_dir, "unseen.csv")), oracle
 
 
-def _load_split(cfg):
+def _load_split(cfg, dim: int):
+    """The frozen base model split at ``base.split_index``; it must take
+    ``dim`` features."""
     store = _load_model(cfg["base.model"], "base model")
     store.freeze()
     model = Mlp.from_store(store)
     idx = cfg["base.split_index"]
-    return split_model(model, None if idx < 0 else idx)
+    if idx != -1 and not 0 <= idx < model.n_layers:
+        raise ConfigError(f"base.split_index must be -1 or in [0, {model.n_layers}), got {idx}")
+    if model.layer_sizes[0] != dim:
+        raise ShapeMismatchError(
+            f"base model takes {model.layer_sizes[0]} features, the data has {dim}"
+        )
+    return split_model(model, None if idx == -1 else idx)
 
 
-def _load_generator(cfg) -> Mlp:
-    return Mlp.from_store(_load_model(cfg["emg.model"], "EMG model"), prefix="g.")
+def _load_generator(cfg, split, dim: int) -> Mlp:
+    """The mask generator; it must map ``dim`` features to a mask as wide as
+    ``split``'s embedding."""
+    gen = Mlp.from_store(_load_model(cfg["emg.model"], "EMG model"), prefix="g.")
+    widths = (gen.layer_sizes[0], gen.layer_sizes[-1])
+    if widths != (dim, split.embedding_dim):
+        raise ShapeMismatchError(
+            f"EMG model maps {widths[0]} features to {widths[1]} mask values; "
+            f"data has {dim} features, the embedding {split.embedding_dim} values"
+        )
+    return gen
 
 
-def _mask_source(cfg, split, train_data):
-    """``masks_for(data)`` for the configured eval.mode: None, the global
-    bottom-p% mask, or the generator's per-sample masks for ``data``."""
-    mode = cfg["eval.mode"]
+def _mask_source(cfg, mode, split, train_data):
+    """``masks_for(data)`` for mask source ``mode``: None, the global
+    bottom-p% mask, or the generator's per-sample masks for ``data``. Drops
+    from ``cfg`` the mask-source keys ``mode`` does not read."""
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval mode {mode!r}")
-    mask_cfg = _build(MaskGenConfig, cfg, "mask")
+    unread = [k for k in _MASK_SOURCE if k not in ("eval.mode", *EVAL_MODES[mode])]
+    for key in unread:
+        if key in cfg and cfg.pop(key) != _MASK_SOURCE[key].default:
+            raise ConfigError(f"{key} is not read with eval.mode = {mode}")
     if mode == "none":
         return lambda data: None
     if mode == "global":
@@ -213,7 +243,8 @@ def _mask_source(cfg, split, train_data):
         report = permutation_importance(split, train_data, repeats, rng)
         mask = global_mask_from_scores(report.scores, percent)
         return lambda data: mask
-    gen = _load_generator(cfg)
+    mask_cfg = _build(MaskGenConfig, cfg, "mask")
+    gen = _load_generator(cfg, split, train_data[0].dim)
     return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
 
@@ -249,8 +280,8 @@ def cmd_train_erm(cfg) -> None:
 
 
 def cmd_train_emg(cfg) -> None:
-    split = _load_split(cfg)
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
+    split = _load_split(cfg, train_data[0].dim)
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
@@ -268,25 +299,22 @@ def cmd_train_emg(cfg) -> None:
 
 
 def cmd_eval(cfg) -> None:
-    split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    masks_for = _mask_source(cfg, split, train_data)
+    split = _load_split(cfg, train_data[0].dim)
+    masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
     run = RunDirectory(cfg["out_dir"], cfg)
 
-    report = RunReport(seeds=[cfg["seed"]], config_echo={k: str(v) for k, v in cfg.items()})
     named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
     named += [("train_pooled", pool_domains(train_data)), ("unseen", unseen)]
-    for key, data in named:
-        report.per_domain_mean[key] = accuracy(split, data, masks_for(data))
-        report.per_domain_stderr[key] = 0.0
-    report.to_json(run.file("report.json"))
-    run.register("report.json")
+    means = {key: accuracy(split, data, masks_for(data)) for key, data in named}
+    report = json.dumps({"per_domain_mean": means}, indent=1, sort_keys=True)
+    run.write_text("report.json", report + "\n")
     run.finalize()
 
 
 def cmd_sweep_global(cfg) -> None:
-    split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
+    split = _load_split(cfg, train_data[0].dim)
     grid = parse_grid(cfg["sweep.grid"])
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
@@ -306,21 +334,15 @@ def cmd_sweep_global(cfg) -> None:
 
 
 def cmd_bound_check(cfg) -> None:
-    distance = cfg["bound.distance"]
-    if distance not in ("both", *DISTANCE_KINDS):
-        raise ConfigError(f"bound.distance must be both, L1 or L2, got {distance!r}")
-    mask_cfg = _build(MaskGenConfig, cfg, "mask")
-    split = _load_split(cfg)
-    _train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
+    train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
     if oracle is None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
-    gen = _load_generator(cfg)
-    run = RunDirectory(cfg["out_dir"], cfg)
-
-    kinds = ("L1", "L2") if distance == "both" else (distance,)
+    split = _load_split(cfg, train_data[0].dim)
+    masks = _mask_source(cfg, "emg", split, train_data)(unseen)
     z = split.encode_np(unseen.features)
-    masks = emg_masks(gen, unseen.features, mask_cfg, seed=cfg["seed"])
-    reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in kinds}
+    reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in DISTANCE_KINDS}
+
+    run = RunDirectory(cfg["out_dir"], cfg)
     run.write_text("bound.json", json.dumps(reports, indent=1, sort_keys=True) + "\n")
     run.finalize()
 
@@ -329,9 +351,9 @@ def cmd_export_embeddings(cfg) -> None:
     which = cfg["export.which"]
     if which not in EXPORT_WHICH:
         raise ConfigError(f"export.which must be train or unseen, got {which!r}")
-    split = _load_split(cfg)
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    masks_for = _mask_source(cfg, split, train_data)
+    split = _load_split(cfg, train_data[0].dim)
+    masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
     run = RunDirectory(cfg["out_dir"], cfg)
 
     for data in train_data if which == "train" else [unseen]:
@@ -383,8 +405,6 @@ def main(argv: list[str] | None = None) -> int:
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         cfg = load_config(args.config, SCHEMAS[args.command], overrides)
-        if "EMBMASK_OUT_DIR" in os.environ:
-            cfg["out_dir"] = os.environ["EMBMASK_OUT_DIR"]
         COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:

@@ -14,8 +14,7 @@ and including the bias would double-count it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,44 +144,19 @@ def export_masks(masks: Array, path: str) -> None:
     save_table(path, header, np.arange(len(masks)), masks)
 
 
-@dataclass
-class RunReport:
-    per_domain_mean: dict[str, float] = field(default_factory=dict)
-    per_domain_stderr: dict[str, float] = field(default_factory=dict)
-    seeds: list[int] = field(default_factory=list)
-    config_echo: dict = field(default_factory=dict)
-    artifacts: list[str] = field(default_factory=list)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "per_domain_mean": self.per_domain_mean,
-                    "per_domain_stderr": self.per_domain_stderr,
-                    "seeds": self.seeds,
-                    "config": self.config_echo,
-                    "artifacts": self.artifacts,
-                },
-                fh,
-                indent=1,
-                sort_keys=True,
-            )
-
-
-def aggregate_runs(reports: list[dict[str, float]], seeds: list[int]) -> RunReport:
-    """Mean and standard error (sample stddev / sqrt(#seeds)) per domain key."""
+def aggregate_runs(reports: list[dict[str, float]]) -> tuple[dict[str, float], dict[str, float]]:
+    """Per key of the reports, the mean and the standard error (sample
+    stddev / sqrt(#reports)), as two dicts."""
     if not reports:
         raise UsageError("need at least one report")
     keys = set(reports[0])
     for r in reports[1:]:
         if set(r) != keys:
             raise UsageError("reports cover different domain sets")
-    out = RunReport(seeds=list(seeds))
+    mean, stderr = {}, {}
     n = len(reports)
     for key in sorted(keys):
         vals = np.array([r[key] for r in reports])
-        out.per_domain_mean[key] = float(vals.mean())
-        out.per_domain_stderr[key] = (
-            float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        )
-    return out
+        mean[key] = float(vals.mean())
+        stderr[key] = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return mean, stderr

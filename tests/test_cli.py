@@ -87,9 +87,15 @@ COMMAND_KEYS = {
     ],
     "eval": [*_BASE, *_MASK_SOURCE],
     "sweep-global": [*_BASE, "sweep.grid", "sweep.repeats"],
-    "bound-check": [*_BASE, "emg.model", "bound.distance", *_MASK],
+    "bound-check": [*_BASE, "emg.model", *_MASK],
     "export-embeddings": [*_BASE, "export.which", *_MASK_SOURCE],
 }
+
+
+def _config(run_dir):
+    """The key -> value snapshot in ``run_dir``/config.txt."""
+    lines = (run_dir / "config.txt").read_text().splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
 
 
 def test_command_keys_are_pinned(pipeline):
@@ -97,8 +103,7 @@ def test_command_keys_are_pinned(pipeline):
         c: sorted(keys) for c, keys in COMMAND_KEYS.items()
     }
     emg_dir = pipeline["emg"].parent
-    lines = (emg_dir / "config.txt").read_text().splitlines()
-    config = dict(line.split(" = ", 1) for line in lines)
+    config = _config(emg_dir)
     assert sorted(config) == sorted(COMMAND_KEYS["train-emg"])
     trace = (emg_dir / "emg_trace.csv").read_text().splitlines()[1:]
     epochs = [row for row in trace if not row.startswith("#")]
@@ -128,17 +133,20 @@ def test_train_outputs_verify(pipeline):
 
 def test_eval_modes_and_report_shape(pipeline, tmp_path):
     cfg, data, base = pipeline["cfg"], pipeline["data"], pipeline["base"]
-    for mode, extra in (
-        ("none", {}),
-        ("global", {"eval.mask_percent": 25}),
-        ("emg", {"emg.model": pipeline["emg"]}),
+    # The mask-source keys each mode reads: config.txt records no others.
+    for mode, extra, read in (
+        ("none", {}, []),
+        ("global", {"eval.mask_percent": 25}, ["eval.mask_percent", "eval.repeats"]),
+        ("emg", {"emg.model": pipeline["emg"]}, ["emg.model", *_MASK]),
     ):
         out = tmp_path / f"eval_{mode}"
         code = run_cmd(
             "eval", cfg, out_dir=out, **{"data.dir": data, "base.model": base, "eval.mode": mode, **extra}
         )
         assert code == 0
+        assert sorted(_config(out)) == sorted([*_BASE, "eval.mode", *read])
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["per_domain_mean"]
         keys = set(report["per_domain_mean"])
         assert {"train_pooled", "unseen", "train_domain_0"} <= keys
         for v in report["per_domain_mean"].values():
@@ -250,14 +258,6 @@ def test_missing_seed_exits_3(tmp_path):
     assert main(["gen-data", "--config", str(cfg)]) == 3
 
 
-def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
-    target = tmp_path / "env_dir"
-    monkeypatch.setenv("EMBMASK_OUT_DIR", str(target))
-    assert run_cmd("gen-data", pipeline["cfg"], out_dir=tmp_path / "ignored", **SMALL_BENCH) == 0
-    assert target.exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 @pytest.mark.parametrize(
     "cmd, overrides",
     [
@@ -289,6 +289,9 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
                 ("sweep-global", "sweep.repeats", 0),
                 ("train-erm", "model.hidden", 0),
                 ("train-emg", "emg.hidden", -3),
+                # -1 or a layer index of the one-layer base model.
+                ("eval", "base.split_index", -2),
+                ("eval", "base.split_index", 5),
             )
         ),
         pytest.param(
@@ -299,6 +302,21 @@ def test_out_dir_env_override(pipeline, tmp_path, monkeypatch):
         pytest.param(
             "eval", {"eval.mode": "global", "eval.repeats": 0}, id="eval-global-eval.repeats=0"
         ),
+        # A mask-source key the mode does not read is rejected unless it
+        # holds its default.
+        pytest.param(
+            "eval",
+            {"eval.mode": "none", "emg.model": "elsewhere/emg_model"},
+            id="eval-none-emg.model",
+        ),
+        pytest.param(
+            "export-embeddings",
+            {"eval.mode": "global", "mask.tau": 0.5},
+            id="export-embeddings-global-mask.tau=0.5",
+        ),
+        pytest.param(
+            "eval", {"eval.mode": "emg", "eval.repeats": 2}, id="eval-emg-eval.repeats=2"
+        ),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
 )
@@ -306,13 +324,53 @@ def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd
     inputs = {"data.dir": pipeline["data"]}
     if cmd != "train-erm":
         inputs["base.model"] = pipeline["base"]
-    if cmd in ("eval", "bound-check", "export-embeddings"):
+    if cmd == "bound-check" or overrides.get("eval.mode") == "emg":
         inputs["emg.model"] = pipeline["emg"]
     out = tmp_path / "out"
     assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs, **overrides) == 3
     err = capsys.readouterr().err
     assert "error code=3" in err
     assert str(overrides.get("export.which", "")) in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def misfits(pipeline):
+    """A 16-feature data directory and a base model with a 12-wide
+    embedding; the pipeline's models take 8 features and mask 8 values."""
+    root, cfg = pipeline["root"], pipeline["cfg"]
+    wide = {**SMALL_BENCH, "benchmark.d_shared": 8, "benchmark.d_specific": 8}
+    assert run_cmd("gen-data", cfg, out_dir=root / "data16", **wide) == 0
+    erm = {"data.dir": pipeline["data"], "model.hidden": "12", "train.max_epochs": 1}
+    assert run_cmd("train-erm", cfg, out_dir=root / "erm12", **erm) == 0
+    return {"data16": root / "data16", "base12": root / "erm12" / "base_model"}
+
+
+@pytest.mark.parametrize(
+    "cmd, misfit",
+    [
+        *((cmd, "data") for cmd in SCHEMAS if "base.model" in SCHEMAS[cmd]),
+        *((cmd, "generator") for cmd in SCHEMAS if "emg.model" in SCHEMAS[cmd]),
+        ("bound-check", "predictor"),
+    ],
+)
+def test_inputs_that_do_not_fit_exit_1_before_run_dir(
+    pipeline, misfits, tmp_path, capsys, cmd, misfit
+):
+    if misfit == "data":  # the base model takes 8 features
+        inputs = {"data.dir": misfits["data16"], "base.model": pipeline["base"]}
+    elif misfit == "generator":  # the generator masks 8 values of a 12-wide embedding
+        inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"]}
+        if cmd != "bound-check":
+            inputs["eval.mode"] = "emg"
+    else:  # split at 0, the predictor has two layers; the bound needs one
+        inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"], "base.split_index": 0}
+    if cmd == "bound-check" or inputs.get("eval.mode") == "emg":
+        inputs["emg.model"] = pipeline["emg"]
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=1") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -222,24 +222,24 @@ def test_per_sample_csv_bytes(tmp_path):
 
 
 def test_aggregate_single_run():
-    out = aggregate_runs([{"unseen": 0.7}], [0])
-    assert out.per_domain_mean["unseen"] == 0.7
-    assert out.per_domain_stderr["unseen"] == 0.0
+    mean, stderr = aggregate_runs([{"unseen": 0.7}])
+    assert mean["unseen"] == 0.7
+    assert stderr["unseen"] == 0.0
 
 
 def test_aggregate_two_runs_hand_oracle():
-    out = aggregate_runs([{"unseen": 0.8}, {"unseen": 0.9}], [0, 1])
-    np.testing.assert_allclose(out.per_domain_mean["unseen"], 0.85, atol=1e-15)
-    np.testing.assert_allclose(out.per_domain_stderr["unseen"], 0.05, atol=1e-12)
+    mean, stderr = aggregate_runs([{"unseen": 0.8}, {"unseen": 0.9}])
+    np.testing.assert_allclose(mean["unseen"], 0.85, atol=1e-15)
+    np.testing.assert_allclose(stderr["unseen"], 0.05, atol=1e-12)
 
 
 def test_aggregate_identical_runs_zero_stderr():
-    out = aggregate_runs([{"a": 0.5}] * 4, [0, 1, 2, 3])
-    assert out.per_domain_stderr["a"] == 0.0
+    _mean, stderr = aggregate_runs([{"a": 0.5}] * 4)
+    assert stderr["a"] == 0.0
 
 
 def test_aggregate_mismatched_domains_rejected():
     with pytest.raises(UsageError):
-        aggregate_runs([{"a": 0.5}, {"b": 0.5}], [0, 1])
+        aggregate_runs([{"a": 0.5}, {"b": 0.5}])
     with pytest.raises(UsageError):
-        aggregate_runs([], [])
+        aggregate_runs([])
