@@ -7,10 +7,10 @@ synthetic multi-domain benchmark with known shared/specific features, and
 empirical generalization-bound diagnostics.
 """
 
-from .mask import MaskGenConfig, gumbel_sample, inference_mask, training_mask
+from .mask import MaskGenConfig, gumbel_sample, inference_mask
 from .nn import Mlp, ParamStore, SplitModel, load_params, save_params, split_model
 from .synthbench import BenchmarkSpec, DomainDataset, generate_benchmark
-from .train import TrainConfig, TrainTrace, hard_ce, soft_ce, train_emg, train_erm
+from .train import TrainConfig, TrainTrace, train_emg, train_erm
 from .evaluate import accuracy, aggregate_runs, bound_terms, emg_masks
 from .baseline import global_mask_from_scores, permutation_importance, sweep_mask_percent
 
@@ -18,7 +18,6 @@ __all__ = [
     "MaskGenConfig",
     "gumbel_sample",
     "inference_mask",
-    "training_mask",
     "Mlp",
     "ParamStore",
     "SplitModel",
@@ -30,8 +29,6 @@ __all__ = [
     "generate_benchmark",
     "TrainConfig",
     "TrainTrace",
-    "hard_ce",
-    "soft_ce",
     "train_emg",
     "train_erm",
     "accuracy",

@@ -115,9 +115,8 @@ def training_mask(
     cfg: MaskGenConfig,
     rng: np.random.Generator,
 ) -> T.Tensor:
-    """Stochastic mask for a training batch on the reference tape; fresh
-    Gumbel noise per call. ``train.emg_forward`` draws the same noise in the
-    same order, so the tests compare the two bit for bit.
+    """Stochastic mask for a training batch on the tape; fresh Gumbel noise
+    per call, drawn as ``train.emg_forward`` draws it.
     """
     logits = generator.forward(T.Tensor(x), leaves)
     return relaxed_mask(logits, gumbel_noise(rng, logits.shape), cfg.tau)

@@ -71,7 +71,7 @@ class ParamStore:
         self.frozen = True
 
     def leaves(self) -> dict[str, T.Tensor]:
-        """Fresh leaf tensors for one pass on the reference tape."""
+        """Fresh leaf tensors for one pass on the tape."""
         return {
             n: T.Tensor(v, requires_grad=not self.frozen) for n, v in self._values.items()
         }
@@ -122,10 +122,20 @@ class Mlp:
 
     @classmethod
     def from_store(cls, store: ParamStore, prefix: str = "") -> "Mlp":
+        """The model whose layers ``w0, b0, w1, ...`` the store holds;
+        ``CorruptFileError`` unless they chain."""
         sizes: list[int] = []
         i = 0
         while f"{prefix}w{i}" in store:
             w = store[f"{prefix}w{i}"]
+            if w.ndim != 2 or (sizes and w.shape[0] != sizes[-1]):
+                raise CorruptFileError(
+                    f"{prefix}w{i} has shape {w.shape}; the weights must chain "
+                    "as (fan_in, fan_out) matrices"
+                )
+            b = f"{prefix}b{i}"
+            if b not in store or store[b].shape != (w.shape[1],):
+                raise CorruptFileError(f"{b} missing or not shaped ({w.shape[1]},)")
             if not sizes:
                 sizes.append(w.shape[0])
             sizes.append(w.shape[1])
@@ -134,20 +144,16 @@ class Mlp:
             raise UsageError(f"no layers with prefix {prefix!r} in store")
         return cls(sizes, store=store, prefix=prefix, init=False)
 
-    def _apply(self, x: T.Tensor, leaves, start: int, stop: int) -> T.Tensor:
-        """Layers ``start..stop-1`` on the tape; ``leaves`` maps parameter
-        names to leaf tensors, or to raw arrays that enter as constants."""
+    def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
+        """The forward on the tape; ``leaves`` maps parameter names to leaf
+        tensors."""
+        self._check_width(x, 0)
         h = x
-        for i in range(start, stop):
+        for i in range(self.n_layers):
             h = T.linear(h, leaves[f"{self.prefix}w{i}"], leaves[f"{self.prefix}b{i}"])
             if i < self.n_layers - 1:
                 h = T.relu(h)
         return h
-
-    def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
-        """The reference forward on the tape."""
-        self._check_width(x, 0)
-        return self._apply(x, leaves, 0, self.n_layers)
 
     def _check_width(self, x, layer: int) -> None:
         if x.shape[1] != self.layer_sizes[layer]:
@@ -237,11 +243,6 @@ class SplitModel:
 
     def predict_np(self, z: Array) -> Array:
         return self.model._apply_np(z, self.split_index, self.model.n_layers)
-
-    def predict_t(self, z: T.Tensor) -> T.Tensor:
-        """Predictor forward on the reference tape; parameters enter as
-        constants."""
-        return self.model._apply(z, self.model.store, self.split_index, self.model.n_layers)
 
     def predictor_affine_params(self) -> tuple[Array, Array]:
         if not self.predictor_is_affine:
@@ -341,6 +342,8 @@ def load_params(path: str) -> ParamStore:
         raise CorruptFileError(
             f"payload {payload_path} length {len(payload)} != manifest total {end}"
         )
+    if not np.isfinite(store.flat).all():
+        raise CorruptFileError(f"payload {payload_path} holds a non-finite value")
     if flags == {False}:
         store.freeze()
     return store

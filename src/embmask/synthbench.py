@@ -48,6 +48,8 @@ class BenchmarkSpec:
             raise ConfigError("need at least 1 training domain")
         if not (0.0 <= self.spurious_strength <= 1.0):
             raise ConfigError("spurious_strength must be in [0, 1]")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         for name in ("d_shared", "d_specific", "samples_per_domain", "unseen_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

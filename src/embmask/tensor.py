@@ -1,15 +1,14 @@
-"""Array arithmetic of the training graphs, and the autodiff tape that is
-the tests' reference for it.
+"""Array arithmetic of the training graphs, and a small autodiff tape.
 
 Training does not use the tape: ``nn``, ``mask`` and ``train`` run fused
 NumPy steps that call the array functions here (``linear_np``,
 ``linear_grad_*``, ``relu_np``, ``relu_grad``, ``cross_entropy_np``,
-``cross_entropy_grad``) directly. The tape ops ``linear``, ``relu``, ``mul``
-and ``cross_entropy`` call the same functions, record their parents, and
-``Tensor.backward()`` replays them in reverse topological order, so the
-tests can compare the fused gradients with ``backward_grads`` bit for bit
-and finite-difference both. The benchmark's tracer also hooks ``Tensor``
-and ``backward_grads``.
+``cross_entropy_grad``) directly. The tape ops ``linear``, ``relu`` and
+``cross_entropy`` call the same functions and record their parents, and
+``Tensor.backward()`` replays them in reverse topological order. The tape
+is kept only for the benchmark's tracer, which hooks ``Tensor``,
+``backward_grads`` and tape-built names in ``nn``, ``mask`` and ``train``;
+one test compares the fused ERM gradient with ``backward_grads`` bit for bit.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- backward pass ----------------------------------------------------
 
@@ -196,21 +192,6 @@ def relu(x) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise product of two equal-shape operands."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"mul: shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
-    def bw(g: Array) -> None:
-        accumulate(a, lambda: g * b.data)
-        accumulate(b, lambda: g * a.data)
-
-    out._backward_fn = bw
-    return out
-
-
 def cross_entropy(q, logits) -> Tensor:
     """``cross_entropy_np`` on the tape; q is a constant."""
     q = np.asarray(q, dtype=np.float64)
@@ -235,51 +216,3 @@ def backward_grads(loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[str, Arra
         if leaf.requires_grad:
             grads[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
     return grads
-
-
-def grad_check(
-    f: Callable[[Mapping[str, Tensor]], Tensor],
-    params: Mapping[str, Array],
-    eps: float = 1e-5,
-) -> float:
-    """Compare analytic gradients of ``f`` against central finite differences.
-
-    ``f`` maps a dict of named leaf tensors to a scalar loss and must be
-    deterministic given its inputs. Returns the maximum over all parameter
-    entries of |analytic - numeric| / max(1, |analytic|).
-    """
-    leaves = {
-        k: Tensor(np.array(v, dtype=np.float64, copy=True), requires_grad=True)
-        for k, v in params.items()
-    }
-    loss = f(leaves)
-    analytic = backward_grads(loss, leaves)
-
-    max_rel = 0.0
-    for name, base in params.items():
-        base = np.asarray(base, dtype=np.float64)
-        a_grad = analytic.get(name, np.zeros_like(base))
-        num = np.zeros_like(base)
-        flat = base.ravel()
-        for i in range(flat.size):
-            plus = flat.copy()
-            plus[i] += eps
-            minus = flat.copy()
-            minus[i] -= eps
-            lp = f(_const_leaves(params, name, plus.reshape(base.shape))).item()
-            lm = f(_const_leaves(params, name, minus.reshape(base.shape))).item()
-            num.ravel()[i] = (lp - lm) / (2.0 * eps)
-        rel = np.abs(a_grad - num) / np.maximum(1.0, np.abs(a_grad))
-        if rel.size:
-            max_rel = max(max_rel, float(rel.max()))
-    return max_rel
-
-
-def _const_leaves(
-    params: Mapping[str, Array], replace: str, value: Array
-) -> dict[str, Tensor]:
-    out = {}
-    for k, v in params.items():
-        data = value if k == replace else np.asarray(v, dtype=np.float64)
-        out[k] = Tensor(np.array(data, copy=True), requires_grad=False)
-    return out

@@ -15,8 +15,8 @@ best-validation epoch.
 Each step is fused NumPy (``erm_forward``, ``emg_forward``): a forward that
 keeps its intermediates and a hand-derived backward that writes into views of
 one flat gradient vector, followed by one vectorized Adam step over the
-store's flat parameter vector. The tape losses ``hard_ce`` and ``soft_ce``
-are the tests' reference for them.
+store's flat parameter vector. ``hard_ce`` and ``soft_ce`` are the same
+losses on the tape.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
 #
 # Each returns the batch loss and a ``backward(grads)`` that writes the
 # gradient wrt the trainable parameters into ``grads``, the views
-# ``ParamStore.views`` gives of a flat gradient vector. They repeat the tape's
-# arithmetic op for op (both call the array functions of ``tensor`` and
-# ``mask``), so their gradients equal ``backward_grads`` on the tape bit for bit.
+# ``ParamStore.views`` gives of a flat gradient vector. They call the array
+# functions of ``tensor`` and ``mask`` in the tape's order, so ``erm_forward``'s
+# gradient equals ``backward_grads`` on the tape bit for bit.
 
 Backward = Callable[[Mapping[str, Array]], None]
 
@@ -154,8 +154,7 @@ def emg_forward(
 ) -> tuple[float, Backward]:
     """The EMG objective, fused: cross entropy between the target
     distribution q and the frozen predictor on m * z, with m the training
-    mask the generator gives x under fresh Gumbel noise from rng (the tape's
-    ``cross_entropy(q, split.predict_t(mul(training_mask(...), z)))``)."""
+    mask the generator gives x under fresh Gumbel noise from rng."""
     gen_acts = generator.forward_train(x)
     logits = gen_acts[-1]
     m, mask_cache = relaxed_mask_np(logits, gumbel_noise(rng, logits.shape), mask_cfg.tau)
@@ -231,7 +230,10 @@ def _stratified_split(
             n_val = 0
         val_idx.extend(idx[:n_val])
         train_idx.extend(idx[n_val:])
-    return np.sort(np.array(train_idx)), np.sort(np.array(val_idx))
+    return (
+        np.sort(np.array(train_idx, dtype=np.int64)),
+        np.sort(np.array(val_idx, dtype=np.int64)),
+    )
 
 
 def pooled_split(
@@ -240,7 +242,9 @@ def pooled_split(
     """Pool domains and hold out a stratified validation share per domain.
 
     Only sample indices are used for the split; domain identity never leaks
-    into features or targets.
+    into features or targets. Raises DegenerateDataError when no domain has
+    a class with two members to hold one out, so the pooled validation
+    split would be empty.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
     xs_tr, ys_tr, xs_va, ys_va = [], [], [], []
@@ -250,6 +254,8 @@ def pooled_split(
         ys_tr.append(data.labels[tr])
         xs_va.append(data.features[va])
         ys_va.append(data.labels[va])
+    if not sum(len(y) for y in ys_va):
+        raise DegenerateDataError("the pooled validation split is empty")
     return (
         np.concatenate(xs_tr),
         np.concatenate(ys_tr),

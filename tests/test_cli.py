@@ -6,9 +6,11 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
+from embmask.nn import ParamStore, load_params, save_params
 from embmask.rundir import RunDirectory
 
 SMALL_BENCH = {
@@ -292,6 +294,9 @@ def test_missing_seed_exits_3(tmp_path):
                 # -1 or a layer index of the one-layer base model.
                 ("eval", "base.split_index", -2),
                 ("eval", "base.split_index", 5),
+                ("gen-data", "benchmark.noise_sigma", "nan"),
+                ("gen-data", "benchmark.noise_sigma", "inf"),
+                ("gen-data", "benchmark.noise_sigma", -1),
             )
         ),
         pytest.param(
@@ -321,8 +326,8 @@ def test_missing_seed_exits_3(tmp_path):
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
 )
 def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd, overrides):
-    inputs = {"data.dir": pipeline["data"]}
-    if cmd != "train-erm":
+    inputs = {} if cmd == "gen-data" else {"data.dir": pipeline["data"]}
+    if cmd not in ("gen-data", "train-erm"):
         inputs["base.model"] = pipeline["base"]
     if cmd == "bound-check" or overrides.get("eval.mode") == "emg":
         inputs["emg.model"] = pipeline["emg"]
@@ -334,16 +339,44 @@ def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd
     assert not out.exists()
 
 
+def _model_run(path, store):
+    """A complete run directory at ``path`` whose manifest lists the base
+    model ``store``."""
+    run = RunDirectory(str(path), {})
+    save_params(store, run.file("base_model"))
+    run.register("base_model.manifest", "base_model.params")
+    run.finalize()
+    return path / "base_model"
+
+
+def _params(**shapes):
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, np.ones(shape))
+    return store
+
+
 @pytest.fixture(scope="module")
 def misfits(pipeline):
     """A 16-feature data directory and a base model with a 12-wide
-    embedding; the pipeline's models take 8 features and mask 8 values."""
+    embedding; the pipeline's models take 8 features and mask 8 values.
+    Also base models, in runs that verify, with a NaN parameter, with a
+    ``w1`` that does not take ``w0``'s width, and with ``b0`` missing."""
     root, cfg = pipeline["root"], pipeline["cfg"]
     wide = {**SMALL_BENCH, "benchmark.d_shared": 8, "benchmark.d_specific": 8}
     assert run_cmd("gen-data", cfg, out_dir=root / "data16", **wide) == 0
     erm = {"data.dir": pipeline["data"], "model.hidden": "12", "train.max_epochs": 1}
     assert run_cmd("train-erm", cfg, out_dir=root / "erm12", **erm) == 0
-    return {"data16": root / "data16", "base12": root / "erm12" / "base_model"}
+    nan = load_params(str(pipeline["base"]))
+    nan["w0"][0, 0] = np.nan
+    unchained = _params(w0=(8, 64), b0=(64,), w1=(32, 3), b1=(3,))
+    return {
+        "data16": root / "data16",
+        "base12": root / "erm12" / "base_model",
+        "nan_parameter": _model_run(root / "nan_parameter", nan),
+        "unchained": _model_run(root / "unchained", unchained),
+        "missing_bias": _model_run(root / "missing_bias", _params(w0=(8, 3))),
+    }
 
 
 @pytest.mark.parametrize(
@@ -352,6 +385,9 @@ def misfits(pipeline):
         *((cmd, "data") for cmd in SCHEMAS if "base.model" in SCHEMAS[cmd]),
         *((cmd, "generator") for cmd in SCHEMAS if "emg.model" in SCHEMAS[cmd]),
         ("bound-check", "predictor"),
+        ("eval", "nan_parameter"),
+        ("eval", "unchained"),
+        ("eval", "missing_bias"),
     ],
 )
 def test_inputs_that_do_not_fit_exit_1_before_run_dir(
@@ -363,8 +399,10 @@ def test_inputs_that_do_not_fit_exit_1_before_run_dir(
         inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"]}
         if cmd != "bound-check":
             inputs["eval.mode"] = "emg"
-    else:  # split at 0, the predictor has two layers; the bound needs one
+    elif misfit == "predictor":  # split at 0, the predictor has two layers; the bound needs one
         inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"], "base.split_index": 0}
+    else:  # a base model file that holds no usable model
+        inputs = {"data.dir": pipeline["data"], "base.model": misfits[misfit]}
     if cmd == "bound-check" or inputs.get("eval.mode") == "emg":
         inputs["emg.model"] = pipeline["emg"]
     out = tmp_path / "out"

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask, training_mask
+from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask
 from embmask import tensor as T
 from embmask.errors import ConfigError, ShapeMismatchError
-from embmask.mask import gumbel_noise, keep_mask, relaxed_mask, relaxed_mask_np, sigmoid_np
+from embmask.mask import (
+    gumbel_noise,
+    keep_mask,
+    relaxed_mask,
+    relaxed_mask_grad,
+    relaxed_mask_np,
+    sigmoid_np,
+    training_mask,
+)
+from finite_diff import finite_difference_error
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -188,16 +197,23 @@ def test_training_mask_stochastic_but_seed_deterministic():
 
 
 def test_training_mask_gradient_matches_finite_differences():
+    # loss = sum(w * m), so its gradient wrt the logits is relaxed_mask_grad(w, ...)
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(4, 3))
-    gen = Mlp([3, 4], seed=2)
-    cfg = MaskGenConfig()
+    flat = rng.normal(size=24)
+    logits = flat.reshape(4, 6)  # a view: perturbing flat perturbs the logits
+    noise = gumbel_noise(np.random.default_rng(5), logits.shape)
+    w = rng.normal(size=logits.shape)
+    for tau in (0.5, 2.0):
+        m, cache = relaxed_mask_np(logits, noise, tau)
+        grad = relaxed_mask_grad(w, cache)
 
-    def f(leaves):
-        # re-seeded per call, so every evaluation sees the same noise
-        return _total(training_mask(gen, x, leaves, cfg, np.random.default_rng(5)))
+        def loss(tau=tau):
+            return float(np.sum(w * relaxed_mask_np(logits, noise, tau)[0]))
 
-    assert T.grad_check(f, gen.store.state_copy()) < 1e-4
+        assert finite_difference_error(flat, loss, grad.ravel()) < 1e-4
+        # no clip is active here, so the closed form holds at every entry
+        assert ((m > 1e-12) & (m < 1.0 - 1e-12)).all()
+        np.testing.assert_allclose(grad, -w * m * (1.0 - m) / tau, rtol=1e-12)
 
 
 def test_inference_noise_free_tau_one_exact():

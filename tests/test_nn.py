@@ -244,3 +244,35 @@ def test_trainable_store_loads_trainable(tmp_path):
 def test_missing_files_raise(tmp_path):
     with pytest.raises(CorruptFileError):
         load_params(str(tmp_path / "nothing"))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_raises(tmp_path, value):
+    path = str(tmp_path / "model")
+    store = Mlp([3, 4, 2], seed=1).store
+    store["w1"][2, 1] = value
+    save_params(store, path)
+    with pytest.raises(CorruptFileError):
+        load_params(path)
+
+
+def _store(**shapes):
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, np.ones(shape))
+    return store
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        {"w0": (3, 64), "b0": (64,), "w1": (32, 2), "b1": (2,)},  # fan-in 32 after width 64
+        {"w0": (3, 4), "w1": (4, 2), "b1": (2,)},  # b0 missing
+        {"w0": (3, 4), "b0": (3,)},  # b0 not shaped (fan_out,)
+        {"w0": (12,), "b0": (4,)},  # w0 not a matrix
+    ],
+    ids=["fan-in", "missing-bias", "bias-width", "weight-rank"],
+)
+def test_layers_that_do_not_chain_raise(shapes):
+    with pytest.raises(CorruptFileError):
+        Mlp.from_store(_store(**shapes))
