@@ -8,7 +8,8 @@ NumPy steps that call the array functions here (``linear_np``,
 ``Tensor.backward()`` replays them in reverse topological order. The tape
 is kept only for the benchmark's tracer, which hooks ``Tensor``,
 ``backward_grads`` and tape-built names in ``nn``, ``mask`` and ``train``;
-one test compares the fused ERM gradient with ``backward_grads`` bit for bit.
+the tests compare the fused ERM and EMG gradients with ``backward_grads`` bit
+for bit.
 """
 
 from __future__ import annotations

@@ -125,8 +125,8 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
 # Each returns the batch loss and a ``backward(grads)`` that writes the
 # gradient wrt the trainable parameters into ``grads``, the views
 # ``ParamStore.views`` gives of a flat gradient vector. They call the array
-# functions of ``tensor`` and ``mask`` in the tape's order, so ``erm_forward``'s
-# gradient equals ``backward_grads`` on the tape bit for bit.
+# functions of ``tensor`` and ``mask`` in the tape's order, so their gradients
+# equal ``backward_grads`` on the tape bit for bit.
 
 Backward = Callable[[Mapping[str, Array]], None]
 

@@ -28,6 +28,7 @@ from embmask.errors import (
     ShapeMismatchError,
     UsageError,
 )
+from embmask.mask import training_mask
 from embmask.train import (
     AdamState,
     _emg_target,
@@ -238,6 +239,57 @@ def test_fused_emg_gradient_matches_finite_differences(base_sizes, split_at, har
     assert all(np.isfinite(g).all() for g in grads.values())
     assert any((g != 0.0).any() for g in grads.values())
     assert fused_grad_error(gen.store, forward) < 1e-4
+
+
+def _tape_mul(a, b):
+    """Elementwise product of two equal-shape tensors on the tape."""
+    out = T.Tensor(a.data * b.data, _parents=(a, b))
+
+    def bw(g):
+        T.accumulate(a, lambda: g * b.data)
+        T.accumulate(b, lambda: g * a.data)
+
+    out._backward_fn = bw
+    return out
+
+
+def _tape_predict(split, z):
+    """The frozen predictor on the tape; its parameters enter as constants."""
+    model = split.model
+    h = z
+    for i in range(split.split_index, model.n_layers):
+        h = T.linear(h, model.store[f"{model.prefix}w{i}"], model.store[f"{model.prefix}b{i}"])
+        if i < model.n_layers - 1:
+            h = T.relu(h)
+    return h
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5])
+@pytest.mark.parametrize("hard_target", [False, True], ids=["soft", "hard_target"])
+@pytest.mark.parametrize(
+    "base_sizes, split_at",
+    [([5, 6, 3], None), ([5, 6, 4, 3], 1)],
+    ids=["affine_predictor", "two_layer_predictor"],
+)
+def test_fused_emg_gradient_equals_tape_bitwise(base_sizes, split_at, hard_target, tau):
+    rng = np.random.default_rng(7)
+    base = Mlp(base_sizes, seed=2)
+    _randomize(base.store, rng)
+    base.store.freeze()
+    split = split_model(base, split_at)
+    gen = Mlp([5, 4, split.embedding_dim], prefix="g.", seed=5)
+    _randomize(gen.store, rng)
+    x = rng.normal(size=(10, 5))
+    z, q = _emg_target(split, x, hard_target)
+    cfg = MaskGenConfig(tau=tau)
+    leaves = gen.store.leaves()
+    m = training_mask(gen, x, leaves, cfg, np.random.default_rng(11))
+    tape_loss = T.cross_entropy(q, _tape_predict(split, _tape_mul(m, T.Tensor(z))))
+    tape_grads = T.backward_grads(tape_loss, leaves)
+    loss, grads = _fused(
+        gen.store, lambda: emg_forward(split, gen, x, z, q, cfg, np.random.default_rng(11))
+    )
+    _assert_bitwise(loss, grads, tape_loss, tape_grads)
 
 
 def test_finite_differences_catch_a_wrong_relu_gradient(monkeypatch):
