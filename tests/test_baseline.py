@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from embmask import (
     BenchmarkSpec,
+    accuracy,
     DomainDataset,
     Mlp,
     TrainConfig,
@@ -18,6 +19,9 @@ from embmask import (
     train_erm,
 )
 from embmask.errors import UsageError
+from embmask.evaluate import masked_accuracy
+from embmask.nn import SplitModel
+from embmask.synthbench import pool_domains
 
 
 def _linear_split(w, b):
@@ -123,7 +127,6 @@ def trained_setup():
 def test_sweep_zero_row_is_unmasked_bitwise(trained_setup):
     split, train, unseen = trained_setup
     table = sweep_mask_percent(split, train, unseen, [0.0, 50.0], rng=np.random.default_rng(0))
-    from embmask import accuracy
 
     row0 = [r for r in table.rows if r.percent == 0.0][0]
     assert row0.unseen_accuracy == accuracy(split, unseen)
@@ -153,3 +156,114 @@ def test_sweep_csv_format(trained_setup, tmp_path):
     assert lines[0] == "percent,unseen_acc,train_acc"
     assert lines[-1].startswith("# best_percent=")
     assert len(lines) == 4
+
+
+def _count_predicted_rows(monkeypatch):
+    """Record the row count of every ``predict_np`` call from now on."""
+    rows = []
+    predict = SplitModel.predict_np
+
+    def counted(self, z):
+        rows.append(len(z))
+        return predict(self, z)
+
+    monkeypatch.setattr(SplitModel, "predict_np", counted)
+    return rows
+
+
+def test_sweep_rejects_bad_percent_before_any_prediction(trained_setup, monkeypatch):
+    split, train, unseen = trained_setup
+    calls = _count_predicted_rows(monkeypatch)
+    with pytest.raises(UsageError, match="percent out of range: 150"):
+        sweep_mask_percent(split, train, unseen, [0.0, 150.0])
+    assert calls == []
+
+
+# -- equivalence with the copy-per-permutation loop ------------------------------
+
+
+def _reference_importance(split, datasets, repeats, rng):
+    """Permutation importance as first written: copy the whole embedding and
+    predict every row for each permutation."""
+    pooled = pool_domains(datasets)
+    z = split.encode_np(pooled.features)
+    base = masked_accuracy(split, z, pooled.labels)
+    scores = np.zeros(z.shape[1])
+    for k in range(z.shape[1]):
+        drops = []
+        for _ in range(repeats):
+            zp = z.copy()
+            zp[:, k] = zp[rng.permutation(len(zp)), k]
+            drops.append(base - masked_accuracy(split, zp, pooled.labels))
+        scores[k] = np.mean(drops)
+    return scores, base
+
+
+def _tie_setup():
+    """Classes 0 and 1 differ only in their weight on dimension 3, which is
+    zero in one row alone: that row is an exact tie between them wherever
+    they lead, and must resolve to class 0 though its label is 1."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(4, 3))
+    w[:3, 1] = w[:3, 0]
+    x = rng.normal(size=(200, 4))
+    x[0] = [1.0, 1.0, 1.0, 0.0]
+    labels = rng.integers(3, size=200)
+    labels[0] = 1
+    return _linear_split(w, np.zeros(3)), [DomainDataset(x, labels, 0)]
+
+
+def _cancellation_setup():
+    """Class 1 leads class 0 by 1e-11, which vanishes next to dimension 0's
+    1e6: the rank-1 update cancels 1e6 back out of a tie and still reads a
+    tie, where the full product of a row permuted to 0 predicts class 1."""
+    w = np.array([[1.0, 1.0], [0.0, 1e-11]])
+    x = np.column_stack([np.tile([1e6, 0.0], 10), np.ones(20)])
+    return _linear_split(w, np.zeros(2)), [DomainDataset(x, np.ones(20, dtype=int), 0)]
+
+
+@pytest.mark.parametrize("case", ["affine", "general", "exact_tie", "cancellation"])
+def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, monkeypatch):
+    split, train, _ = trained_setup
+    if case == "general":
+        split = split_model(split.model, 0)
+        assert not split.predictor_is_affine
+    elif case == "exact_tie":
+        split, train = _tie_setup()
+    elif case == "cancellation":
+        split, train = _cancellation_setup()
+    n = pool_domains(train).n
+    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    scores, base = _reference_importance(split, train, 3, ref_rng)
+
+    sizes = _count_predicted_rows(monkeypatch)
+    report = permutation_importance(split, train, repeats=3, rng=rng)
+
+    assert report.scores.tobytes() == scores.tobytes()
+    assert report.baseline_accuracy == base
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Only full products: the base logits, then one per permutation on the
+    # general path and per permutation with a near tie on the affine one.
+    assert all(s == n for s in sizes)
+    if case == "affine":
+        assert len(sizes) == 1
+    elif case == "general":
+        assert len(sizes) == 1 + split.embedding_dim * 3
+    else:
+        assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("layers", [[4, 3], [4, 6, 3]], ids=["affine", "general"])
+def test_importance_leaves_features_and_sweep_embedding_unchanged(layers):
+    rng = np.random.default_rng(9)
+    datasets = [
+        DomainDataset(rng.normal(size=(50, 4)), rng.integers(3, size=50), i) for i in range(3)
+    ]
+    before = [d.features.copy() for d in datasets]
+    split = split_model(Mlp(layers, seed=1), 0)  # identity encoder: z is the features
+    permutation_importance(split, datasets[:2], repeats=2, rng=np.random.default_rng(0))
+    # The sweep hands its train embedding to the importance pass, then scores it.
+    table = sweep_mask_percent(split, datasets[:2], datasets[2], [0.0], repeats=2)
+    for d, b in zip(datasets, before):
+        assert d.features.tobytes() == b.tobytes()
+    assert table.rows[0].train_accuracy == accuracy(split, pool_domains(datasets[:2]))
