@@ -28,13 +28,6 @@ Array = np.ndarray
 
 
 @dataclass
-class ImportanceReport:
-    scores: Array  # per-dimension accuracy drop, in [-1, 1]
-    repeats: int
-    baseline_accuracy: float
-
-
-@dataclass
 class SweepRow:
     percent: float
     unseen_accuracy: float
@@ -59,21 +52,14 @@ class SweepTable:
 
 def permutation_importance(
     split: SplitModel,
-    datasets: list[DomainDataset],
+    z: Array,
+    labels: Array,
     repeats: int = 5,
     rng: np.random.Generator | None = None,
-) -> ImportanceReport:
-    """Accuracy drop per embedding dimension, averaged over fresh permutations.
-
-    Evaluated on the pooled training domains; deterministic given the rng.
-    """
-    pooled = pool_domains(datasets)
-    return _importance(split, split.encode_np(pooled.features), pooled.labels, repeats, rng)
-
-
-def _importance(
-    split: SplitModel, z: Array, labels: Array, repeats: int, rng: np.random.Generator | None
-) -> ImportanceReport:
+) -> Array:
+    """Accuracy drop per dimension of the embeddings ``z``, in [-1, 1],
+    averaged over ``repeats`` fresh permutations; deterministic given the
+    rng. ``z`` itself is left unchanged."""
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
     n, d = z.shape
@@ -100,7 +86,7 @@ def _importance(
                 z[:, k] = col
             drops.append(base - float(np.mean(preds == labels)))
         scores[k] = np.mean(drops)
-    return ImportanceReport(scores=scores, repeats=repeats, baseline_accuracy=base)
+    return scores
 
 
 def _rank1_argmax(logits_t: Array, w_k: Array, delta: Array) -> Array | None:
@@ -158,12 +144,12 @@ def sweep_mask_percent(
         _check_percent(p)
     pooled = pool_domains(train_data)
     z_tr = split.encode_np(pooled.features)
-    report = _importance(split, z_tr, pooled.labels, repeats, rng)
+    scores = permutation_importance(split, z_tr, pooled.labels, repeats, rng)
     z_un = split.encode_np(unseen_data.features)
 
     table = SweepTable()
     for p in sorted(set(grid)):
-        mask = None if p == 0.0 else global_mask_from_scores(report.scores, p)
+        mask = None if p == 0.0 else global_mask_from_scores(scores, p)
         table.rows.append(
             SweepRow(
                 percent=p,

@@ -9,8 +9,10 @@ config and seed. Its ``config.txt`` holds only the keys that shaped the run:
 ``eval.mode`` does not read, and reject them unless they hold their defaults.
 Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
 value out of range), 1 anything else (including inputs whose widths do not
-fit together). Configuration and inputs are checked before ``out_dir`` is
-created.
+fit together, and a domain CSV without rows). Configuration and inputs are
+checked, and results computed, before ``out_dir`` is created, so a command
+that fails leaves none behind; ``export-embeddings`` writes each domain's
+files as it goes.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _load_model(prefix: str, what: str):
 
 def _load_data_dir(data_dir: str):
     """Train domains, unseen domain and oracle (or None) listed in the
-    verified manifest of ``data_dir``."""
+    verified manifest of ``data_dir``; every domain must have rows."""
     _require_path(data_dir, "data directory")
     listed = RunDirectory.verify(data_dir)
     train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"))
@@ -190,8 +192,12 @@ def _load_data_dir(data_dir: str):
         raise MissingArtifact(f"no benchmark CSVs in {data_dir}")
     oracle_path = os.path.join(data_dir, "oracle.json")
     oracle = load_oracle(oracle_path) if "oracle.json" in listed else None
-    train = [load_csv_dataset(os.path.join(data_dir, n)) for n in train_names]
-    return train, load_csv_dataset(os.path.join(data_dir, "unseen.csv")), oracle
+    names = [*train_names, "unseen.csv"]
+    domains = [load_csv_dataset(os.path.join(data_dir, n)) for n in names]
+    for name, data in zip(names, domains):
+        if data.n == 0:
+            raise CorruptFileError(f"{name} in {data_dir} has no rows")
+    return domains[:-1], domains[-1], oracle
 
 
 def _load_split(cfg, dim: int):
@@ -240,8 +246,10 @@ def _mask_source(cfg, mode, split, train_data):
         if not (0.0 <= percent <= 100.0 and repeats >= 1):
             raise ConfigError("eval.mask_percent must be in [0, 100] and eval.repeats >= 1")
         rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
-        report = permutation_importance(split, train_data, repeats, rng)
-        mask = global_mask_from_scores(report.scores, percent)
+        pooled = pool_domains(train_data)
+        z = split.encode_np(pooled.features)
+        scores = permutation_importance(split, z, pooled.labels, repeats, rng)
+        mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
     gen = _load_generator(cfg, split, train_data[0].dim)
@@ -269,10 +277,10 @@ def cmd_train_erm(cfg) -> None:
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"])
     hidden = parse_hidden(cfg["model.hidden"])
-    run = RunDirectory(cfg["out_dir"], cfg)
     dim = train_data[0].dim
     n_classes = int(max(d.labels.max() for d in train_data)) + 1
     model, trace = train_erm(tc, train_data, [dim, *hidden, n_classes])
+    run = RunDirectory(cfg["out_dir"], cfg)
     save_params(model.store, run.file("base_model"))
     trace.to_csv(run.file("erm_trace.csv"))
     run.register("base_model.manifest", "base_model.params", "erm_trace.csv")
@@ -285,13 +293,13 @@ def cmd_train_emg(cfg) -> None:
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
-    run = RunDirectory(cfg["out_dir"], cfg)
     gen = Mlp(
         [train_data[0].dim, *hidden, split.embedding_dim],
         prefix="g.",
         seed=cfg["seed"] + 1,
     )
     gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)
+    run = RunDirectory(cfg["out_dir"], cfg)
     save_params(gen.store, run.file("emg_model"))
     trace.to_csv(run.file("emg_trace.csv"))
     run.register("emg_model.manifest", "emg_model.params", "emg_trace.csv")
@@ -302,12 +310,12 @@ def cmd_eval(cfg) -> None:
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     split = _load_split(cfg, train_data[0].dim)
     masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
-    run = RunDirectory(cfg["out_dir"], cfg)
 
     named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
     named += [("train_pooled", pool_domains(train_data)), ("unseen", unseen)]
     means = {key: accuracy(split, data, masks_for(data)) for key, data in named}
     report = json.dumps({"per_domain_mean": means}, indent=1, sort_keys=True)
+    run = RunDirectory(cfg["out_dir"], cfg)
     run.write_text("report.json", report + "\n")
     run.finalize()
 
@@ -318,7 +326,6 @@ def cmd_sweep_global(cfg) -> None:
     grid = parse_grid(cfg["sweep.grid"])
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
-    run = RunDirectory(cfg["out_dir"], cfg)
     rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
     table = sweep_mask_percent(
         split,
@@ -328,6 +335,7 @@ def cmd_sweep_global(cfg) -> None:
         repeats=cfg["sweep.repeats"],
         rng=rng,
     )
+    run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))
     run.register("sweep.csv")
     run.finalize()

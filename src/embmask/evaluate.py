@@ -33,7 +33,6 @@ def _rowdist(a: Array, b: Array, kind: str) -> Array:
         return np.linalg.norm(a - b, axis=1)
     if kind == "L1":
         return np.abs(a - b).sum(axis=1)
-    raise UsageError(f"unknown distance kind {kind!r}")
 
 
 def emg_masks(
@@ -54,16 +53,17 @@ def masked_accuracy(
 ) -> float:
     """Fraction of argmax-correct predictions on embeddings ``z``; argmax
     ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
-    a single global mask (d,) broadcast over the rows, or None."""
+    a single global mask (d,) broadcast over the rows, or None. Rejects
+    empty data."""
+    if len(z) == 0:
+        raise UsageError("accuracy of empty data is undefined")
     zm = z if masks is None else z * masks
     preds = np.argmax(split.predict_np(zm), axis=1)
     return float(np.mean(preds == labels))
 
 
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
-    """``masked_accuracy`` of the encoded dataset; rejects empty data."""
-    if data.n == 0:
-        raise UsageError("accuracy of empty dataset is undefined")
+    """``masked_accuracy`` of the encoded dataset."""
     return masked_accuracy(split, split.encode_np(data.features), data.labels, masks)
 
 
@@ -103,6 +103,8 @@ def bound_terms(
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape != z.shape:
         raise UsageError(f"masks shape {masks.shape} != embeddings {z.shape}")
+    if len(z) == 0:
+        raise UsageError("bound terms of empty data are undefined")
 
     sh = np.zeros_like(z)
     sh[:, oracle.shared_dims] = z[:, oracle.shared_dims]

@@ -5,8 +5,8 @@ output. Its parameters live in a ``ParamStore``: named views of one flat
 float64 vector, so training updates them all with one vectorized optimizer
 step. A store is trainable or ``frozen`` as a whole; its checksum makes the
 freeze contract checkable (frozen bytes must survive a whole training run).
-``Mlp.forward_train`` and ``Mlp.backward_train`` are the fused NumPy forward
-and backward that training uses.
+``Mlp.forward_train`` is the one NumPy layer loop: inference takes its last
+entry, and training hands all of it to ``Mlp.backward_train``.
 """
 
 from __future__ import annotations
@@ -165,24 +165,18 @@ class Mlp:
         h = T.linear_np(h, self.store[f"{self.prefix}w{i}"], self.store[f"{self.prefix}b{i}"])
         return T.relu_np(h) if i < self.n_layers - 1 else h
 
-    def _apply_np(self, x: Array, start: int, stop: int) -> Array:
-        h = np.asarray(x, dtype=np.float64)
-        for i in range(start, stop):
-            h = self._layer_np(h, i)
-        return h
-
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
-        self._check_width(x, 0)
-        return self._apply_np(x, 0, self.n_layers)
+        return self.forward_train(x)[-1]
 
-    def forward_train(self, x: Array, start: int = 0) -> list[Array]:
-        """Layers ``start..`` on raw arrays, keeping what ``backward_train``
-        needs: the input of every layer, then the output (the last entry,
-        bitwise that of forward_np)."""
+    def forward_train(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
+        """Layers ``start`` up to ``stop`` (default: the last) on raw arrays,
+        keeping what ``backward_train`` needs: the input of every layer, then
+        the output (the last entry). ``ShapeMismatchError`` unless ``x`` is
+        as wide as layer ``start``'s input."""
         self._check_width(x, start)
         acts = [np.asarray(x, dtype=np.float64)]
-        for i in range(start, self.n_layers):
+        for i in range(start, self.n_layers if stop is None else stop):
             acts.append(self._layer_np(acts[-1], i))
         return acts
 
@@ -239,10 +233,10 @@ class SplitModel:
         return self.model.n_layers - self.split_index == 1
 
     def encode_np(self, x: Array) -> Array:
-        return self.model._apply_np(x, 0, self.split_index)
+        return self.model.forward_train(x, 0, self.split_index)[-1]
 
     def predict_np(self, z: Array) -> Array:
-        return self.model._apply_np(z, self.split_index, self.model.n_layers)
+        return self.model.forward_train(z, self.split_index)[-1]
 
     def predictor_affine_params(self) -> tuple[Array, Array]:
         if not self.predictor_is_affine:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from embmask import (
     BenchmarkSpec,
     accuracy,
+    baseline,
     DomainDataset,
     Mlp,
     TrainConfig,
@@ -39,11 +40,8 @@ def test_unused_dimension_scores_near_zero():
     w = np.array([[2.0, -2.0], [1.5, -1.5], [0.0, 0.0]])  # dim 2 unused
     split = _linear_split(w, np.zeros(2))
     labels = np.argmax(split.predict_np(x), axis=1)
-    report = permutation_importance(
-        split, [DomainDataset(x, labels, 0)], repeats=5, rng=np.random.default_rng(1)
-    )
-    assert report.scores[2] == 0.0
-    assert report.baseline_accuracy == 1.0
+    scores = permutation_importance(split, x, labels, repeats=5, rng=np.random.default_rng(1))
+    assert scores[2] == 0.0
 
 
 def test_single_class_constant_accuracy_all_zero_scores():
@@ -52,8 +50,8 @@ def test_single_class_constant_accuracy_all_zero_scores():
     w = np.zeros((2, 2))  # always predicts class 0
     split = _linear_split(w, np.array([1.0, 0.0]))
     labels = np.zeros(50, dtype=int)
-    report = permutation_importance(split, [DomainDataset(x, labels, 0)])
-    assert (report.scores == 0.0).all()
+    scores = permutation_importance(split, x, labels)
+    assert (scores == 0.0).all()
 
 
 def test_decisive_dimension_outranks_noise_dimension():
@@ -63,20 +61,16 @@ def test_decisive_dimension_outranks_noise_dimension():
     x = np.column_stack([np.where(y == 1, 2.0, -2.0), rng.normal(size=n)])
     w = np.array([[-1.0, 1.0], [0.05, -0.05]])
     split = _linear_split(w, np.zeros(2))
-    report = permutation_importance(
-        split, [DomainDataset(x, y, 0)], rng=np.random.default_rng(4)
-    )
-    assert report.scores[0] > report.scores[1]
+    scores = permutation_importance(split, x, y, rng=np.random.default_rng(4))
+    assert scores[0] > scores[1]
 
 
 def test_permutation_importance_rejects_empty_or_bad_repeats():
     split = _linear_split(np.ones((2, 2)), np.zeros(2))
-    data = DomainDataset(np.ones((4, 2)), np.zeros(4, dtype=int), 0)
     with pytest.raises(UsageError):
-        permutation_importance(split, [data], repeats=0)
-    empty = DomainDataset(np.ones((0, 2)), np.zeros(0, dtype=int), 0)
+        permutation_importance(split, np.ones((4, 2)), np.zeros(4, dtype=int), repeats=0)
     with pytest.raises(UsageError):
-        permutation_importance(split, [empty])
+        permutation_importance(split, np.ones((0, 2)), np.zeros(0, dtype=int))
 
 
 # -- mask construction -------------------------------------------------------------
@@ -179,24 +173,47 @@ def test_sweep_rejects_bad_percent_before_any_prediction(trained_setup, monkeypa
     assert calls == []
 
 
+def test_sweep_calls_the_public_importance_pass_once(trained_setup, monkeypatch):
+    split, train, unseen = trained_setup
+    calls = []
+    importance = baseline.permutation_importance
+
+    def counted(split, z, labels, *args, **kwargs):
+        calls.append((z.copy(), labels))
+        return importance(split, z, labels, *args, **kwargs)
+
+    # The benchmark's tracer hooks this module attribute.
+    monkeypatch.setattr(baseline, "permutation_importance", counted)
+    sweep_mask_percent(split, train, unseen, [0.0, 50.0], rng=np.random.default_rng(0))
+    pooled = pool_domains(train)
+    assert len(calls) == 1
+    assert calls[0][0].tobytes() == split.encode_np(pooled.features).tobytes()
+    assert (calls[0][1] == pooled.labels).all()
+
+
+def test_sweep_rejects_empty_unseen_domain(trained_setup):
+    split, train, unseen = trained_setup
+    empty = DomainDataset(unseen.features[:0], unseen.labels[:0], unseen.domain_index)
+    with pytest.raises(UsageError, match="empty"):
+        sweep_mask_percent(split, train, empty, [0.0, 50.0])
+
+
 # -- equivalence with the copy-per-permutation loop ------------------------------
 
 
-def _reference_importance(split, datasets, repeats, rng):
+def _reference_importance(split, z, labels, repeats, rng):
     """Permutation importance as first written: copy the whole embedding and
     predict every row for each permutation."""
-    pooled = pool_domains(datasets)
-    z = split.encode_np(pooled.features)
-    base = masked_accuracy(split, z, pooled.labels)
+    base = masked_accuracy(split, z, labels)
     scores = np.zeros(z.shape[1])
     for k in range(z.shape[1]):
         drops = []
         for _ in range(repeats):
             zp = z.copy()
             zp[:, k] = zp[rng.permutation(len(zp)), k]
-            drops.append(base - masked_accuracy(split, zp, pooled.labels))
+            drops.append(base - masked_accuracy(split, zp, labels))
         scores[k] = np.mean(drops)
-    return scores, base
+    return scores
 
 
 def _tie_setup():
@@ -232,15 +249,17 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
         split, train = _tie_setup()
     elif case == "cancellation":
         split, train = _cancellation_setup()
-    n = pool_domains(train).n
+    pooled = pool_domains(train)
+    n, z = pooled.n, split.encode_np(pooled.features)
     ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-    scores, base = _reference_importance(split, train, 3, ref_rng)
+    expected = _reference_importance(split, z, pooled.labels, 3, ref_rng)
 
     sizes = _count_predicted_rows(monkeypatch)
-    report = permutation_importance(split, train, repeats=3, rng=rng)
+    scores = permutation_importance(split, z, pooled.labels, repeats=3, rng=rng)
 
-    assert report.scores.tobytes() == scores.tobytes()
-    assert report.baseline_accuracy == base
+    # Every score is the base accuracy minus a permuted one, so this also
+    # pins the base accuracy.
+    assert scores.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # Only full products: the base logits, then one per permutation on the
     # general path and per permutation with a near tie on the affine one.
@@ -261,7 +280,8 @@ def test_importance_leaves_features_and_sweep_embedding_unchanged(layers):
     ]
     before = [d.features.copy() for d in datasets]
     split = split_model(Mlp(layers, seed=1), 0)  # identity encoder: z is the features
-    permutation_importance(split, datasets[:2], repeats=2, rng=np.random.default_rng(0))
+    data = datasets[0]
+    permutation_importance(split, data.features, data.labels, 2, np.random.default_rng(0))
     # The sweep hands its train embedding to the importance pass, then scores it.
     table = sweep_mask_percent(split, datasets[:2], datasets[2], [0.0], repeats=2)
     for d, b in zip(datasets, before):

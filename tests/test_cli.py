@@ -1,5 +1,6 @@
 """End-to-end CLI: run directories, exit codes, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
 from embmask.nn import ParamStore, load_params, save_params
 from embmask.rundir import RunDirectory
+from embmask.synthbench import load_csv_dataset, save_csv_dataset
 
 SMALL_BENCH = {
     "benchmark.num_classes": 3,
@@ -466,6 +468,47 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
     assert run_cmd("eval", pipeline["cfg"], out_dir=out, **{"data.dir": data, "base.model": base}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
+    assert not out.exists()
+
+
+def _reseal(run):
+    """Rewrite the manifest of ``run`` to the current bytes of the files it lists."""
+    manifest = run / "MANIFEST.txt"
+    names = [line.split("  ", 1)[1] for line in manifest.read_text().splitlines()]
+    digests = [hashlib.sha256((run / name).read_bytes()).hexdigest() for name in names]
+    manifest.write_text("".join(f"{d}  {name}\n" for d, name in zip(digests, names)))
+
+
+@pytest.mark.parametrize("cmd", [cmd for cmd in SCHEMAS if "data.dir" in SCHEMAS[cmd]])
+def test_empty_domain_exits_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    unseen = data / "unseen.csv"
+    unseen.write_text(unseen.read_text().splitlines(keepends=True)[0])  # the header alone
+    _reseal(data)
+    inputs = {"data.dir": data}
+    if "base.model" in SCHEMAS[cmd]:
+        inputs["base.model"] = pipeline["base"]
+    if cmd == "bound-check":
+        inputs["emg.model"] = pipeline["emg"]
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=1") and "unseen.csv" in err
+    assert not out.exists()
+
+
+def test_failed_training_leaves_no_run_dir(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    for path in data.glob("train_domain_*.csv"):
+        domain = load_csv_dataset(str(path))
+        domain.labels[:] = 0  # one class: ERM has nothing to learn
+        save_csv_dataset(domain, str(path))
+    _reseal(data)
+    out = tmp_path / "out"
+    assert run_cmd("train-erm", pipeline["cfg"], out_dir=out, **{"data.dir": data}) == 1
+    assert capsys.readouterr().err.startswith("error code=1")
     assert not out.exists()
 
 

@@ -91,6 +91,8 @@ def test_accuracy_empty_data_rejected():
     split = _affine_split(np.ones((2, 2)), np.zeros(2))
     with pytest.raises(UsageError):
         accuracy(split, DomainDataset(np.ones((0, 2)), np.zeros(0, dtype=int), 0))
+    with pytest.raises(UsageError):
+        masked_accuracy(split, np.ones((0, 2)), np.zeros(0, dtype=int), np.ones(2))
 
 
 def test_accuracy_sample_order_invariant():
@@ -151,6 +153,8 @@ def test_bound_rejects_bad_distance_or_shapes():
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((2, 4)), "L3")
     with pytest.raises(UsageError):
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((3, 4)))
+    with pytest.raises(UsageError):
+        bound_terms(split, oracle, np.ones((0, 4)), np.ones((0, 4)))
 
 
 # -- exports ------------------------------------------------------------------------

@@ -45,6 +45,11 @@ def test_forward_tensor_matches_numpy_bitwise():
 def test_forward_rejects_wrong_width():
     with pytest.raises(ShapeMismatchError):
         Mlp([4, 2]).forward_np(np.ones((3, 5)))
+    for split in (split_model(Mlp([4, 2]), 0), split_model(Mlp([4, 6, 2]))):
+        with pytest.raises(ShapeMismatchError):
+            split.encode_np(np.ones((3, 5)))
+        with pytest.raises(ShapeMismatchError):
+            split.predict_np(np.ones((3, split.embedding_dim + 1)))
 
 
 def test_bad_layer_sizes_rejected():
