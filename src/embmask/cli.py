@@ -413,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         cfg = load_config(args.config, SCHEMAS[args.command], overrides)
+        if cfg["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
         COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:

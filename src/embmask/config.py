@@ -85,10 +85,12 @@ def load_config(
     path: str, schema: dict[str, Field], overrides: dict[str, str] | None = None
 ) -> dict[str, Any]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from None
     return build_config(schema, parse_kv_text(text), overrides)
 
 

@@ -109,6 +109,8 @@ class Mlp:
         self.layer_sizes = list(layer_sizes)
         self.prefix = prefix
         self.store = store if store is not None else ParamStore()
+        self._layers_of: Array | None = None
+        self._resolved: list[tuple[Array, Array, str, str]] = []
         if init:
             rng = np.random.default_rng(seed)
             for i, (fi, fo) in enumerate(zip(layer_sizes, layer_sizes[1:])):
@@ -161,9 +163,15 @@ class Mlp:
                 f"input width {x.shape[1]} != model input dim {self.layer_sizes[layer]}"
             )
 
-    def _layer_np(self, h: Array, i: int) -> Array:
-        h = T.linear_np(h, self.store[f"{self.prefix}w{i}"], self.store[f"{self.prefix}b{i}"])
-        return T.relu_np(h) if i < self.n_layers - 1 else h
+    def _layers(self) -> list[tuple[Array, Array, str, str]]:
+        """``(w, b, w name, b name)`` per layer; the arrays are views of the
+        store's ``flat``, resolved again only after ``flat`` was replaced
+        (a parameter added to the store)."""
+        if self._layers_of is not self.store.flat:
+            names = [(f"{self.prefix}w{i}", f"{self.prefix}b{i}") for i in range(self.n_layers)]
+            self._resolved = [(self.store[w], self.store[b], w, b) for w, b in names]
+            self._layers_of = self.store.flat
+        return self._resolved
 
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
@@ -172,12 +180,19 @@ class Mlp:
     def forward_train(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
         """Layers ``start`` up to ``stop`` (default: the last) on raw arrays,
         keeping what ``backward_train`` needs: the input of every layer, then
-        the output (the last entry). ``ShapeMismatchError`` unless ``x`` is
-        as wide as layer ``start``'s input."""
+        the output (the last entry), each a fresh array. ``ShapeMismatchError``
+        unless ``x`` is as wide as layer ``start``'s input."""
         self._check_width(x, start)
-        acts = [np.asarray(x, dtype=np.float64)]
-        for i in range(start, self.n_layers if stop is None else stop):
-            acts.append(self._layer_np(acts[-1], i))
+        layers = self._layers()
+        last = len(layers) - 1
+        h = np.asarray(x, dtype=np.float64)
+        acts = [h]
+        for i in range(start, last + 1 if stop is None else stop):
+            w, b = layers[i][:2]
+            h = T.linear_np(h, w, b)
+            if i < last:
+                T.relu_np(h, out=h)
+            acts.append(h)
         return acts
 
     def backward_train(
@@ -194,14 +209,17 @@ class Mlp:
         vector, and each layer writes its weight and bias gradient there. A
         frozen one passes None and gets the gradient wrt its input back.
         """
-        for i in reversed(range(start, self.n_layers)):
-            if i < self.n_layers - 1:
+        layers = self._layers()
+        last = len(layers) - 1
+        for i in range(last, start - 1, -1):
+            w, _, w_name, b_name = layers[i]
+            if i < last:
                 g = T.relu_grad(g, acts[i - start + 1])
             if grads is not None:
-                grads[f"{self.prefix}b{i}"][...] = T.linear_grad_b(g)
-                grads[f"{self.prefix}w{i}"][...] = T.linear_grad_w(g, acts[i - start])
+                T.linear_grad_b(g, out=grads[b_name])
+                T.linear_grad_w(g, acts[i - start], out=grads[w_name])
             if i > start or grads is None:
-                g = T.linear_grad_x(g, self.store[f"{self.prefix}w{i}"])
+                g = T.linear_grad_x(g, w)
         return None if grads is not None else g
 
 

@@ -227,31 +227,34 @@ def load_csv_dataset(path: str) -> DomainDataset:
     header order, ``label`` is required and ``domain`` is read if present."""
     if not os.path.exists(path):
         raise CsvParseError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: empty file") from None
-        feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
-        if not feat_idx or "label" not in header:
-            raise CsvParseError(f"{path}: needs f* feature columns and a label column")
-        label_idx = header.index("label")
-        domain_idx = header.index("domain") if "domain" in header else None
-
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        domains: set[int] = set()
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(f"{path}:{rownum}: expected {len(header)} cells")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                feats.append([float(row[i]) for i in feat_idx])
-                labels.append(int(row[label_idx]))
-                if domain_idx is not None:
-                    domains.add(int(row[domain_idx]))
-            except ValueError as exc:
-                raise CsvParseError(f"{path}:{rownum}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise CsvParseError(f"{path}: empty file") from None
+            feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
+            if not feat_idx or "label" not in header:
+                raise CsvParseError(f"{path}: needs f* feature columns and a label column")
+            label_idx = header.index("label")
+            domain_idx = header.index("domain") if "domain" in header else None
+
+            feats: list[list[float]] = []
+            labels: list[int] = []
+            domains: set[int] = set()
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise CsvParseError(f"{path}:{rownum}: expected {len(header)} cells")
+                try:
+                    feats.append([float(row[i]) for i in feat_idx])
+                    labels.append(int(row[label_idx]))
+                    if domain_idx is not None:
+                        domains.add(int(row[domain_idx]))
+                except ValueError as exc:
+                    raise CsvParseError(f"{path}:{rownum}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
     if len(domains) > 1:
         raise CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")

@@ -3,13 +3,16 @@
 Training does not use the tape: ``nn``, ``mask`` and ``train`` run fused
 NumPy steps that call the array functions here (``linear_np``,
 ``linear_grad_*``, ``relu_np``, ``relu_grad``, ``cross_entropy_np``,
-``cross_entropy_grad``) directly. The tape ops ``linear``, ``relu`` and
-``cross_entropy`` call the same functions and record their parents, and
-``Tensor.backward()`` replays them in reverse topological order. The tape
-is kept only for the benchmark's tracer, which hooks ``Tensor``,
-``backward_grads`` and tape-built names in ``nn``, ``mask`` and ``train``;
-the tests compare the fused ERM and EMG gradients with ``backward_grads`` bit
-for bit.
+``cross_entropy_grad``) directly, passing ``out`` where a result belongs in
+an existing array (a gradient view, or relu over a fresh layer output). The
+tape ops ``linear``, ``relu`` and ``cross_entropy`` call the same functions
+and record their parents, and ``Tensor.backward()`` replays them in reverse
+topological order. The tape is kept only for the benchmark's tracer, which
+hooks ``Tensor``, ``backward_grads`` and tape-built names in ``nn``, ``mask``
+and ``train``; the tests compare the fused ERM and EMG gradients with
+``backward_grads`` bit for bit. ``cross_entropy_np`` checks the logits on
+every call but not the target, which ``train`` checks once per fit where it
+builds it.
 """
 
 from __future__ import annotations
@@ -109,23 +112,25 @@ def accumulate(t: Tensor, grad: Callable[[], Array]) -> None:
 
 
 def linear_np(x: Array, w: Array, b: Array) -> Array:
-    return x @ w + b
+    out = x @ w
+    out += b
+    return out
 
 
 def linear_grad_x(g: Array, w: Array) -> Array:
     return g @ w.T
 
 
-def linear_grad_w(g: Array, x: Array) -> Array:
-    return x.T @ g
+def linear_grad_w(g: Array, x: Array, out: Array | None = None) -> Array:
+    return np.matmul(x.T, g, out=out)
 
 
-def linear_grad_b(g: Array) -> Array:
-    return g.sum(axis=0)
+def linear_grad_b(g: Array, out: Array | None = None) -> Array:
+    return np.add.reduce(g, axis=0, out=out)
 
 
-def relu_np(x: Array) -> Array:
-    return np.maximum(x, 0.0)
+def relu_np(x: Array, out: Array | None = None) -> Array:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_grad(g: Array, x: Array) -> Array:
@@ -137,24 +142,27 @@ def relu_grad(g: Array, x: Array) -> Array:
 def cross_entropy_np(q: Array, x: Array) -> tuple[Array, Array]:
     """Mean over rows of -sum_j q_ij log softmax(x)_ij, and log softmax(x).
 
-    Raises NumericError on non-finite logits or target weights, so a
-    diverged model or a broken target cannot yield a NaN loss.
+    Raises NumericError on non-finite logits, so a diverged model cannot
+    yield a NaN loss. The target ``q`` is not scanned: the callers build it
+    finite once per fit (``train._onehot`` and ``train._softmax_target``
+    check what they are given).
     """
     if x.ndim != 2 or q.shape != x.shape:
         raise ShapeMismatchError(f"cross_entropy: target {q.shape} and logits {x.shape}")
     if not np.isfinite(x).all():
         raise NumericError("cross_entropy: non-finite logits")
-    if not np.isfinite(q).all():
-        raise NumericError("cross_entropy: non-finite target weights")
-    shifted = x - x.max(axis=1, keepdims=True)
-    lsm = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return np.sum(q * lsm) * (-1.0 / q.shape[0]), lsm
+    lsm = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    lse = np.add.reduce(np.exp(lsm), axis=1, keepdims=True)
+    lsm -= np.log(lse, out=lse)
+    return np.add.reduce(q * lsm, axis=None) * (-1.0 / q.shape[0]), lsm
 
 
 def cross_entropy_grad(g, q: Array, lsm: Array) -> Array:
     """Gradient wrt the logits, given the loss gradient ``g`` (1 at the root)."""
     d = (g * (-1.0 / q.shape[0])) * q
-    return d - np.exp(lsm) * d.sum(axis=1, keepdims=True)
+    p = np.exp(lsm)
+    p *= np.add.reduce(d, axis=1, keepdims=True)
+    return np.subtract(d, p, out=d)
 
 
 # -- tape ops ---------------------------------------------------------------------

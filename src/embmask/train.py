@@ -14,9 +14,11 @@ best-validation epoch.
 
 Each step is fused NumPy (``erm_forward``, ``emg_forward``): a forward that
 keeps its intermediates and a hand-derived backward that writes into views of
-one flat gradient vector, followed by one vectorized Adam step over the
-store's flat parameter vector. ``hard_ce`` and ``soft_ce`` are the same
-losses on the tape.
+one flat gradient vector, followed by one in-place Adam step over the store's
+flat parameter vector. ``hard_ce`` and ``soft_ce`` are the same losses on the
+tape. Targets are checked once per fit, where they are built (``_onehot``
+rejects out-of-range labels, ``_softmax_target`` non-finite target logits);
+the per-batch cross entropy scans only the logits.
 """
 
 from __future__ import annotations
@@ -180,16 +182,29 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
+    """The moment estimates, the step count, and two scratch vectors that
+    ``optimizer_step`` reuses on every step."""
+
     m: Array | None = None
     v: Array | None = None
     t: int = 0
+    scratch: tuple[Array, Array] | None = None
 
 
 def optimizer_step(
     store: ParamStore, grad: Array, state: AdamState, lr: float
 ) -> AdamState:
     """One bias-corrected adaptive-moment update of ``store.flat`` by the
-    flat gradient ``grad``."""
+    flat gradient ``grad``, in place.
+
+    The ufuncs run in the order of the expression
+
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        params -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+
+    so the update equals it bit for bit without allocating a vector.
+    """
     if store.frozen:
         raise ContractError("cannot update a frozen parameter store")
     params = store.flat
@@ -200,13 +215,21 @@ def optimizer_step(
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    m, v, (num, den) = state.m, state.v, state.scratch
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    params -= (
-        lr * (state.m / (1.0 - ADAM_BETA1**state.t))
-        / (np.sqrt(state.v / (1.0 - ADAM_BETA2**state.t)) + ADAM_EPS)
-    )
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=num)
+    v += np.multiply(num, grad, out=num)
+    np.divide(m, 1.0 - ADAM_BETA1**state.t, out=num)
+    num *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**state.t, out=den)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    num /= den
+    params -= num
     return state
 
 

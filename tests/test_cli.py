@@ -299,6 +299,9 @@ def test_missing_seed_exits_3(tmp_path):
                 ("gen-data", "benchmark.noise_sigma", "nan"),
                 ("gen-data", "benchmark.noise_sigma", "inf"),
                 ("gen-data", "benchmark.noise_sigma", -1),
+                # NumPy's seed sequences take no negative entropy.
+                ("gen-data", "seed", -1),
+                ("train-erm", "seed", -1),
             )
         ),
         pytest.param(
@@ -509,6 +512,19 @@ def test_failed_training_leaves_no_run_dir(pipeline, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cmd("train-erm", pipeline["cfg"], out_dir=out, **{"data.dir": data}) == 1
     assert capsys.readouterr().err.startswith("error code=1")
+    assert not out.exists()
+
+
+def test_non_utf8_domain_csv_exits_1_before_run_dir(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    csv_path = data / "train_domain_0.csv"
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\n")
+    _reseal(data)
+    out = tmp_path / "out"
+    assert run_cmd("train-erm", pipeline["cfg"], out_dir=out, **{"data.dir": data}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error code=1") and "train_domain_0.csv" in err and "UTF-8" in err
     assert not out.exists()
 
 

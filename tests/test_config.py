@@ -72,6 +72,14 @@ def test_load_config_missing_file():
         load_config("/nonexistent/cfg.txt", SCHEMA)
 
 
+def test_load_config_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"seed = 1\nout = r\xffns\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path), SCHEMA)
+    assert str(path) in str(exc.value) and "UTF-8" in str(exc.value)
+
+
 def test_parse_grid_and_hidden():
     assert parse_grid("0,5,10") == [0.0, 5.0, 10.0]
     with pytest.raises(ConfigError):

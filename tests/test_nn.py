@@ -42,6 +42,28 @@ def test_forward_tensor_matches_numpy_bitwise():
     assert (out_t == model.forward_np(x)).all()
 
 
+def test_results_are_not_overwritten_by_a_later_call():
+    model = Mlp([4, 5, 3], seed=9)
+    split = split_model(model)
+    rng = np.random.default_rng(3)
+    x, z = rng.normal(size=(6, 4)), rng.normal(size=(6, 5))
+    out, pred = model.forward_np(x), split.predict_np(z)
+    keep = out.copy(), pred.copy()
+    model.forward_np(2.0 * x)
+    split.predict_np(2.0 * z)
+    assert out.tobytes() == keep[0].tobytes() and pred.tobytes() == keep[1].tobytes()
+
+
+def test_set_value_after_build_shows_in_the_next_forward():
+    model = Mlp([4, 5, 3], seed=9)
+    x = np.random.default_rng(2).normal(size=(7, 4))
+    before = model.forward_np(x)
+    model.store.set_value("b1", model.store["b1"] + 1.0)
+    after = model.forward_np(x)
+    assert not (after == before).any()
+    assert (after == Mlp.from_store(model.store).forward_np(x)).all()
+
+
 def test_forward_rejects_wrong_width():
     with pytest.raises(ShapeMismatchError):
         Mlp([4, 2]).forward_np(np.ones((3, 5)))

@@ -145,6 +145,14 @@ def test_csv_non_finite_feature_reports_row_number(tmp_path, value):
     assert f"{path}:3:" in str(exc.value)
 
 
+def test_csv_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"f0,label\n1.0,0\n2.0,\xff\n")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv_dataset(str(path))
+    assert str(path) in str(exc.value) and "UTF-8" in str(exc.value)
+
+
 def test_csv_missing_column_rejected(tmp_path):
     for name, text in (("nolabel.csv", "f0,f1,domain\n1.0,2.0,0\n"), ("nofeat.csv", "label,domain\n0,0\n")):
         path = tmp_path / name

@@ -30,6 +30,9 @@ from embmask.errors import (
 )
 from embmask.mask import training_mask
 from embmask.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     _emg_target,
     _onehot,
@@ -164,6 +167,28 @@ def test_optimizer_single_step_hand_oracle():
     # t=1: bias-corrected m_hat = g, v_hat = g^2, step = lr*g/(|g|+eps)
     expected = 1.0 - lr * g / (abs(g) + 1e-8)
     np.testing.assert_allclose(store["w0"], [[expected]], atol=1e-15)
+
+
+def test_in_place_adam_equals_the_expression_bitwise():
+    rng = np.random.default_rng(0)
+    store = Mlp([6, 7, 3], seed=4).store
+    state, lr = AdamState(), 1e-3
+    params = store.flat.copy()
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    for t in range(1, 2501):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=params.shape)
+        optimizer_step(store, grad, state, lr)
+        # The reference: the same update as one out-of-place expression.
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        params -= (
+            lr * (m / (1.0 - ADAM_BETA1**t))
+            / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+        )
+        assert store.flat.tobytes() == params.tobytes(), t
+    assert state.t == 2500
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 def test_optimizer_rejects_unknown_name():
