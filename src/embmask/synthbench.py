@@ -13,9 +13,11 @@ orthogonal rotation mixes the two blocks (disabling the oracle dim lists).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,8 @@ class BenchmarkSpec:
         for name in ("d_shared", "d_specific", "samples_per_domain", "unseen_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_dim(self) -> int:
@@ -224,50 +228,70 @@ def save_csv_dataset(data: DomainDataset, path: str) -> None:
 
 def load_csv_dataset(path: str) -> DomainDataset:
     """Read a CSV in the schema above: the features are the ``f*`` columns in
-    header order, ``label`` is required and ``domain`` is read if present."""
+    header order, ``label`` is required and ``domain`` is read if present. One
+    ``np.loadtxt`` call parses the body; other columns are counted, not parsed."""
     if not os.path.exists(path):
         raise CsvParseError(f"no such file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CsvParseError(f"{path}: empty file") from None
-            feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
-            if not feat_idx or "label" not in header:
-                raise CsvParseError(f"{path}: needs f* feature columns and a label column")
-            label_idx = header.index("label")
-            domain_idx = header.index("domain") if "domain" in header else None
-
-            feats: list[list[float]] = []
-            labels: list[int] = []
-            domains: set[int] = set()
-            for rownum, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise CsvParseError(f"{path}:{rownum}: expected {len(header)} cells")
-                try:
-                    feats.append([float(row[i]) for i in feat_idx])
-                    labels.append(int(row[label_idx]))
-                    if domain_idx is not None:
-                        domains.add(int(row[domain_idx]))
-                except ValueError as exc:
-                    raise CsvParseError(f"{path}:{rownum}: {exc}") from None
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    buf = io.StringIO(text)
+    header = next(csv.reader(buf), None)
+    if header is None:
+        raise CsvParseError(f"{path}: empty file")
+    feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
+    if not feat_idx or "label" not in header:
+        raise CsvParseError(f"{path}: needs f* feature columns and a label column")
+    int_idx = [header.index(c) for c in ("label", "domain") if c in header]
+    kinds = {**dict.fromkeys(feat_idx, "f8"), **dict.fromkeys(int_idx, "i8")}
+    dtype = np.dtype([(f"c{i}", kinds.get(i, "U0")) for i in range(len(header))])
 
+    body = buf.tell()
+    lines = text.count("\n", body) + (body < len(text) and not text.endswith("\n"))
+    rows, error = np.empty(0, dtype), None
+    if lines:  # loadtxt warns on an empty body
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(buf, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except (ValueError, Warning) as exc:
+            error = str(exc)
+    if error is not None or len(rows) != lines:  # loadtxt skips blank lines
+        raise _first_bad_row(path, len(header), feat_idx, int_idx, text[body:], error)
+    domains = np.unique(rows[f"c{int_idx[-1]}"]).tolist() if len(int_idx) > 1 else []
     if len(domains) > 1:
-        raise CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")
-    domain_index = domains.pop() if domains else -1
-    features = np.array(feats, dtype=np.float64).reshape(len(feats), len(feat_idx))
+        raise CsvParseError(f"{path}: multiple domain indices {domains}")
+    features = np.stack([rows[f"c{i}"] for i in feat_idx], axis=1)
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         raise CsvParseError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature value")
-    return DomainDataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        domain_index=domain_index,
-    )
+    return DomainDataset(features, rows[f"c{int_idx[0]}"].copy(), domains[0] if domains else -1)
+
+
+def _first_bad_row(
+    path: str, n_cells: int, feat_idx: list[int], int_idx: list[int], body: str, error: str | None
+) -> CsvParseError:
+    """The error for a body ``np.loadtxt`` refused: the one ``float``/``int`` per
+    cell give, else the first row with a non-ASCII cell or one with ``_``."""
+    domains, nonfinite, loose = set(), None, None
+    for rownum, row in enumerate(csv.reader(io.StringIO(body)), start=2):
+        if len(row) != n_cells:
+            return CsvParseError(f"{path}:{rownum}: expected {n_cells} cells")
+        try:
+            feats = [float(row[i]) for i in feat_idx]
+            domains.update([int(row[i]) for i in int_idx][1:])
+        except ValueError as exc:
+            return CsvParseError(f"{path}:{rownum}: {exc}")
+        if nonfinite is None and not all(map(math.isfinite, feats)):
+            nonfinite = CsvParseError(f"{path}:{rownum}: non-finite feature value")
+        cells = [row[i].strip() for i in feat_idx + int_idx]
+        if loose is None and not all(c.isascii() and "_" not in c for c in cells):
+            loose = CsvParseError(f"{path}:{rownum}: not a plain ASCII decimal")
+    if len(domains) > 1:
+        return CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")
+    return nonfinite or loose or CsvParseError(f"{path}: {error or 'a quoted cell spans lines'}")
 
 
 # -- oracle persistence ----------------------------------------------------------

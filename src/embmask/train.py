@@ -60,6 +60,8 @@ class TrainConfig:
             raise ConfigError("val_fraction must be in (0, 1)")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size, patience, max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"

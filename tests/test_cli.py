@@ -432,6 +432,7 @@ def _nan_feature(data, base):
     lines = path.read_text().splitlines()
     lines[5] = "nan" + lines[5][lines[5].index(",") :]
     path.write_text("\n".join(lines) + "\n")
+    _reseal(data)
 
 
 def _flip_param_byte(data, base):
@@ -471,6 +472,8 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
     assert run_cmd("eval", pipeline["cfg"], out_dir=out, **{"data.dir": data, "base.model": base}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
+    if corrupt is _nan_feature:  # re-sealed, so the CSV check itself refuses it
+        assert "unseen.csv:6: non-finite feature value" in err
     assert not out.exists()
 
 

@@ -1,9 +1,15 @@
 """Synthetic multi-domain benchmark and CSV/oracle interchange."""
 
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from embmask import BenchmarkSpec, DomainDataset, TrainConfig, accuracy, generate_benchmark, split_model, train_erm
 from embmask.errors import ConfigError, CorruptFileError, CsvParseError
@@ -87,6 +93,11 @@ def test_invalid_spec_fields():
         BenchmarkSpec(samples_per_domain=0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        generate_benchmark(BenchmarkSpec(seed=-1, samples_per_domain=2, unseen_samples=2))
+
+
 def test_shared_only_classifier_beats_full_on_unseen():
     # the construction's point: specific dims mislead out of domain
     train, unseen, oracle = generate_benchmark(BenchmarkSpec())
@@ -123,9 +134,13 @@ def test_csv_empty_file_rejected(tmp_path):
 
 def test_csv_header_only_is_valid_empty_dataset(tmp_path):
     path = tmp_path / "header.csv"
-    path.write_text("f0,f1,label\n")
-    data = load_csv_dataset(str(path))
-    assert data.n == 0 and data.dim == 2
+    for text in ("f0,f1,label\n", "f0,f1,label,domain"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on an empty body
+            data = load_csv_dataset(str(path))
+        assert data.n == 0 and data.dim == 2 and data.features.dtype == np.float64
+        assert data.labels.dtype == np.int64 and data.domain_index == -1
 
 
 def test_csv_bad_cell_reports_row_number(tmp_path):
@@ -151,6 +166,96 @@ def test_csv_not_utf8_names_the_file(tmp_path):
     with pytest.raises(CsvParseError) as exc:
         load_csv_dataset(str(path))
     assert str(path) in str(exc.value) and "UTF-8" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("f0,label\n1.0,0\n\n2.0,1\n", ":3: expected 2 cells", id="blank-line"),
+        pytest.param("f0,label\n1.0,0\n\n", ":3: expected 2 cells", id="trailing-blank-line"),
+        pytest.param("f0,label\n1.0\n", ":2: expected 2 cells", id="ragged-row"),
+        pytest.param("f0,label\n1.0,0,7\n", ":2: expected 2 cells", id="long-row"),
+        pytest.param(
+            "f0,label\n1.0,1.0\n", ":2: invalid literal for int() with base 10: '1.0'", id="float-label"
+        ),
+        pytest.param(
+            "f0,label,domain\n1.0,0,0\n2.0,1,1\n", ": multiple domain indices [0, 1]", id="two-domains"
+        ),
+        pytest.param(
+            "f0,label\n1.0,0\noops,1\n", ":3: could not convert string to float: 'oops'", id="oops"
+        ),
+        pytest.param(
+            "f0,label\r\n1.0,0\r\n,1\r\n", ":3: could not convert string to float: ''", id="empty-cell"
+        ),
+        # float() and int() take these, but the writer never emits them
+        pytest.param("f0,label\n1.0,0\n1_0,1\n", ":3: not a plain ASCII decimal", id="underscore"),
+        pytest.param("f0,label\n1.0,1_0\n", ":2: not a plain ASCII decimal", id="underscore-label"),
+        pytest.param("f0,label\n\u0661.5,0\n", ":2: not a plain ASCII decimal", id="arabic-indic-digit"),
+        pytest.param("f0,label\n1.0,\uff11\n", ":2: not a plain ASCII decimal", id="fullwidth-label"),
+        # a file that float() and int() refuse too gets their error, even after an earlier `_`
+        pytest.param("f0,label\n1_0,0\n1.0\n", ":3: expected 2 cells", id="ragged-after-underscore"),
+        pytest.param("f0,label\n1_0,0\nnan,1\n", ":3: non-finite feature value", id="nan-after-underscore"),
+        pytest.param(
+            "f0,label,domain\n1_0,0,0\n2,1,1\n", ": multiple domain indices [0, 1]", id="domains-and-underscore"
+        ),
+    ],
+)
+def test_csv_rejections_name_the_row(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(CsvParseError) as exc:
+        load_csv_dataset(str(path))
+    assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize(
+    "text, features, labels",
+    [
+        pytest.param("f0,f1,label\n1.5,-2,3\n0,4e-3,1\n", [[1.5, -2.0], [0.0, 4e-3]], [3, 1], id="lf"),
+        pytest.param(
+            "f0,f1,label\r\n1.5,-2,3\r\n0,4e-3,1", [[1.5, -2.0], [0.0, 4e-3]], [3, 1], id="no-final-newline"
+        ),
+        pytest.param('f0,f1,label\r\n"1.0",2,"3"\r\n', [[1.0, 2.0]], [3], id="quoted"),
+        pytest.param("f0,f1,label\r\n 1.5 ,2\t, 3 \r\n", [[1.5, 2.0]], [3], id="spaces"),
+        pytest.param("f0,f1,label\n+1,-0,+7\n", [[1.0, -0.0]], [7], id="signs"),
+        pytest.param("label,note,f1,f0\n2,any text,1.5,2.5\n", [[1.5, 2.5]], [2], id="column-order"),
+    ],
+)
+def test_csv_accepted_forms(tmp_path, text, features, labels):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode("utf-8"))
+    data = load_csv_dataset(str(path))
+    expected = np.array(features, dtype=np.float64)
+    assert data.features.tobytes() == expected.tobytes() and data.features.shape == expected.shape
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == labels
+    assert data.domain_index == -1
+
+
+@st.composite
+def _tables(draw):
+    """(features, labels): any finite float64 and any int64, 1-8 rows."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (n, d), elements=finite)), draw(arrays(np.int64, n))
+
+
+_MAX = 1.7976931348623157e308
+_EDGES = np.array([[-0.0, 5e-324, -5e-324], [_MAX, -_MAX, 2.2250738585072014e-308]])
+
+
+@settings(max_examples=60, deadline=None)
+@example(table=(_EDGES, np.array([-(2**63), 2**63 - 1])), domain=0)
+@given(table=_tables(), domain=st.integers(-(2**63), 2**63 - 1))
+def test_csv_round_trip_is_bitwise(table, domain):
+    features, labels = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        save_csv_dataset(DomainDataset(features, labels, domain), path)
+        loaded = load_csv_dataset(path)
+    assert loaded.features.dtype == np.float64 and loaded.features.flags.c_contiguous
+    assert loaded.features.shape == features.shape and loaded.features.tobytes() == features.tobytes()
+    assert loaded.labels.dtype == np.int64 and loaded.labels.tobytes() == labels.tobytes()
+    assert loaded.domain_index == domain
 
 
 def test_csv_missing_column_rejected(tmp_path):

@@ -454,6 +454,12 @@ def test_emg_rejects_head_width_mismatch():
         train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=0, max_epochs=2))
 
 
+def test_negative_seed_rejected_before_training():
+    train, _, _ = _small_benchmark()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        train_erm(TrainConfig(seed=-1, max_epochs=2), train)
+
+
 def test_emg_keeps_base_bitwise_and_improves_val_loss():
     train, _, _ = _small_benchmark()
     split = _trained_split(train)
