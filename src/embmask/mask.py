@@ -12,9 +12,12 @@ overflow for any tau >= 1e-4. As tau -> 0 the mask approaches a Bernoulli
 draw with keep probability 1-p; tau is the only knob controlling how discrete
 the relaxation is. Gradients flow to G through p only; noise is a constant.
 
-``keep_mask`` is the one place this formula is computed: the training mask
-(``relaxed_mask_np``) and every inference mode reuse it, so an inference
-mask with zero noise is bitwise the training mask with zero noise.
+``_keep`` is the one place this formula is computed: the training mask
+(``relaxed_mask_np``, via ``keep_mask``) and every inference mode reuse it,
+so an inference mask with zero noise is bitwise the training mask with zero
+noise; ``sample_avg`` computes the log-odds once per call. The kernels work
+in place on arrays they allocate, never on their arguments, and the sigmoid
+has no boolean select; results and random draws are bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ class MaskGenConfig:
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.inference_mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
+        if type(self.sample_count) is not int:  # bool, float and str included
+            raise ConfigError(f"sample_count must be an int, got {self.sample_count!r}")
         if self.inference_mode == "sample_avg" and self.sample_count < 1:
             raise ConfigError("sample_avg needs sample_count >= 1")
 
@@ -52,27 +57,50 @@ _P_EPS = 1e-12  # uniforms, probabilities and masks clamped to [eps, 1-eps]
 
 def gumbel_sample(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """i.i.d. standard Gumbel draws -log(-log u), u clamped away from {0,1}."""
-    u = np.clip(rng.random(shape), _P_EPS, 1.0 - _P_EPS)
-    return -np.log(-np.log(u))
+    g = rng.random(shape)
+    np.clip(g, _P_EPS, 1.0 - _P_EPS, out=g)
+    np.negative(np.log(g, out=g), out=g)
+    return np.negative(np.log(g, out=g), out=g)
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """The mask's noise h - h', h drawn first."""
-    return gumbel_sample(rng, shape) - gumbel_sample(rng, shape)
+    h = gumbel_sample(rng, shape)
+    h -= gumbel_sample(rng, shape)
+    return h
 
 
-def sigmoid_np(x: Array) -> Array:
-    """Numerically stable logistic function on raw arrays."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid_np(x: Array, out: Array | None = None) -> Array:
+    """Stable logistic function into ``out`` (may be ``x``) if given; with e =
+    exp(-|x|) in [0, 1], max(e, x >= 0) is 1 where x >= 0 and e elsewhere."""
+    e = np.asarray(np.abs(x))  # a 0-d result is a NumPy scalar, not writable
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    num /= e
+    return num
+
+
+def _log_odds(p: Array) -> Array:
+    """log(1-p) - log p, the noise-free mask logit before the 1/tau scale."""
+    lo = np.log(1.0 - p)
+    lo -= np.log(p)
+    return lo
+
+
+def _keep(log_odds: Array, noise: Array | float, tau: float) -> tuple[Array, Array]:
+    """The mask formula, the only place it is computed: the clipped mask m
+    and the unclipped m0 = sigmoid((log_odds + noise)/tau)."""
+    x = np.asarray(log_odds + noise)
+    x *= 1.0 / tau
+    m0 = sigmoid_np(x, out=x)
+    return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
 
 
 def keep_mask(p: Array, noise: Array | float, tau: float) -> tuple[Array, Array]:
-    """The mask formula, the only place it is computed: from clamped drop
-    probabilities p and noise h - h', the clipped mask m and the unclipped
-    m0 = sigmoid((log(1-p) - log p + noise)/tau)."""
-    m0 = sigmoid_np((np.log(1.0 - p) - np.log(p) + noise) * (1.0 / tau))
-    return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
+    """The mask from clamped drop probabilities p and noise h - h': the
+    clipped mask m and the unclipped m0 = sigmoid((log(1-p) - log p + noise)/tau)."""
+    return _keep(_log_odds(p), noise, tau)
 
 
 def relaxed_mask_np(logits: Array, noise: Array, tau: float) -> tuple[Array, tuple]:
@@ -138,9 +166,9 @@ def inference_mask(
     if cfg.inference_mode == "sample_avg":
         if rng is None:
             raise ConfigError("sample_avg inference mode requires an rng")
-        acc = np.zeros_like(p)
+        log_odds, acc = _log_odds(p), np.zeros_like(p)
         for _ in range(cfg.sample_count):
-            acc += keep_mask(p, gumbel_noise(rng, p.shape), cfg.tau)[0]
+            acc += _keep(log_odds, gumbel_noise(rng, p.shape), cfg.tau)[0]
         return acc / cfg.sample_count
     if cfg.inference_mode == "expected" or cfg.tau == 1.0:
         return 1.0 - p
@@ -149,4 +177,5 @@ def inference_mask(
 
 def drop_probabilities(generator: Mlp, x: Array) -> Array:
     """p = sigmoid(G(x)) on raw arrays, for evaluation paths."""
-    return sigmoid_np(generator.forward_np(x))
+    logits = generator.forward_np(x)  # a fresh array
+    return sigmoid_np(logits, out=logits)

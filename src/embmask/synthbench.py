@@ -274,16 +274,21 @@ def _first_bad_row(
     path: str, n_cells: int, feat_idx: list[int], int_idx: list[int], body: str, error: str | None
 ) -> CsvParseError:
     """The error for a body ``np.loadtxt`` refused: the one ``float``/``int`` per
-    cell give, else the first row with a non-ASCII cell or one with ``_``."""
+    cell give or an integer outside int64, else the first row with a non-ASCII
+    cell or one with ``_``."""
     domains, nonfinite, loose = set(), None, None
     for rownum, row in enumerate(csv.reader(io.StringIO(body)), start=2):
         if len(row) != n_cells:
             return CsvParseError(f"{path}:{rownum}: expected {n_cells} cells")
         try:
             feats = [float(row[i]) for i in feat_idx]
-            domains.update([int(row[i]) for i in int_idx][1:])
+            ints = [int(row[i]) for i in int_idx]
         except ValueError as exc:
             return CsvParseError(f"{path}:{rownum}: {exc}")
+        for name, i, v in zip(("label", "domain"), int_idx, ints):
+            if not -(2**63) <= v < 2**63:
+                return CsvParseError(f"{path}:{rownum}: {name} {row[i].strip()} outside int64")
+        domains.update(ints[1:])
         if nonfinite is None and not all(map(math.isfinite, feats)):
             nonfinite = CsvParseError(f"{path}:{rownum}: non-finite feature value")
         cells = [row[i].strip() for i in feat_idx + int_idx]

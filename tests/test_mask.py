@@ -22,6 +22,7 @@ from embmask.mask import (
 from finite_diff import finite_difference_error
 
 EULER_MASCHERONI = 0.5772156649015329
+_P_EPS = 1e-12
 
 
 def _total(t):
@@ -66,6 +67,37 @@ def test_sigmoid_at_zero():
     assert sigmoid_np(np.array([0.0]))[0] == 0.5
 
 
+# The out-of-place formulas the in-place kernels replaced, kept verbatim as the
+# reference the kernels must match byte for byte, random stream included.
+
+
+def _ref_gumbel_sample(rng, shape):
+    u = np.clip(rng.random(shape), _P_EPS, 1.0 - _P_EPS)
+    return -np.log(-np.log(u))
+
+
+def _ref_gumbel_noise(rng, shape):
+    return _ref_gumbel_sample(rng, shape) - _ref_gumbel_sample(rng, shape)
+
+
+def _ref_sigmoid_np(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _ref_keep_mask(p, noise, tau):
+    m0 = _ref_sigmoid_np((np.log(1.0 - p) - np.log(p) + noise) * (1.0 / tau))
+    return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
+
+
+def _ref_sample_avg(p, cfg, rng):
+    p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
+    acc = np.zeros_like(p)
+    for _ in range(cfg.sample_count):
+        acc += _ref_keep_mask(p, _ref_gumbel_noise(rng, p.shape), cfg.tau)[0]
+    return acc / cfg.sample_count
+
+
 def _sigmoid_two_branch(x):
     """Logistic function computed separately on x >= 0 and x < 0."""
     pos = x >= 0
@@ -83,7 +115,12 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
     inputs += [rng.normal(scale=s, size=(64, 64)) for s in (0.1, 1.0, 10.0, 100.0, 1000.0)]
     for x in inputs:
         assert sigmoid_np(x).tobytes() == _sigmoid_two_branch(x).tobytes()
-    assert np.isnan(sigmoid_np(np.array([np.nan, 1.0])))[0]
+    # NaN keeps the bytes the out-of-place formula gives it, payload included
+    # (the two-branch formula skips the |x| and so differs in the sign bit)
+    payloads = np.array([0x7FF8000000000123, 0xFFF4000000000001], dtype=np.uint64)
+    nans = np.concatenate([[np.nan, -np.nan], payloads.view(np.float64), [1.0]])
+    assert np.isnan(sigmoid_np(nans)[:4]).all()
+    assert sigmoid_np(nans).tobytes() == _ref_sigmoid_np(nans).tobytes()
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
@@ -249,3 +286,97 @@ def test_config_validation():
         MaskGenConfig(inference_mode="nope")
     with pytest.raises(ConfigError):
         MaskGenConfig(inference_mode="sample_avg", sample_count=0)
+
+
+# -- in-place kernels against the out-of-place reference ---------------------------
+
+_SHAPES = [(1, 64), (7, 3), (3000, 64)]
+
+
+def _edge_logits(shape):
+    """Like ``_logits``, in any shape with at least 6 entries, and with -0.0."""
+    logits = np.random.default_rng(4).normal(scale=3.0, size=shape)
+    logits.flat[:6] = [-40.0, 40.0, 0.0, -0.0, 1e-3, -1e-3]
+    return logits
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
+def test_kernels_match_reference_formulas_bitwise(tau, shape):
+    logits = _edge_logits(shape)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    noise, ref_noise = gumbel_noise(rng, shape), _ref_gumbel_noise(ref_rng, shape)
+    assert noise.tobytes() == ref_noise.tobytes()
+    assert gumbel_sample(rng, shape).tobytes() == _ref_gumbel_sample(ref_rng, shape).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    p = sigmoid_np(logits)
+    assert p.tobytes() == _ref_sigmoid_np(logits).tobytes()
+    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
+    for got, want in zip(keep_mask(p, noise, tau), _ref_keep_mask(p, noise, tau)):
+        assert got.tobytes() == want.tobytes()
+    noise_free = inference_mask(p, MaskGenConfig(tau=tau))
+    want = 1.0 - p if tau == 1.0 else _ref_keep_mask(p, 0.0, tau)[0]
+    assert noise_free.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("sample_count", [1, 3, 8])
+@pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
+def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape):
+    p = sigmoid_np(_edge_logits(shape))
+    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=sample_count)
+    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+    assert inference_mask(p, cfg, rng).tobytes() == _ref_sample_avg(p, cfg, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_kernels_take_scalars_as_the_reference_did():
+    # NumPy returns a 0-d result as a scalar, which cannot be written in place
+    for x in (0.7, np.float64(-2.0), np.array(-0.0)):
+        assert sigmoid_np(x).tobytes() == _ref_sigmoid_np(x).tobytes()
+    for got, want in zip(keep_mask(np.float64(0.3), 0.4, 0.5), _ref_keep_mask(np.float64(0.3), 0.4, 0.5)):
+        assert got.tobytes() == want.tobytes()
+    want = _ref_keep_mask(np.float64(0.3), 0.0, 0.5)[0]
+    assert inference_mask(0.3, MaskGenConfig(tau=0.5)).tobytes() == want.tobytes()
+    cfg = MaskGenConfig(tau=0.5, inference_mode="sample_avg", sample_count=3)
+    want = _ref_sample_avg(0.3, cfg, np.random.default_rng(1))
+    assert inference_mask(0.3, cfg, np.random.default_rng(1)).tobytes() == want.tobytes()
+
+
+def _unchanged(fn, *args):
+    """Call fn(*args) and assert that no array argument's bytes moved."""
+    before = [a.copy() for a in args if isinstance(a, np.ndarray)]
+    fn(*args)
+    after = [a for a in args if isinstance(a, np.ndarray)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+
+def test_kernels_never_write_into_their_arguments():
+    logits = _logits()
+    s = sigmoid_np(logits)  # 0 and 1 at the saturated logits: outside the p clip
+    p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
+    noise = gumbel_noise(np.random.default_rng(13), logits.shape)
+    _unchanged(sigmoid_np, logits)
+    _unchanged(keep_mask, p, noise, 0.1)
+    _unchanged(relaxed_mask_np, logits, noise, 0.1)
+    for mode in ("noise_free", "expected", "sample_avg"):
+        cfg = MaskGenConfig(tau=0.5, inference_mode=mode, sample_count=3)
+        _unchanged(inference_mask, s, cfg, np.random.default_rng(14))
+    # each noise array is a fresh one: a later draw leaves an earlier one alone
+    rng = np.random.default_rng(15)
+    first = gumbel_noise(rng, logits.shape)
+    _unchanged(lambda _: gumbel_noise(rng, logits.shape), first)
+
+
+def test_sigmoid_out_may_alias_its_input():
+    x = np.concatenate([_logits().ravel(), [np.nan, -np.inf, np.inf, 746.0, -746.0]])
+    want = sigmoid_np(x.copy())
+    out = np.empty_like(x)
+    assert sigmoid_np(x, out=out) is out and out.tobytes() == want.tobytes()
+    assert sigmoid_np(x, out=x) is x and x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [2.5, "3", True])
+def test_sample_count_must_be_an_int(count):
+    with pytest.raises(ConfigError):
+        MaskGenConfig(inference_mode="sample_avg", sample_count=count)

@@ -187,6 +187,22 @@ def test_csv_not_utf8_names_the_file(tmp_path):
         pytest.param(
             "f0,label\r\n1.0,0\r\n,1\r\n", ":3: could not convert string to float: ''", id="empty-cell"
         ),
+        # int() takes these, but int64 cannot hold them
+        pytest.param(
+            "f0,label\n1.0,0\n2.0,99999999999999999999\n",
+            ":3: label 99999999999999999999 outside int64",
+            id="label-overflow",
+        ),
+        pytest.param(
+            "f0,label\n1.0,-9223372036854775809\n",
+            ":2: label -9223372036854775809 outside int64",
+            id="negative-label-overflow",
+        ),
+        pytest.param(
+            "f0,label,domain\n1.0,0,0\n2.0,1,9223372036854775808\n",
+            ":3: domain 9223372036854775808 outside int64",
+            id="domain-overflow",
+        ),
         # float() and int() take these, but the writer never emits them
         pytest.param("f0,label\n1.0,0\n1_0,1\n", ":3: not a plain ASCII decimal", id="underscore"),
         pytest.param("f0,label\n1.0,1_0\n", ":2: not a plain ASCII decimal", id="underscore-label"),
