@@ -26,6 +26,7 @@ from embmask import (
     train_erm,
 )
 from embmask.evaluate import emg_masks
+from embmask.mask import INFERENCE_MODES
 from embmask.synthbench import pool_domains
 
 
@@ -38,9 +39,7 @@ def parse_args():
     ap.add_argument("--emg-epochs", type=int, default=3)
     ap.add_argument("--emg-hidden", type=int, default=32)
     ap.add_argument("--tau", type=float, default=0.1)
-    ap.add_argument(
-        "--inference-mode", default="noise_free", choices=["noise_free", "expected", "sample_avg"]
-    )
+    ap.add_argument("--inference-mode", default="noise_free", choices=INFERENCE_MODES)
     ap.add_argument("--out", default="", help="optional JSON summary path")
     return ap.parse_args()
 

@@ -90,7 +90,8 @@ def bound_terms(
     """Empirical generalization-error bound terms for an affine predictor.
 
     Requires the oracle shared/specific dimension lists (benchmark with
-    mixing disabled, identity-encoder setup).
+    mixing disabled, identity-encoder setup), each dimension inside the
+    embedding, or ``ContractError``.
     """
     if distance_kind not in DISTANCE_KINDS:
         raise UsageError(f"unknown distance kind {distance_kind!r}")
@@ -105,6 +106,9 @@ def bound_terms(
         raise UsageError(f"masks shape {masks.shape} != embeddings {z.shape}")
     if len(z) == 0:
         raise UsageError("bound terms of empty data are undefined")
+    width = z.shape[1]
+    if any(not 0 <= d < width for d in oracle.shared_dims + oracle.specific_dims):
+        raise ContractError(f"an oracle dimension is outside the {width}-wide embedding")
 
     sh = np.zeros_like(z)
     sh[:, oracle.shared_dims] = z[:, oracle.shared_dims]

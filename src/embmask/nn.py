@@ -2,9 +2,10 @@
 
 An ``Mlp`` is a stack of linear layers with relu between them and an identity
 output. Its parameters live in a ``ParamStore``: named views of one flat
-float64 vector, so training updates them all with one vectorized optimizer
-step. A store is trainable or ``frozen`` as a whole; its checksum makes the
-freeze contract checkable (frozen bytes must survive a whole training run).
+float64 vector, laid out once when the store is built, so training updates
+them all with one vectorized optimizer step. A store is trainable or
+``frozen`` as a whole; its checksum makes the freeze contract checkable
+(frozen bytes must survive a whole training run).
 ``Mlp.forward_train`` is the one NumPy layer loop: inference takes its last
 entry, and training hands all of it to ``Mlp.backward_train``.
 """
@@ -25,20 +26,15 @@ Array = np.ndarray
 
 
 class ParamStore:
-    """Named parameters, in insertion order, as views into one contiguous
-    float64 vector ``flat``; ``frozen`` marks the whole store untrainable."""
+    """Named parameters, in the order of the mapping the store was built
+    from, as views into one contiguous float64 vector ``flat``, allocated
+    once; ``frozen`` marks the whole store untrainable."""
 
-    def __init__(self):
-        self._values: dict[str, Array] = {}
-        self.flat = np.zeros(0)
-        self.frozen = False
-
-    def add(self, name: str, value: Array) -> None:
-        if name in self._values:
-            raise UsageError(f"duplicate parameter name {name!r}")
-        self._values[name] = np.asarray(value, dtype=np.float64)
-        self.flat = np.concatenate([self.flat, self._values[name].ravel()])
+    def __init__(self, values: Mapping[str, Array]):
+        self._values = {n: np.asarray(v, dtype=np.float64) for n, v in values.items()}
+        self.flat = np.concatenate([np.zeros(0), *(v.ravel() for v in self._values.values())])
         self._values = self.views(self.flat)
+        self.frozen = False
 
     def views(self, vec: Array) -> dict[str, Array]:
         """Each parameter's view of ``vec``, a vector laid out like ``flat``
@@ -55,12 +51,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Array:
         return self._values[name]
-
-    def set_value(self, name: str, value: Array) -> None:
-        p = self._values[name]
-        if p.shape != value.shape:
-            raise ShapeMismatchError(f"set_value {name}: {p.shape} vs {value.shape}")
-        p[...] = value
 
     def names(self) -> list[str]:
         return list(self._values)
@@ -94,6 +84,9 @@ class Mlp:
 
     Weight ``w{i}`` has shape (fan_in, fan_out); bias ``b{i}`` shape (fan_out,).
     Weights init uniform(-a, a), a = sqrt(6 / (fan_in + fan_out)); biases zero.
+    ``store`` wraps parameters that already exist instead. ``layers`` holds
+    each layer's ``(w, b, w name, b name)``, its arrays views of the store's
+    ``flat``.
     """
 
     def __init__(
@@ -102,21 +95,21 @@ class Mlp:
         store: ParamStore | None = None,
         prefix: str = "",
         seed: int = 0,
-        init: bool = True,
     ):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise UsageError(f"bad layer sizes {layer_sizes}")
         self.layer_sizes = list(layer_sizes)
-        self.prefix = prefix
-        self.store = store if store is not None else ParamStore()
-        self._layers_of: Array | None = None
-        self._resolved: list[tuple[Array, Array, str, str]] = []
-        if init:
+        names = [(f"{prefix}w{i}", f"{prefix}b{i}") for i in range(self.n_layers)]
+        if store is None:
             rng = np.random.default_rng(seed)
-            for i, (fi, fo) in enumerate(zip(layer_sizes, layer_sizes[1:])):
+            values = {}
+            for (w, b), fi, fo in zip(names, layer_sizes, layer_sizes[1:]):
                 a = np.sqrt(6.0 / (fi + fo))
-                self.store.add(f"{prefix}w{i}", rng.uniform(-a, a, size=(fi, fo)))
-                self.store.add(f"{prefix}b{i}", np.zeros(fo))
+                values[w] = rng.uniform(-a, a, size=(fi, fo))
+                values[b] = np.zeros(fo)
+            store = ParamStore(values)
+        self.store = store
+        self.layers = [(store[w], store[b], w, b) for w, b in names]
 
     @property
     def n_layers(self) -> int:
@@ -144,15 +137,15 @@ class Mlp:
             i += 1
         if len(sizes) < 2:
             raise UsageError(f"no layers with prefix {prefix!r} in store")
-        return cls(sizes, store=store, prefix=prefix, init=False)
+        return cls(sizes, store=store, prefix=prefix)
 
     def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
         """The forward on the tape; ``leaves`` maps parameter names to leaf
         tensors."""
         self._check_width(x, 0)
         h = x
-        for i in range(self.n_layers):
-            h = T.linear(h, leaves[f"{self.prefix}w{i}"], leaves[f"{self.prefix}b{i}"])
+        for i, (_, _, w, b) in enumerate(self.layers):
+            h = T.linear(h, leaves[w], leaves[b])
             if i < self.n_layers - 1:
                 h = T.relu(h)
         return h
@@ -162,16 +155,6 @@ class Mlp:
             raise ShapeMismatchError(
                 f"input width {x.shape[1]} != model input dim {self.layer_sizes[layer]}"
             )
-
-    def _layers(self) -> list[tuple[Array, Array, str, str]]:
-        """``(w, b, w name, b name)`` per layer; the arrays are views of the
-        store's ``flat``, resolved again only after ``flat`` was replaced
-        (a parameter added to the store)."""
-        if self._layers_of is not self.store.flat:
-            names = [(f"{self.prefix}w{i}", f"{self.prefix}b{i}") for i in range(self.n_layers)]
-            self._resolved = [(self.store[w], self.store[b], w, b) for w, b in names]
-            self._layers_of = self.store.flat
-        return self._resolved
 
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
@@ -183,12 +166,11 @@ class Mlp:
         the output (the last entry), each a fresh array. ``ShapeMismatchError``
         unless ``x`` is as wide as layer ``start``'s input."""
         self._check_width(x, start)
-        layers = self._layers()
-        last = len(layers) - 1
+        last = self.n_layers - 1
         h = np.asarray(x, dtype=np.float64)
         acts = [h]
         for i in range(start, last + 1 if stop is None else stop):
-            w, b = layers[i][:2]
+            w, b = self.layers[i][:2]
             h = T.linear_np(h, w, b)
             if i < last:
                 T.relu_np(h, out=h)
@@ -209,10 +191,9 @@ class Mlp:
         vector, and each layer writes its weight and bias gradient there. A
         frozen one passes None and gets the gradient wrt its input back.
         """
-        layers = self._layers()
-        last = len(layers) - 1
+        last = self.n_layers - 1
         for i in range(last, start - 1, -1):
-            w, _, w_name, b_name = layers[i]
+            w, _, w_name, b_name = self.layers[i]
             if i < last:
                 g = T.relu_grad(g, acts[i - start + 1])
             if grads is not None:
@@ -259,11 +240,7 @@ class SplitModel:
     def predictor_affine_params(self) -> tuple[Array, Array]:
         if not self.predictor_is_affine:
             raise ContractError("predictor is not a single linear layer")
-        i = self.split_index
-        return (
-            self.model.store[f"{self.model.prefix}w{i}"],
-            self.model.store[f"{self.model.prefix}b{i}"],
-        )
+        return self.model.layers[self.split_index][:2]
 
 
 def split_model(model: Mlp, split_index: int | None = None) -> SplitModel:
@@ -336,7 +313,7 @@ def load_params(path: str) -> ParamStore:
     with open(payload_path, "rb") as fh:
         payload = fh.read()
 
-    store = ParamStore()
+    values = {}
     end = 0
     for name, shape, offset, _ in entries:
         if offset != end:
@@ -349,11 +326,12 @@ def load_params(path: str) -> ParamStore:
             raise CorruptFileError(
                 f"payload {payload_path} truncated: need {end} bytes, have {len(payload)}"
             )
-        store.add(name, np.frombuffer(payload, "<f8", size, offset).reshape(shape))
+        values[name] = np.frombuffer(payload, "<f8", size, offset).reshape(shape)
     if end != len(payload):
         raise CorruptFileError(
             f"payload {payload_path} length {len(payload)} != manifest total {end}"
         )
+    store = ParamStore(values)
     if not np.isfinite(store.flat).all():
         raise CorruptFileError(f"payload {payload_path} holds a non-finite value")
     if flags == {False}:

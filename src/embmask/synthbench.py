@@ -318,12 +318,22 @@ def save_oracle(oracle: Oracle, path: str) -> None:
 
 
 def load_oracle(path: str) -> Oracle:
+    """The oracle ``save_oracle`` wrote, or ``CorruptFileError``. Each
+    dimension list is null or a list of non-negative ints, and no int occurs
+    twice in the two lists together."""
     try:
         with open(path) as fh:
             blob = json.load(fh)
+        shared, specific = blob["shared_dims"], blob["specific_dims"]
+        lists = [ds for ds in (shared, specific) if ds is not None]
+        if not all(isinstance(ds, list) for ds in lists):
+            raise ValueError("shared_dims and specific_dims must each be null or a list")
+        dims = [d for ds in lists for d in ds]
+        if any(type(d) is not int or d < 0 for d in dims) or len(set(dims)) != len(dims):
+            raise ValueError(f"oracle dimensions must be distinct non-negative ints: {dims}")
         return Oracle(
-            shared_dims=blob["shared_dims"],
-            specific_dims=blob["specific_dims"],
+            shared_dims=shared,
+            specific_dims=specific,
             class_means=np.array(blob["class_means"]),
             domain_maps={int(k): np.array(v) for k, v in blob["domain_maps"].items()},
             unseen_map=np.array(blob["unseen_map"]),

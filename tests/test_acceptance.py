@@ -14,6 +14,7 @@ from embmask import (
     BenchmarkSpec,
     MaskGenConfig,
     Mlp,
+    ParamStore,
     TrainConfig,
     accuracy,
     bound_terms,
@@ -122,10 +123,8 @@ def test_criterion_4_bound_on_random_affine_instances():
             domain_maps={},
             unseen_map=np.zeros((d - k, k)),
         )
-        model = Mlp([d, c], seed=i, init=False)
-        model.store.add("w0", rng.normal(scale=2.0, size=(d, c)))
-        model.store.add("b0", rng.normal(size=c))
-        split = split_model(model, 0)
+        store = ParamStore({"w0": rng.normal(scale=2.0, size=(d, c)), "b0": rng.normal(size=c)})
+        split = split_model(Mlp.from_store(store), 0)
         z = rng.normal(scale=3.0, size=(1, d))
         mask = rng.uniform(size=(1, d))
         for kind in ("L2", "L1"):

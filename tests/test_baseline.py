@@ -28,8 +28,8 @@ from embmask.synthbench import pool_domains
 def _linear_split(w, b):
     """Single-layer model with hand-set weights, identity encoder."""
     model = Mlp([w.shape[0], w.shape[1]], seed=0)
-    model.store.set_value("w0", w)
-    model.store.set_value("b0", b)
+    model.store["w0"][...] = w
+    model.store["b0"][...] = b
     return split_model(model, 0)
 
 

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -355,10 +357,7 @@ def _model_run(path, store):
 
 
 def _params(**shapes):
-    store = ParamStore()
-    for name, shape in shapes.items():
-        store.add(name, np.ones(shape))
-    return store
+    return ParamStore({name: np.ones(shape) for name, shape in shapes.items()})
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +503,28 @@ def test_empty_domain_exits_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "shared",
+    [[99], "abc", [0.5], [0, 4]],
+    ids=["beyond-embedding", "not-a-list", "not-ints", "overlaps-specific"],
+)
+def test_tampered_oracle_dims_exit_1_before_run_dir(pipeline, tmp_path, capsys, shared):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "oracle.json"
+    blob = json.loads(path.read_text())
+    blob["shared_dims"] = shared
+    path.write_text(json.dumps(blob))
+    _reseal(data)
+    out = tmp_path / "out"
+    inputs = {"data.dir": data, "base.model": pipeline["base"], "emg.model": pipeline["emg"]}
+    assert run_cmd("bound-check", pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=1")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_training_leaves_no_run_dir(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
@@ -583,3 +604,21 @@ def test_artifact_digest_chain_covers_every_code_path(monkeypatch):
     mode_commands = [cmd for cmd, schema in SCHEMAS.items() if "eval.mode" in schema]
     assert used("eval.mode") == {(cmd, m) for cmd in mode_commands for m in EVAL_MODES}
     assert used("export.which") == {("export-embeddings", w) for w in EXPORT_WHICH}
+
+
+def test_artifact_digests_match_golden(tmp_path):
+    """The 13 run directories of scripts/artifact_digests.py are byte for
+    byte those recorded in tests/golden/artifact_digests.txt. The chain runs
+    in its own process, so no state of this one leaks into it."""
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "artifact_digests.py"), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert proc.stdout == (root / "tests" / "golden" / "artifact_digests.txt").read_text(), (
+        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    )

@@ -11,8 +11,8 @@ from embmask.synthbench import Oracle, save_csv_dataset
 
 def _affine_split(w, b, split_index=0):
     model = Mlp([w.shape[0], w.shape[1]], seed=0)
-    model.store.set_value("w0", w)
-    model.store.set_value("b0", b)
+    model.store["w0"][...] = w
+    model.store["b0"][...] = b
     return split_model(model, split_index)
 
 
@@ -143,6 +143,14 @@ def test_bound_rejects_missing_oracle_dims():
     oracle.shared_dims = None
     with pytest.raises(ContractError):
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((2, 4)))
+
+
+def test_bound_rejects_oracle_dims_outside_the_embedding():
+    rng = np.random.default_rng(6)
+    split = _affine_split(rng.normal(size=(4, 2)), rng.normal(size=2))
+    for shared, specific in (([0, 1], [2, 4]), ([99], [0]), ([-1], [0])):
+        with pytest.raises(ContractError):
+            bound_terms(split, _oracle(shared, specific), np.ones((2, 4)), np.ones((2, 4)))
 
 
 def test_bound_rejects_bad_distance_or_shapes():

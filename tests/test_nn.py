@@ -17,7 +17,7 @@ GOLDEN_FORWARD_SHA = "65d07fe41994939cf434d4d8644d62e6bcf054279fd8c0e8c8457838c2
 def test_zero_weight_model_gives_zero_logits():
     model = Mlp([3, 2])
     for name in model.store.names():
-        model.store.set_value(name, np.zeros_like(model.store[name]))
+        model.store[name][...] = 0.0
     out = model.forward_np(np.random.default_rng(0).normal(size=(4, 3)))
     np.testing.assert_array_equal(out, np.zeros((4, 2)))
 
@@ -58,7 +58,7 @@ def test_set_value_after_build_shows_in_the_next_forward():
     model = Mlp([4, 5, 3], seed=9)
     x = np.random.default_rng(2).normal(size=(7, 4))
     before = model.forward_np(x)
-    model.store.set_value("b1", model.store["b1"] + 1.0)
+    model.store["b1"][...] += 1.0
     after = model.forward_np(x)
     assert not (after == before).any()
     assert (after == Mlp.from_store(model.store).forward_np(x)).all()
@@ -82,13 +82,6 @@ def test_bad_layer_sizes_rejected():
 
 
 # -- ParamStore ---------------------------------------------------------------
-
-
-def test_duplicate_param_name_rejected():
-    store = ParamStore()
-    store.add("w", np.ones(2))
-    with pytest.raises(UsageError):
-        store.add("w", np.ones(2))
 
 
 def test_freeze_is_idempotent_and_total():
@@ -136,7 +129,7 @@ def test_checksum_tracks_values():
     model = Mlp([2, 2], seed=3)
     before = model.store.checksum()
     assert before == model.store.checksum()
-    model.store.set_value("b0", np.array([1.0, 0.0]))
+    model.store["b0"][...] = [1.0, 0.0]
     assert model.store.checksum() != before
 
 
@@ -211,7 +204,7 @@ def test_save_load_round_trip_bitwise(tmp_path):
 
 def test_save_empty_store(tmp_path):
     path = str(tmp_path / "empty")
-    save_params(ParamStore(), path)
+    save_params(ParamStore({}), path)
     assert (tmp_path / "empty.params").read_bytes() == b""
     assert load_params(path).names() == []
 
@@ -284,10 +277,7 @@ def test_non_finite_parameter_raises(tmp_path, value):
 
 
 def _store(**shapes):
-    store = ParamStore()
-    for name, shape in shapes.items():
-        store.add(name, np.ones(shape))
-    return store
+    return ParamStore({name: np.ones(shape) for name, shape in shapes.items()})
 
 
 @pytest.mark.parametrize(

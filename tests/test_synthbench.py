@@ -1,5 +1,6 @@
 """Synthetic multi-domain benchmark and CSV/oracle interchange."""
 
+import json
 import math
 import os
 import tempfile
@@ -296,12 +297,34 @@ def test_oracle_json_round_trip(tmp_path):
     assert (loaded.unseen_map == oracle.unseen_map).all()
 
 
+def _with_dims(shared, specific):
+    """A corruption that writes the two oracle dimension lists."""
+
+    def corrupt(text):
+        blob = json.loads(text)
+        blob["shared_dims"], blob["specific_dims"] = shared, specific
+        return json.dumps(blob)
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
         pytest.param(lambda text: text.replace('"unseen_map"', '"unseen"'), id="missing-key"),
         pytest.param(lambda text: "[1, 2]", id="not-an-object"),
+        *(
+            pytest.param(_with_dims(shared, specific), id=name)
+            for name, shared, specific in [
+                ("dims-not-a-list", "abc", None),
+                ("dims-not-ints", [0.5], None),
+                ("dims-bools", None, [True]),
+                ("dims-negative", [-1], None),
+                ("dims-repeated", [1, 1], None),
+                ("dims-overlap", [0, 1], [1, 2]),
+            ]
+        ),
     ],
 )
 def test_corrupt_oracle_raises_corrupt_file(tmp_path, corrupt):

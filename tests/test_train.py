@@ -158,7 +158,7 @@ def test_optimizer_zero_gradient_leaves_params():
 
 def test_optimizer_single_step_hand_oracle():
     store = Mlp([1, 1], seed=0).store
-    store.set_value("w0", np.array([[1.0]]))
+    store["w0"][...] = 1.0
     g = 0.5
     lr = 0.1
     grad = np.zeros_like(store.flat)
@@ -202,7 +202,7 @@ def test_optimizer_rejects_unknown_name():
 
 def _randomize(store, rng):
     for name in store.names():
-        store.set_value(name, rng.normal(size=store[name].shape))
+        store[name][...] = rng.normal(size=store[name].shape)
 
 
 def _fused(store, forward):
@@ -283,7 +283,7 @@ def _tape_predict(split, z):
     model = split.model
     h = z
     for i in range(split.split_index, model.n_layers):
-        h = T.linear(h, model.store[f"{model.prefix}w{i}"], model.store[f"{model.prefix}b{i}"])
+        h = T.linear(h, *model.layers[i][:2])
         if i < model.n_layers - 1:
             h = T.relu(h)
     return h
