@@ -8,11 +8,13 @@ config and seed. Its ``config.txt`` holds only the keys that shaped the run:
 ``eval`` and ``export-embeddings`` leave out the mask-source keys their
 ``eval.mode`` does not read, and reject them unless they hold their defaults.
 Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
-value out of range), 1 anything else (including inputs whose widths do not
-fit together, and a domain CSV without rows). Configuration and inputs are
-checked, and results computed, before ``out_dir`` is created, so a command
-that fails leaves none behind; ``export-embeddings`` writes each domain's
-files as it goes.
+value out of range), 1 anything else: inputs whose widths do not fit
+together (domains of different widths included), a domain CSV without rows,
+a manifest name that is not a regular file in its run, and an
+operating-system error such as an ``out_dir`` that is an existing file.
+Configuration and inputs are checked, and results computed, before
+``out_dir`` is created, so a command that fails leaves none behind;
+``export-embeddings`` writes each domain's files as it goes.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ def _load_model(prefix: str, what: str):
 
 def _load_data_dir(data_dir: str):
     """Train domains, unseen domain and oracle (or None) listed in the
-    verified manifest of ``data_dir``; every domain must have rows."""
+    verified manifest of ``data_dir``; every domain must have rows and the
+    width of the first training domain."""
     _require_path(data_dir, "data directory")
     listed = RunDirectory.verify(data_dir)
     train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"))
@@ -197,6 +200,10 @@ def _load_data_dir(data_dir: str):
     for name, data in zip(names, domains):
         if data.n == 0:
             raise CorruptFileError(f"{name} in {data_dir} has no rows")
+        if data.dim != domains[0].dim:
+            raise ShapeMismatchError(
+                f"{name} in {data_dir} has {data.dim} features, {names[0]} has {domains[0].dim}"
+            )
     return domains[:-1], domains[-1], oracle
 
 
@@ -229,6 +236,12 @@ def _load_generator(cfg, split, dim: int) -> Mlp:
     return gen
 
 
+def _importance_rng(cfg) -> np.random.Generator:
+    """The permutation-importance stream of ``eval.mode = global`` and of
+    ``sweep-global``, so both rank dimensions alike for one seed."""
+    return np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
+
+
 def _mask_source(cfg, mode, split, train_data):
     """``masks_for(data)`` for mask source ``mode``: None, the global
     bottom-p% mask, or the generator's per-sample masks for ``data``. Drops
@@ -245,10 +258,9 @@ def _mask_source(cfg, mode, split, train_data):
         percent, repeats = cfg["eval.mask_percent"], cfg["eval.repeats"]
         if not (0.0 <= percent <= 100.0 and repeats >= 1):
             raise ConfigError("eval.mask_percent must be in [0, 100] and eval.repeats >= 1")
-        rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
         pooled = pool_domains(train_data)
         z = split.encode_np(pooled.features)
-        scores = permutation_importance(split, z, pooled.labels, repeats, rng)
+        scores = permutation_importance(split, z, pooled.labels, repeats, _importance_rng(cfg))
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
@@ -326,14 +338,13 @@ def cmd_sweep_global(cfg) -> None:
     grid = parse_grid(cfg["sweep.grid"])
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
-    rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
     table = sweep_mask_percent(
         split,
         train_data,
         unseen,
         percent_grid=grid,
         repeats=cfg["sweep.repeats"],
-        rng=rng,
+        rng=_importance_rng(cfg),
     )
     run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))
@@ -423,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifact as exc:
         print(f'error code=2 msg="{exc}"', file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except EmbmaskError as exc:
+    except (EmbmaskError, OSError) as exc:
         print(f'error code=1 msg="{exc}"', file=sys.stderr)
         return 1
 

@@ -1,5 +1,8 @@
 """Accuracy evaluation, generalization-bound diagnostics, and CSV export.
 
+``emg_masks`` passes the generator's drop probabilities and the run seed to
+``mask.inference_mask``, which alone decides whether and what noise it draws.
+
 The bound check is the empirical counterpart of the triangle-inequality
 argument for linear predictors: with the embedding split additively into
 zero-padded shared and specific parts (z = z_sh + z_sp) and W the
@@ -35,17 +38,9 @@ def _rowdist(a: Array, b: Array, kind: str) -> Array:
         return np.abs(a - b).sum(axis=1)
 
 
-def emg_masks(
-    generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0
-) -> Array:
+def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Per-sample inference masks from the trained generator."""
-    p = drop_probabilities(generator, x)
-    rng = (
-        np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
-        if cfg.inference_mode == "sample_avg"
-        else None
-    )
-    return inference_mask(p, cfg, rng)
+    return inference_mask(drop_probabilities(generator, x), cfg, seed)
 
 
 def masked_accuracy(

@@ -13,11 +13,11 @@ draw with keep probability 1-p; tau is the only knob controlling how discrete
 the relaxation is. Gradients flow to G through p only; noise is a constant.
 
 ``_keep`` is the one place this formula is computed: the training mask
-(``relaxed_mask_np``, via ``keep_mask``) and every inference mode reuse it,
-so an inference mask with zero noise is bitwise the training mask with zero
-noise; ``sample_avg`` computes the log-odds once per call. The kernels work
-in place on arrays they allocate, never on their arguments, and the sigmoid
-has no boolean select; results and random draws are bitwise unchanged.
+(``relaxed_mask_np``) and every inference mode reuse it, so a zero-noise
+inference mask is bitwise the zero-noise training mask. Training draws noise
+from the caller's generator; ``inference_mask(p, cfg, seed)`` draws it only
+under ``sample_avg``, from ``SeedSequence((seed, 0xE7))``. The kernels work in
+place on arrays they allocate, never on their arguments.
 """
 
 from __future__ import annotations
@@ -150,9 +150,7 @@ def training_mask(
     return relaxed_mask(logits, gumbel_noise(rng, logits.shape), cfg.tau)
 
 
-def inference_mask(
-    p: Array, cfg: MaskGenConfig, rng: np.random.Generator | None = None
-) -> Array:
+def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Deterministic (or seed-scoped averaged) mask for evaluation.
 
     noise_free: ``keep_mask`` with zero noise, i.e.
@@ -160,12 +158,12 @@ def inference_mask(
     which is exactly 1-p at tau = 1 (special-cased to keep the identity
     exact in floating point).
     expected: the Bernoulli keep probability 1-p.
-    sample_avg: mean of sample_count training masks under the given rng.
+    sample_avg: mean of sample_count training masks, their noise drawn from
+    the stream ``SeedSequence((seed, 0xE7))``; the other modes draw none.
     """
     p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
     if cfg.inference_mode == "sample_avg":
-        if rng is None:
-            raise ConfigError("sample_avg inference mode requires an rng")
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
         log_odds, acc = _log_odds(p), np.zeros_like(p)
         for _ in range(cfg.sample_count):
             acc += _keep(log_odds, gumbel_noise(rng, p.shape), cfg.tau)[0]

@@ -3,7 +3,10 @@
 A run starts with a STATUS file saying ``incomplete`` and its config
 snapshot ``config.txt``, the first artifact; on success the manifest (sha256
 per artifact) is written and STATUS flips to ``complete``. Readers take only
-the files a manifest lists: others may be left from an earlier run.
+the files a manifest lists: others may be left from an earlier run. Each
+listed name is a plain file name (no directory part, not ``.`` or ``..``) of
+a regular file in the run, not a symlink, so a manifest cannot point a reader
+outside it.
 Wall-clock information never enters manifest-tracked files, so identical
 config+seed reruns produce identical bytes.
 """
@@ -66,8 +69,8 @@ class RunDirectory:
     @staticmethod
     def verify(path: str) -> list[str]:
         """The artifact names listed in the manifest of ``path``; raise
-        CorruptFileError unless it is a complete run whose artifacts all
-        match their manifest checksums."""
+        CorruptFileError unless it is a complete run whose listed names keep
+        the name rule above and whose artifacts match their checksums."""
         status_path = os.path.join(path, STATUS_FILE)
         if not os.path.exists(status_path):
             raise CorruptFileError(f"no {STATUS_FILE} in {path}")
@@ -87,9 +90,11 @@ class RunDirectory:
                 digest, sep, name = line.partition("  ")
                 if not sep:
                     raise CorruptFileError(f"bad manifest line {line!r} in {path}")
+                if name in ("", ".", "..") or os.path.basename(name) != name:
+                    raise CorruptFileError(f"manifest of {path} lists {name!r}, not a file name")
                 target = os.path.join(path, name)
-                if not os.path.exists(target):
-                    raise CorruptFileError(f"missing artifact {name} in {path}")
+                if os.path.islink(target) or not os.path.isfile(target):
+                    raise CorruptFileError(f"{name} in {path} is missing or not a regular file")
                 if _sha256(target) != digest:
                     raise CorruptFileError(f"checksum mismatch for {name} in {path}")
                 names.append(name)

@@ -15,7 +15,7 @@ import pytest
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
 from embmask.nn import ParamStore, load_params, save_params
 from embmask.rundir import RunDirectory
-from embmask.synthbench import load_csv_dataset, save_csv_dataset
+from embmask.synthbench import DomainDataset, load_csv_dataset, save_csv_dataset
 
 SMALL_BENCH = {
     "benchmark.num_classes": 3,
@@ -183,6 +183,21 @@ def test_sweep_global_csv(pipeline, tmp_path):
     assert lines[0] == "percent,unseen_acc,train_acc"
     assert lines[1].startswith("0,")
     RunDirectory.verify(str(out))
+
+
+def test_global_eval_matches_its_sweep_row(pipeline, tmp_path):
+    """eval.mode = global and sweep-global draw importance from one stream,
+    so one seed gives them one mask."""
+    cfg, data, base = pipeline["cfg"], pipeline["data"], pipeline["base"]
+    inputs = {"data.dir": data, "base.model": base}
+    global_mask = {"eval.mode": "global", "eval.mask_percent": 50, "eval.repeats": 3}
+    assert run_cmd("eval", cfg, out_dir=tmp_path / "eval", **inputs, **global_mask) == 0
+    grid = {"sweep.grid": "0,50", "sweep.repeats": 3}
+    assert run_cmd("sweep-global", cfg, out_dir=tmp_path / "sweep", **inputs, **grid) == 0
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())["per_domain_mean"]
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    _, unseen, train = next(r for r in rows if r.startswith("50,")).split(",")
+    assert (float(unseen), float(train)) == (report["unseen"], report["train_pooled"])
 
 
 def test_bound_check_zero_violations(pipeline, tmp_path):
@@ -450,6 +465,35 @@ def _garbled_manifest_line(data, base):
         fh.write("not-a-manifest-line\n")
 
 
+def _list_in_manifest(data, name):
+    """List ``name`` in the manifest of ``data`` and re-seal it."""
+    with open(data / "MANIFEST.txt", "a") as fh:
+        fh.write(f"{'0' * 64}  {name}\n")
+    _reseal(data)
+
+
+# Each lists a valid copy of a training domain under a name that matches
+# train_domain_*.csv, so only the manifest name rule can refuse it.
+def _manifest_name_outside_run(data, base):
+    (data / "train_domain_").mkdir()
+    (data.parent / "elsewhere").mkdir()
+    shutil.copy(data / "train_domain_0.csv", data.parent / "elsewhere" / "x.csv")
+    _list_in_manifest(data, "train_domain_/../../elsewhere/x.csv")
+
+
+def _manifest_name_in_subdirectory(data, base):
+    (data / "train_domain_sub").mkdir()
+    shutil.copy(data / "train_domain_0.csv", data / "train_domain_sub" / "x.csv")
+    _list_in_manifest(data, "train_domain_sub/x.csv")
+
+
+def _manifest_name_of_a_symlink(data, base):
+    (data.parent / "elsewhere").mkdir()
+    shutil.copy(data / "train_domain_0.csv", data.parent / "elsewhere" / "x.csv")
+    (data / "train_domain_9.csv").symlink_to(data.parent / "elsewhere" / "x.csv")
+    _list_in_manifest(data, "train_domain_9.csv")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -459,6 +503,9 @@ def _garbled_manifest_line(data, base):
         _flip_param_byte,
         _incomplete_data_dir,
         _garbled_manifest_line,
+        _manifest_name_outside_run,
+        _manifest_name_in_subdirectory,
+        _manifest_name_of_a_symlink,
     ],
 )
 def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, corrupt):
@@ -473,6 +520,10 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
     assert err.startswith("error code=1") and "Traceback" not in err
     if corrupt is _nan_feature:  # re-sealed, so the CSV check itself refuses it
         assert "unseen.csv:6: non-finite feature value" in err
+    if corrupt in (_manifest_name_outside_run, _manifest_name_in_subdirectory):
+        assert "not a file name" in err
+    if corrupt is _manifest_name_of_a_symlink:
+        assert "train_domain_9.csv" in err and "not a regular file" in err
     assert not out.exists()
 
 
@@ -484,23 +535,64 @@ def _reseal(run):
     manifest.write_text("".join(f"{d}  {name}\n" for d, name in zip(digests, names)))
 
 
-@pytest.mark.parametrize("cmd", [cmd for cmd in SCHEMAS if "data.dir" in SCHEMAS[cmd]])
+DATA_COMMANDS = [cmd for cmd in SCHEMAS if "data.dir" in SCHEMAS[cmd]]
+
+
+def _data_inputs(pipeline, cmd, data):
+    """The input keys ``cmd`` needs to run on the data directory ``data``."""
+    inputs = {"data.dir": data}
+    if "base.model" in SCHEMAS[cmd]:
+        inputs["base.model"] = pipeline["base"]
+    if cmd == "bound-check":
+        inputs["emg.model"] = pipeline["emg"]
+    return inputs
+
+
+@pytest.mark.parametrize("cmd", DATA_COMMANDS)
 def test_empty_domain_exits_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     unseen = data / "unseen.csv"
     unseen.write_text(unseen.read_text().splitlines(keepends=True)[0])  # the header alone
     _reseal(data)
-    inputs = {"data.dir": data}
-    if "base.model" in SCHEMAS[cmd]:
-        inputs["base.model"] = pipeline["base"]
-    if cmd == "bound-check":
-        inputs["emg.model"] = pipeline["emg"]
     out = tmp_path / "out"
-    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **_data_inputs(pipeline, cmd, data)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "unseen.csv" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", DATA_COMMANDS)
+def test_domains_of_different_widths_exit_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "train_domain_1.csv"
+    domain = load_csv_dataset(str(path))
+    width = domain.dim
+    save_csv_dataset(DomainDataset(domain.features[:, 1:], domain.labels, 1), str(path))
+    _reseal(data)
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **_data_inputs(pipeline, cmd, data)) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=1")
+    assert "Traceback" not in err
+    assert f"train_domain_1.csv in {data} has {width - 1} features" in err
+    assert f"train_domain_0.csv has {width}" in err
+    assert not out.exists()
+
+
+def test_os_error_exits_1_with_one_line(pipeline, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"not a run directory\n")
+    inputs = {"data.dir": pipeline["data"], "base.model": pipeline["base"]}
+    assert run_cmd("eval", pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error code=1")
+    assert "Traceback" not in err
+    assert out.read_bytes() == b"not a run directory\n"
+    # The config file's own read errors stay config errors.
+    assert run_cmd("eval", tmp_path / "no_config.txt", out_dir=tmp_path / "x", **inputs) == 3
+    assert capsys.readouterr().err.startswith("error code=3")
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,13 @@ def _ref_keep_mask(p, noise, tau):
     return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
 
 
-def _ref_sample_avg(p, cfg, rng):
+def _stream(seed):
+    """The generator ``inference_mask`` builds for ``sample_avg`` under ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
+
+
+def _ref_sample_avg(p, cfg, seed):
+    rng = _stream(seed)
     p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
     acc = np.zeros_like(p)
     for _ in range(cfg.sample_count):
@@ -216,8 +222,8 @@ def test_noise_free_inference_is_training_mask_without_noise_bitwise(tau):
 def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau):
     logits = _logits()
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=1)
-    m = inference_mask(sigmoid_np(logits), cfg, np.random.default_rng(9))
-    noise = gumbel_noise(np.random.default_rng(9), logits.shape)
+    m = inference_mask(sigmoid_np(logits), cfg, 9)
+    noise = gumbel_noise(_stream(9), logits.shape)
     m_train, _ = relaxed_mask_np(logits, noise, tau)
     assert m.tobytes() == m_train.tobytes()
 
@@ -270,13 +276,13 @@ def test_inference_noise_free_hand_oracle():
     np.testing.assert_allclose(m, expected, rtol=1e-12)
 
 
-def test_sample_avg_requires_rng_and_stays_open():
+def test_sample_avg_stays_open_and_is_seed_scoped():
     cfg = MaskGenConfig(inference_mode="sample_avg", sample_count=4)
     p = np.full((3, 2), 0.5)
-    with pytest.raises(ConfigError):
-        inference_mask(p, cfg)
-    m = inference_mask(p, cfg, np.random.default_rng(0))
+    m = inference_mask(p, cfg)
     assert ((m > 0.0) & (m < 1.0)).all()
+    assert m.tobytes() == inference_mask(p, cfg, 0).tobytes()
+    assert m.tobytes() != inference_mask(p, cfg, 1).tobytes()
 
 
 def test_config_validation():
@@ -325,9 +331,7 @@ def test_kernels_match_reference_formulas_bitwise(tau, shape):
 def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape):
     p = sigmoid_np(_edge_logits(shape))
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=sample_count)
-    rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
-    assert inference_mask(p, cfg, rng).tobytes() == _ref_sample_avg(p, cfg, ref_rng).tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert inference_mask(p, cfg, 12).tobytes() == _ref_sample_avg(p, cfg, 12).tobytes()
 
 
 def test_kernels_take_scalars_as_the_reference_did():
@@ -339,8 +343,8 @@ def test_kernels_take_scalars_as_the_reference_did():
     want = _ref_keep_mask(np.float64(0.3), 0.0, 0.5)[0]
     assert inference_mask(0.3, MaskGenConfig(tau=0.5)).tobytes() == want.tobytes()
     cfg = MaskGenConfig(tau=0.5, inference_mode="sample_avg", sample_count=3)
-    want = _ref_sample_avg(0.3, cfg, np.random.default_rng(1))
-    assert inference_mask(0.3, cfg, np.random.default_rng(1)).tobytes() == want.tobytes()
+    want = _ref_sample_avg(0.3, cfg, 1)
+    assert inference_mask(0.3, cfg, 1).tobytes() == want.tobytes()
 
 
 def _unchanged(fn, *args):
@@ -361,7 +365,7 @@ def test_kernels_never_write_into_their_arguments():
     _unchanged(relaxed_mask_np, logits, noise, 0.1)
     for mode in ("noise_free", "expected", "sample_avg"):
         cfg = MaskGenConfig(tau=0.5, inference_mode=mode, sample_count=3)
-        _unchanged(inference_mask, s, cfg, np.random.default_rng(14))
+        _unchanged(inference_mask, s, cfg, 14)
     # each noise array is a fresh one: a later draw leaves an earlier one alone
     rng = np.random.default_rng(15)
     first = gumbel_noise(rng, logits.shape)
