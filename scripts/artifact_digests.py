@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the CLI chain into OUT_ROOT and print one manifest digest per run.
 
-Thirteen run directories, all on the default benchmark with seed 0:
-gen-data, train-erm (5 epochs), train-emg, eval (none, global, emg, emg
-with sample_avg), sweep-global, bound-check and export-embeddings (emg
+Fourteen run directories, all on the default benchmark with seed 0:
+gen-data, train-erm (5 epochs), train-emg, eval (none, global, and emg in
+each inference mode), sweep-global, bound-check and export-embeddings (emg
 train, emg unseen, global, none). Each output line is
 ``sha256(MANIFEST.txt)  <dir>`` with <dir> relative to OUT_ROOT, so two
 checkouts write byte-identical artifacts exactly when ``diff`` finds their
@@ -41,6 +41,7 @@ CHAIN = [
     ("eval", "eval_global", {**BASE, "eval.mode": "global"}),
     ("eval", "eval_emg", EMG),
     ("eval", "eval_emg_sample_avg", {**EMG, "mask.inference_mode": "sample_avg"}),
+    ("eval", "eval_emg_expected", {**EMG, "mask.inference_mode": "expected"}),
     ("sweep-global", "sweep", BASE),
     ("bound-check", "bound", GEN),
     ("export-embeddings", "export_emg_train", {**EMG, "export.which": "train"}),

@@ -26,6 +26,8 @@ from .synthbench import DomainDataset, pool_domains
 
 Array = np.ndarray
 
+PERCENT_GRID = tuple(float(p) for p in range(0, 95, 5))  # the default sweep
+
 
 @dataclass
 class SweepRow:
@@ -128,7 +130,7 @@ def sweep_mask_percent(
     split: SplitModel,
     train_data: list[DomainDataset],
     unseen_data: DomainDataset,
-    percent_grid: list[float] | None = None,
+    percent_grid: tuple[float, ...] | list[float] = PERCENT_GRID,
     repeats: int = 5,
     rng: np.random.Generator | None = None,
 ) -> SweepTable:
@@ -137,10 +139,10 @@ def sweep_mask_percent(
     The p = 0 row is the unmasked evaluation bit for bit (the all-ones mask
     is skipped entirely rather than multiplied through).
     """
-    grid = percent_grid if percent_grid is not None else [float(p) for p in range(0, 95, 5)]
+    grid = sorted(set(percent_grid))
     if 0.0 not in grid:
         raise UsageError("percent grid must include 0")
-    for p in sorted(set(grid)):
+    for p in grid:
         _check_percent(p)
     pooled = pool_domains(train_data)
     z_tr = split.encode_np(pooled.features)
@@ -148,7 +150,7 @@ def sweep_mask_percent(
     z_un = split.encode_np(unseen_data.features)
 
     table = SweepTable()
-    for p in sorted(set(grid)):
+    for p in grid:
         mask = None if p == 0.0 else global_mask_from_scores(scores, p)
         table.rows.append(
             SweepRow(

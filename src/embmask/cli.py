@@ -29,7 +29,12 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .baseline import sweep_mask_percent, permutation_importance, global_mask_from_scores
+from .baseline import (
+    PERCENT_GRID,
+    global_mask_from_scores,
+    permutation_importance,
+    sweep_mask_percent,
+)
 from .config import Field, load_config, parse_grid, parse_hidden
 from .errors import ConfigError, CorruptFileError, EmbmaskError, ShapeMismatchError
 from .evaluate import (
@@ -40,7 +45,7 @@ from .evaluate import (
     export_embeddings,
     export_masks,
 )
-from .mask import MaskGenConfig
+from .mask import MODE_READS, MaskGenConfig
 from .nn import Mlp, load_params, save_params, split_model
 from .rundir import RunDirectory
 from .synthbench import (
@@ -94,12 +99,13 @@ _MASK = _section(MaskGenConfig, "mask")
 
 # Where eval and export-embeddings take their mask from (none, a global
 # bottom-p% permutation-importance mask, or the trained generator), each with
-# the mask-source keys it reads. Any other mask-source key must keep its
-# default, and config.txt leaves it out.
+# the mask-source keys it reads; emg also reads the mask.* fields that
+# MODE_READS gives for its mask.inference_mode. Any other mask-source key
+# must keep its default, and config.txt leaves it out.
 EVAL_MODES = {
     "none": (),
     "global": ("eval.mask_percent", "eval.repeats"),
-    "emg": ("emg.model", *_MASK),
+    "emg": ("emg.model", "mask.inference_mode"),
 }
 # The domains export-embeddings writes: every training domain, or the unseen one.
 EXPORT_WHICH = ("train", "unseen")
@@ -124,8 +130,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_COMMON,
         "data.dir": Field(str, required=True),
         "model.hidden": Field(str, "64"),
-        # hard_target is an EMG ablation: ERM trains on the labels.
-        **_section(TrainConfig, "train", "seed", "hard_target", max_epochs=80),
+        **_section(TrainConfig, "train", "seed", max_epochs=80),
     },
     "train-emg": {
         **_COMMON,
@@ -137,13 +142,13 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "emg.max_epochs": Field(int, 3),
         **_section(TrainConfig, "train", "seed", "max_epochs"),
         # Training draws its own noise: the inference settings do not apply.
-        **_section(MaskGenConfig, "mask", "inference_mode", "sample_count"),
+        **_section(MaskGenConfig, "mask", "inference_mode"),
     },
     "eval": {**_COMMON, **_BASE, **_MASK_SOURCE},
     "sweep-global": {
         **_COMMON,
         **_BASE,
-        "sweep.grid": Field(str, ",".join(str(p) for p in range(0, 95, 5))),
+        "sweep.grid": Field(str, ",".join(f"{p:g}" for p in PERCENT_GRID)),
         "sweep.repeats": Field(int, 5),
     },
     "bound-check": {
@@ -186,8 +191,8 @@ def _load_model(prefix: str, what: str):
 
 def _load_data_dir(data_dir: str):
     """Train domains, unseen domain and oracle (or None) listed in the
-    verified manifest of ``data_dir``; every domain must have rows and the
-    width of the first training domain."""
+    verified manifest of ``data_dir``; every domain must have rows, the
+    width of the first training domain and a domain index of its own."""
     _require_path(data_dir, "data directory")
     listed = RunDirectory.verify(data_dir)
     train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"))
@@ -197,7 +202,11 @@ def _load_data_dir(data_dir: str):
     oracle = load_oracle(oracle_path) if "oracle.json" in listed else None
     names = [*train_names, "unseen.csv"]
     domains = [load_csv_dataset(os.path.join(data_dir, n)) for n in names]
+    owners = {}
     for name, data in zip(names, domains):
+        owner = owners.setdefault(data.domain_index, name)
+        if owner != name:
+            raise CorruptFileError(f"{owner} and {name} in {data_dir} share a domain index")
         if data.n == 0:
             raise CorruptFileError(f"{name} in {data_dir} has no rows")
         if data.dim != domains[0].dim:
@@ -248,10 +257,14 @@ def _mask_source(cfg, mode, split, train_data):
     from ``cfg`` the mask-source keys ``mode`` does not read."""
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval mode {mode!r}")
-    unread = [k for k in _MASK_SOURCE if k not in ("eval.mode", *EVAL_MODES[mode])]
-    for key in unread:
-        if key in cfg and cfg.pop(key) != _MASK_SOURCE[key].default:
-            raise ConfigError(f"{key} is not read with eval.mode = {mode}")
+    read, setting = ("eval.mode", *EVAL_MODES[mode]), f"eval.mode = {mode}"
+    if mode == "emg":
+        mask_cfg = _build(MaskGenConfig, cfg, "mask")
+        read += tuple(f"mask.{f}" for f in MODE_READS[mask_cfg.inference_mode])
+        setting += f" and mask.inference_mode = {mask_cfg.inference_mode}"
+    for key in _MASK_SOURCE:
+        if key not in read and key in cfg and cfg.pop(key) != _MASK_SOURCE[key].default:
+            raise ConfigError(f"{key} is not read with {setting}")
     if mode == "none":
         return lambda data: None
     if mode == "global":
@@ -263,7 +276,6 @@ def _mask_source(cfg, mode, split, train_data):
         scores = permutation_importance(split, z, pooled.labels, repeats, _importance_rng(cfg))
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
-    mask_cfg = _build(MaskGenConfig, cfg, "mask")
     gen = _load_generator(cfg, split, train_data[0].dim)
     return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
@@ -305,11 +317,8 @@ def cmd_train_emg(cfg) -> None:
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
-    gen = Mlp(
-        [train_data[0].dim, *hidden, split.embedding_dim],
-        prefix="g.",
-        seed=cfg["seed"] + 1,
-    )
+    sizes = [train_data[0].dim, *hidden, split.embedding_dim]
+    gen = Mlp(sizes, prefix="g.", seed=cfg["seed"] + 1)
     gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)
     run = RunDirectory(cfg["out_dir"], cfg)
     save_params(gen.store, run.file("emg_model"))
@@ -339,12 +348,7 @@ def cmd_sweep_global(cfg) -> None:
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
     table = sweep_mask_percent(
-        split,
-        train_data,
-        unseen,
-        percent_grid=grid,
-        repeats=cfg["sweep.repeats"],
-        rng=_importance_rng(cfg),
+        split, train_data, unseen, grid, cfg["sweep.repeats"], _importance_rng(cfg)
     )
     run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))

@@ -13,11 +13,12 @@ draw with keep probability 1-p; tau is the only knob controlling how discrete
 the relaxation is. Gradients flow to G through p only; noise is a constant.
 
 ``_keep`` is the one place this formula is computed: the training mask
-(``relaxed_mask_np``) and every inference mode reuse it, so a zero-noise
-inference mask is bitwise the zero-noise training mask. Training draws noise
+(``relaxed_mask_np``) and the noise_free and sample_avg modes reuse it, so a
+noise_free mask is bitwise the zero-noise training mask. Training draws noise
 from the caller's generator; ``inference_mask(p, cfg, seed)`` draws it only
-under ``sample_avg``, from ``SeedSequence((seed, 0xE7))``. The kernels work in
-place on arrays they allocate, never on their arguments.
+for the ``SAMPLE_COUNT`` masks that ``sample_avg`` averages, from the stream
+``SeedSequence((seed, 0xE7))``. The kernels work in place on arrays they
+allocate, never on their arguments.
 """
 
 from __future__ import annotations
@@ -32,24 +33,23 @@ from .nn import Mlp
 
 Array = np.ndarray
 
-INFERENCE_MODES = ("noise_free", "expected", "sample_avg")
+# The MaskGenConfig fields each inference mode reads; expected is the keep
+# probability 1-p, which no temperature shapes.
+MODE_READS = {"noise_free": ("tau",), "expected": (), "sample_avg": ("tau",)}
+INFERENCE_MODES = tuple(MODE_READS)
+SAMPLE_COUNT = 8  # masks averaged by sample_avg
 
 
 @dataclass
 class MaskGenConfig:
     tau: float = 0.1
     inference_mode: str = "noise_free"
-    sample_count: int = 8  # S, only used by sample_avg
 
     def __post_init__(self):
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.inference_mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
-        if type(self.sample_count) is not int:  # bool, float and str included
-            raise ConfigError(f"sample_count must be an int, got {self.sample_count!r}")
-        if self.inference_mode == "sample_avg" and self.sample_count < 1:
-            raise ConfigError("sample_avg needs sample_count >= 1")
 
 
 _P_EPS = 1e-12  # uniforms, probabilities and masks clamped to [eps, 1-eps]
@@ -158,16 +158,16 @@ def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     which is exactly 1-p at tau = 1 (special-cased to keep the identity
     exact in floating point).
     expected: the Bernoulli keep probability 1-p.
-    sample_avg: mean of sample_count training masks, their noise drawn from
+    sample_avg: mean of SAMPLE_COUNT training masks, their noise drawn from
     the stream ``SeedSequence((seed, 0xE7))``; the other modes draw none.
     """
     p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
     if cfg.inference_mode == "sample_avg":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
         log_odds, acc = _log_odds(p), np.zeros_like(p)
-        for _ in range(cfg.sample_count):
+        for _ in range(SAMPLE_COUNT):
             acc += _keep(log_odds, gumbel_noise(rng, p.shape), cfg.tau)[0]
-        return acc / cfg.sample_count
+        return acc / SAMPLE_COUNT
     if cfg.inference_mode == "expected" or cfg.tau == 1.0:
         return 1.0 - p
     return keep_mask(p, 0.0, cfg.tau)[0]

@@ -53,7 +53,6 @@ class TrainConfig:
     patience: int = 10
     val_fraction: float = 0.2
     seed: int = 0
-    hard_target: bool = False  # EMG ablation: argmax target instead of soft
 
     def __post_init__(self):
         if not (0.0 < self.val_fraction < 1.0):
@@ -355,8 +354,8 @@ def train_emg(
 
     # EMG training is label- and domain-free.
     x_tr, _, x_va, _ = pooled_split(datasets, train_cfg.val_fraction, train_cfg.seed)
-    z_tr, q_tr = _emg_target(split, x_tr, train_cfg.hard_target)
-    z_va, q_va = _emg_target(split, x_va, train_cfg.hard_target)
+    z_tr, q_tr = _emg_target(split, x_tr)
+    z_va, q_va = _emg_target(split, x_va)
     noise_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xB2)))
 
     def val_loss():
@@ -382,14 +381,11 @@ def train_emg(
     return generator, trace
 
 
-def _emg_target(split: SplitModel, x: Array, hard_target: bool) -> tuple[Array, Array]:
+def _emg_target(split: SplitModel, x: Array) -> tuple[Array, Array]:
     """The per-row constants of an EMG fit: the embedding z = g(x) and the
-    target distribution softmax(c(z)), or with ``hard_target`` the one-hot
-    of its argmax."""
+    target distribution softmax(c(z))."""
     z = split.encode_np(x)
     logits = split.predict_np(z)
-    if hard_target:
-        return z, _onehot(np.argmax(logits, axis=1), logits.shape[1])
     return z, _softmax_target(logits, logits.shape)
 
 

@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
             base.store.freeze()
             split = split_model(base)
             gen = Mlp([din, 3, emb], prefix="g.", seed=i + 1)
-            z, q = _emg_target(split, x, False)
+            z, q = _emg_target(split, x)
             # the rng is re-seeded per call: every evaluation sees one noise draw
             err = fused_grad_error(
                 gen.store,

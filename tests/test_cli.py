@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
+from embmask.mask import INFERENCE_MODES
 from embmask.nn import ParamStore, load_params, save_params
 from embmask.rundir import RunDirectory
 from embmask.synthbench import DomainDataset, load_csv_dataset, save_csv_dataset
@@ -68,7 +69,7 @@ def pipeline(tmp_path_factory):
 
 _RUN = ["seed", "out_dir"]
 _BASE = [*_RUN, "data.dir", "base.model", "base.split_index"]
-_MASK = ["mask.tau", "mask.inference_mode", "mask.sample_count"]
+_MASK = ["mask.tau", "mask.inference_mode"]
 _MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", "eval.repeats", *_MASK]
 _TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
 
@@ -87,10 +88,7 @@ COMMAND_KEYS = {
         ),
     ],
     "train-erm": [*_RUN, "data.dir", "model.hidden", *_TRAIN, "train.max_epochs"],
-    "train-emg": [
-        *_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "train.hard_target",
-        "mask.tau",
-    ],
+    "train-emg": [*_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "mask.tau"],
     "eval": [*_BASE, *_MASK_SOURCE],
     "sweep-global": [*_BASE, "sweep.grid", "sweep.repeats"],
     "bound-check": [*_BASE, "emg.model", *_MASK],
@@ -139,16 +137,26 @@ def test_train_outputs_verify(pipeline):
 
 def test_eval_modes_and_report_shape(pipeline, tmp_path):
     cfg, data, base = pipeline["cfg"], pipeline["data"], pipeline["base"]
+    emg = {"eval.mode": "emg", "emg.model": pipeline["emg"]}
     # The mask-source keys each mode reads: config.txt records no others.
-    for mode, extra, read in (
-        ("none", {}, []),
-        ("global", {"eval.mask_percent": 25}, ["eval.mask_percent", "eval.repeats"]),
-        ("emg", {"emg.model": pipeline["emg"]}, ["emg.model", *_MASK]),
+    for name, extra, read in (
+        ("none", {"eval.mode": "none"}, []),
+        (
+            "global",
+            {"eval.mode": "global", "eval.mask_percent": 25},
+            ["eval.mask_percent", "eval.repeats"],
+        ),
+        ("noise_free", emg, ["emg.model", *_MASK]),
+        ("sample_avg", {**emg, "mask.inference_mode": "sample_avg"}, ["emg.model", *_MASK]),
+        # expected is the keep probability 1-p: mask.tau does not shape it.
+        (
+            "expected",
+            {**emg, "mask.inference_mode": "expected"},
+            ["emg.model", "mask.inference_mode"],
+        ),
     ):
-        out = tmp_path / f"eval_{mode}"
-        code = run_cmd(
-            "eval", cfg, out_dir=out, **{"data.dir": data, "base.model": base, "eval.mode": mode, **extra}
-        )
+        out = tmp_path / f"eval_{name}"
+        code = run_cmd("eval", cfg, out_dir=out, **{"data.dir": data, "base.model": base, **extra})
         assert code == 0
         assert sorted(_config(out)) == sorted([*_BASE, "eval.mode", *read])
         report = json.loads((out / "report.json").read_text())
@@ -299,8 +307,11 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-emg", "mask.tau", "inf"),
                 # Keys a command does not read are not accepted.
                 ("train-emg", "train.max_epochs", 5),
+                # Removed settings are unknown keys to every command.
                 ("train-erm", "train.hard_target", "true"),
+                ("train-emg", "train.hard_target", "true"),
                 ("train-emg", "mask.sample_count", 4),
+                ("eval", "mask.sample_count", 4),
                 # The Gumbel clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
@@ -343,6 +354,11 @@ def test_missing_seed_exits_3(tmp_path):
         ),
         pytest.param(
             "eval", {"eval.mode": "emg", "eval.repeats": 2}, id="eval-emg-eval.repeats=2"
+        ),
+        pytest.param(
+            "eval",
+            {"eval.mode": "emg", "mask.inference_mode": "expected", "mask.tau": 0.7},
+            id="eval-emg-expected-mask.tau=0.7",
         ),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
@@ -581,6 +597,36 @@ def test_domains_of_different_widths_exit_1_before_run_dir(pipeline, tmp_path, c
     assert not out.exists()
 
 
+def _duplicate_train_domain(data):
+    shutil.copy(data / "train_domain_0.csv", data / "train_domain_9.csv")
+    _list_in_manifest(data, "train_domain_9.csv")
+    return "train_domain_0.csv and train_domain_9.csv"
+
+
+def _unseen_as_train_domain(data):
+    unseen = load_csv_dataset(str(data / "unseen.csv"))
+    save_csv_dataset(DomainDataset(unseen.features, unseen.labels, 1), str(data / "unseen.csv"))
+    _reseal(data)
+    return "train_domain_1.csv and unseen.csv"
+
+
+@pytest.mark.parametrize("duplicate", [_duplicate_train_domain, _unseen_as_train_domain])
+@pytest.mark.parametrize("cmd", DATA_COMMANDS)
+def test_duplicate_domain_index_exits_1_before_run_dir(
+    pipeline, tmp_path, capsys, cmd, duplicate
+):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    files = duplicate(data)
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **_data_inputs(pipeline, cmd, data)) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=1")
+    assert "Traceback" not in err
+    assert f"{files} in {data} share a domain index" in err
+    assert not out.exists()
+
+
 def test_os_error_exits_1_with_one_line(pipeline, tmp_path, capsys):
     out = tmp_path / "out"
     out.write_bytes(b"not a run directory\n")
@@ -677,7 +723,7 @@ def test_inputs_outside_the_manifest_are_not_read(pipeline, tmp_path, capsys):
 def test_artifact_digest_chain_covers_every_code_path(monkeypatch):
     """scripts/artifact_digests.py is the byte-identity check of refactors:
     its CHAIN runs every command, every eval.mode of each command that takes
-    one, and both export.which values."""
+    one, every inference mode of eval, and both export.which values."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the script sets it on import
     path = Path(__file__).parents[1] / "scripts" / "artifact_digests.py"
     spec = importlib.util.spec_from_file_location("artifact_digests", path)
@@ -696,10 +742,11 @@ def test_artifact_digest_chain_covers_every_code_path(monkeypatch):
     mode_commands = [cmd for cmd, schema in SCHEMAS.items() if "eval.mode" in schema]
     assert used("eval.mode") == {(cmd, m) for cmd in mode_commands for m in EVAL_MODES}
     assert used("export.which") == {("export-embeddings", w) for w in EXPORT_WHICH}
+    assert {m for cmd, m in used("mask.inference_mode") if cmd == "eval"} == set(INFERENCE_MODES)
 
 
 def test_artifact_digests_match_golden(tmp_path):
-    """The 13 run directories of scripts/artifact_digests.py are byte for
+    """The 14 run directories of scripts/artifact_digests.py are byte for
     byte those recorded in tests/golden/artifact_digests.txt. The chain runs
     in its own process, so no state of this one leaks into it."""
     root = Path(__file__).parents[1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask
+from embmask import mask as mask_module
 from embmask import tensor as T
 from embmask.errors import ConfigError, ShapeMismatchError
 from embmask.mask import (
@@ -95,13 +96,13 @@ def _stream(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
 
 
-def _ref_sample_avg(p, cfg, seed):
+def _ref_sample_avg(p, cfg, seed, count):
     rng = _stream(seed)
     p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
     acc = np.zeros_like(p)
-    for _ in range(cfg.sample_count):
+    for _ in range(count):
         acc += _ref_keep_mask(p, _ref_gumbel_noise(rng, p.shape), cfg.tau)[0]
-    return acc / cfg.sample_count
+    return acc / count
 
 
 def _sigmoid_two_branch(x):
@@ -219,9 +220,10 @@ def test_noise_free_inference_is_training_mask_without_noise_bitwise(tau):
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5])
-def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau):
+def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau, monkeypatch):
+    monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 1)
     logits = _logits()
-    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=1)
+    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
     m = inference_mask(sigmoid_np(logits), cfg, 9)
     noise = gumbel_noise(_stream(9), logits.shape)
     m_train, _ = relaxed_mask_np(logits, noise, tau)
@@ -277,9 +279,11 @@ def test_inference_noise_free_hand_oracle():
 
 
 def test_sample_avg_stays_open_and_is_seed_scoped():
-    cfg = MaskGenConfig(inference_mode="sample_avg", sample_count=4)
+    cfg = MaskGenConfig(inference_mode="sample_avg")
     p = np.full((3, 2), 0.5)
     m = inference_mask(p, cfg)
+    assert mask_module.SAMPLE_COUNT == 8
+    assert m.tobytes() == _ref_sample_avg(p, cfg, 0, 8).tobytes()
     assert ((m > 0.0) & (m < 1.0)).all()
     assert m.tobytes() == inference_mask(p, cfg, 0).tobytes()
     assert m.tobytes() != inference_mask(p, cfg, 1).tobytes()
@@ -290,8 +294,6 @@ def test_config_validation():
         MaskGenConfig(tau=0.0)
     with pytest.raises(ConfigError):
         MaskGenConfig(inference_mode="nope")
-    with pytest.raises(ConfigError):
-        MaskGenConfig(inference_mode="sample_avg", sample_count=0)
 
 
 # -- in-place kernels against the out-of-place reference ---------------------------
@@ -328,13 +330,16 @@ def test_kernels_match_reference_formulas_bitwise(tau, shape):
 @pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("sample_count", [1, 3, 8])
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
-def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape):
+def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape, monkeypatch):
+    monkeypatch.setattr(mask_module, "SAMPLE_COUNT", sample_count)
     p = sigmoid_np(_edge_logits(shape))
-    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg", sample_count=sample_count)
-    assert inference_mask(p, cfg, 12).tobytes() == _ref_sample_avg(p, cfg, 12).tobytes()
+    cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
+    want = _ref_sample_avg(p, cfg, 12, sample_count)
+    assert inference_mask(p, cfg, 12).tobytes() == want.tobytes()
 
 
-def test_kernels_take_scalars_as_the_reference_did():
+def test_kernels_take_scalars_as_the_reference_did(monkeypatch):
+    monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 3)
     # NumPy returns a 0-d result as a scalar, which cannot be written in place
     for x in (0.7, np.float64(-2.0), np.array(-0.0)):
         assert sigmoid_np(x).tobytes() == _ref_sigmoid_np(x).tobytes()
@@ -342,8 +347,8 @@ def test_kernels_take_scalars_as_the_reference_did():
         assert got.tobytes() == want.tobytes()
     want = _ref_keep_mask(np.float64(0.3), 0.0, 0.5)[0]
     assert inference_mask(0.3, MaskGenConfig(tau=0.5)).tobytes() == want.tobytes()
-    cfg = MaskGenConfig(tau=0.5, inference_mode="sample_avg", sample_count=3)
-    want = _ref_sample_avg(0.3, cfg, 1)
+    cfg = MaskGenConfig(tau=0.5, inference_mode="sample_avg")
+    want = _ref_sample_avg(0.3, cfg, 1, 3)
     assert inference_mask(0.3, cfg, 1).tobytes() == want.tobytes()
 
 
@@ -355,7 +360,8 @@ def _unchanged(fn, *args):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
 
-def test_kernels_never_write_into_their_arguments():
+def test_kernels_never_write_into_their_arguments(monkeypatch):
+    monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 3)
     logits = _logits()
     s = sigmoid_np(logits)  # 0 and 1 at the saturated logits: outside the p clip
     p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
@@ -364,7 +370,7 @@ def test_kernels_never_write_into_their_arguments():
     _unchanged(keep_mask, p, noise, 0.1)
     _unchanged(relaxed_mask_np, logits, noise, 0.1)
     for mode in ("noise_free", "expected", "sample_avg"):
-        cfg = MaskGenConfig(tau=0.5, inference_mode=mode, sample_count=3)
+        cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
         _unchanged(inference_mask, s, cfg, 14)
     # each noise array is a fresh one: a later draw leaves an earlier one alone
     rng = np.random.default_rng(15)
@@ -379,8 +385,3 @@ def test_sigmoid_out_may_alias_its_input():
     assert sigmoid_np(x, out=out) is out and out.tobytes() == want.tobytes()
     assert sigmoid_np(x, out=x) is x and x.tobytes() == want.tobytes()
 
-
-@pytest.mark.parametrize("count", [2.5, "3", True])
-def test_sample_count_must_be_an_int(count):
-    with pytest.raises(ConfigError):
-        MaskGenConfig(inference_mode="sample_avg", sample_count=count)
