@@ -6,11 +6,23 @@ pooled training data, then zero the bottom p% (least important dimensions
 are taken to be the most domain-specific ones).
 
 For an affine predictor (the default split), permuting dimension k adds
-the rank-1 term ``outer(z[perm, k] - z[:, k], W[k])`` to the base logits:
-O(n*c) work per permutation. A permutation that leaves any row's top-two
-logits within 1e-9 * (1 + |top|) of a tie, and every permutation under any
-other predictor, is predicted in full, with column k permuted in place in
-one working copy. The scores are bitwise those of predicting a permuted copy.
+delta[i] * W[k] to row i of the base logits, delta = z[perm, k] - z[:, k].
+Only candidate rows need the update; row i is one unless
+
+    |delta[i]| * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
+
+with m_i its top-two logit margin, L_i < 1e300 its largest |logit|, s_k =
+max W[k] - min W[k] and a_k = max |W[k]| (NaN or inf fails the test). On
+other rows the top class's lead drops by at most s_k * |delta| and rounding
+moves a logit by at most 2^-52 * (L_i + a_k * |delta|), so the computed
+lead exceeds 1e-6 * (1 + L_i + a_k * |delta|) - 2^-51 * (L_i + a_k *
+|delta|): far above the tie tolerance 1e-9 * (1 + |top|), as |top| <= L_i
++ a_k * |delta|, and the test's own rounding. Such a row keeps its base
+prediction and cannot trigger the fallback below.
+
+Any permutation under another predictor, or that leaves a candidate's top
+two logits within 1e-9 * (1 + |top|) of a tie, is predicted in full (column
+k permuted in place in one working copy), bitwise as a permuted copy would.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ShapeMismatchError, UsageError
 from .evaluate import masked_accuracy
 from .nn import SplitModel
 from .synthbench import DomainDataset, pool_domains
@@ -67,13 +79,26 @@ def permutation_importance(
     n, d = z.shape
     if n == 0:
         raise UsageError("permutation importance needs non-empty data")
+    if np.shape(labels) != (n,):
+        raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({n},)")
     rng = rng if rng is not None else np.random.default_rng(0)
     logits = split.predict_np(z)
-    base = float(np.mean(np.argmax(logits, axis=1) == labels))
+    base_ok = np.argmax(logits, axis=1) == labels
+    n_ok = np.count_nonzero(base_ok)
     affine = split.predictor_is_affine
     if affine:
         w = split.predictor_affine_params()[0]
         logits_t = np.ascontiguousarray(logits.T)
+        # The candidate test of the module docstring, per row and per k.
+        top, second = logits_t[0].copy(), np.full(n, -np.inf)
+        for row in logits_t[1:]:
+            np.maximum(second, np.minimum(top, row), out=second)
+            np.maximum(top, row, out=top)
+        mag = np.maximum(top, -logits.min(axis=1))
+        # Rows with L >= 1e300 are candidates, so the update of any other
+        # row cannot overflow: a_k * |delta| < 1e6 * m <= 2e6 * L.
+        safe = np.where(mag < 1e300, top - second - 1e-6 * (1.0 + mag), -np.inf)
+        reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
     z = z.copy()  # working copy: column k is permuted in place, then restored
     scores = np.zeros(d)
     for k in range(d):
@@ -81,12 +106,24 @@ def permutation_importance(
         drops = []
         for _ in range(repeats):
             permuted = col[rng.permutation(n)]
-            preds = _rank1_argmax(logits_t, w[k], permuted - col) if affine else None
+            if affine:
+                delta = permuted - col
+                keep = np.abs(delta) * reach[k] < safe
+                cand = np.flatnonzero(~keep)
+                # Padded with rows that keep their prediction to a power-of-two
+                # count: NumPy caches freed buffers under 1 KiB per exact size,
+                # so kernel temporaries of every count in use stayed cached.
+                size = 1 << len(cand).bit_length()
+                cand = np.concatenate([cand, np.flatnonzero(keep[:size])])[:size]
+            preds = _rank1_argmax(logits_t[:, cand], w[k], delta[cand]) if affine else None
             if preds is None:
                 z[:, k] = permuted
-                preds = np.argmax(split.predict_np(z), axis=1)
+                ok = np.count_nonzero(np.argmax(split.predict_np(z), axis=1) == labels)
                 z[:, k] = col
-            drops.append(base - float(np.mean(preds == labels)))
+            else:
+                ok = n_ok - np.count_nonzero(base_ok[cand]) + np.count_nonzero(preds == labels[cand])
+            # An exact count divided once: bitwise np.mean of the hits.
+            drops.append(n_ok / n - ok / n)
         scores[k] = np.mean(drops)
     return scores
 

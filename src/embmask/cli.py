@@ -257,14 +257,16 @@ def _mask_source(cfg, mode, split, train_data):
     from ``cfg`` the mask-source keys ``mode`` does not read."""
     if mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval mode {mode!r}")
-    read, setting = ("eval.mode", *EVAL_MODES[mode]), f"eval.mode = {mode}"
+    read = ("eval.mode", *EVAL_MODES[mode])
+    # bound-check has no eval.mode key: it always takes the generator's masks.
+    setting = [f"eval.mode = {mode}"] if "eval.mode" in cfg else []
     if mode == "emg":
         mask_cfg = _build(MaskGenConfig, cfg, "mask")
         read += tuple(f"mask.{f}" for f in MODE_READS[mask_cfg.inference_mode])
-        setting += f" and mask.inference_mode = {mask_cfg.inference_mode}"
+        setting.append(f"mask.inference_mode = {mask_cfg.inference_mode}")
     for key in _MASK_SOURCE:
         if key not in read and key in cfg and cfg.pop(key) != _MASK_SOURCE[key].default:
-            raise ConfigError(f"{key} is not read with {setting}")
+            raise ConfigError(f"{key} is not read with {' and '.join(setting)}")
     if mode == "none":
         return lambda data: None
     if mode == "global":

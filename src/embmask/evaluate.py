@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, UsageError
+from .errors import ContractError, ShapeMismatchError, UsageError
 from .mask import MaskGenConfig, drop_probabilities, inference_mask
 from .nn import Mlp, SplitModel
 from .synthbench import DomainDataset, Oracle, save_table
@@ -49,9 +49,11 @@ def masked_accuracy(
     """Fraction of argmax-correct predictions on embeddings ``z``; argmax
     ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
     a single global mask (d,) broadcast over the rows, or None. Rejects
-    empty data."""
+    empty data and ``labels`` that are not one entry per row."""
     if len(z) == 0:
         raise UsageError("accuracy of empty data is undefined")
+    if np.shape(labels) != (len(z),):
+        raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({len(z)},)")
     zm = z if masks is None else z * masks
     preds = np.argmax(split.predict_np(zm), axis=1)
     return float(np.mean(preds == labels))

@@ -1,8 +1,10 @@
 """Permutation-importance global mask baseline and the percent sweep."""
 
+import contextlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embmask import (
@@ -19,7 +21,7 @@ from embmask import (
     sweep_mask_percent,
     train_erm,
 )
-from embmask.errors import UsageError
+from embmask.errors import ShapeMismatchError, UsageError
 from embmask.evaluate import masked_accuracy
 from embmask.nn import SplitModel
 from embmask.synthbench import pool_domains
@@ -71,6 +73,14 @@ def test_permutation_importance_rejects_empty_or_bad_repeats():
         permutation_importance(split, np.ones((4, 2)), np.zeros(4, dtype=int), repeats=0)
     with pytest.raises(UsageError):
         permutation_importance(split, np.ones((0, 2)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("shape", [(1,), (50, 1), (49,)], ids=["one", "column", "short"])
+def test_permutation_importance_rejects_labels_not_one_per_row(shape):
+    split = _linear_split(np.ones((4, 2)), np.zeros(2))
+    z = np.random.default_rng(0).normal(size=(50, 4))
+    with pytest.raises(ShapeMismatchError, match="labels shape"):
+        permutation_importance(split, z, np.zeros(shape, dtype=int))
 
 
 # -- mask construction -------------------------------------------------------------
@@ -287,3 +297,123 @@ def test_importance_leaves_features_and_sweep_embedding_unchanged(layers):
     for d, b in zip(datasets, before):
         assert d.features.tobytes() == b.tobytes()
     assert table.rows[0].train_accuracy == accuracy(split, pool_domains(datasets[:2]))
+
+
+def _full_row_importance(split, z, labels, repeats, rng):
+    """Permutation importance with the rank-1 kernel run over every row, no
+    candidate filter: the scores, and how many permutations it sent to a
+    full product."""
+    logits_t = np.ascontiguousarray(split.predict_np(z).T)
+    w = split.predictor_affine_params()[0]
+    base = masked_accuracy(split, z, labels)
+    scores, fallbacks = np.zeros(z.shape[1]), 0
+    for k in range(z.shape[1]):
+        drops = []
+        for _ in range(repeats):
+            zp = z.copy()
+            zp[:, k] = zp[rng.permutation(len(zp)), k]
+            preds = baseline._rank1_argmax(logits_t, w[k], zp[:, k] - z[:, k])
+            fallbacks += preds is None
+            acc = masked_accuracy(split, zp, labels) if preds is None else np.mean(preds == labels)
+            drops.append(base - float(acc))
+        scores[k] = np.mean(drops)
+    return scores, fallbacks
+
+
+_PLANTS = ("exact_tie", "near_tie_inside", "near_tie_outside", "cancellation", "huge", "nan", "inf")
+
+
+@st.composite
+def _planted_affine_case(draw):
+    """An identity-encoder affine split, its embedding and labels. Entries
+    come from a few values, so many permuted deltas are exactly zero and a
+    planted tie often survives a permutation."""
+    plant = draw(st.sampled_from(_PLANTS))
+    n, d, c = draw(st.integers(3, 16)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = gen.choice([-1.0, 0.0, 0.0, 0.5, 2.0], size=(n, d))
+    w = gen.choice([-1.0, 0.0, 0.25, 1.0], size=(d, c))
+    b = np.zeros(c)
+    if plant == "exact_tie":
+        # Classes 0 and 1 differ on dimension 0 alone: every row with
+        # z[:, 0] == 0 ties them.
+        w[:, 1] = w[:, 0]
+        w[0, 1] += 1.0
+    elif plant.startswith("near_tie"):
+        # Row 0 is all zeros, so its logits are b: class 1 trails class 0 by
+        # just less or just more than the tie tolerance.
+        top = draw(st.sampled_from([0.0, 1.0, -3.0, 1e3]))
+        scale = 1 - 1e-3 if plant == "near_tie_inside" else 1 + 1e-3
+        z[0] = 0.0
+        b[:] = top - 1.0
+        b[0], b[1] = top, top - 1e-9 * (1 + abs(top)) * scale
+    elif plant == "cancellation":
+        # Class 1 leads by 1e-11 under dimension 0's 1e6, which all classes
+        # weigh alike: the update cancels 1e6 back out of a tie.
+        z[:, 0] = gen.choice([1e6, 0.0], size=n)
+        z[:, 1] = 1.0
+        w[0], w[1] = 1.0, 0.0
+        w[1, 1] = 1e-11
+        b[2:] = -1.0
+    elif plant == "huge":
+        # Finite logits near the float limit. Dimension 0 weighs all classes
+        # alike, so its permutations move no lead but can push a logit past
+        # the limit.
+        z *= 6e307
+        w[0] = 1.0
+    else:
+        z[gen.integers(n), gen.integers(d)] = np.nan if plant == "nan" else np.inf
+    labels = gen.integers(c, size=n)
+    return plant, _linear_split(w, b), z, labels, draw(st.integers(0, 2**16))
+
+
+# Row 1's class 1 leads by 1e307, which dimension 0 cannot change; taking
+# row 0's 1.7e308 there (seed 2 swaps them) overflows that logit, where the
+# full-row kernel falls back.
+_OVERFLOW = np.array([[1.7e308, 1e307], [0.0, -1e307]])
+
+
+@settings(deadline=None, max_examples=120)
+@given(_planted_affine_case())
+@example(("huge", _linear_split(np.array([[1.0, 1.0], [0.0, -1.0]]), np.zeros(2)), _OVERFLOW, np.array([0, 1]), 2))
+def test_candidate_rows_match_copy_per_permutation_bitwise(case):
+    """Updating only the candidate rows keeps every score bit, the random
+    stream, and each full product of the kernel over all rows."""
+    plant, split, z, labels, seed = case
+    repeats = 3
+    # These embeddings make non-finite logits by design.
+    nonfinite = plant in ("huge", "nan", "inf")
+    quiet = np.errstate(invalid="ignore", over="ignore") if nonfinite else contextlib.nullcontext()
+    with quiet, pytest.MonkeyPatch.context() as mp:
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _reference_importance(split, z, labels, repeats, ref_rng)
+        full_rows, fallbacks = _full_row_importance(split, z, labels, repeats, np.random.default_rng(seed))
+        sizes = _count_predicted_rows(mp)
+        scores = permutation_importance(split, z, labels, repeats=repeats, rng=rng)
+    assert scores.tobytes() == full_rows.tobytes()
+    # Near the float limit the rank-1 update itself can depart from the
+    # full product, candidate rows or not.
+    if plant != "huge":
+        assert scores.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert sizes == [len(z)] * (1 + fallbacks)
+
+
+def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
+    """The rank-1 kernel sees only the rows a permutation could flip, padded
+    to a power-of-two count: on this briefly trained model about 29% of the
+    rows are candidates and the kernel gets 41%, against every row before."""
+    split, train, _ = trained_setup
+    pooled = pool_domains(train)
+    rows = []
+    kernel = baseline._rank1_argmax
+
+    def counted(logits_t, w_k, delta):
+        rows.append(len(delta))
+        return kernel(logits_t, w_k, delta)
+
+    monkeypatch.setattr(baseline, "_rank1_argmax", counted)
+    z = split.encode_np(pooled.features)
+    permutation_importance(split, z, pooled.labels, repeats=3, rng=np.random.default_rng(0))
+    assert len(rows) == split.embedding_dim * 3
+    assert np.mean(rows) < pooled.n / 2

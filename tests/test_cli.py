@@ -377,6 +377,19 @@ def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd
     assert not out.exists()
 
 
+def test_bound_check_unread_mask_key_names_only_its_setting(pipeline, tmp_path, capsys):
+    """bound-check always takes the generator's masks and has no eval.mode
+    key, so the message names the inference mode alone."""
+    out = tmp_path / "out"
+    overrides = {"mask.inference_mode": "expected", "mask.tau": 0.7}
+    inputs = {"data.dir": pipeline["data"], "base.model": pipeline["base"], "emg.model": pipeline["emg"]}
+    assert run_cmd("bound-check", pipeline["cfg"], out_dir=out, **inputs, **overrides) == 3
+    err = capsys.readouterr().err
+    assert 'msg="mask.tau is not read with mask.inference_mode = expected"' in err
+    assert "eval.mode" not in err
+    assert not out.exists()
+
+
 def _model_run(path, store):
     """A complete run directory at ``path`` whose manifest lists the base
     model ``store``."""

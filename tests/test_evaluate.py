@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
-from embmask.errors import ContractError, UsageError
+from embmask.errors import ContractError, ShapeMismatchError, UsageError
 from embmask.evaluate import export_embeddings, export_masks, masked_accuracy
 from embmask.synthbench import Oracle, save_csv_dataset
 
@@ -93,6 +93,16 @@ def test_accuracy_empty_data_rejected():
         accuracy(split, DomainDataset(np.ones((0, 2)), np.zeros(0, dtype=int), 0))
     with pytest.raises(UsageError):
         masked_accuracy(split, np.ones((0, 2)), np.zeros(0, dtype=int), np.ones(2))
+
+
+@pytest.mark.parametrize("shape", [(1,), (50, 1), (49,)], ids=["one", "column", "short"])
+def test_masked_accuracy_rejects_labels_not_one_per_row(shape):
+    """A length-1 or (n, 1) label array would broadcast against the n
+    predictions and score something meaningless."""
+    split = _affine_split(np.ones((4, 2)), np.zeros(2))
+    z = np.random.default_rng(0).normal(size=(50, 4))
+    with pytest.raises(ShapeMismatchError, match="labels shape"):
+        masked_accuracy(split, z, np.zeros(shape, dtype=int))
 
 
 def test_accuracy_sample_order_invariant():
