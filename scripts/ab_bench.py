@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""A/B timing of this checkout against a parent revision on one workload.
+"""A/B timing of this checkout against a parent revision, per workload.
 
     python3 scripts/ab_bench.py HEAD~1 erm_fit --pairs 10 --seconds 20 --seed 1
+    python3 scripts/ab_bench.py HEAD~1 global_sweep cli_artifacts emg_mask erm_fit
 
 The committed files of PARENT_REV are extracted with ``git archive`` into a
 temporary directory, which is removed on exit; the repository itself is not
-touched. Each pair then runs ``perfbench/run.py --workload WORKLOAD`` once in
-the parent's copy and once in this checkout, with the same ``--seed``,
-alternating which side goes first so that neither always finds the machine
-in the same state. The last stdout line of each run is its JSON result.
+touched. For each workload in turn, each pair then runs ``perfbench/run.py
+--workload WORKLOAD`` once in the parent's copy and once in this checkout,
+with the same ``--seed``, alternating which side goes first so that neither
+always finds the machine in the same state. The last stdout line of each run
+is its JSON result.
 
 For every end-to-end metric that ``BENCHMARK.json`` lists, the script prints
-the first quartile, median and third quartile of both sides and in how many
-pairs this checkout did better, with "better" as ``BENCHMARK.json`` defines
-it. ``clear`` marks a metric on which this checkout won at least 9 pairs in
-10 and whose median moved the right way by more than the parent's
-interquartile range.
+one table per workload: the first quartile, median and third quartile of
+both sides and in how many pairs this checkout did better, with "better" as
+``BENCHMARK.json`` defines it. ``clear`` marks a metric on which this
+checkout won at least 9 pairs in 10 and whose median moved the right way by
+more than the parent's interquartile range. The exit status is 1 if any run
+of any workload had a failed operation.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def extract(rev: str, dest: str) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_rev")
-    ap.add_argument("workload")
+    ap.add_argument("workloads", nargs="+", metavar="workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=0)
@@ -116,25 +119,27 @@ def main(argv=None) -> int:
         end_to_end = json.load(fh)["end_to_end"]
 
     parent_dir = tempfile.mkdtemp(prefix="ab_bench_parent_")
+    any_failed = False
     try:
         extract(args.parent_rev, parent_dir)
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        failed = {"parent": 0, "change": 0}
         checkouts = {"parent": parent_dir, "change": ROOT}
-        for i in range(args.pairs):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run_bench(checkouts[side], args.workload, args.seconds, args.seed)
-                runs[side].append(result["metrics"])
-                failed[side] += result["failed"]
-            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+        for workload in args.workloads:
+            runs: dict[str, list[dict]] = {"parent": [], "change": []}
+            failed = {"parent": 0, "change": 0}
+            for i in range(args.pairs):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    result = run_bench(checkouts[side], workload, args.seconds, args.seed)
+                    runs[side].append(result["metrics"])
+                    failed[side] += result["failed"]
+                print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            print(f"{workload}: {args.parent_rev} (parent) vs this checkout, "
+                  f"{args.pairs} pairs, --seconds {args.seconds:g} --seed {args.seed}")
+            print(format_rows(summarize(end_to_end, runs["parent"], runs["change"])))
+            print(f"failed operations: parent {failed['parent']}, change {failed['change']}\n")
+            any_failed = any_failed or any(failed.values())
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
-
-    print(f"{args.workload}: {args.parent_rev} (parent) vs this checkout, "
-          f"{args.pairs} pairs, --seconds {args.seconds:g} --seed {args.seed}")
-    print(format_rows(summarize(end_to_end, runs["parent"], runs["change"])))
-    print(f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    return 0 if not any(failed.values()) else 1
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

@@ -5,24 +5,27 @@ the accuracy drop when that dimension's values are permuted across the
 pooled training data, then zero the bottom p% (least important dimensions
 are taken to be the most domain-specific ones).
 
-For an affine predictor (the default split), permuting dimension k adds
-delta[i] * W[k] to row i of the base logits, delta = z[perm, k] - z[:, k].
-Only candidate rows need the update; row i is one unless
+For an affine predictor (the default split) clear of overflow, 2 * max|z|
+* max_j sum_k |W[k, j]| + max|b| < 1e300 (near the float limit the rank-1
+update and the full product overflow differently), permuting dimension k
+adds delta[i] * W[k] to row i of the base logits, delta = z[perm, k] -
+z[:, k]. Only candidate rows need the update; row i is one unless
 
     |delta[i]| * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
 
-with m_i its top-two logit margin, L_i < 1e300 its largest |logit|, s_k =
-max W[k] - min W[k] and a_k = max |W[k]| (NaN or inf fails the test). On
-other rows the top class's lead drops by at most s_k * |delta| and rounding
-moves a logit by at most 2^-52 * (L_i + a_k * |delta|), so the computed
-lead exceeds 1e-6 * (1 + L_i + a_k * |delta|) - 2^-51 * (L_i + a_k *
-|delta|): far above the tie tolerance 1e-9 * (1 + |top|), as |top| <= L_i
-+ a_k * |delta|, and the test's own rounding. Such a row keeps its base
-prediction and cannot trigger the fallback below.
+with m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k]
+- min W[k] and a_k = max |W[k]|. On other rows the top class's lead drops
+by at most s_k * |delta| and rounding moves a logit by at most 2^-52 * (L_i
++ a_k * |delta|), so the computed lead exceeds 1e-6 * (1 + L_i + a_k *
+|delta|) - 2^-51 * (L_i + a_k * |delta|): far above the tie tolerance 1e-9
+* (1 + |top|), as |top| <= L_i + a_k * |delta|, and the test's own
+rounding. Such a row keeps its base prediction and cannot trigger the
+fallback below.
 
-Any permutation under another predictor, or that leaves a candidate's top
-two logits within 1e-9 * (1 + |top|) of a tie, is predicted in full (column
-k permuted in place in one working copy), bitwise as a permuted copy would.
+Any permutation under another predictor or past the overflow guard, or that
+leaves a candidate's top two logits within 1e-9 * (1 + |top|) of a tie, is
+predicted in full (column k permuted in place in one working copy, made on
+first use), bitwise as a permuted copy would.
 """
 
 from __future__ import annotations
@@ -85,28 +88,30 @@ def permutation_importance(
     logits = split.predict_np(z)
     base_ok = np.argmax(logits, axis=1) == labels
     n_ok = np.count_nonzero(base_ok)
-    affine = split.predictor_is_affine
-    if affine:
-        w = split.predictor_affine_params()[0]
+    rank1 = split.predictor_is_affine
+    if rank1:
+        w, b = split.predictor_affine_params()
+        # The overflow guard, in Python floats (no warning); NaN or inf fails it.
+        z_max = float(np.abs([z.min(initial=0.0), z.max(initial=0.0)]).max())
+        rank1 = 2 * z_max * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max()) < 1e300
+    if rank1:
         logits_t = np.ascontiguousarray(logits.T)
         # The candidate test of the module docstring, per row and per k.
         top, second = logits_t[0].copy(), np.full(n, -np.inf)
         for row in logits_t[1:]:
             np.maximum(second, np.minimum(top, row), out=second)
             np.maximum(top, row, out=top)
-        mag = np.maximum(top, -logits.min(axis=1))
-        # Rows with L >= 1e300 are candidates, so the update of any other
-        # row cannot overflow: a_k * |delta| < 1e6 * m <= 2e6 * L.
-        safe = np.where(mag < 1e300, top - second - 1e-6 * (1.0 + mag), -np.inf)
+        safe = top - second - 1e-6 * (1.0 + np.maximum(top, -logits.min(axis=1)))
         reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
-    z = z.copy()  # working copy: column k is permuted in place, then restored
+    z_t = np.ascontiguousarray(z.T)  # column k of z is the contiguous row z_t[k]
+    work = None  # the full path's working copy, made on first use
     scores = np.zeros(d)
     for k in range(d):
-        col = z[:, k].copy()
+        col = z_t[k]
         drops = []
         for _ in range(repeats):
             permuted = col[rng.permutation(n)]
-            if affine:
+            if rank1:
                 delta = permuted - col
                 keep = np.abs(delta) * reach[k] < safe
                 cand = np.flatnonzero(~keep)
@@ -115,11 +120,12 @@ def permutation_importance(
                 # so kernel temporaries of every count in use stayed cached.
                 size = 1 << len(cand).bit_length()
                 cand = np.concatenate([cand, np.flatnonzero(keep[:size])])[:size]
-            preds = _rank1_argmax(logits_t[:, cand], w[k], delta[cand]) if affine else None
+            preds = _rank1_argmax(logits_t[:, cand], w[k], delta[cand]) if rank1 else None
             if preds is None:
-                z[:, k] = permuted
-                ok = np.count_nonzero(np.argmax(split.predict_np(z), axis=1) == labels)
-                z[:, k] = col
+                work = z.copy() if work is None else work
+                work[:, k] = permuted
+                ok = np.count_nonzero(np.argmax(split.predict_np(work), axis=1) == labels)
+                work[:, k] = col
             else:
                 ok = n_ok - np.count_nonzero(base_ok[cand]) + np.count_nonzero(preds == labels[cand])
             # An exact count divided once: bitwise np.mean of the hits.

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeMismatchError, UsageError
 from .mask import MaskGenConfig, drop_probabilities, inference_mask
+from . import tensor as T
 from .nn import Mlp, SplitModel
 from .synthbench import DomainDataset, Oracle, save_table
 
@@ -38,6 +39,14 @@ def _rowdist(a: Array, b: Array, kind: str) -> Array:
         return np.abs(a - b).sum(axis=1)
 
 
+def _checked_mask(masks: Array, z: Array) -> Array:
+    """``masks`` as an array if it is (d,) or ``z``'s shape, else ``ShapeMismatchError``."""
+    masks = np.asarray(masks)
+    if masks.shape not in (z.shape[1:], z.shape):
+        raise ShapeMismatchError(f"masks shape {masks.shape} is neither (d,) nor embeddings {z.shape}")
+    return masks
+
+
 def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Per-sample inference masks from the trained generator."""
     return inference_mask(drop_probabilities(generator, x), cfg, seed)
@@ -49,14 +58,25 @@ def masked_accuracy(
     """Fraction of argmax-correct predictions on embeddings ``z``; argmax
     ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
     a single global mask (d,) broadcast over the rows, or None. Rejects
-    empty data and ``labels`` that are not one entry per row."""
+    empty data, other mask shapes and ``labels`` that are not one entry per
+    row. A global 0/1 mask on an affine predictor scales its weight rows,
+    not ``z`` (C-ordered float64): bitwise the same, as z * (m W) = (z m) *
+    W for m in {0, 1}, signed zeros and inf * 0 = NaN included."""
     if len(z) == 0:
         raise UsageError("accuracy of empty data is undefined")
     if np.shape(labels) != (len(z),):
         raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({len(z)},)")
-    zm = z if masks is None else z * masks
-    preds = np.argmax(split.predict_np(zm), axis=1)
-    return float(np.mean(preds == labels))
+    masks = None if masks is None else _checked_mask(masks, z)
+    if masks is None:
+        logits = split.predict_np(z)
+    elif (masks.ndim == 1 and split.predictor_is_affine and z.dtype == np.float64
+          and z.flags.c_contiguous and np.isin(masks, (0.0, 1.0)).all()):
+        split.model._check_width(z, split.split_index)
+        w, b = split.predictor_affine_params()
+        logits = T.linear_np(z, masks[:, None] * w, b)
+    else:
+        logits = split.predict_np(z * masks)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
@@ -135,7 +155,7 @@ def export_embeddings(
     """CSV rows: sample id, label, domain index, then the (masked) embedding."""
     z = split.encode_np(data.features)
     if masks is not None:
-        z = z * masks + 0.0  # + 0.0 normalizes -0.0 in the text output
+        z = z * _checked_mask(masks, z) + 0.0  # + 0.0 normalizes -0.0 in the text output
     header = ["id", "label", "domain"] + [f"e{i}" for i in range(z.shape[1])]
     ids, domains = np.arange(data.n), np.full(data.n, data.domain_index)
     save_table(path, header, ids, data.labels, domains, z)

@@ -59,3 +59,41 @@ def test_format_rows_prints_every_metric():
     parent = _runs([1.0, 1.1], [5.0, 6.0])
     text = ab_bench.format_rows(ab_bench.summarize(END_TO_END, parent, parent))
     assert text.count("\n") == 2 and "op_s" in text and "rows_per_s" in text
+
+
+def _fake_runs(monkeypatch, failing=None):
+    """Replace the extract and the benchmark runs; the change is faster, and
+    the ``failing`` (side, workload) run reports one failed operation. Returns
+    the (side, workload) of every run, in order."""
+    calls = []
+
+    def run_bench(checkout, workload, seconds, seed):
+        side = "change" if checkout == ab_bench.ROOT else "parent"
+        calls.append((side, workload))
+        op_s = 0.2 if side == "change" else 0.3
+        return {"metrics": {"op_s": {"value": op_s, "unit": "s"}}, "failed": int((side, workload) == failing)}
+
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
+    return calls
+
+
+def test_main_prints_one_table_per_workload(monkeypatch, capsys):
+    calls = _fake_runs(monkeypatch)
+    assert ab_bench.main(["HEAD~1", "global_sweep", "erm_fit", "--pairs", "2"]) == 0
+    tables = capsys.readouterr().out.split("\n\n")[:2]
+    for workload, table in zip(["global_sweep", "erm_fit"], tables):
+        assert table.startswith(f"{workload}: HEAD~1 (parent) vs this checkout, 2 pairs")
+        assert "op_s" in table and " 2/2 " in table
+        assert table.endswith("failed operations: parent 0, change 0")
+    # Pairs alternate which side runs first, one workload after the other.
+    sides = ("parent", "change", "change", "parent")
+    assert calls == [(side, w) for w in ("global_sweep", "erm_fit") for side in sides]
+
+
+def test_main_exits_1_if_any_run_of_any_workload_failed(monkeypatch, capsys):
+    _fake_runs(monkeypatch, failing=("parent", "erm_fit"))
+    assert ab_bench.main(["HEAD~1", "global_sweep", "erm_fit", "--pairs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "failed operations: parent 0, change 0" in out
+    assert "failed operations: parent 1, change 0" in out

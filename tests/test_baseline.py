@@ -201,6 +201,17 @@ def test_sweep_calls_the_public_importance_pass_once(trained_setup, monkeypatch)
     assert (calls[0][1] == pooled.labels).all()
 
 
+def test_sweep_predicts_only_the_importance_base_and_the_unmasked_rows(trained_setup, monkeypatch):
+    """On an affine split every p > 0 mask is scored through the predictor's
+    weight rows, with no predict call and no masked copy of the embedding."""
+    split, train, unseen = trained_setup
+    pooled = pool_domains(train)
+    calls = _count_predicted_rows(monkeypatch)
+    table = sweep_mask_percent(split, train, unseen, [0.0, 25.0, 50.0, 100.0], 3, np.random.default_rng(7))
+    assert len(table.rows) == 4
+    assert calls == [pooled.n, unseen.n, pooled.n]
+
+
 def test_sweep_rejects_empty_unseen_domain(trained_setup):
     split, train, unseen = trained_setup
     empty = DomainDataset(unseen.features[:0], unseen.labels[:0], unseen.domain_index)
@@ -368,8 +379,7 @@ def _planted_affine_case(draw):
 
 
 # Row 1's class 1 leads by 1e307, which dimension 0 cannot change; taking
-# row 0's 1.7e308 there (seed 2 swaps them) overflows that logit, where the
-# full-row kernel falls back.
+# row 0's 1.7e308 there (seed 2 swaps them) overflows that logit.
 _OVERFLOW = np.array([[1.7e308, 1e307], [0.0, -1e307]])
 
 
@@ -390,13 +400,29 @@ def test_candidate_rows_match_copy_per_permutation_bitwise(case):
         full_rows, fallbacks = _full_row_importance(split, z, labels, repeats, np.random.default_rng(seed))
         sizes = _count_predicted_rows(mp)
         scores = permutation_importance(split, z, labels, repeats=repeats, rng=rng)
-    assert scores.tobytes() == full_rows.tobytes()
-    # Near the float limit the rank-1 update itself can depart from the
-    # full product, candidate rows or not.
-    if plant != "huge":
-        assert scores.tobytes() == expected.tobytes()
+    assert scores.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert sizes == [len(z)] * (1 + fallbacks)
+    if plant == "huge" and z.any():
+        # Near the float limit the rank-1 update can depart from the full
+        # product, so the whole call takes the full path.
+        assert sizes == [len(z)] * (1 + z.shape[1] * repeats)
+    else:
+        assert scores.tobytes() == full_rows.tobytes()
+        assert sizes == [len(z)] * (1 + fallbacks)
+
+
+def test_near_float_limit_importance_matches_copy_per_permutation():
+    """At this scale the rank-1 update overflows where the full product does
+    not: on the rank-1 path dimension 1 scored 1/12, against 1/6 from
+    permuted copies."""
+    z = np.array([[1.2e308, -6e307, -6e307], [0, -6e307, 0], [1.2e308, 3e307, 3e307], [-6e307, 0, 0]])
+    split = _linear_split(np.array([[0.25, 0.25], [-1.0, 0.25], [-1.0, -1.0]]), np.zeros(2))
+    labels = np.array([0, 1, 1, 0])
+    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+    expected = _reference_importance(split, z, labels, 3, ref_rng)
+    scores = permutation_importance(split, z, labels, repeats=3, rng=rng)
+    assert scores.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):

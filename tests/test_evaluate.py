@@ -1,7 +1,11 @@
 """Accuracy, bound diagnostics, exports, and multi-seed aggregation."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
 from embmask.errors import ContractError, ShapeMismatchError, UsageError
@@ -63,6 +67,35 @@ def test_global_mask_equals_its_broadcast_bitwise():
     assert masked_accuracy(split, z, labels, mask) == masked_accuracy(split, z, labels, per_sample)
 
 
+_SPECIAL = [-0.0, 0.0, 1.0, -2.5, 3e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_global_binary_mask_on_affine_split_equals_its_broadcast(seed):
+    """The weight-row path of a global 0/1 mask predicts every row as the
+    masked copy does, signed zeros, infinities, NaN and 1e300 included."""
+    gen = np.random.default_rng(seed)
+    n, d, c = gen.integers(1, 12), gen.integers(1, 5), gen.integers(2, 4)
+    z = gen.choice(_SPECIAL, size=(n, d))
+    split = _affine_split(gen.choice([-1.0, 0.0, 0.5, 2.0, 1e10], size=(d, c)), gen.choice([0.0, -0.0, 1.0], size=c))
+    mask = gen.choice([0.0, 1.0], size=d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        preds = np.argmax(split.predict_np(z * mask), axis=1)
+        # Labels equal to the masked copy's predictions pin each row's argmax.
+        assert masked_accuracy(split, z, preds, mask) == 1.0
+        labels = gen.integers(c, size=n)
+        per_sample = np.broadcast_to(mask, z.shape).copy()
+        assert masked_accuracy(split, z, labels, mask) == masked_accuracy(split, z, labels, per_sample)
+
+
+def test_global_mask_keeps_the_width_check():
+    split = _affine_split(np.ones((3, 2)), np.zeros(2))
+    z = np.ones((4, 2))
+    with pytest.raises(ShapeMismatchError, match="input width 2 != model input dim 3"):
+        masked_accuracy(split, z, np.zeros(4, dtype=int), np.ones(2))
+
+
 def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
     # Split 0 is an identity encoder, so the embedding is the input itself.
     split = _affine_split(np.eye(2), np.array([0.0, 0.5]))
@@ -80,10 +113,12 @@ def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
         export_embeddings(split, data, str(path), mask)
         assert path.read_text().splitlines()[1].split(",")[3:] == row
     assert masked_accuracy(split, z, labels) == 1.0
-    for bad in (np.ones(3), np.ones((2, 3))):
-        with pytest.raises(ValueError):
+    # Neither (d,) nor z's shape, though NumPy would broadcast the last four.
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), np.ones(()), np.ones((1, 1))):
+        message = re.escape(f"masks shape {bad.shape}") + r".*\(2, 2\)"
+        with pytest.raises(ShapeMismatchError, match=message):
             masked_accuracy(split, z, labels, bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError, match=message):
             export_embeddings(split, data, str(path), bad)
 
 
