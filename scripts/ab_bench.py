@@ -3,6 +3,7 @@
 
     python3 scripts/ab_bench.py HEAD~1 erm_fit --pairs 10 --seconds 20 --seed 1
     python3 scripts/ab_bench.py HEAD~1 global_sweep cli_artifacts emg_mask erm_fit
+    python3 scripts/ab_bench.py HEAD~1 emg_mask --json-out BENCH_ab_emg_mask.json
 
 The committed files of PARENT_REV are extracted with ``git archive`` into a
 temporary directory, which is removed on exit; the repository itself is not
@@ -19,6 +20,11 @@ both sides and in how many pairs this checkout did better, with "better" as
 checkout won at least 9 pairs in 10 and whose median moved the right way by
 more than the parent's interquartile range. The exit status is 1 if any run
 of any workload had a failed operation.
+
+``--json-out PATH`` also writes what the tables show as JSON: the parent
+revision as given and the commit it resolved to, ``--seed``, ``--seconds``
+and ``--pairs``, and per workload each metric's quartiles, wins, pairs and
+``clear``, with the failed-operation counts of both sides.
 """
 
 from __future__ import annotations
@@ -99,6 +105,19 @@ def run_bench(checkout: str, workload: str, seconds: float, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def resolve(rev: str) -> str:
+    """The full hash of the commit ``rev`` names."""
+    done = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def as_json(row: dict) -> dict:
+    """A ``summarize`` row with each side's quartiles named."""
+    named = {side: dict(zip(("q1", "median", "q3"), row[side])) for side in ("parent", "change")}
+    return {**row, **named}
+
+
 def extract(rev: str, dest: str) -> None:
     """The committed files of ``rev`` under ``dest``."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True)
@@ -112,16 +131,20 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json-out", metavar="PATH", help="also write the tables as JSON to PATH")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
+    commit = resolve(args.parent_rev)
+    report = {"parent_rev": args.parent_rev, "parent_commit": commit, "seed": args.seed,
+              "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
     parent_dir = tempfile.mkdtemp(prefix="ab_bench_parent_")
     any_failed = False
     try:
-        extract(args.parent_rev, parent_dir)
+        extract(commit, parent_dir)
         checkouts = {"parent": parent_dir, "change": ROOT}
         for workload in args.workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -134,11 +157,17 @@ def main(argv=None) -> int:
                 print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
             print(f"{workload}: {args.parent_rev} (parent) vs this checkout, "
                   f"{args.pairs} pairs, --seconds {args.seconds:g} --seed {args.seed}")
-            print(format_rows(summarize(end_to_end, runs["parent"], runs["change"])))
+            rows = summarize(end_to_end, runs["parent"], runs["change"])
+            print(format_rows(rows))
             print(f"failed operations: parent {failed['parent']}, change {failed['change']}\n")
+            report["workloads"][workload] = {"metrics": [as_json(r) for r in rows], "failed": failed}
             any_failed = any_failed or any(failed.values())
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
     return 1 if any_failed else 0
 
 

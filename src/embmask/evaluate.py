@@ -108,7 +108,8 @@ def bound_terms(
 
     Requires the oracle shared/specific dimension lists (benchmark with
     mixing disabled, identity-encoder setup), each dimension inside the
-    embedding, or ``ContractError``.
+    embedding, or ``ContractError``; a mask not shaped like ``z`` raises
+    ``ShapeMismatchError``.
     """
     if distance_kind not in DISTANCE_KINDS:
         raise UsageError(f"unknown distance kind {distance_kind!r}")
@@ -120,7 +121,7 @@ def bound_terms(
     z = np.asarray(z, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape != z.shape:
-        raise UsageError(f"masks shape {masks.shape} != embeddings {z.shape}")
+        raise ShapeMismatchError(f"masks shape {masks.shape} != embeddings {z.shape}")
     if len(z) == 0:
         raise UsageError("bound terms of empty data are undefined")
     width = z.shape[1]

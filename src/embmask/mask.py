@@ -17,8 +17,13 @@ the relaxation is. Gradients flow to G through p only; noise is a constant.
 noise_free mask is bitwise the zero-noise training mask. Training draws noise
 from the caller's generator; ``inference_mask(p, cfg, seed)`` draws it only
 for the ``SAMPLE_COUNT`` masks that ``sample_avg`` averages, from the stream
-``SeedSequence((seed, 0xE7))``. The kernels work in place on arrays they
-allocate, never on their arguments.
+``SeedSequence((seed, 0xE7))``. Per sample, ``sample_avg`` walks the flattened
+p in blocks of ``_BLOCK`` entries, in stream order: first all of h, block by
+block into one full-size buffer reused by every sample, then h' block by block
+into one block-sized scratch buffer, each h' block becoming h - h' and going
+through ``_keep`` into the running sum. Every bit is that of the full-size
+loop. The kernels work in place on arrays they allocate, never on their
+arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, NumericError, ShapeMismatchError
 from .nn import Mlp
 
 Array = np.ndarray
@@ -53,14 +58,19 @@ class MaskGenConfig:
 
 
 _P_EPS = 1e-12  # uniforms, probabilities and masks clamped to [eps, 1-eps]
+_BLOCK = 32768  # sample_avg entries per block: 256 KiB of float64, cache-sized
+
+
+def _to_gumbel(g: Array) -> Array:
+    """Uniform draws u turned in place into -log(-log u), u clamped away from {0,1}."""
+    np.clip(g, _P_EPS, 1.0 - _P_EPS, out=g)
+    np.negative(np.log(g, out=g), out=g)
+    return np.negative(np.log(g, out=g), out=g)
 
 
 def gumbel_sample(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """i.i.d. standard Gumbel draws -log(-log u), u clamped away from {0,1}."""
-    g = rng.random(shape)
-    np.clip(g, _P_EPS, 1.0 - _P_EPS, out=g)
-    np.negative(np.log(g, out=g), out=g)
-    return np.negative(np.log(g, out=g), out=g)
+    return _to_gumbel(rng.random(shape))
 
 
 def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
@@ -160,14 +170,28 @@ def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     expected: the Bernoulli keep probability 1-p.
     sample_avg: mean of SAMPLE_COUNT training masks, their noise drawn from
     the stream ``SeedSequence((seed, 0xE7))``; the other modes draw none.
+    Every mode rejects a ``seed`` that is not a non-negative int with
+    ``ConfigError`` and a non-finite ``p`` with ``NumericError``.
     """
-    p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+    p = np.asarray(p, dtype=np.float64)
+    if not np.isfinite(p).all():
+        raise NumericError("drop probabilities must be finite")
+    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
     if cfg.inference_mode == "sample_avg":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
-        log_odds, acc = _log_odds(p), np.zeros_like(p)
+        flat = p.reshape(-1)
+        log_odds, acc = _log_odds(flat), np.zeros_like(flat)
+        h, scratch = np.empty_like(flat), np.empty(min(flat.size, _BLOCK))
+        blocks = [slice(s, s + _BLOCK) for s in range(0, flat.size, _BLOCK)]
         for _ in range(SAMPLE_COUNT):
-            acc += _keep(log_odds, gumbel_noise(rng, p.shape), cfg.tau)[0]
-        return acc / SAMPLE_COUNT
+            for b in blocks:  # all of h first, as one full-size draw takes it
+                _to_gumbel(rng.random(out=h[b]))
+            for b in blocks:
+                noise = _to_gumbel(rng.random(out=scratch[:h[b].size]))
+                acc[b] += _keep(log_odds[b], np.subtract(h[b], noise, out=noise), cfg.tau)[0]
+        return acc.reshape(p.shape) / SAMPLE_COUNT
     if cfg.inference_mode == "expected" or cfg.tau == 1.0:
         return 1.0 - p
     return keep_mask(p, 0.0, cfg.tau)[0]

@@ -1,6 +1,7 @@
 """The summary of scripts/ab_bench.py, on made-up runs (no subprocess)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,7 @@ def _fake_runs(monkeypatch, failing=None):
 
     monkeypatch.setattr(ab_bench, "run_bench", run_bench)
     monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(ab_bench, "resolve", lambda rev: "0123abcd" * 5)
     return calls
 
 
@@ -97,3 +99,23 @@ def test_main_exits_1_if_any_run_of_any_workload_failed(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "failed operations: parent 0, change 0" in out
     assert "failed operations: parent 1, change 0" in out
+
+
+def test_json_out_holds_what_the_tables_show(monkeypatch, capsys, tmp_path):
+    _fake_runs(monkeypatch, failing=("change", "erm_fit"))
+    path = tmp_path / "ab.json"
+    argv = ["HEAD~1", "emg_mask", "erm_fit", "--pairs", "3", "--seconds", "8", "--seed", "1"]
+    assert ab_bench.main(argv + ["--json-out", str(path)]) == 1
+    report = json.loads(path.read_text())
+    assert {k: report[k] for k in ("parent_rev", "parent_commit", "seed", "seconds", "pairs")} == {
+        "parent_rev": "HEAD~1", "parent_commit": "0123abcd" * 5, "seed": 1, "seconds": 8.0, "pairs": 3,
+    }
+    assert list(report["workloads"]) == ["emg_mask", "erm_fit"]
+    assert report["workloads"]["emg_mask"]["failed"] == {"parent": 0, "change": 0}
+    assert report["workloads"]["erm_fit"]["failed"] == {"parent": 0, "change": 3}
+    (op,) = report["workloads"]["emg_mask"]["metrics"]
+    assert op["parent"] == {"q1": 0.3, "median": 0.3, "q3": 0.3}
+    assert op["change"] == {"q1": 0.2, "median": 0.2, "q3": 0.2}
+    assert (op["name"], op["better"], op["wins"], op["pairs"], op["clear"]) == ("op_s", "lower", 3, 3, True)
+    assert " 3/3 " in capsys.readouterr().out
+

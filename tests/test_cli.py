@@ -676,6 +676,20 @@ def test_tampered_oracle_dims_exit_1_before_run_dir(pipeline, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_bound_check_mask_not_shaped_like_z_exits_1(pipeline, tmp_path, capsys, monkeypatch):
+    """The generator's width is checked before any mask is made, so only a
+    replaced mask source reaches bound_terms' own ShapeMismatchError."""
+    from embmask import cli
+
+    monkeypatch.setattr(cli, "emg_masks", lambda gen, x, cfg, seed=0: np.ones((len(x) + 1, 3)))
+    out = tmp_path / "out"
+    inputs = {"data.dir": pipeline["data"], "base.model": pipeline["base"], "emg.model": pipeline["emg"]}
+    assert run_cmd("bound-check", pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error code=1 msg="masks shape') and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_training_leaves_no_run_dir(pipeline, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)

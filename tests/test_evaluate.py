@@ -204,10 +204,20 @@ def test_bound_rejects_bad_distance_or_shapes():
     oracle = _oracle(range(2), range(2, 4))
     with pytest.raises(UsageError):
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((2, 4)), "L3")
-    with pytest.raises(UsageError):
+    with pytest.raises(ShapeMismatchError):
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((3, 4)))
     with pytest.raises(UsageError):
         bound_terms(split, oracle, np.ones((0, 4)), np.ones((0, 4)))
+
+
+@pytest.mark.parametrize("mask_shape", [(3, 4), (2, 5), (4,), (2, 4, 1)])
+def test_bound_rejects_a_mask_not_shaped_like_z_as_shape_mismatch(mask_shape):
+    """The error class of masked_accuracy and export_embeddings for the same
+    kind of input; a global (d,) mask is no exception here."""
+    rng = np.random.default_rng(7)
+    split = _affine_split(rng.normal(size=(4, 2)), rng.normal(size=2))
+    with pytest.raises(ShapeMismatchError, match=r"masks shape"):
+        bound_terms(split, _oracle(range(2), range(2, 4)), np.ones((2, 4)), np.ones(mask_shape))
 
 
 # -- exports ------------------------------------------------------------------------

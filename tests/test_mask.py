@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask
 from embmask import mask as mask_module
 from embmask import tensor as T
-from embmask.errors import ConfigError, ShapeMismatchError
+from embmask.errors import ConfigError, NumericError, ShapeMismatchError
 from embmask.mask import (
     gumbel_noise,
     keep_mask,
@@ -336,6 +336,47 @@ def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape, mon
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
     want = _ref_sample_avg(p, cfg, 12, sample_count)
     assert inference_mask(p, cfg, 12).tobytes() == want.tobytes()
+
+
+_B = mask_module._BLOCK
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(_B // 64, 64), (_B // 64 + 1, 64), (3 * _B // 64 + 17, 64), (_B,), (2 * _B + 5,)],
+    ids=["one-block", "one-block-plus-a-row", "not-a-block-multiple", "1d-one-block", "1d-ragged"],
+)
+def test_sample_avg_matches_reference_loop_bitwise_at_block_edges(shape, monkeypatch):
+    """The blocked loop keeps the draw order of the full-size one: all of h,
+    then all of h', for each sample in turn."""
+    monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 2)
+    p = sigmoid_np(_edge_logits(shape))
+    cfg = MaskGenConfig(tau=0.1, inference_mode="sample_avg")
+    want = _ref_sample_avg(p, cfg, 5, 2)
+    got = inference_mask(p, cfg, 5)
+    assert got.shape == p.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_inference_mask_rejects_a_seed_that_is_not_a_non_negative_int(mode):
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
+    p = np.full((2, 3), 0.4)
+    for seed in (-1, 2.5, True, False, np.int64(-3), "1", None, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="seed"):
+            inference_mask(p, cfg, seed)
+    assert inference_mask(p, cfg, np.int64(3)).tobytes() == inference_mask(p, cfg, 3).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
+    def no_draw(g):
+        raise AssertionError("noise drawn for a non-finite p")
+
+    monkeypatch.setattr(mask_module, "_to_gumbel", no_draw)
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
+    for p in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
+        with pytest.raises(NumericError):
+            inference_mask(p, cfg, 0)
 
 
 def test_kernels_take_scalars_as_the_reference_did(monkeypatch):
