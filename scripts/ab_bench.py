@@ -6,12 +6,15 @@
     python3 scripts/ab_bench.py HEAD~1 emg_mask --json-out BENCH_ab_emg_mask.json
 
 The committed files of PARENT_REV are extracted with ``git archive`` into a
-temporary directory, which is removed on exit; the repository itself is not
-touched. For each workload in turn, each pair then runs ``perfbench/run.py
---workload WORKLOAD`` once in the parent's copy and once in this checkout,
-with the same ``--seed``, alternating which side goes first so that neither
-always finds the machine in the same state. The last stdout line of each run
-is its JSON result.
+temporary directory, and this checkout's files that git does not ignore
+(tracked, edited or untracked) are copied into a sibling one of the same
+name length; both are removed on exit, and the repository itself is not
+touched. So neither side runs from a directory with its own ``__pycache__``,
+``.bench_out`` or path length, whose heap layout could pass for a result.
+For each workload in turn, each pair then runs ``perfbench/run.py
+--workload WORKLOAD`` once in each copy, with the same ``--seed``,
+alternating which side goes first so that neither always finds the machine
+in the same state. The last stdout line of each run is its JSON result.
 
 For every end-to-end metric that ``BENCHMARK.json`` lists, the script prints
 one table per workload: the first quartile, median and third quartile of
@@ -124,6 +127,20 @@ def extract(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive.stdout, check=True)
 
 
+def copy_checkout(dest: str) -> None:
+    """This checkout's files that git does not ignore under ``dest``, as they
+    are on disk; tracked files deleted from disk are skipped."""
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        capture_output=True, check=True,
+    ).stdout
+    for rel in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        src, dst = os.path.join(ROOT, rel), os.path.join(dest, rel)
+        if os.path.lexists(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_rev")
@@ -141,11 +158,12 @@ def main(argv=None) -> int:
     commit = resolve(args.parent_rev)
     report = {"parent_rev": args.parent_rev, "parent_commit": commit, "seed": args.seed,
               "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
-    parent_dir = tempfile.mkdtemp(prefix="ab_bench_parent_")
+    # Sibling directories whose names are equally long: "parent", "change".
+    checkouts = {side: tempfile.mkdtemp(prefix=f"ab_bench_{side}_") for side in ("parent", "change")}
     any_failed = False
     try:
-        extract(commit, parent_dir)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        extract(commit, checkouts["parent"])
+        copy_checkout(checkouts["change"])
         for workload in args.workloads:
             runs: dict[str, list[dict]] = {"parent": [], "change": []}
             failed = {"parent": 0, "change": 0}
@@ -163,7 +181,8 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {"metrics": [as_json(r) for r in rows], "failed": failed}
             any_failed = any_failed or any(failed.values())
     finally:
-        shutil.rmtree(parent_dir, ignore_errors=True)
+        for path in checkouts.values():
+            shutil.rmtree(path, ignore_errors=True)
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(report, fh, indent=1)

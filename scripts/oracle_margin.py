@@ -20,6 +20,9 @@ from embmask import (
     split_model,
     train_erm,
 )
+from embmask.experiment import ExperimentSpec, base_layers
+
+SPEC = ExperimentSpec()
 
 
 def keep_dims(data: DomainDataset, dims) -> DomainDataset:
@@ -29,8 +32,7 @@ def keep_dims(data: DomainDataset, dims) -> DomainDataset:
 
 
 def fit_and_score(train, unseen, seed, epochs, hidden):
-    shape = [train[0].dim, hidden, int(max(d.labels.max() for d in train)) + 1] if hidden else None
-    model, _ = train_erm(TrainConfig(seed=seed, max_epochs=epochs), train, shape)
+    model, _ = train_erm(TrainConfig(seed=seed, max_epochs=epochs), train, base_layers(train, hidden))
     return accuracy(split_model(model), unseen)
 
 
@@ -38,8 +40,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--bench-seed", type=int, default=0)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--epochs", type=int, default=80)
-    ap.add_argument("--hidden", type=int, default=64, help="0 = linear classifier")
+    ap.add_argument("--epochs", type=int, default=SPEC.erm_epochs)
+    ap.add_argument("--hidden", type=int, nargs="*", default=SPEC.hidden,
+                    help="hidden widths; none = linear classifier")
     args = ap.parse_args()
 
     train, unseen, oracle = generate_benchmark(BenchmarkSpec(seed=args.bench_seed))

@@ -14,7 +14,9 @@ a manifest name that is not a regular file in its run, and an
 operating-system error such as an ``out_dir`` that is an existing file.
 Configuration and inputs are checked, and results computed, before
 ``out_dir`` is created, so a command that fails leaves none behind;
-``export-embeddings`` writes each domain's files as it goes.
+``export-embeddings`` writes each domain's files as it goes. The training
+commands default to the recipe of ``experiment.ExperimentSpec`` and build
+their models with its helpers; training domains are read in domain-index order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import os
 import sys
 from dataclasses import asdict, fields
 from typing import get_type_hints
-
-import numpy as np
 
 from .baseline import (
     PERCENT_GRID,
@@ -45,6 +45,7 @@ from .evaluate import (
     export_embeddings,
     export_masks,
 )
+from .experiment import ExperimentSpec, base_layers, importance_rng, new_generator
 from .mask import MODE_READS, MaskGenConfig
 from .nn import Mlp, load_params, save_params, split_model
 from .rundir import RunDirectory
@@ -124,22 +125,22 @@ _BASE = {
     "base.split_index": Field(int, -1),  # -1: last linear layer is predictor
 }
 
+# The training commands default to the headline experiment's recipe.
+_SPEC = ExperimentSpec()
+
 SCHEMAS: dict[str, dict[str, Field]] = {
     "gen-data": {**_COMMON, **_section(BenchmarkSpec, "benchmark", "seed")},
     "train-erm": {
         **_COMMON,
         "data.dir": Field(str, required=True),
-        "model.hidden": Field(str, "64"),
-        **_section(TrainConfig, "train", "seed", max_epochs=80),
+        "model.hidden": Field(str, ",".join(map(str, _SPEC.hidden))),
+        **_section(TrainConfig, "train", "seed", max_epochs=_SPEC.erm_epochs),
     },
     "train-emg": {
         **_COMMON,
         **_BASE,
-        "emg.hidden": Field(str, "32"),
-        # Short fit on purpose: trained to convergence the generator's
-        # objective is minimized by the keep-everything mask, so the
-        # filtering benefit lives in the early epochs.
-        "emg.max_epochs": Field(int, 3),
+        "emg.hidden": Field(str, ",".join(map(str, _SPEC.emg_hidden))),
+        "emg.max_epochs": Field(int, _SPEC.emg_epochs),
         **_section(TrainConfig, "train", "seed", "max_epochs"),
         # Training draws its own noise: the inference settings do not apply.
         **_section(MaskGenConfig, "mask", "inference_mode"),
@@ -195,7 +196,9 @@ def _load_data_dir(data_dir: str):
     width of the first training domain and a domain index of its own."""
     _require_path(data_dir, "data directory")
     listed = RunDirectory.verify(data_dir)
-    train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"))
+    # By domain index, as gen-data writes and generate_benchmark lists them:
+    # a shorter train_domain_<k>.csv name has the smaller k.
+    train_names = sorted(fnmatch.filter(listed, "train_domain_*.csv"), key=lambda n: (len(n), n))
     if not train_names or "unseen.csv" not in listed:
         raise MissingArtifact(f"no benchmark CSVs in {data_dir}")
     oracle_path = os.path.join(data_dir, "oracle.json")
@@ -245,12 +248,6 @@ def _load_generator(cfg, split, dim: int) -> Mlp:
     return gen
 
 
-def _importance_rng(cfg) -> np.random.Generator:
-    """The permutation-importance stream of ``eval.mode = global`` and of
-    ``sweep-global``, so both rank dimensions alike for one seed."""
-    return np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0x6B)))
-
-
 def _mask_source(cfg, mode, split, train_data):
     """``masks_for(data)`` for mask source ``mode``: None, the global
     bottom-p% mask, or the generator's per-sample masks for ``data``. Drops
@@ -275,7 +272,7 @@ def _mask_source(cfg, mode, split, train_data):
             raise ConfigError("eval.mask_percent must be in [0, 100] and eval.repeats >= 1")
         pooled = pool_domains(train_data)
         z = split.encode_np(pooled.features)
-        scores = permutation_importance(split, z, pooled.labels, repeats, _importance_rng(cfg))
+        scores = permutation_importance(split, z, pooled.labels, repeats, importance_rng(cfg["seed"]))
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
     gen = _load_generator(cfg, split, train_data[0].dim)
@@ -303,9 +300,7 @@ def cmd_train_erm(cfg) -> None:
     train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"])
     hidden = parse_hidden(cfg["model.hidden"])
-    dim = train_data[0].dim
-    n_classes = int(max(d.labels.max() for d in train_data)) + 1
-    model, trace = train_erm(tc, train_data, [dim, *hidden, n_classes])
+    model, trace = train_erm(tc, train_data, base_layers(train_data, hidden))
     run = RunDirectory(cfg["out_dir"], cfg)
     save_params(model.store, run.file("base_model"))
     trace.to_csv(run.file("erm_trace.csv"))
@@ -319,8 +314,7 @@ def cmd_train_emg(cfg) -> None:
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
-    sizes = [train_data[0].dim, *hidden, split.embedding_dim]
-    gen = Mlp(sizes, prefix="g.", seed=cfg["seed"] + 1)
+    gen = new_generator(split, train_data[0].dim, hidden, cfg["seed"])
     gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)
     run = RunDirectory(cfg["out_dir"], cfg)
     save_params(gen.store, run.file("emg_model"))
@@ -350,7 +344,7 @@ def cmd_sweep_global(cfg) -> None:
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
     table = sweep_mask_percent(
-        split, train_data, unseen, grid, cfg["sweep.repeats"], _importance_rng(cfg)
+        split, train_data, unseen, grid, cfg["sweep.repeats"], importance_rng(cfg["seed"])
     )
     run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))

@@ -1,7 +1,10 @@
-"""The summary of scripts/ab_bench.py, on made-up runs (no subprocess)."""
+"""The summary of scripts/ab_bench.py, on made-up runs (no benchmark
+subprocess), and its copy of the checkout."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,19 +66,20 @@ def test_format_rows_prints_every_metric():
 
 
 def _fake_runs(monkeypatch, failing=None):
-    """Replace the extract and the benchmark runs; the change is faster, and
+    """Replace the extract, the copy and the benchmark runs; the change is faster, and
     the ``failing`` (side, workload) run reports one failed operation. Returns
     the (side, workload) of every run, in order."""
     calls = []
 
     def run_bench(checkout, workload, seconds, seed):
-        side = "change" if checkout == ab_bench.ROOT else "parent"
+        side = "change" if os.path.basename(checkout).startswith("ab_bench_change_") else "parent"
         calls.append((side, workload))
         op_s = 0.2 if side == "change" else 0.3
         return {"metrics": {"op_s": {"value": op_s, "unit": "s"}}, "failed": int((side, workload) == failing)}
 
     monkeypatch.setattr(ab_bench, "run_bench", run_bench)
     monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(ab_bench, "copy_checkout", lambda dest: None)
     monkeypatch.setattr(ab_bench, "resolve", lambda rev: "0123abcd" * 5)
     return calls
 
@@ -119,3 +123,30 @@ def test_json_out_holds_what_the_tables_show(monkeypatch, capsys, tmp_path):
     assert (op["name"], op["better"], op["wins"], op["pairs"], op["clear"]) == ("op_s", "lower", 3, 3, True)
     assert " 3/3 " in capsys.readouterr().out
 
+
+def test_copy_checkout_takes_what_git_does_not_ignore(monkeypatch, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    for name, text in [(".gitignore", "*.pyc\n.bench_out/\n"), ("pkg/mod.py", "committed\n"),
+                       ("gone.py", "committed\n")]:
+        (repo / name).write_text(text)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "init")
+    (repo / "pkg" / "mod.py").write_text("edited\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "mod.pyc").write_text("ignored\n")
+    (repo / ".bench_out").mkdir()
+    (repo / ".bench_out" / "trace.csv").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+
+    monkeypatch.setattr(ab_bench, "ROOT", str(repo))
+    dest.mkdir()
+    ab_bench.copy_checkout(str(dest))
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "edited\n"

@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
+from embmask.experiment import base_layers
 from embmask.mask import INFERENCE_MODES
 from embmask.nn import ParamStore, load_params, save_params
 from embmask.rundir import RunDirectory
-from embmask.synthbench import DomainDataset, load_csv_dataset, save_csv_dataset
+from embmask.synthbench import (
+    BenchmarkSpec,
+    DomainDataset,
+    generate_benchmark,
+    load_csv_dataset,
+    save_csv_dataset,
+)
+from embmask.train import TrainConfig, train_erm
 
 SMALL_BENCH = {
     "benchmark.num_classes": 3,
@@ -133,6 +141,22 @@ def test_train_outputs_verify(pipeline):
         assert model.with_suffix(".manifest").exists()
         assert model.with_suffix(".params").exists()
         RunDirectory.verify(str(model.parent))
+
+
+def test_train_erm_reads_domains_in_index_order(tmp_path):
+    """With 11 domains, train_domain_10.csv sorts before train_domain_2.csv
+    as a string; the CLI fit must still see generate_benchmark's order."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("seed = 0\nout_dir = unused\n")
+    bench = {**SMALL_BENCH, "benchmark.num_train_domains": 11, "benchmark.samples_per_domain": 30}
+    assert run_cmd("gen-data", cfg, out_dir=tmp_path / "data", **bench) == 0
+    erm = {"data.dir": tmp_path / "data", "model.hidden": "4", "train.max_epochs": 2}
+    assert run_cmd("train-erm", cfg, out_dir=tmp_path / "erm", **erm) == 0
+
+    spec = BenchmarkSpec(**{k.split(".")[1]: v for k, v in bench.items()}, seed=0)
+    train, _, _ = generate_benchmark(spec)
+    model, _ = train_erm(TrainConfig(seed=0, max_epochs=2), train, base_layers(train, [4]))
+    assert load_params(str(tmp_path / "erm" / "base_model")).checksum() == model.store.checksum()
 
 
 def test_eval_modes_and_report_shape(pipeline, tmp_path):
