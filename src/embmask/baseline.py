@@ -25,7 +25,10 @@ fallback below.
 Any permutation under another predictor or past the overflow guard, or that
 leaves a candidate's top two logits within 1e-9 * (1 + |top|) of a tie, is
 predicted in full (column k permuted in place in one working copy, made on
-first use), bitwise as a permuted copy would.
+first use), bitwise as a permuted copy would. Columns are read from a
+transposed copy of z filled ``evaluate.ROW_BLOCK`` rows at a time. The sweep
+scores all p > 0 masks of a domain set in one stacked ``ROW_BLOCK``-blocked
+product (``evaluate.global_mask_accuracies``, with its BLAS caveat).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError, UsageError
-from .evaluate import masked_accuracy
+from .evaluate import ROW_BLOCK, global_mask_accuracies, masked_accuracy
 from .nn import SplitModel
 from .synthbench import DomainDataset, pool_domains
 
@@ -61,10 +64,10 @@ class SweepTable:
             fh.write("percent,unseen_acc,train_acc\n")
             for row in self.rows:
                 fh.write(
-                    f"{row.percent:g},{row.unseen_accuracy:.17g},"
+                    f"{row.percent:.17g},{row.unseen_accuracy:.17g},"
                     f"{row.train_accuracy:.17g}\n"
                 )
-            fh.write(f"# best_percent={self.best_percent:g}\n")
+            fh.write(f"# best_percent={self.best_percent:.17g}\n")
 
 
 def permutation_importance(
@@ -103,7 +106,10 @@ def permutation_importance(
             np.maximum(top, row, out=top)
         safe = top - second - 1e-6 * (1.0 + np.maximum(top, -logits.min(axis=1)))
         reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
-    z_t = np.ascontiguousarray(z.T)  # column k of z is the contiguous row z_t[k]
+    # Column k of z is the contiguous row z_t[k], copied in cache-sized tiles.
+    z_t = np.empty((d, n), dtype=z.dtype)
+    for lo in range(0, n, ROW_BLOCK):
+        z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK].T
     work = None  # the full path's working copy, made on first use
     scores = np.zeros(d)
     for k in range(d):
@@ -192,16 +198,13 @@ def sweep_mask_percent(
     scores = permutation_importance(split, z_tr, pooled.labels, repeats, rng)
     z_un = split.encode_np(unseen_data.features)
 
-    table = SweepTable()
-    for p in grid:
-        mask = None if p == 0.0 else global_mask_from_scores(scores, p)
-        table.rows.append(
-            SweepRow(
-                percent=p,
-                unseen_accuracy=masked_accuracy(split, z_un, unseen_data.labels, mask),
-                train_accuracy=masked_accuracy(split, z_tr, pooled.labels, mask),
-            )
-        )
+    # grid[0] is the zero: the unmasked evaluation, unseen then train.
+    masks = np.array([global_mask_from_scores(scores, p) for p in grid[1:]]).reshape(-1, len(scores))
+    unseen = [masked_accuracy(split, z_un, unseen_data.labels)]
+    train = [masked_accuracy(split, z_tr, pooled.labels)]
+    unseen += global_mask_accuracies(split, z_un, unseen_data.labels, masks)
+    train += global_mask_accuracies(split, z_tr, pooled.labels, masks)
+    table = SweepTable([SweepRow(*row) for row in zip(grid, unseen, train)])
     best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))
     table.best_percent = best.percent
     return table

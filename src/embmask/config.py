@@ -95,9 +95,10 @@ def load_config(
 
 
 def parse_grid(raw: str) -> list[float]:
-    """Comma-separated percents in [0, 100] including 0, e.g. '0,5,10'."""
+    """Comma-separated percents in [0, 100] including 0, e.g. '0,5,10';
+    '-0' reads as 0.0."""
     try:
-        grid = [float(tok) for tok in raw.split(",") if tok.strip()]
+        grid = [float(tok) + 0.0 for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid {raw!r}: {exc}") from None
     if 0.0 not in grid or not all(0.0 <= p <= 100.0 for p in grid):

@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import ContractError, ShapeMismatchError, UsageError
 from .mask import MaskGenConfig, drop_probabilities, inference_mask
-from . import tensor as T
 from .nn import Mlp, SplitModel
 from .synthbench import DomainDataset, Oracle, save_table
 
 Array = np.ndarray
 
 DISTANCE_KINDS = ("L2", "L1")
+
+ROW_BLOCK = 512  # embedding rows per block of a stacked or tiled pass
 
 
 def _rowdist(a: Array, b: Array, kind: str) -> Array:
@@ -59,23 +60,59 @@ def masked_accuracy(
     ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
     a single global mask (d,) broadcast over the rows, or None. Rejects
     empty data, other mask shapes and ``labels`` that are not one entry per
-    row. A global 0/1 mask on an affine predictor scales its weight rows,
-    not ``z`` (C-ordered float64): bitwise the same, as z * (m W) = (z m) *
-    W for m in {0, 1}, signed zeros and inf * 0 = NaN included."""
+    row. A global mask is a stack of one for ``global_mask_accuracies``: a
+    0/1 mask on an affine predictor scales the weight rows, ``ROW_BLOCK``
+    rows of ``z`` at a time, not ``z`` (see there for when that is bitwise)."""
+    _check_rows(z, labels)
+    masks = None if masks is None else _checked_mask(masks, z)
+    if masks is not None and masks.ndim == 1:
+        return global_mask_accuracies(split, z, labels, masks[None])[0]
+    return _hit_rate(split.predict_np(z if masks is None else z * masks), labels)
+
+
+def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Array) -> list[float]:
+    """``masked_accuracy`` under each row of a (g, d) stack of global masks.
+
+    Affine predictor, 0/1 masks, C-ordered float64 ``z`` of 2+ rows: each
+    ``ROW_BLOCK``-row block (a lone last row joins it) meets every mask's
+    weight rows in one product z [m_1 W | ... | m_g W], with no masked copy
+    of ``z``. z (m W) = (z m) W bitwise for m in {0, 1}, so this is the
+    per-mask product where BLAS computes each logit as one k-ordered FMA
+    chain whatever the other sizes: OpenBLAS 0.3.31's general dgemm kernel
+    does (pinned at the benchmark's shapes); its small-matrix kernels may
+    not (2-3 classes or few rows, 16+ dims), moving a last bit and so only
+    a near-tied row. Otherwise z * m is predicted per mask."""
+    _check_rows(z, labels)
+    masks = np.asarray(masks)
+    if masks.ndim != 2 or masks.shape[1:] != z.shape[1:]:
+        raise ShapeMismatchError(f"masks shape {masks.shape} is not (g, {z.shape[1]})")
+    split.model._check_width(z, split.split_index)
+    n = len(z)
+    if not (split.predictor_is_affine and z.dtype == np.float64 and z.flags.c_contiguous
+            and n > 1 and np.isin(masks, (0.0, 1.0)).all()):
+        return [_hit_rate(split.predict_np(z * m), labels) for m in masks]
+    w, b = split.predictor_affine_params()
+    labels, (g, c) = np.asarray(labels), (len(masks), w.shape[1])
+    wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), g * c)
+    hits = np.zeros(g, dtype=np.intp)
+    for lo in range(0, n - 1, ROW_BLOCK):
+        # A lone last row joins its block: NumPy sends 1-row products to gemv.
+        hi = lo + ROW_BLOCK if n - lo > ROW_BLOCK + 1 else n
+        logits = (z[lo:hi] @ wide).reshape(hi - lo, g, c)
+        logits += b
+        hits += np.count_nonzero(np.argmax(logits, axis=2) == labels[lo:hi, None], axis=0)
+    # Exact counts divided once: bitwise np.mean of the hits.
+    return [h / n for h in hits.tolist()]
+
+
+def _check_rows(z: Array, labels: Array) -> None:
     if len(z) == 0:
         raise UsageError("accuracy of empty data is undefined")
     if np.shape(labels) != (len(z),):
         raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({len(z)},)")
-    masks = None if masks is None else _checked_mask(masks, z)
-    if masks is None:
-        logits = split.predict_np(z)
-    elif (masks.ndim == 1 and split.predictor_is_affine and z.dtype == np.float64
-          and z.flags.c_contiguous and np.isin(masks, (0.0, 1.0)).all()):
-        split.model._check_width(z, split.split_index)
-        w, b = split.predictor_affine_params()
-        logits = T.linear_np(z, masks[:, None] * w, b)
-    else:
-        logits = split.predict_np(z * masks)
+
+
+def _hit_rate(logits: Array, labels: Array) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

@@ -22,6 +22,7 @@ from embmask import (
     train_erm,
 )
 from embmask.errors import ShapeMismatchError, UsageError
+from embmask.baseline import SweepRow, SweepTable
 from embmask.evaluate import masked_accuracy
 from embmask.nn import SplitModel
 from embmask.synthbench import pool_domains
@@ -162,6 +163,42 @@ def test_sweep_csv_format(trained_setup, tmp_path):
     assert len(lines) == 4
 
 
+def test_sweep_csv_tells_close_percents_apart(tmp_path):
+    rows = [SweepRow(p, 0.5, 0.5) for p in (0.0, 33.3333331, 33.3333334)]
+    path = tmp_path / "sweep.csv"
+    SweepTable(rows, best_percent=33.3333334).to_csv(str(path))
+    lines = path.read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:4]] == [0.0, 33.3333331, 33.3333334]
+    assert lines[1].startswith("0,")
+    assert float(lines[-1].split("=")[1]) == 33.3333334
+
+
+@pytest.mark.parametrize("case", ["affine", "general"])
+def test_sweep_equals_a_per_mask_table(trained_setup, case):
+    """The stacked scoring of the p > 0 masks gives the table that scoring
+    each mask's broadcast copy on its own gives."""
+    split, train, unseen = trained_setup
+    if case == "general":
+        split = split_model(split.model, 0)
+        assert not split.predictor_is_affine
+    table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID, 2, np.random.default_rng(3))
+    pooled = pool_domains(train)
+    z_tr, z_un = split.encode_np(pooled.features), split.encode_np(unseen.features)
+    scores = permutation_importance(split, z_tr, pooled.labels, 2, np.random.default_rng(3))
+    expected = []
+    for p in baseline.PERCENT_GRID:
+        mask = global_mask_from_scores(scores, p)
+        expected.append(
+            SweepRow(
+                p,
+                masked_accuracy(split, z_un, unseen.labels, np.broadcast_to(mask, z_un.shape)),
+                masked_accuracy(split, z_tr, pooled.labels, np.broadcast_to(mask, z_tr.shape)),
+            )
+        )
+    assert table.rows == expected
+    assert table.rows[0] == SweepRow(0.0, accuracy(split, unseen), accuracy(split, pooled))
+
+
 def _count_predicted_rows(monkeypatch):
     """Record the row count of every ``predict_np`` call from now on."""
     rows = []
@@ -291,6 +328,18 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
         assert len(sizes) == 1 + split.embedding_dim * 3
     else:
         assert len(sizes) > 1
+
+
+@pytest.mark.parametrize("n", [511, 512, 513])
+@pytest.mark.parametrize("layers", [[4, 3], [4, 6, 3]], ids=["affine", "general"])
+def test_importance_at_the_tile_edges_matches_copy_per_permutation(layers, n):
+    rng = np.random.default_rng(n)
+    split = split_model(Mlp(layers, seed=4), 0)  # identity encoder: z is the input
+    z, labels = rng.normal(size=(n, 4)), rng.integers(3, size=n)
+    ref_rng, imp_rng = np.random.default_rng(8), np.random.default_rng(8)
+    expected = _reference_importance(split, z, labels, 2, ref_rng)
+    assert permutation_importance(split, z, labels, 2, imp_rng).tobytes() == expected.tobytes()
+    assert imp_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("layers", [[4, 3], [4, 6, 3]], ids=["affine", "general"])

@@ -82,6 +82,8 @@ def test_load_config_not_utf8_names_the_file(tmp_path):
 
 def test_parse_grid_and_hidden():
     assert parse_grid("0,5,10") == [0.0, 5.0, 10.0]
+    # "-0" is the zero, so the sweep table never prints "-0".
+    assert [f"{p:.17g}" for p in parse_grid("-0,5")] == ["0", "5"]
     with pytest.raises(ConfigError):
         parse_grid("0,x")
     assert parse_hidden("") == []
