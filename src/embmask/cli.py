@@ -8,10 +8,11 @@ config and seed. Its ``config.txt`` holds only the keys that shaped the run:
 ``eval`` and ``export-embeddings`` leave out the mask-source keys their
 ``eval.mode`` does not read, and reject them unless they hold their defaults.
 Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
-value out of range), 1 anything else: inputs whose widths do not fit
-together (domains of different widths included), a domain CSV without rows,
-a manifest name that is not a regular file in its run, and an
-operating-system error such as an ``out_dir`` that is an existing file.
+value out of range and an ``out_dir`` that is an input's run), 1 anything
+else: inputs that do not fit together (domains of different widths, a label
+the base model has no output for), a domain CSV without rows, a manifest
+name that is not a regular file in its run, and an operating-system error
+such as an ``out_dir`` that is an existing file.
 Configuration and inputs are checked, and results computed, before
 ``out_dir`` is created, so a command that fails leaves none behind;
 ``export-embeddings`` writes each domain's files as it goes. The training
@@ -219,19 +220,25 @@ def _load_data_dir(data_dir: str):
     return domains[:-1], domains[-1], oracle
 
 
-def _load_split(cfg, dim: int):
-    """The frozen base model split at ``base.split_index``; it must take
-    ``dim`` features."""
+def _load_split(cfg, train_data, unseen):
+    """The frozen base model split at ``base.split_index``; it must take the
+    data's features and have an output for every label of every domain."""
     store = _load_model(cfg["base.model"], "base model")
     store.freeze()
     model = Mlp.from_store(store)
     idx = cfg["base.split_index"]
     if idx != -1 and not 0 <= idx < model.n_layers:
         raise ConfigError(f"base.split_index must be -1 or in [0, {model.n_layers}), got {idx}")
+    dim, classes = train_data[0].dim, model.layer_sizes[-1]
     if model.layer_sizes[0] != dim:
         raise ShapeMismatchError(
             f"base model takes {model.layer_sizes[0]} features, the data has {dim}"
         )
+    for data in (*train_data, unseen):
+        if not 0 <= data.labels.min() <= data.labels.max() < classes:
+            raise ShapeMismatchError(
+                f"a label of domain {data.domain_index} is not one of the base model's {classes} classes"
+            )
     return split_model(model, None if idx == -1 else idx)
 
 
@@ -279,6 +286,15 @@ def _mask_source(cfg, mode, split, train_data):
     return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
 
+def _check_out_dir(cfg) -> None:
+    """Refuse an ``out_dir`` whose new manifest would replace an input's."""
+    for key in ("data.dir", "base.model", "emg.model"):
+        path = cfg.get(key, "")
+        run = path if key == "data.dir" else os.path.dirname(path) or "."
+        if path and os.path.realpath(run) == os.path.realpath(cfg["out_dir"]):
+            raise ConfigError(f"out_dir {cfg['out_dir']} is the run of {key} = {path}")
+
+
 # -- commands -------------------------------------------------------------------
 
 
@@ -309,8 +325,8 @@ def cmd_train_erm(cfg) -> None:
 
 
 def cmd_train_emg(cfg) -> None:
-    train_data, _unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data[0].dim)
+    train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
+    split = _load_split(cfg, train_data, unseen)
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
@@ -325,7 +341,7 @@ def cmd_train_emg(cfg) -> None:
 
 def cmd_eval(cfg) -> None:
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data[0].dim)
+    split = _load_split(cfg, train_data, unseen)
     masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
 
     named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
@@ -339,7 +355,7 @@ def cmd_eval(cfg) -> None:
 
 def cmd_sweep_global(cfg) -> None:
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data[0].dim)
+    split = _load_split(cfg, train_data, unseen)
     grid = parse_grid(cfg["sweep.grid"])
     if cfg["sweep.repeats"] < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
@@ -356,7 +372,7 @@ def cmd_bound_check(cfg) -> None:
     train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
     if oracle is None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
-    split = _load_split(cfg, train_data[0].dim)
+    split = _load_split(cfg, train_data, unseen)
     masks = _mask_source(cfg, "emg", split, train_data)(unseen)
     z = split.encode_np(unseen.features)
     reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in DISTANCE_KINDS}
@@ -371,7 +387,7 @@ def cmd_export_embeddings(cfg) -> None:
     if which not in EXPORT_WHICH:
         raise ConfigError(f"export.which must be train or unseen, got {which!r}")
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data[0].dim)
+    split = _load_split(cfg, train_data, unseen)
     masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
     run = RunDirectory(cfg["out_dir"], cfg)
 
@@ -426,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, SCHEMAS[args.command], overrides)
         if cfg["seed"] < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+        _check_out_dir(cfg)
         COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:

@@ -143,17 +143,14 @@ def bound_terms(
 ) -> BoundReport:
     """Empirical generalization-error bound terms for an affine predictor.
 
-    Requires the oracle shared/specific dimension lists (benchmark with
-    mixing disabled, identity-encoder setup), each dimension inside the
-    embedding, or ``ContractError``; a mask not shaped like ``z`` raises
+    Requires every oracle dimension inside the embedding (identity-encoder
+    setup), or ``ContractError``; a mask not shaped like ``z`` raises
     ``ShapeMismatchError``.
     """
     if distance_kind not in DISTANCE_KINDS:
         raise UsageError(f"unknown distance kind {distance_kind!r}")
     if not split.predictor_is_affine:
         raise ContractError("bound diagnostics require an affine predictor")
-    if oracle is None or oracle.shared_dims is None or oracle.specific_dims is None:
-        raise ContractError("bound diagnostics require the oracle dim decomposition")
     w, b = split.predictor_affine_params()
     z = np.asarray(z, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.float64)

@@ -6,8 +6,9 @@ sampled) plus Gaussian noise -- predictive in every domain. The specific
 block is rho * A_d @ mu_y + (1-rho) * eta where A_d is a per-domain random
 orthogonal map: within a training domain it is a nearly clean class signal,
 but the unseen domain uses a fresh map A_T, so any model leaning on the
-specific block is systematically misled out of domain. An optional global
-orthogonal rotation mixes the two blocks (disabling the oracle dim lists).
+specific block is systematically misled out of domain. The observed
+features are the two blocks side by side, and the ``Oracle`` names which
+dimensions hold which block.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class BenchmarkSpec:
     unseen_samples: int = 1000
     spurious_strength: float = 0.9  # rho
     noise_sigma: float = 0.5
-    mixing: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -63,16 +63,21 @@ class BenchmarkSpec:
         return self.d_shared + self.d_specific
 
 
-@dataclass
+@dataclass(frozen=True)
 class Oracle:
-    """Ground-truth construction metadata for diagnostics."""
+    """The benchmark's feature split: which dimensions are domain-shared and
+    which domain-specific. Each is a list of non-negative ints, and no int
+    occurs twice in the two lists together, or ``ValueError``."""
 
-    shared_dims: list[int] | None
-    specific_dims: list[int] | None
-    class_means: Array
-    domain_maps: dict[int, Array]
-    unseen_map: Array
-    mixing_matrix: Array | None = None
+    shared_dims: list[int]
+    specific_dims: list[int]
+
+    def __post_init__(self):
+        if not (isinstance(self.shared_dims, list) and isinstance(self.specific_dims, list)):
+            raise ValueError("shared_dims and specific_dims must each be a list")
+        dims = self.shared_dims + self.specific_dims
+        if any(type(d) is not int or d < 0 for d in dims) or len(set(dims)) != len(dims):
+            raise ValueError(f"oracle dimensions must be distinct non-negative ints: {dims}")
 
 
 @dataclass
@@ -130,44 +135,34 @@ def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> Array:
     return _semi_orthogonal(rng, cols, rows).T
 
 
+def _sample_maps(rng: np.random.Generator, spec: BenchmarkSpec) -> tuple[list[Array], Array]:
+    """One orthonormal specific-block map per training domain, then an unseen
+    domain map that differs from each of them."""
+    shape = (spec.d_specific, spec.d_shared)
+    maps = [_semi_orthogonal(rng, *shape) for _ in range(spec.num_train_domains)]
+    while True:
+        unseen_map = _semi_orthogonal(rng, *shape)
+        if all(np.linalg.norm(unseen_map - a) > 1e-6 for a in maps):
+            return maps, unseen_map
+
+
 def generate_benchmark(
     spec: BenchmarkSpec,
 ) -> tuple[list[DomainDataset], DomainDataset, Oracle]:
     """Deterministic per seed. Returns (train domains, unseen domain, oracle)."""
-    root = np.random.SeedSequence(spec.seed)
-    mean_ss, map_ss, mix_ss, *domain_ss = root.spawn(3 + spec.num_train_domains + 1)
+    # The third child is never used. It is still spawned so that each domain
+    # keeps its child seed, and a given seed keeps generating the same data.
+    mean_ss, map_ss, _, *domain_ss = np.random.SeedSequence(spec.seed).spawn(
+        3 + spec.num_train_domains + 1
+    )
     means = _sample_class_means(
         np.random.default_rng(mean_ss), spec.num_classes, spec.d_shared
     )
+    domain_maps, unseen_map = _sample_maps(np.random.default_rng(map_ss), spec)
+    oracle = Oracle(list(range(spec.d_shared)), list(range(spec.d_shared, spec.total_dim)))
 
-    map_rng = np.random.default_rng(map_ss)
-    domain_maps = {
-        d: _semi_orthogonal(map_rng, spec.d_specific, spec.d_shared)
-        for d in range(spec.num_train_domains)
-    }
-    while True:
-        unseen_map = _semi_orthogonal(map_rng, spec.d_specific, spec.d_shared)
-        if all(
-            np.linalg.norm(unseen_map - a) > 1e-6 for a in domain_maps.values()
-        ):
-            break
-
-    mixing_matrix = None
-    if spec.mixing:
-        mixing_matrix = _semi_orthogonal(
-            np.random.default_rng(mix_ss), spec.total_dim, spec.total_dim
-        )
-
-    oracle = Oracle(
-        shared_dims=None if spec.mixing else list(range(spec.d_shared)),
-        specific_dims=None if spec.mixing else list(range(spec.d_shared, spec.total_dim)),
-        class_means=means,
-        domain_maps=domain_maps,
-        unseen_map=unseen_map,
-        mixing_matrix=mixing_matrix,
-    )
-
-    def make_domain(rng: np.random.Generator, amap: Array, n: int, idx: int) -> DomainDataset:
+    def make_domain(idx: int, amap: Array, n: int) -> DomainDataset:
+        rng = np.random.default_rng(domain_ss[idx])
         y = rng.integers(spec.num_classes, size=n)
         shared = means[y] + rng.normal(0.0, spec.noise_sigma, size=(n, spec.d_shared))
         specific = (
@@ -175,25 +170,10 @@ def generate_benchmark(
             + (1.0 - spec.spurious_strength) * rng.normal(size=(n, spec.d_specific))
         )
         x = np.concatenate([shared, specific], axis=1)
-        if mixing_matrix is not None:
-            x = x @ mixing_matrix.T
         return DomainDataset(features=x, labels=y, domain_index=idx)
 
-    train = [
-        make_domain(
-            np.random.default_rng(domain_ss[d]),
-            domain_maps[d],
-            spec.samples_per_domain,
-            d,
-        )
-        for d in range(spec.num_train_domains)
-    ]
-    unseen = make_domain(
-        np.random.default_rng(domain_ss[-1]),
-        unseen_map,
-        spec.unseen_samples,
-        spec.num_train_domains,
-    )
+    train = [make_domain(d, amap, spec.samples_per_domain) for d, amap in enumerate(domain_maps)]
+    unseen = make_domain(spec.num_train_domains, unseen_map, spec.unseen_samples)
     return train, unseen, oracle
 
 
@@ -303,45 +283,15 @@ def _first_bad_row(
 
 
 def save_oracle(oracle: Oracle, path: str) -> None:
-    blob = {
-        "shared_dims": oracle.shared_dims,
-        "specific_dims": oracle.specific_dims,
-        "class_means": oracle.class_means.tolist(),
-        "domain_maps": {str(k): v.tolist() for k, v in oracle.domain_maps.items()},
-        "unseen_map": oracle.unseen_map.tolist(),
-        "mixing_matrix": (
-            oracle.mixing_matrix.tolist() if oracle.mixing_matrix is not None else None
-        ),
-    }
     with open(path, "w") as fh:
-        json.dump(blob, fh, indent=1, sort_keys=True)
+        json.dump(asdict(oracle), fh, indent=1, sort_keys=True)
 
 
 def load_oracle(path: str) -> Oracle:
-    """The oracle ``save_oracle`` wrote, or ``CorruptFileError``. Each
-    dimension list is null or a list of non-negative ints, and no int occurs
-    twice in the two lists together."""
+    """The oracle ``save_oracle`` wrote, or ``CorruptFileError``."""
     try:
         with open(path) as fh:
             blob = json.load(fh)
-        shared, specific = blob["shared_dims"], blob["specific_dims"]
-        lists = [ds for ds in (shared, specific) if ds is not None]
-        if not all(isinstance(ds, list) for ds in lists):
-            raise ValueError("shared_dims and specific_dims must each be null or a list")
-        dims = [d for ds in lists for d in ds]
-        if any(type(d) is not int or d < 0 for d in dims) or len(set(dims)) != len(dims):
-            raise ValueError(f"oracle dimensions must be distinct non-negative ints: {dims}")
-        return Oracle(
-            shared_dims=shared,
-            specific_dims=specific,
-            class_means=np.array(blob["class_means"]),
-            domain_maps={int(k): np.array(v) for k, v in blob["domain_maps"].items()},
-            unseen_map=np.array(blob["unseen_map"]),
-            mixing_matrix=(
-                np.array(blob["mixing_matrix"])
-                if blob["mixing_matrix"] is not None
-                else None
-            ),
-        )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return Oracle(blob["shared_dims"], blob["specific_dims"])
+    except (ValueError, KeyError, TypeError) as exc:
         raise CorruptFileError(f"corrupt oracle file {path}: {exc!r}") from None

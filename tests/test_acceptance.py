@@ -119,9 +119,6 @@ def test_criterion_4_bound_on_random_affine_instances():
         oracle = Oracle(
             shared_dims=sorted(int(j) for j in perm[:k]),
             specific_dims=sorted(int(j) for j in perm[k:]),
-            class_means=np.zeros((2, k)),
-            domain_maps={},
-            unseen_map=np.zeros((d - k, k)),
         )
         store = ParamStore({"w0": rng.normal(scale=2.0, size=(d, c)), "b0": rng.normal(size=c)})
         split = split_model(Mlp.from_store(store), 0)

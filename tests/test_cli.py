@@ -91,7 +91,7 @@ COMMAND_KEYS = {
             for k in (
                 "num_classes", "d_shared", "d_specific", "num_train_domains",
                 "samples_per_domain", "unseen_samples", "spurious_strength",
-                "noise_sigma", "mixing",
+                "noise_sigma",
             )
         ),
     ],
@@ -336,6 +336,7 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-emg", "train.hard_target", "true"),
                 ("train-emg", "mask.sample_count", 4),
                 ("eval", "mask.sample_count", 4),
+                ("gen-data", "benchmark.mixing", "true"),
                 # The Gumbel clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
@@ -432,11 +433,21 @@ def _params(**shapes):
 def misfits(pipeline):
     """A 16-feature data directory and a base model with a 12-wide
     embedding; the pipeline's models take 8 features and mask 8 values.
-    Also base models, in runs that verify, with a NaN parameter, with a
-    ``w1`` that does not take ``w0``'s width, and with ``b0`` missing."""
+    Data directories with 5 classes and with a label -1; the pipeline's
+    base model predicts 3 classes. Also base models, in runs that verify,
+    with a NaN parameter, with a ``w1`` that does not take ``w0``'s width,
+    and with ``b0`` missing."""
     root, cfg = pipeline["root"], pipeline["cfg"]
     wide = {**SMALL_BENCH, "benchmark.d_shared": 8, "benchmark.d_specific": 8}
     assert run_cmd("gen-data", cfg, out_dir=root / "data16", **wide) == 0
+    five = {**SMALL_BENCH, "benchmark.num_classes": 5}
+    assert run_cmd("gen-data", cfg, out_dir=root / "more_classes", **five) == 0
+    negative = root / "negative_label"
+    shutil.copytree(pipeline["data"], negative)
+    unseen = load_csv_dataset(str(negative / "unseen.csv"))
+    unseen.labels[7] = -1
+    save_csv_dataset(unseen, str(negative / "unseen.csv"))
+    _reseal(negative)
     erm = {"data.dir": pipeline["data"], "model.hidden": "12", "train.max_epochs": 1}
     assert run_cmd("train-erm", cfg, out_dir=root / "erm12", **erm) == 0
     nan = load_params(str(pipeline["base"]))
@@ -444,6 +455,8 @@ def misfits(pipeline):
     unchained = _params(w0=(8, 64), b0=(64,), w1=(32, 3), b1=(3,))
     return {
         "data16": root / "data16",
+        "more_classes": root / "more_classes",
+        "negative_label": negative,
         "base12": root / "erm12" / "base_model",
         "nan_parameter": _model_run(root / "nan_parameter", nan),
         "unchained": _model_run(root / "unchained", unchained),
@@ -454,7 +467,12 @@ def misfits(pipeline):
 @pytest.mark.parametrize(
     "cmd, misfit",
     [
-        *((cmd, "data") for cmd in SCHEMAS if "base.model" in SCHEMAS[cmd]),
+        *(
+            (cmd, misfit)
+            for misfit in ("data", "more_classes", "negative_label")
+            for cmd in SCHEMAS
+            if "base.model" in SCHEMAS[cmd]
+        ),
         *((cmd, "generator") for cmd in SCHEMAS if "emg.model" in SCHEMAS[cmd]),
         ("bound-check", "predictor"),
         ("eval", "nan_parameter"),
@@ -467,6 +485,8 @@ def test_inputs_that_do_not_fit_exit_1_before_run_dir(
 ):
     if misfit == "data":  # the base model takes 8 features
         inputs = {"data.dir": misfits["data16"], "base.model": pipeline["base"]}
+    elif misfit in ("more_classes", "negative_label"):  # the base model predicts 3 classes
+        inputs = {"data.dir": misfits[misfit], "base.model": pipeline["base"]}
     elif misfit == "generator":  # the generator masks 8 values of a 12-wide embedding
         inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"]}
         if cmd != "bound-check":
@@ -481,7 +501,35 @@ def test_inputs_that_do_not_fit_exit_1_before_run_dir(
     assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
+    if misfit in ("more_classes", "negative_label"):
+        assert "not one of the base model's 3 classes" in err
     assert not out.exists()
+
+
+def test_base_model_with_more_outputs_than_the_data_has_classes_is_valid(pipeline, tmp_path):
+    cfg, data = pipeline["cfg"], tmp_path / "data"
+    assert run_cmd("gen-data", cfg, out_dir=data, **{**SMALL_BENCH, "benchmark.num_classes": 2}) == 0
+    inputs = {"data.dir": data, "base.model": pipeline["base"]}
+    assert run_cmd("eval", cfg, out_dir=tmp_path / "eval", **inputs) == 0
+
+
+@pytest.mark.parametrize("cmd, run", [("train-erm", "data"), ("eval", "erm"), ("bound-check", "emg")])
+def test_out_dir_that_is_an_input_run_exits_3(pipeline, tmp_path, capsys, cmd, run):
+    """Writing there would replace the manifest that lists the run's inputs.
+    The path is spelled through ``..``, so only its real path matches."""
+    for name, src in (("data", pipeline["data"]), ("erm", pipeline["base"].parent), ("emg", pipeline["emg"].parent)):
+        shutil.copytree(src, tmp_path / name)
+    inputs = {"data.dir": tmp_path / "data"}
+    if cmd != "train-erm":
+        inputs["base.model"] = tmp_path / "erm" / "base_model"
+    if cmd == "bound-check":
+        inputs["emg.model"] = tmp_path / "emg" / "emg_model"
+    manifest = (tmp_path / run / "MANIFEST.txt").read_bytes()
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=f"{tmp_path / run}/../{run}", **inputs) == 3
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=3")
+    RunDirectory.verify(str(tmp_path / run))
+    assert (tmp_path / run / "MANIFEST.txt").read_bytes() == manifest
 
 
 def _corrupt_manifest(data, base):
@@ -491,7 +539,8 @@ def _corrupt_manifest(data, base):
 
 def _corrupt_oracle(data, base):
     path = data / "oracle.json"
-    path.write_text(path.read_text()[:100])
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
 
 
 def _nan_feature(data, base):
@@ -757,12 +806,12 @@ def test_inputs_outside_the_manifest_are_not_read(pipeline, tmp_path, capsys):
         "train_domain_0", "train_domain_1", "train_pooled", "unseen",
     ]
 
-    # eval into the directory of a train-erm run: base_model.* stay on disk
-    # but are no longer part of that run.
+    # eval into the directory of a copy of a train-erm run: base_model.*
+    # stay on disk but are no longer part of that run.
     erm = tmp_path / "erm"
     shutil.copytree(base.parent, erm)
     stale = erm / base.name
-    assert run_cmd("eval", cfg, out_dir=erm, **{"data.dir": data, "base.model": stale}) == 0
+    assert run_cmd("eval", cfg, out_dir=erm, **{"data.dir": data, "base.model": base}) == 0
     capsys.readouterr()
     out = tmp_path / "eval_stale"
     assert run_cmd("eval", cfg, out_dir=out, **{"data.dir": data, "base.model": stale}) == 1
@@ -809,6 +858,9 @@ def test_artifact_digests_match_golden(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert proc.stdout == (root / "tests" / "golden" / "artifact_digests.txt").read_text(), (
+    golden = (root / "tests" / "golden" / "artifact_digests.txt").read_text()
+    moved = sorted({line.split()[-1] for line in set(proc.stdout.splitlines()) ^ set(golden.splitlines())})
+    assert proc.stdout == golden, (
+        f"run directories that differ: {', '.join(moved)}; "
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
     )

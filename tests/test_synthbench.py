@@ -14,7 +14,15 @@ from hypothesis.extra.numpy import arrays
 
 from embmask import BenchmarkSpec, DomainDataset, TrainConfig, accuracy, generate_benchmark, split_model, train_erm
 from embmask.errors import ConfigError, CorruptFileError, CsvParseError
-from embmask.synthbench import load_csv_dataset, load_oracle, save_csv_dataset, save_oracle
+from embmask.synthbench import (
+    Oracle,
+    _sample_class_means,
+    _sample_maps,
+    load_csv_dataset,
+    load_oracle,
+    save_csv_dataset,
+    save_oracle,
+)
 
 
 def test_shapes_counts_and_label_range():
@@ -41,9 +49,27 @@ def test_same_seed_bitwise_identical_different_seed_not():
     assert not (a_train[0].features == c_train[0].features).all()
 
 
+def _construction(spec):
+    """The class means and the maps (per training domain, then unseen) that
+    ``generate_benchmark(spec)`` draws from its first two child seeds."""
+    mean_ss, map_ss = np.random.SeedSequence(spec.seed).spawn(2)
+    means = _sample_class_means(np.random.default_rng(mean_ss), spec.num_classes, spec.d_shared)
+    return means, *_sample_maps(np.random.default_rng(map_ss), spec)
+
+
+def test_construction_is_what_the_generator_draws():
+    # Without noise the shared block is the class mean and, at rho = 1, the
+    # specific block is the mean through the domain's map.
+    spec = BenchmarkSpec(noise_sigma=0.0, spurious_strength=1.0, samples_per_domain=40, unseen_samples=40)
+    train, unseen, _ = generate_benchmark(spec)
+    means, maps, unseen_map = _construction(spec)
+    for d, amap in zip([*train, unseen], [*maps, unseen_map]):
+        np.testing.assert_array_equal(d.features[:, :8], means[d.labels])
+        np.testing.assert_array_equal(d.features[:, 8:], means[d.labels] @ amap.T)
+
+
 def test_class_means_unit_norm_and_separated():
-    _, _, oracle = generate_benchmark(BenchmarkSpec(samples_per_domain=1, unseen_samples=1))
-    means = oracle.class_means
+    means, _, _ = _construction(BenchmarkSpec())
     np.testing.assert_allclose(np.linalg.norm(means, axis=1), 1.0, atol=1e-12)
     cos_limit = math.cos(math.radians(30.0))
     for i in range(len(means)):
@@ -52,20 +78,28 @@ def test_class_means_unit_norm_and_separated():
 
 
 def test_domain_maps_orthonormal_and_unseen_fresh():
-    _, _, oracle = generate_benchmark(BenchmarkSpec(samples_per_domain=1, unseen_samples=1))
-    for amap in list(oracle.domain_maps.values()) + [oracle.unseen_map]:
+    _, maps, unseen_map = _construction(BenchmarkSpec())
+    for amap in maps + [unseen_map]:
         np.testing.assert_allclose(amap @ amap.T, np.eye(amap.shape[0]), atol=1e-10)
-    for amap in oracle.domain_maps.values():
-        assert np.linalg.norm(oracle.unseen_map - amap) > 1e-6
+    for amap in maps:
+        assert np.linalg.norm(unseen_map - amap) > 1e-6
 
 
-def test_mixing_hides_oracle_dims():
-    _, _, oracle = generate_benchmark(
-        BenchmarkSpec(samples_per_domain=2, unseen_samples=2, mixing=True)
-    )
-    assert oracle.shared_dims is None and oracle.specific_dims is None
-    q = oracle.mixing_matrix
-    np.testing.assert_allclose(q @ q.T, np.eye(q.shape[0]), atol=1e-10)
+@pytest.mark.parametrize(
+    "shared, specific",
+    [
+        pytest.param(None, [1], id="null"),
+        pytest.param((0,), [1], id="not-a-list"),
+        pytest.param([0.5], [], id="not-ints"),
+        pytest.param([], [True], id="bools"),
+        pytest.param([-1], [0], id="negative"),
+        pytest.param([1, 1], [], id="repeated"),
+        pytest.param([0, 1], [1, 2], id="overlap"),
+    ],
+)
+def test_oracle_rejects_all_but_two_lists_of_distinct_non_negative_ints(shared, specific):
+    with pytest.raises(ValueError):
+        Oracle(shared, specific)
 
 
 def test_zero_spurious_strength_specific_block_uncorrelated():
@@ -285,16 +319,10 @@ def test_csv_missing_column_rejected(tmp_path):
 
 def test_oracle_json_round_trip(tmp_path):
     _, _, oracle = generate_benchmark(BenchmarkSpec(samples_per_domain=2, unseen_samples=2))
-    path = str(tmp_path / "oracle.json")
-    save_oracle(oracle, path)
-    loaded = load_oracle(path)
-    assert loaded.shared_dims == oracle.shared_dims
-    assert loaded.specific_dims == oracle.specific_dims
-    assert (loaded.class_means == oracle.class_means).all()
-    assert set(loaded.domain_maps) == set(oracle.domain_maps)
-    for k, v in oracle.domain_maps.items():
-        assert (loaded.domain_maps[k] == v).all()
-    assert (loaded.unseen_map == oracle.unseen_map).all()
+    path = tmp_path / "oracle.json"
+    save_oracle(oracle, str(path))
+    assert json.loads(path.read_text()) == {"shared_dims": list(range(8)), "specific_dims": list(range(8, 16))}
+    assert load_oracle(str(path)) == oracle
 
 
 def _with_dims(shared, specific):
@@ -312,16 +340,17 @@ def _with_dims(shared, specific):
     "corrupt",
     [
         pytest.param(lambda text: text[: len(text) // 2], id="truncated"),
-        pytest.param(lambda text: text.replace('"unseen_map"', '"unseen"'), id="missing-key"),
+        pytest.param(lambda text: text.replace('"specific_dims"', '"specific"'), id="missing-key"),
         pytest.param(lambda text: "[1, 2]", id="not-an-object"),
         *(
             pytest.param(_with_dims(shared, specific), id=name)
             for name, shared, specific in [
-                ("dims-not-a-list", "abc", None),
-                ("dims-not-ints", [0.5], None),
-                ("dims-bools", None, [True]),
-                ("dims-negative", [-1], None),
-                ("dims-repeated", [1, 1], None),
+                ("dims-null", None, [1]),
+                ("dims-not-a-list", "abc", []),
+                ("dims-not-ints", [0.5], []),
+                ("dims-bools", [], [True]),
+                ("dims-negative", [-1], []),
+                ("dims-repeated", [1, 1], []),
                 ("dims-overlap", [0, 1], [1, 2]),
             ]
         ),
