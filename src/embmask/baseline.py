@@ -13,22 +13,24 @@ z[:, k]. Only candidate rows need the update; row i is one unless
 
     |delta[i]| * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
 
-with m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k]
-- min W[k] and a_k = max |W[k]|. On other rows the top class's lead drops
-by at most s_k * |delta| and rounding moves a logit by at most 2^-52 * (L_i
-+ a_k * |delta|), so the computed lead exceeds 1e-6 * (1 + L_i + a_k *
-|delta|) - 2^-51 * (L_i + a_k * |delta|): far above the tie tolerance 1e-9
-* (1 + |top|), as |top| <= L_i + a_k * |delta|, and the test's own
-rounding. Such a row keeps its base prediction and cannot trigger the
-fallback below.
+with m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k] -
+min W[k] and a_k = max |W[k]|. On other rows the top class's lead drops by at
+most s_k * |delta| and rounding moves a logit by at most 2^-52 * (L_i + a_k *
+|delta|), so the computed lead exceeds 1e-6 * (1 + L_i + a_k * |delta|) -
+2^-51 * (L_i + a_k * |delta|): far above the tie tolerance 1e-9 * (1 + |top|),
+as |top| <= L_i + a_k * |delta|, and the test's own rounding. Such a row keeps
+its base prediction and cannot trigger the fallback below. Rounding is
+monotone, so |delta[i]| <= span_i = max(max z[:, k] - z[i, k], z[i, k] - min
+z[:, k]) for every perm: the test on span_i, once per k, flags every row any
+permutation can (1.2-1.5% per k on the benchmark's base models, 16.6% at
+most), and all of k's repeats send their candidates to one rank-1 kernel call.
 
 Any permutation under another predictor or past the overflow guard, or that
 leaves a candidate's top two logits within 1e-9 * (1 + |top|) of a tie, is
 predicted in full (column k permuted in place in one working copy, made on
-first use), bitwise as a permuted copy would. Columns are read from a
-transposed copy of z filled ``evaluate.ROW_BLOCK`` rows at a time. The sweep
-scores all p > 0 masks of a domain set in one stacked ``ROW_BLOCK``-blocked
-product (``evaluate.global_mask_accuracies``, with its BLAS caveat).
+first use), bitwise as a permuted copy would. The sweep scores all p > 0
+masks of a domain set in one stacked ``evaluate.ROW_BLOCK``-blocked product
+(``evaluate.global_mask_accuracies``, with its BLAS caveat).
 """
 
 from __future__ import annotations
@@ -111,38 +113,40 @@ def permutation_importance(
     for lo in range(0, n, ROW_BLOCK):
         z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK].T
     work = None  # the full path's working copy, made on first use
-    scores = np.zeros(d)
-    for k in range(d):
-        col = z_t[k]
-        drops = []
-        for _ in range(repeats):
-            permuted = col[rng.permutation(n)]
-            if rank1:
-                delta = permuted - col
-                keep = np.abs(delta) * reach[k] < safe
-                cand = np.flatnonzero(~keep)
-                # Padded with rows that keep their prediction to a power-of-two
-                # count: NumPy caches freed buffers under 1 KiB per exact size,
-                # so kernel temporaries of every count in use stayed cached.
-                size = 1 << len(cand).bit_length()
-                cand = np.concatenate([cand, np.flatnonzero(keep[:size])])[:size]
-            preds = _rank1_argmax(logits_t[:, cand], w[k], delta[cand]) if rank1 else None
-            if preds is None:
-                work = z.copy() if work is None else work
-                work[:, k] = permuted
-                ok = np.count_nonzero(np.argmax(split.predict_np(work), axis=1) == labels)
-                work[:, k] = col
-            else:
-                ok = n_ok - np.count_nonzero(base_ok[cand]) + np.count_nonzero(preds == labels[cand])
-            # An exact count divided once: bitwise np.mean of the hits.
-            drops.append(n_ok / n - ok / n)
-        scores[k] = np.mean(drops)
+    scores, perms = np.zeros(d), np.empty((repeats, n), dtype=np.intp)
+    for k, col in enumerate(z_t):
+        for perm in perms:
+            perm[:] = rng.permutation(n)
+        ok, full = np.zeros(repeats, dtype=np.intp), np.ones(repeats, dtype=bool)
+        if rank1:
+            maybe = _maybe_rows(col, reach[k], safe)
+            delta = col[perms[:, maybe]] - col[maybe]
+            rep, at = np.nonzero(~(np.abs(delta) * reach[k] < safe[maybe]))
+            cand = maybe[at]
+            preds, clear = _rank1_argmax(logits_t[:, cand], w[k], delta[rep, at])
+            full = np.bincount(rep[~clear], minlength=repeats) > 0
+            ok += n_ok - np.bincount(rep[base_ok[cand]], minlength=repeats)
+            ok += np.bincount(rep[preds == labels[cand]], minlength=repeats)
+        for r in np.flatnonzero(full):
+            work = z.copy() if work is None else work
+            work[:, k] = col[perms[r]]
+            ok[r] = np.count_nonzero(np.argmax(split.predict_np(work), axis=1) == labels)
+            work[:, k] = col
+        # Exact counts divided once: bitwise np.mean of the hits.
+        scores[k] = np.mean(n_ok / n - ok / n)
     return scores
 
 
-def _rank1_argmax(logits_t: Array, w_k: Array, delta: Array) -> Array | None:
+def _maybe_rows(col: Array, reach_k: float, safe: Array) -> Array:
+    """Every row the candidate test can flag under some permutation of ``col``."""
+    span = np.maximum(col.max() - col, col - col.min())
+    return np.flatnonzero(~(span * reach_k < safe))
+
+
+def _rank1_argmax(logits_t: Array, w_k: Array, delta: Array) -> tuple[Array, Array]:
     """Argmax (ties to the lowest class) of the c x n logits after adding
-    ``delta`` to column k, whose weights are ``w_k``; None near a tie."""
+    ``delta`` to column k, whose weights are ``w_k``, and whether each
+    column is clear of a tie."""
     top = logits_t[0] + w_k[0] * delta
     second = np.full(len(delta), -np.inf)
     preds = np.zeros(len(delta), dtype=np.intp)
@@ -152,7 +156,7 @@ def _rank1_argmax(logits_t: Array, w_k: Array, delta: Array) -> Array | None:
         second = np.maximum(second, np.minimum(top, row))
         top = np.maximum(top, row)
     # "Not greater" also catches NaN margins.
-    return preds if (top - second > 1e-9 * (1.0 + np.abs(top))).all() else None
+    return preds, top - second > 1e-9 * (1.0 + np.abs(top))
 
 
 def _check_percent(percent: float) -> None:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import sweep_mask_percent
+from .errors import DegenerateDataError
 from .evaluate import accuracy, emg_masks
 from .mask import MaskGenConfig
 from .nn import Mlp, SplitModel, split_model
@@ -33,8 +34,16 @@ def importance_rng(seed: int) -> np.random.Generator:
 
 
 def base_layers(train: list[DomainDataset], hidden) -> list[int]:
-    """``[dim, *hidden, n_classes]``: the base model's layer sizes for ``train``."""
-    return [train[0].dim, *hidden, int(max(d.labels.max() for d in train)) + 1]
+    """``[dim, *hidden, n_classes]``: the base model's layer sizes for ``train``.
+    More classes than pooled rows raise ``DegenerateDataError``, before any
+    layer of that width is allocated."""
+    n_classes = int(max(d.labels.max() for d in train)) + 1
+    rows = sum(d.n for d in train)
+    if n_classes > rows:
+        raise DegenerateDataError(
+            f"largest training label {n_classes - 1} asks for more classes than the {rows} training rows"
+        )
+    return [train[0].dim, *hidden, n_classes]
 
 
 def new_generator(split: SplitModel, dim: int, hidden, seed: int) -> Mlp:

@@ -372,15 +372,18 @@ def _full_row_importance(split, z, labels, repeats, rng):
         for _ in range(repeats):
             zp = z.copy()
             zp[:, k] = zp[rng.permutation(len(zp)), k]
-            preds = baseline._rank1_argmax(logits_t, w[k], zp[:, k] - z[:, k])
-            fallbacks += preds is None
-            acc = masked_accuracy(split, zp, labels) if preds is None else np.mean(preds == labels)
+            preds, clear = baseline._rank1_argmax(logits_t, w[k], zp[:, k] - z[:, k])
+            fallbacks += not clear.all()
+            acc = np.mean(preds == labels) if clear.all() else masked_accuracy(split, zp, labels)
             drops.append(base - float(acc))
         scores[k] = np.mean(drops)
     return scores, fallbacks
 
 
-_PLANTS = ("exact_tie", "near_tie_inside", "near_tie_outside", "cancellation", "huge", "nan", "inf")
+_PLANTS = (
+    "exact_tie", "near_tie_inside", "near_tie_outside", "cancellation", "huge", "nan", "inf",
+    "constant", "flat_weights",
+)
 
 
 @st.composite
@@ -415,6 +418,14 @@ def _planted_affine_case(draw):
         w[0], w[1] = 1.0, 0.0
         w[1, 1] = 1e-11
         b[2:] = -1.0
+    elif plant == "constant":
+        # Dimension 0 holds one value: every span and delta of it is 0, so
+        # its candidates are the rows whose margin fails the test at 0.
+        z[:, 0] = gen.choice([-1.0, 0.0, 2.0])
+    elif plant == "flat_weights":
+        # Dimension 0 weighs every class alike, so its reach is 1e-6 * a_0
+        # alone (0 when the weight is 0).
+        w[0] = gen.choice([-1.0, 0.0, 0.25])
     elif plant == "huge":
         # Finite logits near the float limit. Dimension 0 weighs all classes
         # alike, so its permutations move no lead but can push a logit past
@@ -474,10 +485,30 @@ def test_near_float_limit_importance_matches_copy_per_permutation():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, -1.0, 1e-300]), min_size=1, max_size=12),
+    st.floats(0, 1e3) | st.sampled_from([0.0, 1e-300]),
+    st.data(),
+)
+def test_per_dimension_rows_hold_every_flagged_row(values, reach_k, data):
+    """Every row that the per-permutation candidate test flags for some
+    permutation, brute-forced over every partner row j, is in the one set
+    computed per dimension."""
+    col = np.array(values)
+    n = len(col)
+    margins = st.floats(-10, 10) | st.sampled_from([0.0, np.nan, np.inf, -np.inf, 1e-300])
+    safe = np.array(data.draw(st.lists(margins, min_size=n, max_size=n)))
+    flagged = set()
+    for j in range(n):
+        flagged |= set(np.flatnonzero(~(np.abs(col[j] - col) * reach_k < safe)))
+    assert flagged <= set(baseline._maybe_rows(col, reach_k, safe))
+
+
 def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
-    """The rank-1 kernel sees only the rows a permutation could flip, padded
-    to a power-of-two count: on this briefly trained model about 29% of the
-    rows are candidates and the kernel gets 41%, against every row before."""
+    """The rank-1 kernel runs once per dimension, on the candidate rows of
+    all its repeats together: on this briefly trained model about 29% of the
+    rows times the repeats, against every row of every permutation before."""
     split, train, _ = trained_setup
     pooled = pool_domains(train)
     rows = []
@@ -490,5 +521,5 @@ def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
     monkeypatch.setattr(baseline, "_rank1_argmax", counted)
     z = split.encode_np(pooled.features)
     permutation_importance(split, z, pooled.labels, repeats=3, rng=np.random.default_rng(0))
-    assert len(rows) == split.embedding_dim * 3
-    assert np.mean(rows) < pooled.n / 2
+    assert len(rows) == split.embedding_dim
+    assert np.mean(rows) < pooled.n * 3 / 2

@@ -713,6 +713,24 @@ def test_duplicate_domain_index_exits_1_before_run_dir(
     assert not out.exists()
 
 
+def test_train_erm_label_beyond_the_rows_exits_1_before_run_dir(pipeline, tmp_path, capsys):
+    """The output layer is sized from the largest label, so a label of 10**12
+    would ask for a 466 TiB weight: it fails closed before any allocation."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / "train_domain_0.csv"
+    domain = load_csv_dataset(str(path))
+    domain.labels[3] = 10**12
+    save_csv_dataset(domain, str(path))
+    _reseal(data)
+    out = tmp_path / "out"
+    assert run_cmd("train-erm", pipeline["cfg"], out_dir=out, **{"data.dir": data}) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error code=1")
+    assert "Traceback" not in err and f"largest training label {10**12}" in err
+    assert not out.exists()
+
+
 def test_os_error_exits_1_with_one_line(pipeline, tmp_path, capsys):
     out = tmp_path / "out"
     out.write_bytes(b"not a run directory\n")
