@@ -5,32 +5,30 @@ the accuracy drop when that dimension's values are permuted across the
 pooled training data, then zero the bottom p% (least important dimensions
 are taken to be the most domain-specific ones).
 
-For an affine predictor (the default split) clear of overflow, 2 * max|z|
-* max_j sum_k |W[k, j]| + max|b| < 1e300 (near the float limit the rank-1
-update and the full product overflow differently), permuting dimension k
-adds delta[i] * W[k] to row i of the base logits, delta = z[perm, k] -
-z[:, k]. Only candidate rows need the update; row i is one unless
+For an affine predictor (the default split) clear of overflow, 2 * max|z| *
+max_j sum_k |W[k, j]| + max|b| + max|W| < 1e300, the score is the exact
+expected drop under a uniformly random permutation, and nothing is drawn. Permuting column k
+gives row i, labelled y, the logits L_i + t * W[k] with t = v - z[i, k] for
+the value v it receives. It stays correct while every class j has
+L_iy - L_ij + t * (W[k, y] - W[k, j]) > 0, or >= 0 for j > y (ties go to the
+lowest class, as in ``np.argmax``). A class with W[k, j] = W[k, y] is decided
+by the sign of L_iy - L_ij alone and any other bounds t on one side, so the
+values that keep row i correct form one interval (lo_i, hi_i). Row i gets each
+of the n column values with probability 1/n, so its expected hit rate is the
+count of column values in that interval over n: two ``searchsorted`` calls on
+the sorted column. A value within 1e-9 * (|z[i, k]| + |t|) of a finite end,
+far above the end's rounding, is scored by those margins at that value. Row i
+needs no interval if span_i * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
+with span_i = max(max z[:, k] - z[i, k], z[i, k] - min z[:, k]) bounding |t|,
+m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k] - min
+W[k] and a_k = max |W[k]|: its lead drops by at most s_k * |t| for every v
+(1.2-1.5% of the rows per k need one on the benchmark's models).
 
-    |delta[i]| * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
-
-with m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k] -
-min W[k] and a_k = max |W[k]|. On other rows the top class's lead drops by at
-most s_k * |delta| and rounding moves a logit by at most 2^-52 * (L_i + a_k *
-|delta|), so the computed lead exceeds 1e-6 * (1 + L_i + a_k * |delta|) -
-2^-51 * (L_i + a_k * |delta|): far above the tie tolerance 1e-9 * (1 + |top|),
-as |top| <= L_i + a_k * |delta|, and the test's own rounding. Such a row keeps
-its base prediction and cannot trigger the fallback below. Rounding is
-monotone, so |delta[i]| <= span_i = max(max z[:, k] - z[i, k], z[i, k] - min
-z[:, k]) for every perm: the test on span_i, once per k, flags every row any
-permutation can (1.2-1.5% per k on the benchmark's base models, 16.6% at
-most), and all of k's repeats send their candidates to one rank-1 kernel call.
-
-Any permutation under another predictor or past the overflow guard, or that
-leaves a candidate's top two logits within 1e-9 * (1 + |top|) of a tie, is
-predicted in full (column k permuted in place in one working copy, made on
-first use), bitwise as a permuted copy would. The sweep scores all p > 0
-masks of a domain set in one stacked ``evaluate.ROW_BLOCK``-blocked product
-(``evaluate.global_mask_accuracies``, with its BLAS caveat).
+Any other predictor, or input past the guard, averages ``repeats``
+permutations from ``rng``, each predicted in full (column k permuted in place
+in one working copy), bitwise as a permuted copy would. The sweep scores all
+p > 0 masks of a domain set in one stacked ``evaluate.ROW_BLOCK``-blocked
+product (``evaluate.global_mask_accuracies``, with its BLAS caveat).
 """
 
 from __future__ import annotations
@@ -73,15 +71,12 @@ class SweepTable:
 
 
 def permutation_importance(
-    split: SplitModel,
-    z: Array,
-    labels: Array,
-    repeats: int = 5,
-    rng: np.random.Generator | None = None,
+    split: SplitModel, z: Array, labels: Array, repeats: int = 5, rng: np.random.Generator | None = None
 ) -> Array:
-    """Accuracy drop per dimension of the embeddings ``z``, in [-1, 1],
-    averaged over ``repeats`` fresh permutations; deterministic given the
-    rng. ``z`` itself is left unchanged."""
+    """Accuracy drop per dimension of the embeddings ``z`` under a random
+    permutation of its values, in [-1, 1]: exact on the affine path, which
+    reads neither ``repeats`` nor ``rng``, else averaged over ``repeats``
+    permutations (deterministic given the rng). ``z`` is left unchanged."""
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
     n, d = z.shape
@@ -89,74 +84,74 @@ def permutation_importance(
         raise UsageError("permutation importance needs non-empty data")
     if np.shape(labels) != (n,):
         raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({n},)")
-    rng = rng if rng is not None else np.random.default_rng(0)
     logits = split.predict_np(z)
     base_ok = np.argmax(logits, axis=1) == labels
-    n_ok = np.count_nonzero(base_ok)
-    rank1 = split.predictor_is_affine
-    if rank1:
+    exact = split.predictor_is_affine
+    if exact:
         w, b = split.predictor_affine_params()
         # The overflow guard, in Python floats (no warning); NaN or inf fails it.
-        z_max = float(np.abs([z.min(initial=0.0), z.max(initial=0.0)]).max())
-        rank1 = 2 * z_max * float(np.abs(w).sum(axis=0).max()) + float(np.abs(b).max()) < 1e300
-    if rank1:
-        logits_t = np.ascontiguousarray(logits.T)
-        # The candidate test of the module docstring, per row and per k.
-        top, second = logits_t[0].copy(), np.full(n, -np.inf)
-        for row in logits_t[1:]:
-            np.maximum(second, np.minimum(top, row), out=second)
-            np.maximum(top, row, out=top)
-        safe = top - second - 1e-6 * (1.0 + np.maximum(top, -logits.min(axis=1)))
-        reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
+        # Its max|W| term keeps every difference of two weights finite.
+        z_max, w_abs = float(np.abs([z.min(initial=0.0), z.max(initial=0.0)]).max()), np.abs(w)
+        bound = 2 * z_max * float(w_abs.sum(axis=0).max()) + float(w_abs.max())
+        exact = bound + float(np.abs(b).max()) < 1e300
     # Column k of z is the contiguous row z_t[k], copied in cache-sized tiles.
     z_t = np.empty((d, n), dtype=z.dtype)
     for lo in range(0, n, ROW_BLOCK):
         z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK].T
-    work = None  # the full path's working copy, made on first use
-    scores, perms = np.zeros(d), np.empty((repeats, n), dtype=np.intp)
+    if exact:
+        return _expected_drops(z_t, logits, labels, base_ok, w)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    n_ok, work, scores = np.count_nonzero(base_ok), z.copy(), np.zeros(d)
     for k, col in enumerate(z_t):
-        for perm in perms:
-            perm[:] = rng.permutation(n)
-        ok, full = np.zeros(repeats, dtype=np.intp), np.ones(repeats, dtype=bool)
-        if rank1:
-            maybe = _maybe_rows(col, reach[k], safe)
-            delta = col[perms[:, maybe]] - col[maybe]
-            rep, at = np.nonzero(~(np.abs(delta) * reach[k] < safe[maybe]))
-            cand = maybe[at]
-            preds, clear = _rank1_argmax(logits_t[:, cand], w[k], delta[rep, at])
-            full = np.bincount(rep[~clear], minlength=repeats) > 0
-            ok += n_ok - np.bincount(rep[base_ok[cand]], minlength=repeats)
-            ok += np.bincount(rep[preds == labels[cand]], minlength=repeats)
-        for r in np.flatnonzero(full):
-            work = z.copy() if work is None else work
-            work[:, k] = col[perms[r]]
+        ok = np.zeros(repeats, dtype=np.intp)
+        for r in range(repeats):
+            work[:, k] = col[rng.permutation(n)]
             ok[r] = np.count_nonzero(np.argmax(split.predict_np(work), axis=1) == labels)
-            work[:, k] = col
+        work[:, k] = col
         # Exact counts divided once: bitwise np.mean of the hits.
         scores[k] = np.mean(n_ok / n - ok / n)
     return scores
 
 
+def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w: Array) -> Array:
+    """The module docstring's exact expected drops; sorts z_t's rows in place."""
+    (d, n), c = z_t.shape, logits.shape[1]
+    logits_t = np.ascontiguousarray(logits.T)
+    top, second = logits_t[0].copy(), np.full(n, -np.inf)
+    for row in logits_t[1:]:
+        np.maximum(second, np.minimum(top, row), out=second)
+        np.maximum(top, row, out=top)
+    safe = top - second - 1e-6 * (1.0 + np.maximum(top, -logits.min(axis=1)))
+    reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
+    safe[~np.isin(labels, np.arange(c))] = np.inf  # a row labelled with no class never hits
+    scores = np.zeros(d)
+    for k, col in enumerate(z_t):
+        rows = _maybe_rows(col, reach[k], safe)
+        x, y, lg = col[rows], labels[rows].astype(np.intp), logits[rows]
+        g = lg[np.arange(len(rows)), y][:, None] - lg  # y's lead over each class
+        s = w[k, y][:, None] - w[k]  # and its slope in v
+        strict = np.arange(c) < y[:, None]  # ties go to the lowest class
+        with np.errstate(all="ignore"):
+            root = -g / s
+        dead = ((s == 0) & np.where(strict, g <= 0, g < 0)).any(axis=1)
+        t = np.stack([root.max(1, where=s > 0, initial=-np.inf), root.min(1, where=s < 0, initial=np.inf)])
+        ends = x + t  # lo_i and hi_i, each with a rounding band [first, past) of sorted values
+        tol = np.where(np.isfinite(ends), 1e-9 * np.abs(x) + 1e-9 * np.abs(t), 0.0)
+        col.sort()
+        first, past = col.searchsorted(ends - tol), col.searchsorted(ends + tol, "right")
+        hits = int(np.where(dead, 0, np.maximum(first[1] - past[0], 0)).sum())
+        for i in np.flatnonzero((past > first).any(axis=0)):
+            v = col[np.union1d(np.arange(first[0, i], past[0, i]), np.arange(first[1, i], past[1, i]))]
+            margins = g[i] + (v - x[i])[:, None] * s[i]
+            hits += int(np.where(strict[i], margins > 0, margins >= 0).all(axis=1).sum())
+        scores[k] = (n * int(np.count_nonzero(base_ok[rows])) - hits) / (n * n)
+    return scores
+
+
 def _maybe_rows(col: Array, reach_k: float, safe: Array) -> Array:
-    """Every row the candidate test can flag under some permutation of ``col``."""
+    """Every row whose prediction some value of ``col`` can change."""
     span = np.maximum(col.max() - col, col - col.min())
     return np.flatnonzero(~(span * reach_k < safe))
-
-
-def _rank1_argmax(logits_t: Array, w_k: Array, delta: Array) -> tuple[Array, Array]:
-    """Argmax (ties to the lowest class) of the c x n logits after adding
-    ``delta`` to column k, whose weights are ``w_k``, and whether each
-    column is clear of a tie."""
-    top = logits_t[0] + w_k[0] * delta
-    second = np.full(len(delta), -np.inf)
-    preds = np.zeros(len(delta), dtype=np.intp)
-    for j in range(1, len(w_k)):
-        row = logits_t[j] + w_k[j] * delta
-        preds[row > top] = j
-        second = np.maximum(second, np.minimum(top, row))
-        top = np.maximum(top, row)
-    # "Not greater" also catches NaN margins.
-    return preds, top - second > 1e-9 * (1.0 + np.abs(top))
 
 
 def _check_percent(percent: float) -> None:

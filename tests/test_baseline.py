@@ -1,6 +1,7 @@
 """Permutation-importance global mask baseline and the percent sweep."""
 
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -256,7 +257,152 @@ def test_sweep_rejects_empty_unseen_domain(trained_setup):
         sweep_mask_percent(split, train, empty, [0.0, 50.0])
 
 
-# -- equivalence with the copy-per-permutation loop ------------------------------
+# -- the exact expected drop on the affine path -----------------------------------
+
+
+def _all_permutations_importance(split, z, labels):
+    """The mean drop over every permutation of each column, each predicted in
+    full: n! permuted copies stacked into one product per dimension."""
+    n, d = z.shape
+    perms = np.array(list(itertools.permutations(range(n))))
+    base = masked_accuracy(split, z, labels)
+    scores = np.zeros(d)
+    for k in range(d):
+        stacked = np.repeat(z[None], len(perms), axis=0)
+        stacked[:, :, k] = z[perms, k]
+        preds = np.argmax(split.predict_np(stacked.reshape(-1, d)), axis=1).reshape(len(perms), n)
+        scores[k] = np.mean(base - np.mean(preds == labels, axis=1))
+    return scores
+
+
+@st.composite
+def _rounded_affine_case(draw):
+    """An identity-encoder affine split over at most 7 rows, with entries
+    from a few dyadic values: every logit is exact, so exact ties, equal
+    class weights and column values on interval ends are common."""
+    n, d, c = draw(st.integers(1, 7)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = gen.choice([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0], size=(n, d))
+    w = gen.choice([-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0], size=(d, c))
+    if draw(st.booleans()):
+        w[:, 1] = w[:, 0]  # classes 0 and 1 tie wherever their one weight agrees
+        w[gen.integers(d), 1] += 0.5
+    b = gen.choice([0.0, 0.5, -0.25], size=c)
+    labels = gen.integers(c, size=n)
+    if draw(st.booleans()):
+        labels[0] = gen.choice([-1, c])  # a label with no class is never hit
+    return _linear_split(w, b), z, labels
+
+
+@settings(deadline=None, max_examples=150)
+@given(_rounded_affine_case())
+def test_exact_importance_is_the_mean_over_every_permutation(case):
+    split, z, labels = case
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    scores = permutation_importance(split, z, labels, rng=rng)
+    np.testing.assert_allclose(scores, _all_permutations_importance(split, z, labels), rtol=0, atol=1e-12)
+    # An exact expectation: a whole number of hits over n * n row-values.
+    pairs = len(z) ** 2
+    assert scores.tobytes() == (np.round(scores * pairs) / pairs).tobytes()
+    assert rng.bit_generator.state == state
+
+
+def test_exact_importance_scores_a_value_on_a_rounded_end():
+    """Class 1 wins once its logit z passes class 0's 0.9, and a tie goes to
+    class 0. For the row at 0.2 the end 0.2 + (0.9 - 0.2) rounds to just
+    below 0.9: only the rounding band keeps the values at 0.9 out."""
+    split = _linear_split(np.array([[0.0, 1.0]]), np.array([0.9, 0.0]))
+    z = np.array([[0.2], [0.9], [1.5], [0.9], [0.1], [1.1]])
+    labels = np.array([1, 1, 0, 1, 1, 0])
+    expected = _all_permutations_importance(split, z, labels)
+    np.testing.assert_allclose(permutation_importance(split, z, labels), expected, rtol=0, atol=1e-12)
+
+
+class _SampledSplit(SplitModel):
+    """The same model and split, with the predictor not taken to be affine:
+    permutation importance takes its sampled full-predict path."""
+
+    predictor_is_affine = False
+
+
+def _as_sampled(split):
+    return _SampledSplit(split.model, split.split_index)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(
+    st.integers(8, 30), st.integers(1, 3), st.integers(2, 4), st.sampled_from([0.0, 1.0, 0.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_importance_within_monte_carlo_error(n, d, c, step, seed):
+    """The exact score lies within 4 standard errors of the sampled path's
+    2000-permutation mean on the same model. ``step`` rounds the embedding
+    (0: no rounding) so that ties occur."""
+    gen = np.random.default_rng(seed)
+    z = gen.normal(size=(n, d)) * 2
+    z = np.round(z / step) * step if step else z
+    split = _linear_split(gen.normal(size=(d, c)), gen.normal(size=c) * 0.5)
+    labels = gen.integers(c, size=n)
+    repeats = 2000
+    monte_carlo = permutation_importance(_as_sampled(split), z, labels, repeats, np.random.default_rng(seed))
+    # The same stream again, one accuracy per permutation, for the spread.
+    rng, base = np.random.default_rng(seed), masked_accuracy(split, z, labels)
+    for k in range(d):
+        stacked = np.repeat(z[None], repeats, axis=0)
+        stacked[:, :, k] = z[np.array([rng.permutation(n) for _ in range(repeats)]), k]
+        hits = np.argmax(split.predict_np(stacked.reshape(-1, d)), axis=1).reshape(repeats, n) == labels
+        drops = base - hits.mean(axis=1)
+        assert monte_carlo[k] == pytest.approx(drops.mean(), abs=1e-12)
+        exact = permutation_importance(split, z, labels)[k]
+        assert abs(exact - monte_carlo[k]) <= 4 * drops.std(ddof=1) / np.sqrt(repeats) + 1e-12
+
+
+def test_exact_importance_draws_nothing_and_ignores_repeats(trained_setup, monkeypatch):
+    split, train, _ = trained_setup
+    pooled = pool_domains(train)
+    z = split.encode_np(pooled.features)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    sizes = _count_predicted_rows(monkeypatch)
+    once = permutation_importance(split, z, pooled.labels, repeats=1, rng=rng)
+    assert rng.bit_generator.state == state
+    assert sizes == [pooled.n]  # the base logits only
+    five = permutation_importance(split, z, pooled.labels, repeats=5, rng=np.random.default_rng(4))
+    assert once.tobytes() == five.tobytes()
+    assert once.tobytes() == permutation_importance(split, z, pooled.labels).tobytes()
+
+
+def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
+    """Intervals are built once per dimension, only for the rows some column
+    value can flip: on this briefly trained model about 79% of them (1.2-1.5%
+    on the benchmark's base models), against every row of every permutation
+    on the sampled path. Every other row keeps its base prediction for every
+    value of the column."""
+    split, train, _ = trained_setup
+    pooled = pool_domains(train)
+    z, labels = split.encode_np(pooled.features), pooled.labels
+    rows = []
+    maybe_rows = baseline._maybe_rows
+
+    def counted(col, reach_k, safe):
+        rows.append(maybe_rows(col, reach_k, safe))
+        return rows[-1]
+
+    monkeypatch.setattr(baseline, "_maybe_rows", counted)
+    permutation_importance(split, z, labels)
+    assert len(rows) == split.embedding_dim
+    assert np.mean([len(r) for r in rows]) < pooled.n * 0.85
+    base = np.argmax(split.predict_np(z), axis=1)
+    for k, flagged in enumerate(rows):
+        kept = np.setdiff1d(np.arange(pooled.n), flagged)
+        for v in np.unique(z[:, k]):
+            moved = z[kept].copy()
+            moved[:, k] = v
+            assert (np.argmax(split.predict_np(moved), axis=1) == base[kept]).all()
+
+
+# -- the sampled path equals the copy-per-permutation loop --------------------------
 
 
 def _reference_importance(split, z, labels, repeats, rng):
@@ -272,6 +418,11 @@ def _reference_importance(split, z, labels, repeats, rng):
             drops.append(base - masked_accuracy(split, zp, labels))
         scores[k] = np.mean(drops)
     return scores
+
+
+# An exact power of two: it takes an affine split's embedding past the
+# overflow guard, onto the sampled path, and keeps every tie of its logits.
+_PAST_GUARD = 2.0**1000
 
 
 def _tie_setup():
@@ -290,8 +441,8 @@ def _tie_setup():
 
 def _cancellation_setup():
     """Class 1 leads class 0 by 1e-11, which vanishes next to dimension 0's
-    1e6: the rank-1 update cancels 1e6 back out of a tie and still reads a
-    tie, where the full product of a row permuted to 0 predicts class 1."""
+    1e6: a row at 1e6 is a tie, while the full product of one permuted to 0
+    predicts class 1."""
     w = np.array([[1.0, 1.0], [0.0, 1e-11]])
     x = np.column_stack([np.tile([1e6, 0.0], 10), np.ones(20)])
     return _linear_split(w, np.zeros(2)), [DomainDataset(x, np.ones(20, dtype=int), 0)]
@@ -299,6 +450,8 @@ def _cancellation_setup():
 
 @pytest.mark.parametrize("case", ["affine", "general", "exact_tie", "cancellation"])
 def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, monkeypatch):
+    """The sampled path: a non-affine split, or an affine one whose
+    embedding is scaled past the overflow guard."""
     split, train, _ = trained_setup
     if case == "general":
         split = split_model(split.model, 0)
@@ -309,6 +462,8 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
         split, train = _cancellation_setup()
     pooled = pool_domains(train)
     n, z = pooled.n, split.encode_np(pooled.features)
+    if split.predictor_is_affine:
+        z = z * _PAST_GUARD
     ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
     expected = _reference_importance(split, z, pooled.labels, 3, ref_rng)
 
@@ -319,15 +474,8 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
     # pins the base accuracy.
     assert scores.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # Only full products: the base logits, then one per permutation on the
-    # general path and per permutation with a near tie on the affine one.
-    assert all(s == n for s in sizes)
-    if case == "affine":
-        assert len(sizes) == 1
-    elif case == "general":
-        assert len(sizes) == 1 + split.embedding_dim * 3
-    else:
-        assert len(sizes) > 1
+    # Only full products: the base logits, then one per permutation.
+    assert sizes == [n] * (1 + split.embedding_dim * 3)
 
 
 @pytest.mark.parametrize("n", [511, 512, 513])
@@ -336,6 +484,8 @@ def test_importance_at_the_tile_edges_matches_copy_per_permutation(layers, n):
     rng = np.random.default_rng(n)
     split = split_model(Mlp(layers, seed=4), 0)  # identity encoder: z is the input
     z, labels = rng.normal(size=(n, 4)), rng.integers(3, size=n)
+    if split.predictor_is_affine:
+        z = z * _PAST_GUARD
     ref_rng, imp_rng = np.random.default_rng(8), np.random.default_rng(8)
     expected = _reference_importance(split, z, labels, 2, ref_rng)
     assert permutation_importance(split, z, labels, 2, imp_rng).tobytes() == expected.tobytes()
@@ -359,27 +509,6 @@ def test_importance_leaves_features_and_sweep_embedding_unchanged(layers):
     assert table.rows[0].train_accuracy == accuracy(split, pool_domains(datasets[:2]))
 
 
-def _full_row_importance(split, z, labels, repeats, rng):
-    """Permutation importance with the rank-1 kernel run over every row, no
-    candidate filter: the scores, and how many permutations it sent to a
-    full product."""
-    logits_t = np.ascontiguousarray(split.predict_np(z).T)
-    w = split.predictor_affine_params()[0]
-    base = masked_accuracy(split, z, labels)
-    scores, fallbacks = np.zeros(z.shape[1]), 0
-    for k in range(z.shape[1]):
-        drops = []
-        for _ in range(repeats):
-            zp = z.copy()
-            zp[:, k] = zp[rng.permutation(len(zp)), k]
-            preds, clear = baseline._rank1_argmax(logits_t, w[k], zp[:, k] - z[:, k])
-            fallbacks += not clear.all()
-            acc = np.mean(preds == labels) if clear.all() else masked_accuracy(split, zp, labels)
-            drops.append(base - float(acc))
-        scores[k] = np.mean(drops)
-    return scores, fallbacks
-
-
 _PLANTS = (
     "exact_tie", "near_tie_inside", "near_tie_outside", "cancellation", "huge", "nan", "inf",
     "constant", "flat_weights",
@@ -389,8 +518,7 @@ _PLANTS = (
 @st.composite
 def _planted_affine_case(draw):
     """An identity-encoder affine split, its embedding and labels. Entries
-    come from a few values, so many permuted deltas are exactly zero and a
-    planted tie often survives a permutation."""
+    come from a few values, so a planted tie often survives a permutation."""
     plant = draw(st.sampled_from(_PLANTS))
     n, d, c = draw(st.integers(3, 16)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -447,8 +575,9 @@ _OVERFLOW = np.array([[1.7e308, 1e307], [0.0, -1e307]])
 @given(_planted_affine_case())
 @example(("huge", _linear_split(np.array([[1.0, 1.0], [0.0, -1.0]]), np.zeros(2)), _OVERFLOW, np.array([0, 1]), 2))
 def test_candidate_rows_match_copy_per_permutation_bitwise(case):
-    """Updating only the candidate rows keeps every score bit, the random
-    stream, and each full product of the kernel over all rows."""
+    """On the planted ties, near ties, cancellations, overflows, NaN and inf
+    that stress the affine path's candidate rows, the sampled path keeps
+    every score bit and the random stream of a copy per permutation."""
     plant, split, z, labels, seed = case
     repeats = 3
     # These embeddings make non-finite logits by design.
@@ -457,24 +586,18 @@ def test_candidate_rows_match_copy_per_permutation_bitwise(case):
     with quiet, pytest.MonkeyPatch.context() as mp:
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _reference_importance(split, z, labels, repeats, ref_rng)
-        full_rows, fallbacks = _full_row_importance(split, z, labels, repeats, np.random.default_rng(seed))
         sizes = _count_predicted_rows(mp)
-        scores = permutation_importance(split, z, labels, repeats=repeats, rng=rng)
+        scores = permutation_importance(_as_sampled(split), z, labels, repeats=repeats, rng=rng)
     assert scores.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if plant == "huge" and z.any():
-        # Near the float limit the rank-1 update can depart from the full
-        # product, so the whole call takes the full path.
-        assert sizes == [len(z)] * (1 + z.shape[1] * repeats)
-    else:
-        assert scores.tobytes() == full_rows.tobytes()
-        assert sizes == [len(z)] * (1 + fallbacks)
+    assert sizes == [len(z)] * (1 + z.shape[1] * repeats)
 
 
 def test_near_float_limit_importance_matches_copy_per_permutation():
-    """At this scale the rank-1 update overflows where the full product does
-    not: on the rank-1 path dimension 1 scored 1/12, against 1/6 from
-    permuted copies."""
+    """Past the overflow guard every permutation is predicted in full: at
+    this scale a rank-1 update of the base logits overflows where the full
+    product does not (dimension 1 scored 1/12 that way, against 1/6 from
+    permuted copies)."""
     z = np.array([[1.2e308, -6e307, -6e307], [0, -6e307, 0], [1.2e308, 3e307, 3e307], [-6e307, 0, 0]])
     split = _linear_split(np.array([[0.25, 0.25], [-1.0, 0.25], [-1.0, -1.0]]), np.zeros(2))
     labels = np.array([0, 1, 1, 0])
@@ -485,6 +608,18 @@ def test_near_float_limit_importance_matches_copy_per_permutation():
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_weights_near_the_float_limit_take_the_sampled_path():
+    """Weights of +-1e308 keep the logits of tiny embeddings small, but their
+    difference overflows: the guard's max|W| term sends them to the sampled
+    path, where the exact path would score 0.625 against a true 0.25."""
+    split = _linear_split(np.array([[1e308, -1e308]]), np.zeros(2))
+    z, labels = np.array([[1e-12], [-1e-12], [2e-12], [0.0]]), np.array([0, 1, 0, 1])
+    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+    expected = _reference_importance(split, z, labels, 3, ref_rng)
+    assert permutation_importance(split, z, labels, repeats=3, rng=rng).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, -1.0, 1e-300]), min_size=1, max_size=12),
@@ -492,9 +627,9 @@ def test_near_float_limit_importance_matches_copy_per_permutation():
     st.data(),
 )
 def test_per_dimension_rows_hold_every_flagged_row(values, reach_k, data):
-    """Every row that the per-permutation candidate test flags for some
-    permutation, brute-forced over every partner row j, is in the one set
-    computed per dimension."""
+    """Every row that the candidate test flags for some column value,
+    brute-forced over every partner row j, is in the one set computed per
+    dimension."""
     col = np.array(values)
     n = len(col)
     margins = st.floats(-10, 10) | st.sampled_from([0.0, np.nan, np.inf, -np.inf, 1e-300])
@@ -503,23 +638,3 @@ def test_per_dimension_rows_hold_every_flagged_row(values, reach_k, data):
     for j in range(n):
         flagged |= set(np.flatnonzero(~(np.abs(col[j] - col) * reach_k < safe)))
     assert flagged <= set(baseline._maybe_rows(col, reach_k, safe))
-
-
-def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
-    """The rank-1 kernel runs once per dimension, on the candidate rows of
-    all its repeats together: on this briefly trained model about 29% of the
-    rows times the repeats, against every row of every permutation before."""
-    split, train, _ = trained_setup
-    pooled = pool_domains(train)
-    rows = []
-    kernel = baseline._rank1_argmax
-
-    def counted(logits_t, w_k, delta):
-        rows.append(len(delta))
-        return kernel(logits_t, w_k, delta)
-
-    monkeypatch.setattr(baseline, "_rank1_argmax", counted)
-    z = split.encode_np(pooled.features)
-    permutation_importance(split, z, pooled.labels, repeats=3, rng=np.random.default_rng(0))
-    assert len(rows) == split.embedding_dim
-    assert np.mean(rows) < pooled.n * 3 / 2
