@@ -106,7 +106,7 @@ _MASK = _section(MaskGenConfig, "mask")
 # must keep its default, and config.txt leaves it out.
 EVAL_MODES = {
     "none": (),
-    "global": ("eval.mask_percent", "eval.repeats"),
+    "global": ("eval.mask_percent",),
     "emg": ("emg.model", "mask.inference_mode"),
 }
 # The domains export-embeddings writes: every training domain, or the unseen one.
@@ -116,7 +116,6 @@ _MASK_SOURCE = {
     "eval.mode": Field(str, "none"),
     "emg.model": Field(str, ""),
     "eval.mask_percent": Field(float, 50.0),
-    "eval.repeats": Field(int, 5),
     **_MASK,
 }
 
@@ -151,7 +150,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_COMMON,
         **_BASE,
         "sweep.grid": Field(str, ",".join(f"{p:g}" for p in PERCENT_GRID)),
-        "sweep.repeats": Field(int, 5),
     },
     "bound-check": {
         **_COMMON,
@@ -178,17 +176,23 @@ def _require_path(path: str, what: str) -> None:
         raise MissingArtifact(f"{what} not found: {path}")
 
 
-def _load_model(prefix: str, what: str):
-    """Parameters saved at ``prefix``, listed in its run's verified manifest."""
-    if not prefix:
+def _load_model(path: str, what: str, prefix: str) -> Mlp:
+    """The model saved at ``path``, listed in its run's verified manifest;
+    its parameter names must start with ``prefix``."""
+    if not path:
         raise MissingArtifact(f"{what} not configured")
-    run_path, name = os.path.split(prefix)
+    run_path, name = os.path.split(path)
     files = (name + ".manifest", name + ".params")
     for file in files:
         _require_path(os.path.join(run_path, file), what)
     if not set(files) <= set(RunDirectory.verify(run_path or ".")):
-        raise CorruptFileError(f"{what} {prefix} is not in its run's manifest")
-    return load_params(prefix)
+        raise CorruptFileError(f"{what} {path} is not in its run's manifest")
+    model = load_params(path)
+    if model.prefix != prefix:
+        raise CorruptFileError(
+            f"{what} {path} has parameter prefix {model.prefix!r}, not {prefix!r}"
+        )
+    return model
 
 
 def _load_data_dir(data_dir: str):
@@ -223,9 +227,8 @@ def _load_data_dir(data_dir: str):
 def _load_split(cfg, train_data, unseen):
     """The frozen base model split at ``base.split_index``; it must take the
     data's features and have an output for every label of every domain."""
-    store = _load_model(cfg["base.model"], "base model")
-    store.freeze()
-    model = Mlp.from_store(store)
+    model = _load_model(cfg["base.model"], "base model", "")
+    model.store.freeze()
     idx = cfg["base.split_index"]
     if idx != -1 and not 0 <= idx < model.n_layers:
         raise ConfigError(f"base.split_index must be -1 or in [0, {model.n_layers}), got {idx}")
@@ -245,7 +248,7 @@ def _load_split(cfg, train_data, unseen):
 def _load_generator(cfg, split, dim: int) -> Mlp:
     """The mask generator; it must map ``dim`` features to a mask as wide as
     ``split``'s embedding."""
-    gen = Mlp.from_store(_load_model(cfg["emg.model"], "EMG model"), prefix="g.")
+    gen = _load_model(cfg["emg.model"], "EMG model", "g.")
     widths = (gen.layer_sizes[0], gen.layer_sizes[-1])
     if widths != (dim, split.embedding_dim):
         raise ShapeMismatchError(
@@ -274,12 +277,12 @@ def _mask_source(cfg, mode, split, train_data):
     if mode == "none":
         return lambda data: None
     if mode == "global":
-        percent, repeats = cfg["eval.mask_percent"], cfg["eval.repeats"]
-        if not (0.0 <= percent <= 100.0 and repeats >= 1):
-            raise ConfigError("eval.mask_percent must be in [0, 100] and eval.repeats >= 1")
+        percent = cfg["eval.mask_percent"]
+        if not 0.0 <= percent <= 100.0:
+            raise ConfigError(f"eval.mask_percent must be in [0, 100], got {percent}")
         pooled = pool_domains(train_data)
         z = split.encode_np(pooled.features)
-        scores = permutation_importance(split, z, pooled.labels, repeats, importance_rng(cfg["seed"]))
+        scores = permutation_importance(split, z, pooled.labels, rng=importance_rng(cfg["seed"]))
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
     gen = _load_generator(cfg, split, train_data[0].dim)
@@ -318,7 +321,7 @@ def cmd_train_erm(cfg) -> None:
     hidden = parse_hidden(cfg["model.hidden"])
     model, trace = train_erm(tc, train_data, base_layers(train_data, hidden))
     run = RunDirectory(cfg["out_dir"], cfg)
-    save_params(model.store, run.file("base_model"))
+    save_params(model, run.file("base_model"))
     trace.to_csv(run.file("erm_trace.csv"))
     run.register("base_model.manifest", "base_model.params", "erm_trace.csv")
     run.finalize()
@@ -333,7 +336,7 @@ def cmd_train_emg(cfg) -> None:
     gen = new_generator(split, train_data[0].dim, hidden, cfg["seed"])
     gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)
     run = RunDirectory(cfg["out_dir"], cfg)
-    save_params(gen.store, run.file("emg_model"))
+    save_params(gen, run.file("emg_model"))
     trace.to_csv(run.file("emg_trace.csv"))
     run.register("emg_model.manifest", "emg_model.params", "emg_trace.csv")
     run.finalize()
@@ -357,11 +360,7 @@ def cmd_sweep_global(cfg) -> None:
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     split = _load_split(cfg, train_data, unseen)
     grid = parse_grid(cfg["sweep.grid"])
-    if cfg["sweep.repeats"] < 1:
-        raise ConfigError(f"sweep.repeats must be >= 1, got {cfg['sweep.repeats']}")
-    table = sweep_mask_percent(
-        split, train_data, unseen, grid, cfg["sweep.repeats"], importance_rng(cfg["seed"])
-    )
+    table = sweep_mask_percent(split, train_data, unseen, grid, rng=importance_rng(cfg["seed"]))
     run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))
     run.register("sweep.csv")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -45,9 +46,6 @@ class ParamStore:
             out[name] = vec[offset : offset + value.size].reshape(value.shape)
             offset += value.size
         return out
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def __getitem__(self, name: str) -> Array:
         return self._values[name]
@@ -82,62 +80,30 @@ class ParamStore:
 class Mlp:
     """Linear layers with relu on hidden outputs, identity on the last.
 
-    Weight ``w{i}`` has shape (fan_in, fan_out); bias ``b{i}`` shape (fan_out,).
-    Weights init uniform(-a, a), a = sqrt(6 / (fan_in + fan_out)); biases zero.
-    ``store`` wraps parameters that already exist instead. ``layers`` holds
-    each layer's ``(w, b, w name, b name)``, its arrays views of the store's
-    ``flat``.
+    Weight ``{prefix}w{i}`` has shape (fan_in, fan_out); bias ``{prefix}b{i}``
+    shape (fan_out,). Weights init uniform(-a, a), a = sqrt(6 / (fan_in +
+    fan_out)); biases zero. ``layers`` holds each layer's ``(w, b, w name,
+    b name)``, its arrays views of the store's ``flat``.
     """
 
-    def __init__(
-        self,
-        layer_sizes: list[int],
-        store: ParamStore | None = None,
-        prefix: str = "",
-        seed: int = 0,
-    ):
+    def __init__(self, layer_sizes: list[int], prefix: str = "", seed: int = 0):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise UsageError(f"bad layer sizes {layer_sizes}")
         self.layer_sizes = list(layer_sizes)
+        self.prefix = prefix
         names = [(f"{prefix}w{i}", f"{prefix}b{i}") for i in range(self.n_layers)]
-        if store is None:
-            rng = np.random.default_rng(seed)
-            values = {}
-            for (w, b), fi, fo in zip(names, layer_sizes, layer_sizes[1:]):
-                a = np.sqrt(6.0 / (fi + fo))
-                values[w] = rng.uniform(-a, a, size=(fi, fo))
-                values[b] = np.zeros(fo)
-            store = ParamStore(values)
-        self.store = store
-        self.layers = [(store[w], store[b], w, b) for w, b in names]
+        rng = np.random.default_rng(seed)
+        values = {}
+        for (w, b), fi, fo in zip(names, layer_sizes, layer_sizes[1:]):
+            a = np.sqrt(6.0 / (fi + fo))
+            values[w] = rng.uniform(-a, a, size=(fi, fo))
+            values[b] = np.zeros(fo)
+        self.store = ParamStore(values)
+        self.layers = [(self.store[w], self.store[b], w, b) for w, b in names]
 
     @property
     def n_layers(self) -> int:
         return len(self.layer_sizes) - 1
-
-    @classmethod
-    def from_store(cls, store: ParamStore, prefix: str = "") -> "Mlp":
-        """The model whose layers ``w0, b0, w1, ...`` the store holds;
-        ``CorruptFileError`` unless they chain."""
-        sizes: list[int] = []
-        i = 0
-        while f"{prefix}w{i}" in store:
-            w = store[f"{prefix}w{i}"]
-            if w.ndim != 2 or (sizes and w.shape[0] != sizes[-1]):
-                raise CorruptFileError(
-                    f"{prefix}w{i} has shape {w.shape}; the weights must chain "
-                    "as (fan_in, fan_out) matrices"
-                )
-            b = f"{prefix}b{i}"
-            if b not in store or store[b].shape != (w.shape[1],):
-                raise CorruptFileError(f"{b} missing or not shaped ({w.shape[1]},)")
-            if not sizes:
-                sizes.append(w.shape[0])
-            sizes.append(w.shape[1])
-            i += 1
-        if len(sizes) < 2:
-            raise UsageError(f"no layers with prefix {prefix!r} in store")
-        return cls(sizes, store=store, prefix=prefix)
 
     def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
         """The forward on the tape; ``leaves`` maps parameter names to leaf
@@ -253,87 +219,50 @@ def split_model(model: Mlp, split_index: int | None = None) -> SplitModel:
 
 # -- serialization -----------------------------------------------------------
 #
-# Two files per store: ``<path>.manifest`` (text; one key/value line per
-# parameter: name, shape, byte offset, the store's trainable flag) and
-# ``<path>.params`` (``flat``, little-endian float64). Round-trip is bitwise
-# exact.
+# Two files per model: ``<path>.manifest``, one line such as
+# ``layers=16,64,5 prefix= trainable=0`` (the layer sizes, the parameter name
+# prefix and the store's trainable flag), and ``<path>.params``, the store's
+# ``flat`` as little-endian float64. Round-trip is bitwise exact.
+
+_MANIFEST = re.compile(r"layers=([1-9][0-9]*(?:,[1-9][0-9]*)+) prefix=(\S*) trainable=([01])\n?")
 
 
-def save_params(store: ParamStore, path: str) -> None:
-    lines = [f"count={len(store.names())}"]
-    offset = 0
-    for name in store.names():
-        value = store[name]
-        shape = "x".join(str(s) for s in value.shape) or "scalar"
-        lines.append(
-            f"name={name} shape={shape} offset={offset} trainable={int(not store.frozen)}"
-        )
-        offset += value.size * 8
+def save_params(model: Mlp, path: str) -> None:
+    sizes = ",".join(map(str, model.layer_sizes))
     with open(path + ".manifest", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"layers={sizes} prefix={model.prefix} trainable={int(not model.store.frozen)}\n")
     with open(path + ".params", "wb") as fh:
-        fh.write(store.flat.astype("<f8").tobytes())
+        fh.write(model.store.flat.astype("<f8").tobytes())
 
 
-def _manifest_entry(line: str) -> tuple[str, tuple[int, ...], int, bool]:
-    """``name=... shape=AxB offset=N trainable=0|1`` -> its parsed fields."""
-    fields = dict(tok.split("=", 1) for tok in line.split())
-    shape = () if fields["shape"] == "scalar" else tuple(map(int, fields["shape"].split("x")))
-    if any(s < 0 for s in shape):
-        raise ValueError(f"negative dimension in shape {shape}")
-    return fields["name"], shape, int(fields["offset"]), bool(int(fields["trainable"]))
-
-
-def load_params(path: str) -> ParamStore:
-    """The store ``save_params`` wrote: entries laid end to end in order,
-    unique names and one trainable flag, or ``CorruptFileError``."""
+def load_params(path: str) -> Mlp:
+    """The model ``save_params`` wrote, or ``CorruptFileError`` unless the
+    manifest is that one line, the payload is exactly as long as its layer
+    sizes need (checked before anything is allocated) and every value is
+    finite."""
     manifest = path + ".manifest"
-    payload_path = path + ".params"
-    if not os.path.exists(manifest) or not os.path.exists(payload_path):
+    payload = path + ".params"
+    if not os.path.exists(manifest) or not os.path.exists(payload):
         raise CorruptFileError(f"missing parameter files at {path!r}")
-    with open(manifest) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("count="):
-        raise CorruptFileError(f"bad manifest header in {manifest}")
     try:
-        count = int(lines[0].split("=", 1)[1])
-        entries = [_manifest_entry(ln) for ln in lines[1:]]
-    except (KeyError, ValueError) as exc:
-        raise CorruptFileError(f"bad manifest entry in {manifest}: {exc!r}") from None
-    if len(entries) != count:
+        with open(manifest, encoding="utf-8") as fh:
+            found = _MANIFEST.fullmatch(fh.read())
+    except UnicodeDecodeError:
+        found = None
+    if found is None:
         raise CorruptFileError(
-            f"manifest {manifest} declares {count} entries, found {len(entries)}"
+            f"manifest {manifest} is not one line 'layers=N,N,... prefix=P trainable=0|1'"
         )
-    names = [e[0] for e in entries]
-    if len(set(names)) != len(names):
-        raise CorruptFileError(f"manifest {manifest} repeats a parameter name")
-    flags = {e[3] for e in entries}
-    if len(flags) > 1:
-        raise CorruptFileError(f"manifest {manifest} mixes trainable flags")
-    with open(payload_path, "rb") as fh:
-        payload = fh.read()
-
-    values = {}
-    end = 0
-    for name, shape, offset, _ in entries:
-        if offset != end:
-            raise CorruptFileError(
-                f"manifest {manifest}: {name} at byte {offset}, expected {end}"
-            )
-        size = int(np.prod(shape, dtype=np.int64))
-        end += size * 8
-        if end > len(payload):
-            raise CorruptFileError(
-                f"payload {payload_path} truncated: need {end} bytes, have {len(payload)}"
-            )
-        values[name] = np.frombuffer(payload, "<f8", size, offset).reshape(shape)
-    if end != len(payload):
-        raise CorruptFileError(
-            f"payload {payload_path} length {len(payload)} != manifest total {end}"
-        )
-    store = ParamStore(values)
-    if not np.isfinite(store.flat).all():
-        raise CorruptFileError(f"payload {payload_path} holds a non-finite value")
-    if flags == {False}:
-        store.freeze()
-    return store
+    sizes = [int(s) for s in found[1].split(",")]
+    need = 8 * sum(fi * fo + fo for fi, fo in zip(sizes, sizes[1:]))
+    have = os.path.getsize(payload)
+    if have != need:
+        raise CorruptFileError(f"payload {payload} has {have} bytes, layers {found[1]} need {need}")
+    values = np.fromfile(payload, "<f8")
+    if not np.isfinite(values).all():
+        raise CorruptFileError(f"payload {payload} holds a non-finite value")
+    model = Mlp(sizes, prefix=found[2])
+    model.store.flat[...] = values
+    if found[3] == "0":
+        model.store.freeze()
+    return model

@@ -22,6 +22,14 @@ STATUS_FILE = "STATUS"
 MANIFEST_FILE = "MANIFEST.txt"
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise CorruptFileError(f"{path} is not UTF-8 text") from None
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -69,33 +77,31 @@ class RunDirectory:
     @staticmethod
     def verify(path: str) -> list[str]:
         """The artifact names listed in the manifest of ``path``; raise
-        CorruptFileError unless it is a complete run whose listed names keep
-        the name rule above and whose artifacts match their checksums."""
+        CorruptFileError unless it is a complete run, its STATUS and manifest
+        UTF-8 text, whose listed names keep the name rule above and whose
+        artifacts match their checksums."""
         status_path = os.path.join(path, STATUS_FILE)
         if not os.path.exists(status_path):
             raise CorruptFileError(f"no {STATUS_FILE} in {path}")
-        with open(status_path) as fh:
-            status = fh.read().strip()
+        status = _read_text(status_path).strip()
         if status != "complete":
             raise CorruptFileError(f"run {path} has STATUS {status!r}, not 'complete'")
         manifest = os.path.join(path, MANIFEST_FILE)
         if not os.path.exists(manifest):
             raise CorruptFileError(f"no manifest in {path}")
         names = []
-        with open(manifest) as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                digest, sep, name = line.partition("  ")
-                if not sep:
-                    raise CorruptFileError(f"bad manifest line {line!r} in {path}")
-                if name in ("", ".", "..") or os.path.basename(name) != name:
-                    raise CorruptFileError(f"manifest of {path} lists {name!r}, not a file name")
-                target = os.path.join(path, name)
-                if os.path.islink(target) or not os.path.isfile(target):
-                    raise CorruptFileError(f"{name} in {path} is missing or not a regular file")
-                if _sha256(target) != digest:
-                    raise CorruptFileError(f"checksum mismatch for {name} in {path}")
-                names.append(name)
+        for line in _read_text(manifest).split("\n"):
+            if not line:
+                continue
+            digest, sep, name = line.partition("  ")
+            if not sep:
+                raise CorruptFileError(f"bad manifest line {line!r} in {path}")
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise CorruptFileError(f"manifest of {path} lists {name!r}, not a file name")
+            target = os.path.join(path, name)
+            if os.path.islink(target) or not os.path.isfile(target):
+                raise CorruptFileError(f"{name} in {path} is missing or not a regular file")
+            if _sha256(target) != digest:
+                raise CorruptFileError(f"checksum mismatch for {name} in {path}")
+            names.append(name)
         return names

@@ -14,7 +14,6 @@ from embmask import (
     BenchmarkSpec,
     MaskGenConfig,
     Mlp,
-    ParamStore,
     TrainConfig,
     accuracy,
     bound_terms,
@@ -120,8 +119,10 @@ def test_criterion_4_bound_on_random_affine_instances():
             shared_dims=sorted(int(j) for j in perm[:k]),
             specific_dims=sorted(int(j) for j in perm[k:]),
         )
-        store = ParamStore({"w0": rng.normal(scale=2.0, size=(d, c)), "b0": rng.normal(size=c)})
-        split = split_model(Mlp.from_store(store), 0)
+        model = Mlp([d, c])
+        model.store["w0"][...] = rng.normal(scale=2.0, size=(d, c))
+        model.store["b0"][...] = rng.normal(size=c)
+        split = split_model(model, 0)
         z = rng.normal(scale=3.0, size=(1, d))
         mask = rng.uniform(size=(1, d))
         for kind in ("L2", "L1"):

@@ -15,7 +15,7 @@ import pytest
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
 from embmask.experiment import base_layers
 from embmask.mask import INFERENCE_MODES
-from embmask.nn import ParamStore, load_params, save_params
+from embmask.nn import load_params
 from embmask.rundir import RunDirectory
 from embmask.synthbench import (
     BenchmarkSpec,
@@ -78,7 +78,7 @@ def pipeline(tmp_path_factory):
 _RUN = ["seed", "out_dir"]
 _BASE = [*_RUN, "data.dir", "base.model", "base.split_index"]
 _MASK = ["mask.tau", "mask.inference_mode"]
-_MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", "eval.repeats", *_MASK]
+_MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", *_MASK]
 _TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
 
 # Every key of every command, so that a new field of BenchmarkSpec,
@@ -98,7 +98,7 @@ COMMAND_KEYS = {
     "train-erm": [*_RUN, "data.dir", "model.hidden", *_TRAIN, "train.max_epochs"],
     "train-emg": [*_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "mask.tau"],
     "eval": [*_BASE, *_MASK_SOURCE],
-    "sweep-global": [*_BASE, "sweep.grid", "sweep.repeats"],
+    "sweep-global": [*_BASE, "sweep.grid"],
     "bound-check": [*_BASE, "emg.model", *_MASK],
     "export-embeddings": [*_BASE, "export.which", *_MASK_SOURCE],
 }
@@ -156,7 +156,7 @@ def test_train_erm_reads_domains_in_index_order(tmp_path):
     spec = BenchmarkSpec(**{k.split(".")[1]: v for k, v in bench.items()}, seed=0)
     train, _, _ = generate_benchmark(spec)
     model, _ = train_erm(TrainConfig(seed=0, max_epochs=2), train, base_layers(train, [4]))
-    assert load_params(str(tmp_path / "erm" / "base_model")).checksum() == model.store.checksum()
+    assert load_params(str(tmp_path / "erm" / "base_model")).store.checksum() == model.store.checksum()
 
 
 def test_eval_modes_and_report_shape(pipeline, tmp_path):
@@ -165,11 +165,7 @@ def test_eval_modes_and_report_shape(pipeline, tmp_path):
     # The mask-source keys each mode reads: config.txt records no others.
     for name, extra, read in (
         ("none", {"eval.mode": "none"}, []),
-        (
-            "global",
-            {"eval.mode": "global", "eval.mask_percent": 25},
-            ["eval.mask_percent", "eval.repeats"],
-        ),
+        ("global", {"eval.mode": "global", "eval.mask_percent": 25}, ["eval.mask_percent"]),
         ("noise_free", emg, ["emg.model", *_MASK]),
         ("sample_avg", {**emg, "mask.inference_mode": "sample_avg"}, ["emg.model", *_MASK]),
         # expected is the keep probability 1-p: mask.tau does not shape it.
@@ -222,9 +218,9 @@ def test_global_eval_matches_its_sweep_row(pipeline, tmp_path):
     so one seed gives them one mask."""
     cfg, data, base = pipeline["cfg"], pipeline["data"], pipeline["base"]
     inputs = {"data.dir": data, "base.model": base}
-    global_mask = {"eval.mode": "global", "eval.mask_percent": 50, "eval.repeats": 3}
+    global_mask = {"eval.mode": "global", "eval.mask_percent": 50}
     assert run_cmd("eval", cfg, out_dir=tmp_path / "eval", **inputs, **global_mask) == 0
-    grid = {"sweep.grid": "0,50", "sweep.repeats": 3}
+    grid = {"sweep.grid": "0,50"}
     assert run_cmd("sweep-global", cfg, out_dir=tmp_path / "sweep", **inputs, **grid) == 0
     report = json.loads((tmp_path / "eval" / "report.json").read_text())["per_domain_mean"]
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
@@ -337,13 +333,13 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-emg", "mask.sample_count", 4),
                 ("eval", "mask.sample_count", 4),
                 ("gen-data", "benchmark.mixing", "true"),
+                ("sweep-global", "sweep.repeats", 0),
                 # The Gumbel clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
                 # Out-of-range values are config errors, not run failures.
                 ("sweep-global", "sweep.grid", "10,20"),
                 ("sweep-global", "sweep.grid", "0,150"),
-                ("sweep-global", "sweep.repeats", 0),
                 ("train-erm", "model.hidden", 0),
                 ("train-emg", "emg.hidden", -3),
                 # -1 or a layer index of the one-layer base model.
@@ -362,8 +358,12 @@ def test_missing_seed_exits_3(tmp_path):
             {"eval.mode": "global", "eval.mask_percent": 150},
             id="eval-global-eval.mask_percent=150",
         ),
+        # Removed too: the CLI takes permutation importance's default repeats.
         pytest.param(
             "eval", {"eval.mode": "global", "eval.repeats": 0}, id="eval-global-eval.repeats=0"
+        ),
+        pytest.param(
+            "eval", {"eval.mode": "emg", "eval.repeats": 2}, id="eval-emg-eval.repeats=2"
         ),
         # A mask-source key the mode does not read is rejected unless it
         # holds its default.
@@ -376,9 +376,6 @@ def test_missing_seed_exits_3(tmp_path):
             "export-embeddings",
             {"eval.mode": "global", "mask.tau": 0.5},
             id="export-embeddings-global-mask.tau=0.5",
-        ),
-        pytest.param(
-            "eval", {"eval.mode": "emg", "eval.repeats": 2}, id="eval-emg-eval.repeats=2"
         ),
         pytest.param(
             "eval",
@@ -415,18 +412,15 @@ def test_bound_check_unread_mask_key_names_only_its_setting(pipeline, tmp_path, 
     assert not out.exists()
 
 
-def _model_run(path, store):
-    """A complete run directory at ``path`` whose manifest lists the base
-    model ``store``."""
+def _model_run(path, manifest, values):
+    """A complete run directory at ``path`` whose manifest lists a base
+    model file: the manifest line ``manifest`` and the payload ``values``."""
     run = RunDirectory(str(path), {})
-    save_params(store, run.file("base_model"))
-    run.register("base_model.manifest", "base_model.params")
+    run.write_text("base_model.manifest", manifest)
+    (path / "base_model.params").write_bytes(np.asarray(values, "<f8").tobytes())
+    run.register("base_model.params")
     run.finalize()
     return path / "base_model"
-
-
-def _params(**shapes):
-    return ParamStore({name: np.ones(shape) for name, shape in shapes.items()})
 
 
 @pytest.fixture(scope="module")
@@ -435,8 +429,8 @@ def misfits(pipeline):
     embedding; the pipeline's models take 8 features and mask 8 values.
     Data directories with 5 classes and with a label -1; the pipeline's
     base model predicts 3 classes. Also base models, in runs that verify,
-    with a NaN parameter, with a ``w1`` that does not take ``w0``'s width,
-    and with ``b0`` missing."""
+    with a NaN parameter, and with payloads too short for their layers: a
+    ``w1`` that takes 32 values after a 64-wide layer, and ``b0`` missing."""
     root, cfg = pipeline["root"], pipeline["cfg"]
     wide = {**SMALL_BENCH, "benchmark.d_shared": 8, "benchmark.d_specific": 8}
     assert run_cmd("gen-data", cfg, out_dir=root / "data16", **wide) == 0
@@ -450,17 +444,23 @@ def misfits(pipeline):
     _reseal(negative)
     erm = {"data.dir": pipeline["data"], "model.hidden": "12", "train.max_epochs": 1}
     assert run_cmd("train-erm", cfg, out_dir=root / "erm12", **erm) == 0
-    nan = load_params(str(pipeline["base"]))
-    nan["w0"][0, 0] = np.nan
-    unchained = _params(w0=(8, 64), b0=(64,), w1=(32, 3), b1=(3,))
+    line = pipeline["base"].with_suffix(".manifest").read_text()
+    nan = np.fromfile(pipeline["base"].with_suffix(".params"), "<f8")
+    nan[0] = np.nan
     return {
         "data16": root / "data16",
         "more_classes": root / "more_classes",
         "negative_label": negative,
         "base12": root / "erm12" / "base_model",
-        "nan_parameter": _model_run(root / "nan_parameter", nan),
-        "unchained": _model_run(root / "unchained", unchained),
-        "missing_bias": _model_run(root / "missing_bias", _params(w0=(8, 3))),
+        "nan_parameter": _model_run(root / "nan_parameter", line, nan),
+        "unchained": _model_run(
+            root / "unchained",
+            "layers=8,64,3 prefix= trainable=1\n",
+            np.ones(8 * 64 + 64 + 32 * 3 + 3),
+        ),
+        "missing_bias": _model_run(
+            root / "missing_bias", "layers=8,3 prefix= trainable=1\n", np.ones(8 * 3)
+        ),
     }
 
 
@@ -534,7 +534,23 @@ def test_out_dir_that_is_an_input_run_exits_3(pipeline, tmp_path, capsys, cmd, r
 
 def _corrupt_manifest(data, base):
     path = base.with_suffix(".manifest")
-    path.write_text(path.read_text().replace(" offset=0 ", " ", 1))
+    text = path.read_text()
+    assert " prefix= " in text
+    path.write_text(text.replace(" prefix= ", " ", 1))
+
+
+def _non_utf8_status(data, base):
+    (data / "STATUS").write_bytes(b"\xff\n")
+
+
+def _non_utf8_run_manifest(data, base):
+    with open(data / "MANIFEST.txt", "ab") as fh:
+        fh.write(b"\xff\n")
+
+
+def _non_utf8_model_manifest(data, base):
+    base.with_suffix(".manifest").write_bytes(b"layers=8,3 prefix=\xff trainable=1\n")
+    _reseal(base.parent)
 
 
 def _corrupt_oracle(data, base):
@@ -608,6 +624,9 @@ def _manifest_name_of_a_symlink(data, base):
         _manifest_name_outside_run,
         _manifest_name_in_subdirectory,
         _manifest_name_of_a_symlink,
+        _non_utf8_status,
+        _non_utf8_run_manifest,
+        _non_utf8_model_manifest,
     ],
 )
 def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, corrupt):
@@ -626,7 +645,34 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
         assert "not a file name" in err
     if corrupt is _manifest_name_of_a_symlink:
         assert "train_domain_9.csv" in err and "not a regular file" in err
+    if corrupt in (_non_utf8_status, _non_utf8_run_manifest):
+        assert "not UTF-8 text" in err
+    if corrupt is _non_utf8_model_manifest:
+        assert "base_model.manifest is not one line" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "train-emg"])
+def test_models_given_in_each_others_place_exit_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
+    """A base model and a generator file differ in their parameter prefix:
+    each is refused in the other's place, whatever its widths."""
+    inputs = {"data.dir": pipeline["data"], "base.model": pipeline["emg"]}
+    out = tmp_path / "generator_as_base"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=1")
+    assert "base model" in err and "prefix 'g.', not ''" in err
+    assert not out.exists()
+
+    if cmd == "eval":
+        inputs = {"data.dir": pipeline["data"], "base.model": pipeline["base"]}
+        inputs.update({"eval.mode": "emg", "emg.model": pipeline["base"]})
+        out = tmp_path / "base_as_generator"
+        assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
+        err = capsys.readouterr().err
+        assert err.count("error code=") == 1 and err.startswith("error code=1")
+        assert "EMG model" in err and "prefix '', not 'g.'" in err
+        assert not out.exists()
 
 
 def _reseal(run):

@@ -1,11 +1,12 @@
 """Models, parameter store, encoder/predictor split, and serialization."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from embmask import Mlp, ParamStore, load_params, save_params, split_model
+from embmask import Mlp, load_params, save_params, split_model
 from embmask import tensor as T
 from embmask.errors import ContractError, CorruptFileError, ShapeMismatchError, UsageError
 from embmask.train import AdamState, TrainConfig, _fit, optimizer_step
@@ -54,14 +55,15 @@ def test_results_are_not_overwritten_by_a_later_call():
     assert out.tobytes() == keep[0].tobytes() and pred.tobytes() == keep[1].tobytes()
 
 
-def test_set_value_after_build_shows_in_the_next_forward():
+def test_set_value_after_build_shows_in_the_next_forward(tmp_path):
     model = Mlp([4, 5, 3], seed=9)
     x = np.random.default_rng(2).normal(size=(7, 4))
     before = model.forward_np(x)
     model.store["b1"][...] += 1.0
     after = model.forward_np(x)
     assert not (after == before).any()
-    assert (after == Mlp.from_store(model.store).forward_np(x)).all()
+    save_params(model, str(tmp_path / "model"))
+    assert (after == load_params(str(tmp_path / "model")).forward_np(x)).all()
 
 
 def test_forward_rejects_wrong_width():
@@ -185,15 +187,17 @@ def test_affine_params_only_for_single_layer_predictor():
 
 
 def test_save_load_round_trip_bitwise(tmp_path):
-    model = Mlp([3, 4, 2], seed=7)
+    model = Mlp([3, 4, 2], prefix="g.", seed=7)
     model.store.freeze()
     path = str(tmp_path / "model")
-    save_params(model.store, path)
+    save_params(model, path)
+    assert (tmp_path / "model.manifest").read_text() == "layers=3,4,2 prefix=g. trainable=0\n"
+    assert (tmp_path / "model.params").read_bytes() == model.store.flat.astype("<f8").tobytes()
     loaded = load_params(path)
-    assert loaded.names() == model.store.names()
-    assert loaded.frozen
-    for name in model.store.names():
-        assert (loaded[name] == model.store[name]).all()
+    assert loaded.layer_sizes == [3, 4, 2] and loaded.prefix == "g."
+    assert loaded.store.frozen
+    assert loaded.store.names() == model.store.names()
+    assert loaded.store.flat.tobytes() == model.store.flat.tobytes()
     # save -> load -> save reproduces identical bytes
     save_params(loaded, str(tmp_path / "again"))
     for suffix in (".manifest", ".params"):
@@ -202,63 +206,87 @@ def test_save_load_round_trip_bitwise(tmp_path):
         assert a == b
 
 
-def test_save_empty_store(tmp_path):
-    path = str(tmp_path / "empty")
-    save_params(ParamStore({}), path)
-    assert (tmp_path / "empty.params").read_bytes() == b""
-    assert load_params(path).names() == []
-
-
 def test_truncated_payload_raises(tmp_path):
     model = Mlp([3, 2], seed=1)
     path = str(tmp_path / "model")
-    save_params(model.store, path)
+    save_params(model, path)
     payload = (tmp_path / "model.params").read_bytes()
     (tmp_path / "model.params").write_bytes(payload[:-8])
     with pytest.raises(CorruptFileError):
         load_params(path)
 
 
+GOOD_MANIFEST = "layers=3,2 prefix= trainable=1\n"
+
+
 @pytest.mark.parametrize(
-    "old, new",
+    "manifest, payload_change",
     [
-        (" offset=0 ", " "),  # field missing
-        ("offset=0", "offset=zero"),  # non-integer field
-        ("shape=3x2", "shape=3xq"),
-        ("shape=3x2", "shape=3x2 stray"),  # token without '='
-        ("shape=3x2", "shape=-3x-2"),
-        ("count=2", "count=two"),
-        ("name=w0 shape=3x2 offset=0", "name=w0 shape=3x2 offset=16"),  # w0's last row is b0
-        ("name=b0", "name=w0"),
-        ("trainable=1", "trainable=0"),  # the one-flag store cannot hold both
+        ("layers=3,2 trainable=1\n", 0),
+        ("layers=3,2 prefix= trainable=1 bias=1\n", 0),
+        ("layers=3,two prefix= trainable=1\n", 0),
+        ("layers=3,-2 prefix= trainable=1\n", 0),
+        ("layers=3,0 prefix= trainable=1\n", 0),
+        ("layers=6 prefix= trainable=1\n", 0),
+        ("layers=3,2 stray prefix= trainable=1\n", 0),
+        ("layers=3,2 layers=3,2 prefix= trainable=1\n", 0),
+        ("layers=3,2 prefix= trainable=2\n", 0),
+        (GOOD_MANIFEST, -8),
+        (GOOD_MANIFEST, 8),
+        # The per-entry format of earlier versions: there is no fallback reader.
+        (
+            "count=2\nname=w0 shape=3x2 offset=0 trainable=1\n"
+            "name=b0 shape=2 offset=48 trainable=1\n",
+            0,
+        ),
+        # 2**21 values (16 MiB) and 2**62 + 1 values: both refused on the
+        # payload's size, before any array exists.
+        ("layers=1,1048576 prefix= trainable=1\n", 0),
+        ("layers=1,4611686018427387904 prefix= trainable=1\n", 0),
+        (b"layers=3,2 prefix=\xff trainable=1\n", 0),
     ],
     ids=[
         "missing-field",
+        "unknown-key",
         "non-integer",
-        "bad-shape",
-        "token-without-equals",
         "negative-dims",
-        "bad-count",
-        "not-end-to-end",
+        "size-zero",
+        "single-size",
+        "token-without-equals",
         "duplicate-name",
-        "mixed-trainable-flags",
+        "trainable-2",
+        "payload-8-bytes-short",
+        "payload-8-bytes-long",
+        "old-format",
+        "large-layers",
+        "huge-layers",
+        "not-utf8",
     ],
 )
-def test_malformed_manifest_raises_corrupt_file(tmp_path, old, new):
+def test_malformed_manifest_raises_corrupt_file(tmp_path, manifest, payload_change):
     path = str(tmp_path / "model")
-    save_params(Mlp([3, 2], seed=1).store, path)
-    manifest = tmp_path / "model.manifest"
-    text = manifest.read_text()
-    assert old in text
-    manifest.write_text(text.replace(old, new, 1))
-    with pytest.raises(CorruptFileError):
-        load_params(path)
+    save_params(Mlp([3, 2], seed=1), path)
+    assert (tmp_path / "model.manifest").read_text() == GOOD_MANIFEST
+    if isinstance(manifest, str):
+        manifest = manifest.encode()
+    (tmp_path / "model.manifest").write_bytes(manifest)
+    payload = (tmp_path / "model.params").read_bytes()
+    (tmp_path / "model.params").write_bytes(
+        payload[:payload_change] if payload_change < 0 else payload + bytes(payload_change)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptFileError):
+            load_params(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_trainable_store_loads_trainable(tmp_path):
     path = str(tmp_path / "model")
-    save_params(Mlp([3, 2], seed=1).store, path)
-    assert not load_params(path).frozen
+    save_params(Mlp([3, 2], seed=1), path)
+    assert not load_params(path).store.frozen
 
 
 def test_missing_files_raise(tmp_path):
@@ -269,27 +297,28 @@ def test_missing_files_raise(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameter_raises(tmp_path, value):
     path = str(tmp_path / "model")
-    store = Mlp([3, 4, 2], seed=1).store
-    store["w1"][2, 1] = value
-    save_params(store, path)
+    model = Mlp([3, 4, 2], seed=1)
+    model.store["w1"][2, 1] = value
+    save_params(model, path)
     with pytest.raises(CorruptFileError):
         load_params(path)
 
 
-def _store(**shapes):
-    return ParamStore({name: np.ones(shape) for name, shape in shapes.items()})
-
-
 @pytest.mark.parametrize(
-    "shapes",
+    "layers, shapes",
     [
-        {"w0": (3, 64), "b0": (64,), "w1": (32, 2), "b1": (2,)},  # fan-in 32 after width 64
-        {"w0": (3, 4), "w1": (4, 2), "b1": (2,)},  # b0 missing
-        {"w0": (3, 4), "b0": (3,)},  # b0 not shaped (fan_out,)
-        {"w0": (12,), "b0": (4,)},  # w0 not a matrix
+        ("3,64,2", [(3, 64), (64,), (32, 2), (2,)]),  # fan-in 32 after width 64
+        ("3,4,2", [(3, 4), (4, 2), (2,)]),  # b0 missing
+        ("3,4", [(3, 4), (3,)]),  # b0 not shaped (fan_out,)
+        ("12,4", [(12,), (4,)]),  # w0 not a matrix
     ],
     ids=["fan-in", "missing-bias", "bias-width", "weight-rank"],
 )
-def test_layers_that_do_not_chain_raise(shapes):
+def test_layers_that_do_not_chain_raise(tmp_path, layers, shapes):
+    """Parameters that do not chain, laid end to end under the layer sizes
+    they claim: the payload is not as long as those sizes need."""
+    path = tmp_path / "model"
+    path.with_suffix(".manifest").write_text(f"layers={layers} prefix= trainable=1\n")
+    path.with_suffix(".params").write_bytes(np.ones(sum(np.prod(s) for s in shapes)).tobytes())
     with pytest.raises(CorruptFileError):
-        Mlp.from_store(_store(**shapes))
+        load_params(str(path))
