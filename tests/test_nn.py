@@ -225,6 +225,7 @@ GOOD_MANIFEST = "layers=3,2 prefix= trainable=1\n"
         ("layers=3,2 trainable=1\n", 0),
         ("layers=3,2 prefix= trainable=1 bias=1\n", 0),
         ("layers=3,two prefix= trainable=1\n", 0),
+        ("layers=3x2 prefix= trainable=1\n", 0),  # a shape, not a size list
         ("layers=3,-2 prefix= trainable=1\n", 0),
         ("layers=3,0 prefix= trainable=1\n", 0),
         ("layers=6 prefix= trainable=1\n", 0),
@@ -249,6 +250,7 @@ GOOD_MANIFEST = "layers=3,2 prefix= trainable=1\n"
         "missing-field",
         "unknown-key",
         "non-integer",
+        "bad-shape",
         "negative-dims",
         "size-zero",
         "single-size",
