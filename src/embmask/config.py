@@ -16,9 +16,13 @@ from .errors import ConfigError
 
 @dataclass
 class Field:
-    type: type  # int, float, bool, str
+    type: type  # int, float or str
     default: Any = None
     required: bool = False
+
+    def __post_init__(self):
+        if self.type not in (int, float, str):
+            raise TypeError(f"a config field is int, float or str, not {self.type!r}")
 
 
 def parse_kv_text(text: str) -> dict[str, tuple[str, int]]:
@@ -42,13 +46,6 @@ def parse_kv_text(text: str) -> dict[str, tuple[str, int]]:
 
 def _coerce(key: str, raw: str, typ: type, lineno: int) -> Any:
     try:
-        if typ is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key {key!r}: {exc}") from None

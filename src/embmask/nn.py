@@ -89,6 +89,8 @@ class Mlp:
     def __init__(self, layer_sizes: list[int], prefix: str = "", seed: int = 0):
         if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
             raise UsageError(f"bad layer sizes {layer_sizes}")
+        if not re.fullmatch(r"\S*", prefix):  # the manifest's prefix= ends at whitespace
+            raise UsageError(f"parameter prefix {prefix!r} holds whitespace")
         self.layer_sizes = list(layer_sizes)
         self.prefix = prefix
         names = [(f"{prefix}w{i}", f"{prefix}b{i}") for i in range(self.n_layers)]

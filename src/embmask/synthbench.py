@@ -13,7 +13,6 @@ dimensions hold which block.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -179,7 +178,7 @@ def generate_benchmark(
 
 # -- CSV interchange -----------------------------------------------------------
 #
-# Schema: header ``f0..f{D-1},label[,domain]``; values as decimal text with
+# Schema: header ``f0..f{D-1},label,domain``; values as decimal text with
 # 17 significant digits so a round trip preserves every float64 exactly.
 # ``save_table`` writes every per-sample CSV: datasets, embeddings and masks.
 
@@ -189,8 +188,7 @@ _TABLE_CHUNK_ROWS = 128
 
 def save_table(path: str, header: list[str], *blocks: Array) -> None:
     """``header``, then one row per sample of the ``blocks`` side by side (a
-    1-D block is one column): integers as %d, floats as %.17g, CRLF line ends
-    as ``csv.writer`` writes them."""
+    1-D block is one column): integers as %d, floats as %.17g, CRLF line ends."""
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     fmts = ["%d" if b.dtype.kind in "iu" else "%.17g" for b in blocks for _ in range(b.shape[1])]
     line = ",".join(fmts) + "\r\n"
@@ -207,76 +205,54 @@ def save_csv_dataset(data: DomainDataset, path: str) -> None:
 
 
 def load_csv_dataset(path: str) -> DomainDataset:
-    """Read a CSV in the schema above: the features are the ``f*`` columns in
-    header order, ``label`` is required and ``domain`` is read if present. One
-    ``np.loadtxt`` call parses the body; other columns are counted, not parsed."""
+    """Read a CSV in the schema above, exactly as ``save_csv_dataset`` writes
+    it: the header ``f0,...,f{D-1},label,domain`` (D >= 1), then one row of
+    unquoted cells per sample. One ``np.loadtxt`` call parses the body; when it
+    refuses the body or skips a blank line, the same call runs on one line at
+    a time, and the first line it refuses is named in the ``CsvParseError``."""
     if not os.path.exists(path):
         raise CsvParseError(f"no such file: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:  # np.loadtxt refuses a lone CR
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
     buf = io.StringIO(text)
-    header = next(csv.reader(buf), None)
-    if header is None:
-        raise CsvParseError(f"{path}: empty file")
-    feat_idx = [i for i, c in enumerate(header) if c.startswith("f")]
-    if not feat_idx or "label" not in header:
-        raise CsvParseError(f"{path}: needs f* feature columns and a label column")
-    int_idx = [header.index(c) for c in ("label", "domain") if c in header]
-    kinds = {**dict.fromkeys(feat_idx, "f8"), **dict.fromkeys(int_idx, "i8")}
-    dtype = np.dtype([(f"c{i}", kinds.get(i, "U0")) for i in range(len(header))])
+    cells = buf.readline().removesuffix("\n").removesuffix("\r").split(",")
+    dim = len(cells) - 2
+    if dim < 1 or cells != [*(f"f{i}" for i in range(dim)), "label", "domain"]:
+        raise CsvParseError(f"{path}:1: expected the header f0,...,f{{D-1}},label,domain")
+    dtype = np.dtype([("f", "f8", (dim,)), ("label", "i8"), ("domain", "i8")])
 
-    body = buf.tell()
-    lines = text.count("\n", body) + (body < len(text) and not text.endswith("\n"))
-    rows, error = np.empty(0, dtype), None
-    if lines:  # loadtxt warns on an empty body
+    def parse(lines) -> tuple[Array | None, str]:
+        """The rows ``np.loadtxt`` reads from ``lines``, or why it refused them
+        (its message up to its 0-based `` at row N`` count)."""
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = np.loadtxt(buf, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+                return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1), ""
         except (ValueError, Warning) as exc:
-            error = str(exc)
-    if error is not None or len(rows) != lines:  # loadtxt skips blank lines
-        raise _first_bad_row(path, len(header), feat_idx, int_idx, text[body:], error)
-    domains = np.unique(rows[f"c{int_idx[-1]}"]).tolist() if len(int_idx) > 1 else []
+            return None, str(exc).split(" at row ")[0]
+
+    body = buf.tell()
+    lines = text.count("\n", body) + (body < len(text) and not text.endswith("\n"))
+    rows = parse(buf)[0] if lines else np.empty(0, dtype)  # loadtxt warns on an empty body
+    if rows is None or len(rows) != lines:  # loadtxt skips blank lines
+        # Unquoted, every line parses on its own, so some line is refused here.
+        for lineno, line in enumerate(text[body:].split("\n"), start=2):
+            reason = parse([line])[1]
+            if reason:
+                if line in ("", "\r"):  # np.loadtxt refuses a blank line only with a warning
+                    reason = f"expected {dim + 2} cells"
+                raise CsvParseError(f"{path}:{lineno}: {reason}")
+    domains = np.unique(rows["domain"]).tolist()
     if len(domains) > 1:
         raise CsvParseError(f"{path}: multiple domain indices {domains}")
-    features = np.stack([rows[f"c{i}"] for i in feat_idx], axis=1)
+    features = np.ascontiguousarray(rows["f"])
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
         raise CsvParseError(f"{path}:{int(np.argmax(bad)) + 2}: non-finite feature value")
-    return DomainDataset(features, rows[f"c{int_idx[0]}"].copy(), domains[0] if domains else -1)
-
-
-def _first_bad_row(
-    path: str, n_cells: int, feat_idx: list[int], int_idx: list[int], body: str, error: str | None
-) -> CsvParseError:
-    """The error for a body ``np.loadtxt`` refused: the one ``float``/``int`` per
-    cell give or an integer outside int64, else the first row with a non-ASCII
-    cell or one with ``_``."""
-    domains, nonfinite, loose = set(), None, None
-    for rownum, row in enumerate(csv.reader(io.StringIO(body)), start=2):
-        if len(row) != n_cells:
-            return CsvParseError(f"{path}:{rownum}: expected {n_cells} cells")
-        try:
-            feats = [float(row[i]) for i in feat_idx]
-            ints = [int(row[i]) for i in int_idx]
-        except ValueError as exc:
-            return CsvParseError(f"{path}:{rownum}: {exc}")
-        for name, i, v in zip(("label", "domain"), int_idx, ints):
-            if not -(2**63) <= v < 2**63:
-                return CsvParseError(f"{path}:{rownum}: {name} {row[i].strip()} outside int64")
-        domains.update(ints[1:])
-        if nonfinite is None and not all(map(math.isfinite, feats)):
-            nonfinite = CsvParseError(f"{path}:{rownum}: non-finite feature value")
-        cells = [row[i].strip() for i in feat_idx + int_idx]
-        if loose is None and not all(c.isascii() and "_" not in c for c in cells):
-            loose = CsvParseError(f"{path}:{rownum}: not a plain ASCII decimal")
-    if len(domains) > 1:
-        return CsvParseError(f"{path}: multiple domain indices {sorted(domains)}")
-    return nonfinite or loose or CsvParseError(f"{path}: {error or 'a quoted cell spans lines'}")
+    return DomainDataset(features, rows["label"].copy(), domains[0] if domains else -1)
 
 
 # -- oracle persistence ----------------------------------------------------------

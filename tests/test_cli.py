@@ -567,6 +567,22 @@ def _nan_feature(data, base):
     _reseal(data)
 
 
+def _swapped_header(data, base):
+    path = data / "unseen.csv"
+    text = path.read_text()
+    assert ",label,domain\n" in text
+    path.write_text(text.replace(",label,domain\n", ",domain,label\n", 1))
+    _reseal(data)
+
+
+def _malformed_cell(data, base):
+    path = data / "unseen.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = "1_0" + lines[5][lines[5].index(",") :]
+    path.write_text("\n".join(lines) + "\n")
+    _reseal(data)
+
+
 def _flip_param_byte(data, base):
     path = base.with_suffix(".params")
     blob = bytearray(path.read_bytes())
@@ -618,6 +634,8 @@ def _manifest_name_of_a_symlink(data, base):
         _corrupt_manifest,
         _corrupt_oracle,
         _nan_feature,
+        _swapped_header,
+        _malformed_cell,
         _flip_param_byte,
         _incomplete_data_dir,
         _garbled_manifest_line,
@@ -639,8 +657,13 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
     assert run_cmd("eval", pipeline["cfg"], out_dir=out, **{"data.dir": data, "base.model": base}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
+    assert err.count("error code=") == 1
     if corrupt is _nan_feature:  # re-sealed, so the CSV check itself refuses it
         assert "unseen.csv:6: non-finite feature value" in err
+    if corrupt is _swapped_header:
+        assert "unseen.csv:1: expected the header" in err
+    if corrupt is _malformed_cell:
+        assert "unseen.csv:6: " in err and "'1_0'" in err
     if corrupt in (_manifest_name_outside_run, _manifest_name_in_subdirectory):
         assert "not a file name" in err
     if corrupt is _manifest_name_of_a_symlink:

@@ -206,6 +206,21 @@ def test_save_load_round_trip_bitwise(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("prefix", ["a b", "a\tb", "a\nb"])
+def test_prefix_with_whitespace_rejected(prefix):
+    # the manifest's prefix= value ends at the first whitespace
+    with pytest.raises(UsageError):
+        Mlp([2, 2], prefix=prefix)
+
+
+@pytest.mark.parametrize("prefix", ["", "g."])
+def test_prefix_survives_save_load_save(tmp_path, prefix):
+    save_params(Mlp([2, 2], prefix=prefix), str(tmp_path / "model"))
+    save_params(load_params(str(tmp_path / "model")), str(tmp_path / "again"))
+    for suffix in (".manifest", ".params"):
+        assert (tmp_path / ("model" + suffix)).read_bytes() == (tmp_path / ("again" + suffix)).read_bytes()
+
+
 def test_truncated_payload_raises(tmp_path):
     model = Mlp([3, 2], seed=1)
     path = str(tmp_path / "model")
