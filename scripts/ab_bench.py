@@ -21,13 +21,18 @@ one table per workload: the first quartile, median and third quartile of
 both sides and in how many pairs this checkout did better, with "better" as
 ``BENCHMARK.json`` defines it. ``clear`` marks a metric on which this
 checkout won at least 9 pairs in 10 and whose median moved the right way by
-more than the parent's interquartile range. The exit status is 1 if any run
-of any workload had a failed operation.
+more than the parent's interquartile range. ``worse`` marks a metric whose
+median moved the wrong way by more than its ``BENCHMARK.json`` bound, taken
+as a fraction of the parent's median. ``unresolved`` marks a metric whose
+parent interquartile range is itself wider than that bound, so that the
+runs are too spread to tell a move within the bound from noise. The exit
+status is 1 if any run of any workload had a failed operation.
 
 ``--json-out PATH`` also writes what the tables show as JSON: the parent
 revision as given and the commit it resolved to, ``--seed``, ``--seconds``
-and ``--pairs``, and per workload each metric's quartiles, wins, pairs and
-``clear``, with the failed-operation counts of both sides.
+and ``--pairs``, and per workload each metric's bound, quartiles, wins,
+pairs, ``clear``, ``worse`` and ``unresolved``, with the failed-operation
+counts of both sides.
 """
 
 from __future__ import annotations
@@ -69,14 +74,18 @@ def summarize(end_to_end: list[dict], parent: list[dict], change: list[dict]) ->
         wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
         pa, pb = quartiles(a), quartiles(b)
         gain = pa[1] - pb[1] if lower else pb[1] - pa[1]
+        allowed = spec["bound"] * abs(pa[1])
         rows.append({
             "name": name,
             "better": spec["better"],
+            "bound": spec["bound"],
             "parent": pa,
             "change": pb,
             "wins": wins,
             "pairs": len(a),
             "clear": wins >= 0.9 * len(a) and gain > pa[2] - pa[0],
+            "worse": -gain > allowed,
+            "unresolved": pa[2] - pa[0] > allowed,
         })
     return rows
 
@@ -85,12 +94,16 @@ def format_rows(rows: list[dict]) -> str:
     def q(t):
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
 
+    def flag(r, key):
+        return "yes" if r[key] else "no"
+
     lines = [f"{'metric':<12} {'better':<6} {'parent median [q1, q3]':<34} "
-             f"{'change median [q1, q3]':<34} wins   clear"]
+             f"{'change median [q1, q3]':<34} wins   clear worse unresolved"]
     for r in rows:
         lines.append(
             f"{r['name']:<12} {r['better']:<6} {q(r['parent']):<34} {q(r['change']):<34} "
-            f"{r['wins']:>2}/{r['pairs']:<3} {'yes' if r['clear'] else 'no'}"
+            f"{r['wins']:>2}/{r['pairs']:<3} {flag(r, 'clear'):<5} {flag(r, 'worse'):<5} "
+            f"{flag(r, 'unresolved')}"
         )
     return "\n".join(lines)
 

@@ -1,29 +1,23 @@
-"""Gumbel noise and the temperature-controlled embedding mask.
+"""Logistic noise and the temperature-controlled embedding mask.
 
 The mask generator network G maps an input x to logits whose sigmoid gives
 per-dimension drop probabilities p in (0,1)^d. A soft keep-mask is then
+m = sigmoid((log(1-p) - log p + L) / tau), with L standard logistic noise
+log u - log(1-u), u ~ Uniform(0,1): the law of h - h' for independent
+standard Gumbels h, h', so m is the Gumbel-sigmoid (Binary Concrete)
+relaxation drawn from one uniform per entry. Under the [1e-12, 1-1e-12]
+clamps of u and p, log-odds and noise are each at most 27.64 in size, so
+their sum times 1/tau is finite for every tau >= ``TAU_MIN`` (about
+3.07e-307), the smallest tau ``MaskGenConfig`` accepts. As tau -> 0 the mask
+approaches a Bernoulli(1-p) keep draw. Gradients flow to G through p only.
 
-    m_i = exp((log(1-p_i) + h_i)/tau)
-          / [exp((log(1-p_i) + h_i)/tau) + exp((log p_i + h'_i)/tau)]
-
-with h, h' standard Gumbel noise -log(-log u), u ~ Uniform(0,1). Computed in
-log space as sigmoid(((log(1-p) - log p) + (h - h')) / tau), which cannot
-overflow for any tau >= 1e-4. As tau -> 0 the mask approaches a Bernoulli
-draw with keep probability 1-p; tau is the only knob controlling how discrete
-the relaxation is. Gradients flow to G through p only; noise is a constant.
-
-``_keep`` is the one place this formula is computed: the training mask
-(``relaxed_mask_np``) and the noise_free and sample_avg modes reuse it, so a
-noise_free mask is bitwise the zero-noise training mask. Training draws noise
-from the caller's generator; ``inference_mask(p, cfg, seed)`` draws it only
-for the ``SAMPLE_COUNT`` masks that ``sample_avg`` averages, from the stream
-``SeedSequence((seed, 0xE7))``. Per sample, ``sample_avg`` walks the flattened
-p in blocks of ``_BLOCK`` entries, in stream order: first all of h, block by
-block into one full-size buffer reused by every sample, then h' block by block
-into one block-sized scratch buffer, each h' block becoming h - h' and going
-through ``_keep`` into the running sum. Every bit is that of the full-size
-loop. The kernels work in place on arrays they allocate, never on their
-arguments.
+``_keep`` is the one place the formula is computed: the training mask and
+the noise_free and sample_avg modes reuse it, so a noise_free mask is bitwise
+the zero-noise training mask. ``inference_mask`` walks the flattened p in
+blocks of ``_BLOCK`` entries; ``sample_avg`` draws each sample's noise from
+the stream ``SeedSequence((seed, 0xE7))`` block by block into one
+block-sized buffer, and every bit is that of the full-size formula. The
+kernels work in place on arrays they allocate, never on their arguments.
 """
 
 from __future__ import annotations
@@ -43,6 +37,11 @@ Array = np.ndarray
 MODE_READS = {"noise_free": ("tau",), "expected": (), "sample_avg": ("tau",)}
 INFERENCE_MODES = tuple(MODE_READS)
 SAMPLE_COUNT = 8  # masks averaged by sample_avg
+_P_EPS = 1e-12  # uniforms, probabilities and masks clamped to [eps, 1-eps]
+_BLOCK = 32768  # inference entries per block: 256 KiB of float64, cache-sized
+# The largest |log-odds| or |noise| under the clamps is log(1-eps) - log(1-(1-eps));
+# below TAU_MIN twice that times 1/tau overflows.
+TAU_MIN = 2.0 * float(np.log(1.0 - _P_EPS) - np.log(1.0 - (1.0 - _P_EPS))) / np.finfo(np.float64).max
 
 
 @dataclass
@@ -51,33 +50,31 @@ class MaskGenConfig:
     inference_mode: str = "noise_free"
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not (np.isfinite(self.tau) and self.tau >= TAU_MIN):
+            raise ConfigError(f"tau must be finite and >= {TAU_MIN:.4g}, got {self.tau}")
         if self.inference_mode not in INFERENCE_MODES:
             raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
 
 
-_P_EPS = 1e-12  # uniforms, probabilities and masks clamped to [eps, 1-eps]
-_BLOCK = 32768  # sample_avg entries per block: 256 KiB of float64, cache-sized
-
-
-def _to_gumbel(g: Array) -> Array:
-    """Uniform draws u turned in place into -log(-log u), u clamped away from {0,1}."""
+def gumbel_sample(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
+    """i.i.d. standard Gumbel draws -log(-log u), u clamped away from {0,1}."""
+    g = rng.random(shape)
     np.clip(g, _P_EPS, 1.0 - _P_EPS, out=g)
     np.negative(np.log(g, out=g), out=g)
     return np.negative(np.log(g, out=g), out=g)
 
 
-def gumbel_sample(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
-    """i.i.d. standard Gumbel draws -log(-log u), u clamped away from {0,1}."""
-    return _to_gumbel(rng.random(shape))
+def _to_logistic(u: Array) -> Array:
+    """Uniform draws u turned in place into log u - log(1-u), u clamped away from {0,1}."""
+    v = 1.0 - np.clip(u, _P_EPS, 1.0 - _P_EPS, out=u)
+    np.log(u, out=u)
+    u -= np.log(v, out=v)
+    return u
 
 
-def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
-    """The mask's noise h - h', h drawn first."""
-    h = gumbel_sample(rng, shape)
-    h -= gumbel_sample(rng, shape)
-    return h
+def logistic_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
+    """The mask's noise: i.i.d. standard logistic draws, one uniform each."""
+    return _to_logistic(rng.random(shape))
 
 
 def sigmoid_np(x: Array, out: Array | None = None) -> Array:
@@ -108,7 +105,7 @@ def _keep(log_odds: Array, noise: Array | float, tau: float) -> tuple[Array, Arr
 
 
 def keep_mask(p: Array, noise: Array | float, tau: float) -> tuple[Array, Array]:
-    """The mask from clamped drop probabilities p and noise h - h': the
+    """The mask from clamped drop probabilities p and logistic noise: the
     clipped mask m and the unclipped m0 = sigmoid((log(1-p) - log p + noise)/tau)."""
     return _keep(_log_odds(p), noise, tau)
 
@@ -153,48 +150,48 @@ def training_mask(
     cfg: MaskGenConfig,
     rng: np.random.Generator,
 ) -> T.Tensor:
-    """Stochastic mask for a training batch on the tape; fresh Gumbel noise
-    per call, drawn as ``train.emg_forward`` draws it.
-    """
+    """Stochastic mask for a training batch on the tape; fresh logistic noise
+    per call, drawn as ``train.emg_forward`` draws it."""
     logits = generator.forward(T.Tensor(x), leaves)
-    return relaxed_mask(logits, gumbel_noise(rng, logits.shape), cfg.tau)
+    return relaxed_mask(logits, logistic_noise(rng, logits.shape), cfg.tau)
 
 
 def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Deterministic (or seed-scoped averaged) mask for evaluation.
 
-    noise_free: ``keep_mask`` with zero noise, i.e.
-        m_i = (1-p_i)^(1/tau) / ((1-p_i)^(1/tau) + p_i^(1/tau)),
-    which is exactly 1-p at tau = 1 (special-cased to keep the identity
-    exact in floating point).
-    expected: the Bernoulli keep probability 1-p.
-    sample_avg: mean of SAMPLE_COUNT training masks, their noise drawn from
-    the stream ``SeedSequence((seed, 0xE7))``; the other modes draw none.
-    Every mode rejects a ``seed`` that is not a non-negative int with
-    ``ConfigError`` and a non-finite ``p`` with ``NumericError``.
+    noise_free: ``keep_mask`` with zero noise, (1-p)^(1/tau) / ((1-p)^(1/tau)
+    + p^(1/tau)), special-cased to exactly 1-p at tau = 1. expected: the
+    Bernoulli keep probability 1-p. sample_avg: mean of SAMPLE_COUNT training
+    masks, their noise drawn from ``SeedSequence((seed, 0xE7))``; the other
+    modes draw none. Every mode rejects a ``seed`` that is not a non-negative
+    int with ``ConfigError``, and a ``p`` outside [0, 1] (NaN included) with
+    ``NumericError``, before any draw.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
     p = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(p).all():
-        raise NumericError("drop probabilities must be finite")
-    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    if cfg.inference_mode == "sample_avg":
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise NumericError("drop probabilities must lie in [0, 1]")
+    mode, tau = cfg.inference_mode, cfg.tau
+    if mode == "sample_avg":
+        kernel = _log_odds
+    elif mode == "expected" or tau == 1.0:
+        kernel = lambda q: 1.0 - q
+    else:
+        kernel = lambda q: _keep(_log_odds(q), 0.0, tau)[0]
+    flat, out = p.reshape(-1), np.empty(p.size)
+    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, flat.size, _BLOCK)]
+    for b in blocks:
+        out[b] = kernel(np.clip(flat[b], _P_EPS, 1.0 - _P_EPS))
+    if mode == "sample_avg":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
-        flat = p.reshape(-1)
-        log_odds, acc = _log_odds(flat), np.zeros_like(flat)
-        h, scratch = np.empty_like(flat), np.empty(min(flat.size, _BLOCK))
-        blocks = [slice(s, s + _BLOCK) for s in range(0, flat.size, _BLOCK)]
+        log_odds, out, buf = out, np.zeros(p.size), np.empty(min(p.size, _BLOCK))
         for _ in range(SAMPLE_COUNT):
-            for b in blocks:  # all of h first, as one full-size draw takes it
-                _to_gumbel(rng.random(out=h[b]))
             for b in blocks:
-                noise = _to_gumbel(rng.random(out=scratch[:h[b].size]))
-                acc[b] += _keep(log_odds[b], np.subtract(h[b], noise, out=noise), cfg.tau)[0]
-        return acc.reshape(p.shape) / SAMPLE_COUNT
-    if cfg.inference_mode == "expected" or cfg.tau == 1.0:
-        return 1.0 - p
-    return keep_mask(p, 0.0, cfg.tau)[0]
+                noise = _to_logistic(rng.random(out=buf[:log_odds[b].size]))
+                out[b] += _keep(log_odds[b], noise, tau)[0]
+        out /= SAMPLE_COUNT
+    return out.reshape(p.shape)
 
 
 def drop_probabilities(generator: Mlp, x: Array) -> Array:

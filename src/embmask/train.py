@@ -38,7 +38,7 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .mask import MaskGenConfig, gumbel_noise, relaxed_mask_grad, relaxed_mask_np
+from .mask import MaskGenConfig, logistic_noise, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
 from .synthbench import DomainDataset
 
@@ -157,10 +157,10 @@ def emg_forward(
 ) -> tuple[float, Backward]:
     """The EMG objective, fused: cross entropy between the target
     distribution q and the frozen predictor on m * z, with m the training
-    mask the generator gives x under fresh Gumbel noise from rng."""
+    mask the generator gives x under fresh logistic noise from rng."""
     gen_acts = generator.forward_train(x)
     logits = gen_acts[-1]
-    m, mask_cache = relaxed_mask_np(logits, gumbel_noise(rng, logits.shape), mask_cfg.tau)
+    m, mask_cache = relaxed_mask_np(logits, logistic_noise(rng, logits.shape), mask_cfg.tau)
     if m.shape != z.shape:
         raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}")
     pred_acts = split.model.forward_train(m * z, split.split_index)
@@ -337,7 +337,7 @@ def train_emg(
     """Train the mask generator against the frozen encoder/predictor.
 
     z = g(x) and the target q come from ``_emg_target`` once per row. Per
-    batch: draw m from G(x) with fresh Gumbel noise and update theta_G to
+    batch: draw m from G(x) with fresh logistic noise and update theta_G to
     minimize the cross entropy between q and c(m * z). Raises if the base
     model is not frozen, and verifies by checksum that it stayed bitwise
     intact.

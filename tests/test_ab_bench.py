@@ -59,10 +59,51 @@ def test_clear_needs_nine_in_ten_and_a_median_gap_beyond_the_parent_spread():
     assert rows["rows_per_s"]["wins"] == 0  # a tie is not a win
 
 
+def _one_metric(parent_op_s, change_op_s, parent_rows, change_rows):
+    rows = ab_bench.summarize(END_TO_END, _runs(parent_op_s, parent_rows), _runs(change_op_s, change_rows))
+    return {r["name"]: r for r in rows}
+
+
+def test_worse_marks_a_median_that_moved_past_the_bound():
+    # Both bounds are 0.25 of the parent median: op_s 1.0 s, rows_per_s 100.
+    flat = [1.0] * 5, [100.0] * 5
+    cases = [  # change op_s, change rows_per_s, worse?
+        (1.25, 75.0, False),  # at the bound
+        (1.2500001, 74.99999, True),  # just past it
+        (1.2499999, 75.00001, False),  # just inside it
+        (0.5, 200.0, False),  # better by far
+    ]
+    for op_s, rows_per_s, worse in cases:
+        rows = _one_metric(flat[0], [op_s] * 5, flat[1], [rows_per_s] * 5)
+        assert rows["op_s"]["worse"] is worse and rows["rows_per_s"]["worse"] is worse, (op_s, rows_per_s)
+        assert not rows["op_s"]["unresolved"] and rows["op_s"]["bound"] == 0.25
+
+
+def test_unresolved_marks_a_parent_spread_wider_than_the_bound():
+    # Inclusive quartiles of five runs are the second and fourth values.
+    for q1, q3, unresolved in [(0.875, 1.125, False), (0.875, 1.126, True), (0.874, 1.125, True),
+                               (0.9, 1.1, False)]:
+        parent = [q1, q1, 1.0, q3, q3]
+        rows = _one_metric(parent, [1.0] * 5, [100.0] * 5, [100.0] * 5)
+        assert rows["op_s"]["unresolved"] is unresolved, (q1, q3)
+        assert not rows["op_s"]["worse"] and not rows["rows_per_s"]["unresolved"]
+    # A wide parent spread does not hide a regression past the bound.
+    rows = _one_metric([0.5, 0.5, 1.0, 1.5, 1.5], [2.0] * 5, [100.0] * 5, [100.0] * 5)
+    assert rows["op_s"]["unresolved"] and rows["op_s"]["worse"]
+
+
 def test_format_rows_prints_every_metric():
     parent = _runs([1.0, 1.1], [5.0, 6.0])
     text = ab_bench.format_rows(ab_bench.summarize(END_TO_END, parent, parent))
     assert text.count("\n") == 2 and "op_s" in text and "rows_per_s" in text
+    assert text.splitlines()[0].endswith("wins   clear worse unresolved")
+
+
+def test_format_rows_shows_both_flags():
+    rows = _one_metric([0.5, 0.5, 1.0, 1.5, 1.5], [2.0] * 5, [100.0] * 5, [100.0] * 5)
+    header, op_s, rows_per_s = ab_bench.format_rows(list(rows.values())).splitlines()
+    assert op_s.split()[-3:] == ["no", "yes", "yes"]
+    assert rows_per_s.split()[-3:] == ["no", "no", "no"]
 
 
 def _fake_runs(monkeypatch, failing=None):
@@ -121,6 +162,7 @@ def test_json_out_holds_what_the_tables_show(monkeypatch, capsys, tmp_path):
     assert op["parent"] == {"q1": 0.3, "median": 0.3, "q3": 0.3}
     assert op["change"] == {"q1": 0.2, "median": 0.2, "q3": 0.2}
     assert (op["name"], op["better"], op["wins"], op["pairs"], op["clear"]) == ("op_s", "lower", 3, 3, True)
+    assert (op["bound"], op["worse"], op["unresolved"]) == (0.25, False, False)
     assert " 3/3 " in capsys.readouterr().out
 
 

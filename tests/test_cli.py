@@ -325,6 +325,8 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-erm", "train.learning_rate", 0),
                 ("train-emg", "mask.tau", "nan"),
                 ("train-emg", "mask.tau", "inf"),
+                # Below mask.TAU_MIN the mask logit overflows.
+                ("train-emg", "mask.tau", "1e-320"),
                 # Keys a command does not read are not accepted.
                 ("train-emg", "train.max_epochs", 5),
                 # Removed settings are unknown keys to every command.
@@ -334,7 +336,7 @@ def test_missing_seed_exits_3(tmp_path):
                 ("eval", "mask.sample_count", 4),
                 ("gen-data", "benchmark.mixing", "true"),
                 ("sweep-global", "sweep.repeats", 0),
-                # The Gumbel clamp is a constant, not a key.
+                # The noise clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
                 # Out-of-range values are config errors, not run failures.

@@ -1,25 +1,29 @@
-"""Gumbel sampling and the temperature-controlled soft mask."""
+"""Logistic and Gumbel sampling and the temperature-controlled soft mask."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask
+from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask, split_model
 from embmask import mask as mask_module
 from embmask import tensor as T
 from embmask.errors import ConfigError, NumericError, ShapeMismatchError
 from embmask.mask import (
-    gumbel_noise,
+    TAU_MIN,
     keep_mask,
+    logistic_noise,
     relaxed_mask,
     relaxed_mask_grad,
     relaxed_mask_np,
     sigmoid_np,
     training_mask,
 )
+from embmask.train import emg_forward
 from finite_diff import finite_difference_error
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -61,6 +65,43 @@ def test_gumbel_moments_monte_carlo():
     assert abs(draws.var() - math.pi**2 / 6.0) <= 0.05
 
 
+def test_logistic_noise_is_standard_logistic_over_a_million_draws():
+    """Mean 0, variance pi^2/3 (excess kurtosis 6/5) and deciles log(q/(1-q)),
+    each within 4 standard errors."""
+    n = 1_000_000
+    draws = logistic_noise(np.random.default_rng(0), (n,))
+    var = math.pi**2 / 3.0
+    assert abs(draws.mean()) <= 4.0 * math.sqrt(var / n)
+    assert abs(draws.var() - var) <= 4.0 * var * math.sqrt((4.2 - 1.0) / n)
+    # a sample q-quantile has standard error 1/sqrt(n q (1-q)) under the
+    # logistic density q(1-q) at its q-quantile
+    q = np.arange(1, 10) / 10.0
+    err = np.abs(np.quantile(draws, q) - np.log(q / (1.0 - q)))
+    assert (err <= 4.0 / np.sqrt(n * q * (1.0 - q))).all()
+
+
+def test_noise_streams_take_one_uniform_per_mask_entry(monkeypatch):
+    base = Mlp([4, 5, 3], seed=1)
+    base.store.freeze()
+    split, gen = split_model(base), Mlp([4, 5], prefix="g.", seed=2)
+    x = np.random.default_rng(0).normal(size=(7, 4))
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    emg_forward(split, gen, x, split.encode_np(x), np.full((7, 3), 1.0 / 3.0), MaskGenConfig(), rng)
+    twin.random(7 * 5)  # batch x embedding width
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+    p = np.full((3 * _B // 64 + 17, 64), 0.3)
+    twin = _stream(4)
+    twin.random(mask_module.SAMPLE_COUNT * p.size)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
+    for mode in ("noise_free", "expected"):
+        inference_mask(p, MaskGenConfig(inference_mode=mode), 4)
+    assert made == []  # the other modes draw none
+    inference_mask(p, MaskGenConfig(inference_mode="sample_avg"), 4)
+    assert [g.bit_generator.state for g in made] == [twin.bit_generator.state]
+
+
 # -- mask formula ---------------------------------------------------------------
 
 
@@ -77,8 +118,9 @@ def _ref_gumbel_sample(rng, shape):
     return -np.log(-np.log(u))
 
 
-def _ref_gumbel_noise(rng, shape):
-    return _ref_gumbel_sample(rng, shape) - _ref_gumbel_sample(rng, shape)
+def _ref_logistic_noise(rng, shape):
+    u = np.clip(rng.random(shape), _P_EPS, 1.0 - _P_EPS)
+    return np.log(u) - np.log(1.0 - u)
 
 
 def _ref_sigmoid_np(x):
@@ -101,7 +143,7 @@ def _ref_sample_avg(p, cfg, seed, count):
     p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
     acc = np.zeros_like(p)
     for _ in range(count):
-        acc += _ref_keep_mask(p, _ref_gumbel_noise(rng, p.shape), cfg.tau)[0]
+        acc += _ref_keep_mask(p, _ref_logistic_noise(rng, p.shape), cfg.tau)[0]
     return acc / count
 
 
@@ -182,7 +224,7 @@ def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
 def test_mask_stays_inside_open_unit_interval(tau, p, seed):
     rng = np.random.default_rng(seed)
     p = np.array(p)
-    m = keep_mask(p, gumbel_noise(rng, p.shape), tau)[0]
+    m = keep_mask(p, logistic_noise(rng, p.shape), tau)[0]
     assert np.isfinite(m).all()
     assert ((m > 0.0) & (m < 1.0)).all()
 
@@ -225,7 +267,7 @@ def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau, monkeypatch):
     logits = _logits()
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
     m = inference_mask(sigmoid_np(logits), cfg, 9)
-    noise = gumbel_noise(_stream(9), logits.shape)
+    noise = logistic_noise(_stream(9), logits.shape)
     m_train, _ = relaxed_mask_np(logits, noise, tau)
     assert m.tobytes() == m_train.tobytes()
 
@@ -246,7 +288,7 @@ def test_training_mask_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     flat = rng.normal(size=24)
     logits = flat.reshape(4, 6)  # a view: perturbing flat perturbs the logits
-    noise = gumbel_noise(np.random.default_rng(5), logits.shape)
+    noise = logistic_noise(np.random.default_rng(5), logits.shape)
     w = rng.normal(size=logits.shape)
     for tau in (0.5, 2.0):
         m, cache = relaxed_mask_np(logits, noise, tau)
@@ -292,6 +334,11 @@ def test_sample_avg_stays_open_and_is_seed_scoped():
 def test_config_validation():
     with pytest.raises(ConfigError):
         MaskGenConfig(tau=0.0)
+    for tau in (1e-320, 1e-307, np.nextafter(TAU_MIN, 0.0)):
+        with pytest.raises(ConfigError, match="tau"):
+            MaskGenConfig(tau=tau)
+    assert 3.0e-307 < TAU_MIN < 3.1e-307
+    assert MaskGenConfig(tau=1e-300).tau == 1e-300
     with pytest.raises(ConfigError):
         MaskGenConfig(inference_mode="nope")
 
@@ -313,7 +360,7 @@ def _edge_logits(shape):
 def test_kernels_match_reference_formulas_bitwise(tau, shape):
     logits = _edge_logits(shape)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    noise, ref_noise = gumbel_noise(rng, shape), _ref_gumbel_noise(ref_rng, shape)
+    noise, ref_noise = logistic_noise(rng, shape), _ref_logistic_noise(ref_rng, shape)
     assert noise.tobytes() == ref_noise.tobytes()
     assert gumbel_sample(rng, shape).tobytes() == _ref_gumbel_sample(ref_rng, shape).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -347,14 +394,46 @@ _B = mask_module._BLOCK
     ids=["one-block", "one-block-plus-a-row", "not-a-block-multiple", "1d-one-block", "1d-ragged"],
 )
 def test_sample_avg_matches_reference_loop_bitwise_at_block_edges(shape, monkeypatch):
-    """The blocked loop keeps the draw order of the full-size one: all of h,
-    then all of h', for each sample in turn."""
+    """The blocked loop keeps the draw order of the full-size one: each
+    sample's noise in turn, block after block."""
     monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 2)
     p = sigmoid_np(_edge_logits(shape))
     cfg = MaskGenConfig(tau=0.1, inference_mode="sample_avg")
     want = _ref_sample_avg(p, cfg, 5, 2)
     got = inference_mask(p, cfg, 5)
     assert got.shape == p.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(_B // 64, 64), (_B + 1,), (3 * _B // 64 + 17, 64), (2 * _B + 5,), ()],
+    ids=["one-block", "1d-one-block-plus-an-entry", "not-a-block-multiple", "1d-ragged", "0d"],
+)
+@pytest.mark.parametrize(
+    "mode, tau", [("noise_free", 0.1), ("noise_free", 1.0), ("expected", 0.1)], ids=["noise_free", "tau-one", "expected"]
+)
+def test_noise_free_and_expected_match_reference_formulas_at_block_edges(shape, mode, tau):
+    p = sigmoid_np(_edge_logits(shape)) if shape else np.array(0.3)
+    clamped = np.clip(p, _P_EPS, 1.0 - _P_EPS)
+    want = _ref_keep_mask(clamped, 0.0, tau)[0] if mode == "noise_free" and tau != 1.0 else 1.0 - clamped
+    got = inference_mask(p, MaskGenConfig(tau=tau, inference_mode=mode))
+    assert got.shape == p.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
+def test_inference_mask_allocates_no_full_size_temporaries(mode, bound):
+    """Traced peak over the call, in units of p.nbytes: the result, plus the
+    log-odds and the running sum for sample_avg, plus block-sized scratch."""
+    p = sigmoid_np(np.random.default_rng(6).normal(size=(4000, 64)))
+    cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inference_mask(p, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / p.nbytes <= bound
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
@@ -372,11 +451,39 @@ def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
     def no_draw(g):
         raise AssertionError("noise drawn for a non-finite p")
 
-    monkeypatch.setattr(mask_module, "_to_gumbel", no_draw)
+    monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
     cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
     for p in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
         with pytest.raises(NumericError):
             inference_mask(p, cfg, 0)
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_inference_mask_rejects_p_outside_the_unit_interval_before_any_draw(mode, monkeypatch):
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
+    edges = inference_mask([0.0, 1.0], cfg, 0)  # a saturated sigmoid gives both
+    assert ((edges > 0.0) & (edges < 1.0)).all()
+
+    def no_draw(g):
+        raise AssertionError("noise drawn for a p outside [0, 1]")
+
+    monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
+    for p in (2.0, -1.0, 1.0 + 2.0**-52, -5e-324):
+        with pytest.raises(NumericError, match=r"\[0, 1\]"):
+            inference_mask([[0.5, p]], cfg, 0)
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_smallest_tau_gives_finite_masks_without_a_warning(mode):
+    cfg = MaskGenConfig(tau=TAU_MIN, inference_mode=mode)
+    p = np.array([0.0, 0.5, 1.0] * 4)
+    logits = np.array([-40.0, 0.0, 40.0] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = inference_mask(p, cfg, 3)
+        m_train = relaxed_mask_np(logits, logistic_noise(np.random.default_rng(3), p.shape), TAU_MIN)[0]
+    for got in (m, m_train):
+        assert np.isfinite(got).all() and ((got > 0.0) & (got < 1.0)).all()
 
 
 def test_kernels_take_scalars_as_the_reference_did(monkeypatch):
@@ -406,7 +513,7 @@ def test_kernels_never_write_into_their_arguments(monkeypatch):
     logits = _logits()
     s = sigmoid_np(logits)  # 0 and 1 at the saturated logits: outside the p clip
     p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
-    noise = gumbel_noise(np.random.default_rng(13), logits.shape)
+    noise = logistic_noise(np.random.default_rng(13), logits.shape)
     _unchanged(sigmoid_np, logits)
     _unchanged(keep_mask, p, noise, 0.1)
     _unchanged(relaxed_mask_np, logits, noise, 0.1)
@@ -415,8 +522,8 @@ def test_kernels_never_write_into_their_arguments(monkeypatch):
         _unchanged(inference_mask, s, cfg, 14)
     # each noise array is a fresh one: a later draw leaves an earlier one alone
     rng = np.random.default_rng(15)
-    first = gumbel_noise(rng, logits.shape)
-    _unchanged(lambda _: gumbel_noise(rng, logits.shape), first)
+    first = logistic_noise(rng, logits.shape)
+    _unchanged(lambda _: logistic_noise(rng, logits.shape), first)
 
 
 def test_sigmoid_out_may_alias_its_input():
