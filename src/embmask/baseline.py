@@ -5,30 +5,31 @@ the accuracy drop when that dimension's values are permuted across the
 pooled training data, then zero the bottom p% (least important dimensions
 are taken to be the most domain-specific ones).
 
-For an affine predictor (the default split) clear of overflow, 2 * max|z| *
-max_j sum_k |W[k, j]| + max|b| + max|W| < 1e300, the score is the exact
-expected drop under a uniformly random permutation, and nothing is drawn. Permuting column k
-gives row i, labelled y, the logits L_i + t * W[k] with t = v - z[i, k] for
-the value v it receives. It stays correct while every class j has
-L_iy - L_ij + t * (W[k, y] - W[k, j]) > 0, or >= 0 for j > y (ties go to the
-lowest class, as in ``np.argmax``). A class with W[k, j] = W[k, y] is decided
-by the sign of L_iy - L_ij alone and any other bounds t on one side, so the
-values that keep row i correct form one interval (lo_i, hi_i). Row i gets each
-of the n column values with probability 1/n, so its expected hit rate is the
-count of column values in that interval over n: two ``searchsorted`` calls on
-the sorted column. A value within 1e-9 * (|z[i, k]| + |t|) of a finite end,
-far above the end's rounding, is scored by those margins at that value. Row i
-needs no interval if span_i * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i),
-with span_i = max(max z[:, k] - z[i, k], z[i, k] - min z[:, k]) bounding |t|,
-m_i its top-two logit margin, L_i its largest |logit|, s_k = max W[k] - min
-W[k] and a_k = max |W[k]|: its lead drops by at most s_k * |t| for every v
+The predictor, the base model's last linear layer, is affine: c(z) = zW + b.
+Clear of overflow, 2 * max|z| * max_j sum_k |W[k, j]| + max|b| + max|W| <
+1e300, the score is the exact expected drop under a uniformly random
+permutation, and nothing is drawn. Permuting column k gives row i, labelled y,
+the logits L_i + t * W[k] with t = v - z[i, k] for the value v it receives. It
+stays correct while every class j has L_iy - L_ij + t * (W[k, y] - W[k, j]) >
+0, or >= 0 for j > y (ties go to the lowest class, as in ``np.argmax``). A
+class with W[k, j] = W[k, y] is decided by the sign of L_iy - L_ij alone and
+any other bounds t on one side, so the values that keep row i correct form one
+interval (lo_i, hi_i). Row i gets each of the n column values with probability
+1/n, so its expected hit rate is the count of column values in that interval
+over n: two ``searchsorted`` calls on the sorted column. A value within 1e-9 *
+(|z[i, k]| + |t|) of a finite end, far above the end's rounding, is scored by
+those margins at that value. Row i needs no interval if
+span_i * (s_k + 1e-6 * a_k) < m_i - 1e-6 * (1 + L_i), with
+span_i = max(max z[:, k] - z[i, k], z[i, k] - min z[:, k]) bounding |t|, m_i
+its top-two logit margin, L_i its largest |logit|, s_k = max W[k] - min W[k]
+and a_k = max |W[k]|: its lead drops by at most s_k * |t| for every v
 (1.2-1.5% of the rows per k need one on the benchmark's models).
 
-Any other predictor, or input past the guard, averages ``repeats``
-permutations from ``rng``, each predicted in full (column k permuted in place
-in one working copy), bitwise as a permuted copy would. The sweep scores all
-p > 0 masks of a domain set in one stacked ``evaluate.ROW_BLOCK``-blocked
-product (``evaluate.global_mask_accuracies``, with its BLAS caveat).
+Input past the guard averages ``repeats`` permutations from ``rng``, each
+predicted in full (column k permuted in place in one working copy), bitwise as
+a permuted copy would. The sweep scores all p > 0 masks of a domain set in one
+stacked ``evaluate.ROW_BLOCK``-blocked product
+(``evaluate.global_mask_accuracies``, with its BLAS caveat).
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ def permutation_importance(
     split: SplitModel, z: Array, labels: Array, repeats: int = 5, rng: np.random.Generator | None = None
 ) -> Array:
     """Accuracy drop per dimension of the embeddings ``z`` under a random
-    permutation of its values, in [-1, 1]: exact on the affine path, which
-    reads neither ``repeats`` nor ``rng``, else averaged over ``repeats``
-    permutations (deterministic given the rng). ``z`` is left unchanged."""
+    permutation of its values, in [-1, 1]: exact inside the overflow guard,
+    which reads neither ``repeats`` nor ``rng``, else averaged over
+    ``repeats`` permutations (deterministic given the rng). ``z`` is left
+    unchanged."""
     if repeats < 1:
         raise UsageError("repeats must be >= 1")
     n, d = z.shape
@@ -86,14 +88,12 @@ def permutation_importance(
         raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({n},)")
     logits = split.predict_np(z)
     base_ok = np.argmax(logits, axis=1) == labels
-    exact = split.predictor_is_affine
-    if exact:
-        w, b = split.predictor_affine_params()
-        # The overflow guard, in Python floats (no warning); NaN or inf fails it.
-        # Its max|W| term keeps every difference of two weights finite.
-        z_max, w_abs = float(np.abs([z.min(initial=0.0), z.max(initial=0.0)]).max()), np.abs(w)
-        bound = 2 * z_max * float(w_abs.sum(axis=0).max()) + float(w_abs.max())
-        exact = bound + float(np.abs(b).max()) < 1e300
+    w, b = split.predictor_affine_params()
+    # The overflow guard, in Python floats (no warning); NaN or inf fails it.
+    # Its max|W| term keeps every difference of two weights finite.
+    z_max, w_abs = float(np.abs([z.min(initial=0.0), z.max(initial=0.0)]).max()), np.abs(w)
+    bound = 2 * z_max * float(w_abs.sum(axis=0).max()) + float(w_abs.max())
+    exact = bound + float(np.abs(b).max()) < 1e300
     # Column k of z is the contiguous row z_t[k], copied in cache-sized tiles.
     z_t = np.empty((d, n), dtype=z.dtype)
     for lo in range(0, n, ROW_BLOCK):

@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
 value out of range and an ``out_dir`` that is an input's run), 1 anything
 else: inputs that do not fit together (domains of different widths, a label
 the base model has no output for), a domain CSV without rows, a manifest
-name that is not a regular file in its run, and an operating-system error
-such as an ``out_dir`` that is an existing file.
+name that is not a regular file in its run, an operating-system error such
+as an ``out_dir`` that is an existing file, and an allocation that fails.
 Configuration and inputs are checked, and results computed, before
 ``out_dir`` is created, so a command that fails leaves none behind;
 ``export-embeddings`` writes each domain's files as it goes. The training
@@ -122,7 +122,6 @@ _MASK_SOURCE = {
 _BASE = {
     "data.dir": Field(str, required=True),
     "base.model": Field(str, ""),
-    "base.split_index": Field(int, -1),  # -1: last linear layer is predictor
 }
 
 # The training commands default to the headline experiment's recipe.
@@ -225,13 +224,11 @@ def _load_data_dir(data_dir: str):
 
 
 def _load_split(cfg, train_data, unseen):
-    """The frozen base model split at ``base.split_index``; it must take the
-    data's features and have an output for every label of every domain."""
+    """The frozen base model, split before its last linear layer; it must
+    take the data's features and have an output for every label of every
+    domain."""
     model = _load_model(cfg["base.model"], "base model", "")
     model.store.freeze()
-    idx = cfg["base.split_index"]
-    if idx != -1 and not 0 <= idx < model.n_layers:
-        raise ConfigError(f"base.split_index must be -1 or in [0, {model.n_layers}), got {idx}")
     dim, classes = train_data[0].dim, model.layer_sizes[-1]
     if model.layer_sizes[0] != dim:
         raise ShapeMismatchError(
@@ -242,7 +239,7 @@ def _load_split(cfg, train_data, unseen):
             raise ShapeMismatchError(
                 f"a label of domain {data.domain_index} is not one of the base model's {classes} classes"
             )
-    return split_model(model, None if idx == -1 else idx)
+    return split_model(model)
 
 
 def _load_generator(cfg, split, dim: int) -> Mlp:
@@ -450,8 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifact as exc:
         print(f'error code=2 msg="{exc}"', file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (EmbmaskError, OSError) as exc:
-        print(f'error code=1 msg="{exc}"', file=sys.stderr)
+    except (EmbmaskError, OSError, MemoryError) as exc:
+        print(f'error code=1 msg="{str(exc) or type(exc).__name__}"', file=sys.stderr)
         return 1
 
 

@@ -61,8 +61,8 @@ def masked_accuracy(
     a single global mask (d,) broadcast over the rows, or None. Rejects
     empty data, other mask shapes and ``labels`` that are not one entry per
     row. A global mask is a stack of one for ``global_mask_accuracies``: a
-    0/1 mask on an affine predictor scales the weight rows, ``ROW_BLOCK``
-    rows of ``z`` at a time, not ``z`` (see there for when that is bitwise)."""
+    0/1 mask scales the predictor's weight rows, ``ROW_BLOCK`` rows of ``z``
+    at a time, not ``z`` (see there for when that is bitwise)."""
     _check_rows(z, labels)
     masks = None if masks is None else _checked_mask(masks, z)
     if masks is not None and masks.ndim == 1:
@@ -73,23 +73,24 @@ def masked_accuracy(
 def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Array) -> list[float]:
     """``masked_accuracy`` under each row of a (g, d) stack of global masks.
 
-    Affine predictor, 0/1 masks, C-ordered float64 ``z`` of 2+ rows: each
-    ``ROW_BLOCK``-row block (a lone last row joins it) meets every mask's
-    weight rows in one product z [m_1 W | ... | m_g W], with no masked copy
-    of ``z``. z (m W) = (z m) W bitwise for m in {0, 1}, so this is the
-    per-mask product where BLAS computes each logit as one k-ordered FMA
-    chain whatever the other sizes: OpenBLAS 0.3.31's general dgemm kernel
-    does (pinned at the benchmark's shapes); its small-matrix kernels may
-    not (2-3 classes or few rows, 16+ dims), moving a last bit and so only
-    a near-tied row. Otherwise z * m is predicted per mask."""
+    0/1 masks, C-ordered float64 ``z`` of 2+ rows: each ``ROW_BLOCK``-row block
+    (a lone last row joins it) meets every mask's weight rows in one product
+    z [m_1 W | ... | m_g W], with no masked copy of ``z``. z (m W) = (z m) W
+    bitwise for m in {0, 1}, so this is the per-mask product where BLAS
+    computes each logit as one k-ordered FMA chain whatever the other sizes:
+    OpenBLAS 0.3.31's general dgemm kernel does (pinned at the benchmark's
+    shapes); its small-matrix kernels may not (2-3 classes or few rows, 16+
+    dims), moving a last bit and so only a near-tied row. Otherwise z * m is
+    predicted per mask."""
     _check_rows(z, labels)
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1:] != z.shape[1:]:
         raise ShapeMismatchError(f"masks shape {masks.shape} is not (g, {z.shape[1]})")
-    split.model._check_width(z, split.split_index)
+    if z.shape[1] != split.embedding_dim:
+        raise ShapeMismatchError(f"embedding width {z.shape[1]} != predictor input width {split.embedding_dim}")
     n = len(z)
-    if not (split.predictor_is_affine and z.dtype == np.float64 and z.flags.c_contiguous
-            and n > 1 and np.isin(masks, (0.0, 1.0)).all()):
+    if not (z.dtype == np.float64 and z.flags.c_contiguous and n > 1
+            and np.isin(masks, (0.0, 1.0)).all()):
         return [_hit_rate(split.predict_np(z * m), labels) for m in masks]
     w, b = split.predictor_affine_params()
     labels, (g, c) = np.asarray(labels), (len(masks), w.shape[1])
@@ -141,16 +142,14 @@ def bound_terms(
     masks: Array,
     distance_kind: str = "L2",
 ) -> BoundReport:
-    """Empirical generalization-error bound terms for an affine predictor.
+    """Empirical generalization-error bound terms of the affine predictor.
 
-    Requires every oracle dimension inside the embedding (identity-encoder
-    setup), or ``ContractError``; a mask not shaped like ``z`` raises
-    ``ShapeMismatchError``.
+    Requires every oracle dimension inside the embedding (a model without
+    hidden layers embeds its input), or ``ContractError``; a mask not
+    shaped like ``z`` raises ``ShapeMismatchError``.
     """
     if distance_kind not in DISTANCE_KINDS:
         raise UsageError(f"unknown distance kind {distance_kind!r}")
-    if not split.predictor_is_affine:
-        raise ContractError("bound diagnostics require an affine predictor")
     w, b = split.predictor_affine_params()
     z = np.asarray(z, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.float64)

@@ -1,4 +1,5 @@
-"""Feed-forward models, the encoder/predictor split, freezing, serialization.
+"""Feed-forward models, the encoder/predictor split before the last linear
+layer, freezing, serialization.
 
 An ``Mlp`` is a stack of linear layers with relu between them and an identity
 output. Its parameters live in a ``ParamStore``: named views of one flat
@@ -21,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, CorruptFileError, ShapeMismatchError, UsageError
+from .errors import CorruptFileError, ShapeMismatchError, UsageError
 
 Array = np.ndarray
 
@@ -110,7 +111,7 @@ class Mlp:
     def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
         """The forward on the tape; ``leaves`` maps parameter names to leaf
         tensors."""
-        self._check_width(x, 0)
+        self._check_width(x)
         h = x
         for i, (_, _, w, b) in enumerate(self.layers):
             h = T.linear(h, leaves[w], leaves[b])
@@ -118,26 +119,26 @@ class Mlp:
                 h = T.relu(h)
         return h
 
-    def _check_width(self, x, layer: int) -> None:
-        if x.shape[1] != self.layer_sizes[layer]:
+    def _check_width(self, x) -> None:
+        if x.shape[1] != self.layer_sizes[0]:
             raise ShapeMismatchError(
-                f"input width {x.shape[1]} != model input dim {self.layer_sizes[layer]}"
+                f"input width {x.shape[1]} != model input dim {self.layer_sizes[0]}"
             )
 
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
         return self.forward_train(x)[-1]
 
-    def forward_train(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
-        """Layers ``start`` up to ``stop`` (default: the last) on raw arrays,
-        keeping what ``backward_train`` needs: the input of every layer, then
-        the output (the last entry), each a fresh array. ``ShapeMismatchError``
-        unless ``x`` is as wide as layer ``start``'s input."""
-        self._check_width(x, start)
+    def forward_train(self, x: Array, stop: int | None = None) -> list[Array]:
+        """The layers before ``stop`` (default: all) on raw arrays, keeping
+        what ``backward_train`` needs: the input of every layer, then the
+        output (the last entry), each a fresh array. ``ShapeMismatchError``
+        unless ``x`` is as wide as the model's input."""
+        self._check_width(x)
         last = self.n_layers - 1
         h = np.asarray(x, dtype=np.float64)
         acts = [h]
-        for i in range(start, last + 1 if stop is None else stop):
+        for i in range(last + 1 if stop is None else stop):
             w, b = self.layers[i][:2]
             h = T.linear_np(h, w, b)
             if i < last:
@@ -145,78 +146,47 @@ class Mlp:
             acts.append(h)
         return acts
 
-    def backward_train(
-        self,
-        acts: list[Array],
-        g: Array,
-        grads: Mapping[str, Array] | None,
-        start: int = 0,
-    ) -> Array | None:
+    def backward_train(self, acts: list[Array], g: Array, grads: Mapping[str, Array]) -> None:
         """Backpropagate the output gradient ``g`` of a ``forward_train``
-        pass.
-
-        A trainable model passes ``grads``, views into the flat gradient
-        vector, and each layer writes its weight and bias gradient there. A
-        frozen one passes None and gets the gradient wrt its input back.
-        """
+        pass: each layer writes its weight and bias gradient into ``grads``,
+        views into the flat gradient vector."""
         last = self.n_layers - 1
-        for i in range(last, start - 1, -1):
+        for i in range(last, -1, -1):
             w, _, w_name, b_name = self.layers[i]
             if i < last:
-                g = T.relu_grad(g, acts[i - start + 1])
-            if grads is not None:
-                T.linear_grad_b(g, out=grads[b_name])
-                T.linear_grad_w(g, acts[i - start], out=grads[w_name])
-            if i > start or grads is None:
+                g = T.relu_grad(g, acts[i + 1])
+            T.linear_grad_b(g, out=grads[b_name])
+            T.linear_grad_w(g, acts[i], out=grads[w_name])
+            if i > 0:
                 g = T.linear_grad_x(g, w)
-        return None if grads is not None else g
 
 
 @dataclass
 class SplitModel:
-    """A frozen model split into encoder g and predictor c at a layer boundary.
-
-    ``split_index`` counts linear layers in the encoder; 0 means an identity
-    encoder (embedding space == input space), which keeps the oracle feature
-    decomposition meaningful for bound diagnostics.
-    """
+    """A frozen model split into encoder g, every layer but the last, and
+    predictor c, the last linear layer, whose input is the embedding."""
 
     model: Mlp
-    split_index: int
-
-    def __post_init__(self):
-        if not (0 <= self.split_index < self.model.n_layers):
-            raise UsageError(
-                f"split index {self.split_index} out of range for "
-                f"{self.model.n_layers}-layer model"
-            )
 
     @property
     def embedding_dim(self) -> int:
-        return self.model.layer_sizes[self.split_index]
-
-    @property
-    def predictor_is_affine(self) -> bool:
-        return self.model.n_layers - self.split_index == 1
+        return self.model.layer_sizes[-2]
 
     def encode_np(self, x: Array) -> Array:
-        return self.model.forward_train(x, 0, self.split_index)[-1]
+        return self.model.forward_train(x, self.model.n_layers - 1)[-1]
 
     def predict_np(self, z: Array) -> Array:
-        return self.model.forward_train(z, self.split_index)[-1]
+        if z.shape[1] != self.embedding_dim:
+            raise ShapeMismatchError(f"embedding width {z.shape[1]} != predictor input width {self.embedding_dim}")
+        return T.linear_np(np.asarray(z, dtype=np.float64), *self.predictor_affine_params())
 
     def predictor_affine_params(self) -> tuple[Array, Array]:
-        if not self.predictor_is_affine:
-            raise ContractError("predictor is not a single linear layer")
-        return self.model.layers[self.split_index][:2]
+        return self.model.layers[-1][:2]
 
 
-def split_model(model: Mlp, split_index: int | None = None) -> SplitModel:
-    """Split a model into encoder/predictor; default keeps the last linear
-    layer as the predictor, so the predictor is affine."""
-    if split_index is None:
-        split_index = model.n_layers - 1
-    return SplitModel(model, split_index)
+def split_model(model: Mlp) -> SplitModel:
+    """The split of ``model`` before its last linear layer."""
+    return SplitModel(model)
 
 
 # -- serialization -----------------------------------------------------------

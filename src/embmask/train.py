@@ -161,14 +161,13 @@ def emg_forward(
     gen_acts = generator.forward_train(x)
     logits = gen_acts[-1]
     m, mask_cache = relaxed_mask_np(logits, logistic_noise(rng, logits.shape), mask_cfg.tau)
-    if m.shape != z.shape:
-        raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}")
-    pred_acts = split.model.forward_train(m * z, split.split_index)
-    loss, lsm = T.cross_entropy_np(q, pred_acts[-1])
+    if m.shape != z.shape or z.shape[1] != split.embedding_dim:
+        raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}, predictor input width {split.embedding_dim}")
+    w, b = split.predictor_affine_params()
+    loss, lsm = T.cross_entropy_np(q, T.linear_np(m * z, w, b))
 
     def backward(grads: Mapping[str, Array]) -> None:
-        g = T.cross_entropy_grad(1.0, q, lsm)
-        g = split.model.backward_train(pred_acts, g, None, split.split_index)
+        g = T.linear_grad_x(T.cross_entropy_grad(1.0, q, lsm), w)
         generator.backward_train(gen_acts, relaxed_mask_grad(g * z, mask_cache), grads)
 
     return float(loss), backward

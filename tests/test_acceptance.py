@@ -122,7 +122,7 @@ def test_criterion_4_bound_on_random_affine_instances():
         model = Mlp([d, c])
         model.store["w0"][...] = rng.normal(scale=2.0, size=(d, c))
         model.store["b0"][...] = rng.normal(size=c)
-        split = split_model(model, 0)
+        split = split_model(model)
         z = rng.normal(scale=3.0, size=(1, d))
         mask = rng.uniform(size=(1, d))
         for kind in ("L2", "L1"):

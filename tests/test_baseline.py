@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from embmask import (
@@ -34,7 +34,7 @@ def _linear_split(w, b):
     model = Mlp([w.shape[0], w.shape[1]], seed=0)
     model.store["w0"][...] = w
     model.store["b0"][...] = b
-    return split_model(model, 0)
+    return split_model(model)
 
 
 def test_unused_dimension_scores_near_zero():
@@ -180,12 +180,14 @@ def test_sweep_equals_a_per_mask_table(trained_setup, case):
     each mask's broadcast copy on its own gives."""
     split, train, unseen = trained_setup
     if case == "general":
-        split = split_model(split.model, 0)
-        assert not split.predictor_is_affine
+        split = _scaled_past_guard(split)
     table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID, 2, np.random.default_rng(3))
     pooled = pool_domains(train)
     z_tr, z_un = split.encode_np(pooled.features), split.encode_np(unseen.features)
-    scores = permutation_importance(split, z_tr, pooled.labels, 2, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    scores = permutation_importance(split, z_tr, pooled.labels, 2, rng)
+    # Only the sampled path draws.
+    assert (rng.bit_generator.state != np.random.default_rng(3).bit_generator.state) == (case == "general")
     expected = []
     for p in baseline.PERCENT_GRID:
         mask = global_mask_from_scores(scores, p)
@@ -319,15 +321,28 @@ def test_exact_importance_scores_a_value_on_a_rounded_end():
     np.testing.assert_allclose(permutation_importance(split, z, labels), expected, rtol=0, atol=1e-12)
 
 
-class _SampledSplit(SplitModel):
-    """The same model and split, with the predictor not taken to be affine:
-    permutation importance takes its sampled full-predict path."""
-
-    predictor_is_affine = False
+# An exact power of two: it takes an affine split's embedding past the
+# overflow guard, onto the sampled path, and keeps every tie of its logits.
+_PAST_GUARD = 2.0**1000
 
 
-def _as_sampled(split):
-    return _SampledSplit(split.model, split.split_index)
+def _past_guard(w, b, z):
+    """``_linear_split(w, b)`` and its embedding ``z``, with the embedding
+    and the bias scaled by 2**1000: every logit is exactly 2**1000 times as
+    large, so every prediction is the same, but the embedding is past the
+    overflow guard and permutation importance samples."""
+    return _linear_split(w, b * _PAST_GUARD), z * _PAST_GUARD
+
+
+def _scaled_past_guard(split):
+    """A copy of ``split`` whose last hidden layer and predictor bias are
+    scaled by 2**1000: the embedding is exactly 2**1000 times as large and
+    past the overflow guard, and every prediction is the same."""
+    model = Mlp(split.model.layer_sizes, seed=0)
+    model.store.flat[...] = split.model.store.flat
+    for array in (*model.layers[-2][:2], model.layers[-1][1]):
+        array *= _PAST_GUARD
+    return split_model(model)
 
 
 @settings(deadline=None, max_examples=25, derandomize=True)
@@ -345,7 +360,8 @@ def test_exact_importance_within_monte_carlo_error(n, d, c, step, seed):
     split = _linear_split(gen.normal(size=(d, c)), gen.normal(size=c) * 0.5)
     labels = gen.integers(c, size=n)
     repeats = 2000
-    monte_carlo = permutation_importance(_as_sampled(split), z, labels, repeats, np.random.default_rng(seed))
+    w, b = split.predictor_affine_params()
+    monte_carlo = permutation_importance(*_past_guard(w, b, z), labels, repeats, np.random.default_rng(seed))
     # The same stream again, one accuracy per permutation, for the spread.
     rng, base = np.random.default_rng(seed), masked_accuracy(split, z, labels)
     for k in range(d):
@@ -420,11 +436,6 @@ def _reference_importance(split, z, labels, repeats, rng):
     return scores
 
 
-# An exact power of two: it takes an affine split's embedding past the
-# overflow guard, onto the sampled path, and keeps every tie of its logits.
-_PAST_GUARD = 2.0**1000
-
-
 def _tie_setup():
     """Classes 0 and 1 differ only in their weight on dimension 3, which is
     zero in one row alone: that row is an exact tie between them wherever
@@ -450,20 +461,17 @@ def _cancellation_setup():
 
 @pytest.mark.parametrize("case", ["affine", "general", "exact_tie", "cancellation"])
 def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, monkeypatch):
-    """The sampled path: a non-affine split, or an affine one whose
-    embedding is scaled past the overflow guard."""
+    """The sampled path: each case's embedding is scaled past the overflow
+    guard; ``general`` is an untrained model with two hidden layers."""
     split, train, _ = trained_setup
     if case == "general":
-        split = split_model(split.model, 0)
-        assert not split.predictor_is_affine
+        split = split_model(Mlp([8, 12, 6, 3], seed=4))
     elif case == "exact_tie":
         split, train = _tie_setup()
     elif case == "cancellation":
         split, train = _cancellation_setup()
     pooled = pool_domains(train)
-    n, z = pooled.n, split.encode_np(pooled.features)
-    if split.predictor_is_affine:
-        z = z * _PAST_GUARD
+    n, z = pooled.n, split.encode_np(pooled.features) * _PAST_GUARD
     ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
     expected = _reference_importance(split, z, pooled.labels, 3, ref_rng)
 
@@ -482,24 +490,24 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
 @pytest.mark.parametrize("layers", [[4, 3], [4, 6, 3]], ids=["affine", "general"])
 def test_importance_at_the_tile_edges_matches_copy_per_permutation(layers, n):
     rng = np.random.default_rng(n)
-    split = split_model(Mlp(layers, seed=4), 0)  # identity encoder: z is the input
-    z, labels = rng.normal(size=(n, 4)), rng.integers(3, size=n)
-    if split.predictor_is_affine:
-        z = z * _PAST_GUARD
+    split = split_model(Mlp(layers, seed=4))
+    z = rng.normal(size=(n, split.embedding_dim)) * _PAST_GUARD
+    labels = rng.integers(3, size=n)
     ref_rng, imp_rng = np.random.default_rng(8), np.random.default_rng(8)
     expected = _reference_importance(split, z, labels, 2, ref_rng)
     assert permutation_importance(split, z, labels, 2, imp_rng).tobytes() == expected.tobytes()
     assert imp_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("layers", [[4, 3], [4, 6, 3]], ids=["affine", "general"])
-def test_importance_leaves_features_and_sweep_embedding_unchanged(layers):
+@pytest.mark.parametrize("scale", [1.0, _PAST_GUARD], ids=["affine", "general"])
+def test_importance_leaves_features_and_sweep_embedding_unchanged(scale):
+    """Inside the overflow guard and, scaled past it, on the sampled path."""
     rng = np.random.default_rng(9)
     datasets = [
-        DomainDataset(rng.normal(size=(50, 4)), rng.integers(3, size=50), i) for i in range(3)
+        DomainDataset(rng.normal(size=(50, 4)) * scale, rng.integers(3, size=50), i) for i in range(3)
     ]
     before = [d.features.copy() for d in datasets]
-    split = split_model(Mlp(layers, seed=1), 0)  # identity encoder: z is the features
+    split = split_model(Mlp([4, 3], seed=1))  # identity encoder: z is the features
     data = datasets[0]
     permutation_importance(split, data.features, data.labels, 2, np.random.default_rng(0))
     # The sweep hands its train embedding to the importance pass, then scores it.
@@ -579,6 +587,13 @@ def test_candidate_rows_match_copy_per_permutation_bitwise(case):
     that stress the affine path's candidate rows, the sampled path keeps
     every score bit and the random stream of a copy per permutation."""
     plant, split, z, labels, seed = case
+    w, b = split.predictor_affine_params()
+    # An all-zero embedding or weight matrix stays inside the overflow guard
+    # at any scale, and no permutation moves a logit there: the exact path
+    # takes it, and the tests above check that path.
+    assume(z.any() and w.any())
+    if plant != "huge":  # past the guard already, and scaled it would overflow
+        split, z = _past_guard(w, b, z)
     repeats = 3
     # These embeddings make non-finite logits by design.
     nonfinite = plant in ("huge", "nan", "inf")
@@ -587,7 +602,7 @@ def test_candidate_rows_match_copy_per_permutation_bitwise(case):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = _reference_importance(split, z, labels, repeats, ref_rng)
         sizes = _count_predicted_rows(mp)
-        scores = permutation_importance(_as_sampled(split), z, labels, repeats=repeats, rng=rng)
+        scores = permutation_importance(split, z, labels, repeats=repeats, rng=rng)
     assert scores.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert sizes == [len(z)] * (1 + z.shape[1] * repeats)

@@ -76,7 +76,7 @@ def pipeline(tmp_path_factory):
 
 
 _RUN = ["seed", "out_dir"]
-_BASE = [*_RUN, "data.dir", "base.model", "base.split_index"]
+_BASE = [*_RUN, "data.dir", "base.model"]
 _MASK = ["mask.tau", "mask.inference_mode"]
 _MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", *_MASK]
 _TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
@@ -336,6 +336,13 @@ def test_missing_seed_exits_3(tmp_path):
                 ("eval", "mask.sample_count", 4),
                 ("gen-data", "benchmark.mixing", "true"),
                 ("sweep-global", "sweep.repeats", 0),
+                # The predictor is always the base model's last linear layer.
+                ("train-emg", "base.split_index", -1),
+                ("eval", "base.split_index", -2),
+                ("eval", "base.split_index", 5),
+                ("sweep-global", "base.split_index", -1),
+                ("bound-check", "base.split_index", -1),
+                ("export-embeddings", "base.split_index", -1),
                 # The noise clamp is a constant, not a key.
                 ("train-emg", "mask.clamp_eps", 1e-12),
                 ("eval", "mask.clamp_eps", 1e-12),
@@ -344,9 +351,6 @@ def test_missing_seed_exits_3(tmp_path):
                 ("sweep-global", "sweep.grid", "0,150"),
                 ("train-erm", "model.hidden", 0),
                 ("train-emg", "emg.hidden", -3),
-                # -1 or a layer index of the one-layer base model.
-                ("eval", "base.split_index", -2),
-                ("eval", "base.split_index", 5),
                 ("gen-data", "benchmark.noise_sigma", "nan"),
                 ("gen-data", "benchmark.noise_sigma", "inf"),
                 ("gen-data", "benchmark.noise_sigma", -1),
@@ -476,7 +480,6 @@ def misfits(pipeline):
             if "base.model" in SCHEMAS[cmd]
         ),
         *((cmd, "generator") for cmd in SCHEMAS if "emg.model" in SCHEMAS[cmd]),
-        ("bound-check", "predictor"),
         ("eval", "nan_parameter"),
         ("eval", "unchained"),
         ("eval", "missing_bias"),
@@ -493,8 +496,6 @@ def test_inputs_that_do_not_fit_exit_1_before_run_dir(
         inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"]}
         if cmd != "bound-check":
             inputs["eval.mode"] = "emg"
-    elif misfit == "predictor":  # split at 0, the predictor has two layers; the bound needs one
-        inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"], "base.split_index": 0}
     else:  # a base model file that holds no usable model
         inputs = {"data.dir": pipeline["data"], "base.model": misfits[misfit]}
     if cmd == "bound-check" or inputs.get("eval.mode") == "emg":
@@ -674,6 +675,23 @@ def test_corrupt_input_exits_1_without_traceback(pipeline, tmp_path, capsys, cor
         assert "not UTF-8 text" in err
     if corrupt is _non_utf8_model_manifest:
         assert "base_model.manifest is not one line" in err
+    assert not out.exists()
+
+
+def test_failed_allocation_exits_1_without_traceback(pipeline, tmp_path, capsys, monkeypatch):
+    """NumPy raises MemoryError for a request the host refuses, such as the
+    7.28 TiB of samples_per_domain = 10**12; whether a huge request fails at
+    once depends on the host, so the refusal is simulated."""
+
+    def refuse(spec):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("embmask.cli.generate_benchmark", refuse)
+    out = tmp_path / "out"
+    assert run_cmd("gen-data", pipeline["cfg"], out_dir=out, **{"benchmark.samples_per_domain": 10**12}) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.count("error code=1") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

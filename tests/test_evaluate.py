@@ -14,11 +14,11 @@ from embmask.nn import SplitModel
 from embmask.synthbench import Oracle, save_csv_dataset
 
 
-def _affine_split(w, b, split_index=0):
+def _affine_split(w, b):
     model = Mlp([w.shape[0], w.shape[1]], seed=0)
     model.store["w0"][...] = w
     model.store["b0"][...] = b
-    return split_model(model, split_index)
+    return split_model(model)
 
 
 def _oracle(shared, specific):
@@ -93,19 +93,19 @@ def test_global_binary_mask_on_affine_split_equals_its_broadcast(seed):
 )
 # inf + fma(-1e300, 1e10, .) is inf where a gemv leftover column without FMA
 # gives NaN: one row alone, and a lone last row of the blocks.
-@example(seed=59, n=1, g=18, two_layer=False)
-@example(seed=3149, n=1025, g=18, two_layer=False)
-def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, two_layer):
+@example(seed=59, n=1, g=18, fortran=False)
+@example(seed=3149, n=1025, g=18, fortran=False)
+def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, fortran):
     """Across the row-block edges, each mask of the stack scores every row
     as its broadcast copy predicted in full does, on the stacked product of
-    an affine predictor and on the per-mask fallback of a two-layer one."""
+    a C-ordered embedding and on the per-mask fallback of a Fortran-ordered
+    one."""
     gen = np.random.default_rng(seed)
     d, c = gen.integers(1, 5), gen.integers(2, 4)
     z = gen.choice(_SPECIAL, size=(n, d))
-    if two_layer:
-        split = split_model(Mlp([d, 3, c], seed=seed % 5), 0)  # identity encoder
-    else:
-        split = _affine_split(gen.choice([-1.0, 0.0, 0.5, 2.0, 1e10], size=(d, c)), gen.choice([0.0, -0.0, 1.0], size=c))
+    if fortran:
+        z = np.asfortranarray(z)
+    split = _affine_split(gen.choice([-1.0, 0.0, 0.5, 2.0, 1e10], size=(d, c)), gen.choice([0.0, -0.0, 1.0], size=c))
     masks = gen.choice([0.0, 1.0], size=(g, d))
     with np.errstate(invalid="ignore", over="ignore"):
         preds = [np.argmax(split.predict_np(z * m), axis=1) for m in masks]
@@ -134,8 +134,9 @@ def test_stacked_product_equals_the_per_mask_products_at_the_benchmark_shape(n):
 @pytest.mark.parametrize("layers", [[4, 3], [4, 5, 3]], ids=["affine", "two_layer"])
 def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch):
     rng = np.random.default_rng(4)
-    split = split_model(Mlp(layers, seed=2), 0)
-    z, labels = rng.normal(size=(600, 4)), rng.integers(3, size=600)
+    split = split_model(Mlp(layers, seed=2))
+    d = split.embedding_dim
+    z, labels = rng.normal(size=(600, d)), rng.integers(3, size=600)
     calls = []
     predict = SplitModel.predict_np
 
@@ -144,10 +145,13 @@ def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch
         return predict(self, x)
 
     monkeypatch.setattr(SplitModel, "predict_np", counted)
-    masks = rng.choice([0.0, 1.0], size=(5, 4))
+    masks = rng.choice([0.0, 1.0], size=(5, d))
     assert len(global_mask_accuracies(split, z, labels, masks)) == 5
-    assert global_mask_accuracies(split, z, labels, np.ones((0, 4))) == []
-    assert calls == ([] if split.predictor_is_affine else [600] * 5)
+    assert global_mask_accuracies(split, z, labels, np.ones((0, d))) == []
+    assert calls == []
+    # Masks other than 0/1 take the per-mask fallback.
+    assert len(global_mask_accuracies(split, z, labels, 0.5 * masks)) == 5
+    assert calls == [600] * 5
 
 
 def test_global_mask_accuracies_reject_what_masked_accuracy_rejects():
@@ -161,19 +165,19 @@ def test_global_mask_accuracies_reject_what_masked_accuracy_rejects():
     for bad in (np.ones(3), np.ones((2, 2)), np.ones((1, 2, 3))):
         with pytest.raises(ShapeMismatchError, match=re.escape(f"masks shape {bad.shape}")):
             global_mask_accuracies(split, z, labels, bad)
-    with pytest.raises(ShapeMismatchError, match="input width 2 != model input dim 3"):
+    with pytest.raises(ShapeMismatchError, match="embedding width 2 != predictor input width 3"):
         global_mask_accuracies(split, z[:, :2], labels, np.ones((0, 2)))
 
 
 def test_global_mask_keeps_the_width_check():
     split = _affine_split(np.ones((3, 2)), np.zeros(2))
     z = np.ones((4, 2))
-    with pytest.raises(ShapeMismatchError, match="input width 2 != model input dim 3"):
+    with pytest.raises(ShapeMismatchError, match="embedding width 2 != predictor input width 3"):
         masked_accuracy(split, z, np.zeros(4, dtype=int), np.ones(2))
 
 
 def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
-    # Split 0 is an identity encoder, so the embedding is the input itself.
+    # A one-layer model has an identity encoder: the embedding is the input itself.
     split = _affine_split(np.eye(2), np.array([0.0, 0.5]))
     z = np.array([[3.0, 7.0], [2.0, -1.0]])
     labels = np.array([1, 0])
@@ -247,14 +251,6 @@ def test_bound_holds_on_random_instances(kind):
         masks = rng.uniform(size=(10, 6))
         report = bound_terms(split, oracle, z, masks, kind)
         assert report.violation_count == 0
-
-
-def test_bound_rejects_non_affine_predictor():
-    model = Mlp([4, 5, 2], seed=0)
-    split = split_model(model, 0)  # predictor = two layers
-    z = np.ones((3, 4))
-    with pytest.raises(ContractError):
-        bound_terms(split, _oracle(range(2), range(2, 4)), z, np.ones((3, 4)))
 
 
 def test_bound_rejects_oracle_dims_outside_the_embedding():

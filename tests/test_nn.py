@@ -69,11 +69,12 @@ def test_set_value_after_build_shows_in_the_next_forward(tmp_path):
 def test_forward_rejects_wrong_width():
     with pytest.raises(ShapeMismatchError):
         Mlp([4, 2]).forward_np(np.ones((3, 5)))
-    for split in (split_model(Mlp([4, 2]), 0), split_model(Mlp([4, 6, 2]))):
+    for split in (split_model(Mlp([4, 2])), split_model(Mlp([4, 6, 2]))):
         with pytest.raises(ShapeMismatchError):
             split.encode_np(np.ones((3, 5)))
-        with pytest.raises(ShapeMismatchError):
-            split.predict_np(np.ones((3, split.embedding_dim + 1)))
+        wide = split.embedding_dim + 1
+        with pytest.raises(ShapeMismatchError, match=f"embedding width {wide} != predictor input width {wide - 1}"):
+            split.predict_np(np.ones((3, wide)))
 
 
 def test_bad_layer_sizes_rejected():
@@ -140,47 +141,35 @@ def test_checksum_tracks_values():
 
 def test_split_three_layer_at_two_has_affine_predictor():
     model = Mlp([4, 5, 6, 2], seed=0)
-    split = split_model(model, 2)
-    assert split.predictor_is_affine
+    split = split_model(model)
     assert split.embedding_dim == 6
+    w, b = split.predictor_affine_params()
+    assert w is model.layers[2][0] and b is model.layers[2][1]
 
 
 def test_default_split_keeps_last_layer_as_predictor():
-    split = split_model(Mlp([4, 5, 2], seed=0))
-    assert split.split_index == 1
-    assert split.predictor_is_affine
+    for layers in ([4, 2], [4, 5, 2]):
+        model = Mlp(layers, seed=0)
+        split = split_model(model)
+        assert split.embedding_dim == layers[-2]
+        w, b = split.predictor_affine_params()
+        assert w is model.layers[-1][0] and b is model.layers[-1][1]
+        assert w.shape == (layers[-2], 2) and b.shape == (2,)
 
 
 def test_split_composition_identity_exact():
-    model = Mlp([4, 6, 6, 3], seed=11)
     x = np.random.default_rng(4).normal(size=(100, 4))
-    full = model.forward_np(x)
-    for idx in range(model.n_layers):
-        split = split_model(model, idx)
-        assert (split.predict_np(split.encode_np(x)) == full).all()
+    for layers in ([4, 3], [4, 6, 3], [4, 6, 6, 3]):
+        model = Mlp(layers, seed=11)
+        split = split_model(model)
+        assert (split.predict_np(split.encode_np(x)) == model.forward_np(x)).all()
 
 
 def test_split_zero_is_identity_encoder():
     model = Mlp([4, 3], seed=2)
-    split = split_model(model, 0)
+    split = split_model(model)
     x = np.random.default_rng(5).normal(size=(8, 4))
     assert (split.encode_np(x) == x).all()
-
-
-def test_split_out_of_range_rejected():
-    model = Mlp([4, 3, 2])
-    with pytest.raises(UsageError):
-        split_model(model, 2)
-    with pytest.raises(UsageError):
-        split_model(model, -1)
-
-
-def test_affine_params_only_for_single_layer_predictor():
-    model = Mlp([4, 5, 3, 2], seed=0)
-    with pytest.raises(ContractError):
-        split_model(model, 1).predictor_affine_params()
-    w, b = split_model(model, 2).predictor_affine_params()
-    assert w.shape == (3, 2) and b.shape == (2,)
 
 
 # -- serialization --------------------------------------------------------------

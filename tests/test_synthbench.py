@@ -141,8 +141,8 @@ def test_shared_only_classifier_beats_full_on_unseen():
     unseen_sh = DomainDataset(unseen.features[:, sh], unseen.labels, unseen.domain_index)
     full, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train)
     shared, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train_sh)
-    acc_full = accuracy(split_model(full, 0), unseen)
-    acc_shared = accuracy(split_model(shared, 0), unseen_sh)
+    acc_full = accuracy(split_model(full), unseen)
+    acc_shared = accuracy(split_model(shared), unseen_sh)
     assert acc_shared > acc_full
 
 
