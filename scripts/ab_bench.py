@@ -26,7 +26,9 @@ median moved the wrong way by more than its ``BENCHMARK.json`` bound, taken
 as a fraction of the parent's median. ``unresolved`` marks a metric whose
 parent interquartile range is itself wider than that bound, so that the
 runs are too spread to tell a move within the bound from noise. The exit
-status is 1 if any run of any workload had a failed operation.
+status is 1 if any run of any workload had a failed operation. A SIGTERM
+ends the script as ``SystemExit(143)``, after the temporary copies and the
+run in progress are cleaned up.
 
 ``--json-out PATH`` also writes what the tables show as JSON: the parent
 revision as given and the commit it resolved to, ``--seed``, ``--seconds``
@@ -41,6 +43,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -154,6 +157,11 @@ def copy_checkout(dest: str) -> None:
             shutil.copy2(src, dst, follow_symlinks=False)
 
 
+def exit_on_sigterm(signum, frame):
+    """Turn SIGTERM into ``SystemExit``, so that ``finally`` blocks run."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent_rev")
@@ -171,10 +179,13 @@ def main(argv=None) -> int:
     commit = resolve(args.parent_rev)
     report = {"parent_rev": args.parent_rev, "parent_commit": commit, "seed": args.seed,
               "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
-    # Sibling directories whose names are equally long: "parent", "change".
-    checkouts = {side: tempfile.mkdtemp(prefix=f"ab_bench_{side}_") for side in ("parent", "change")}
+    checkouts: dict[str, str] = {}
     any_failed = False
+    previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
     try:
+        # Sibling directories whose names are equally long: "parent", "change".
+        for side in ("parent", "change"):
+            checkouts[side] = tempfile.mkdtemp(prefix=f"ab_bench_{side}_")
         extract(commit, checkouts["parent"])
         copy_checkout(checkouts["change"])
         for workload in args.workloads:
@@ -196,6 +207,7 @@ def main(argv=None) -> int:
     finally:
         for path in checkouts.values():
             shutil.rmtree(path, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(report, fh, indent=1)

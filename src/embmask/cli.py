@@ -8,16 +8,17 @@ config and seed. Its ``config.txt`` holds only the keys that shaped the run:
 ``eval`` and ``export-embeddings`` leave out the mask-source keys their
 ``eval.mode`` does not read, and reject them unless they hold their defaults.
 Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
-value out of range and an ``out_dir`` that is an input's run), 1 anything
-else: inputs that do not fit together (domains of different widths, a label
-the base model has no output for), a domain CSV without rows, a manifest
-name that is not a regular file in its run, an operating-system error such
-as an ``out_dir`` that is an existing file, and an allocation that fails.
-Configuration and inputs are checked, and results computed, before
-``out_dir`` is created, so a command that fails leaves none behind;
-``export-embeddings`` writes each domain's files as it goes. The training
-commands default to the recipe of ``experiment.ExperimentSpec`` and build
-their models with its helpers; training domains are read in domain-index order.
+value out of range and an ``out_dir`` that is an input's run), 1 anything else:
+inputs that do not fit together (domains of different widths, a label the base
+model has no output for), a domain CSV without rows, an embedding past
+permutation importance's overflow guard, a manifest name that is not a regular
+file in its run, an operating-system error such as an ``out_dir`` that is an
+existing file, and an allocation that fails. Configuration and inputs are
+checked, and results computed, before ``out_dir`` is created, so a command that
+fails leaves none behind; ``export-embeddings`` writes each domain's files as
+it goes. The training commands default to the recipe of
+``experiment.ExperimentSpec`` and build their models with its helpers; training
+domains are read in domain-index order.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .evaluate import (
     export_embeddings,
     export_masks,
 )
-from .experiment import ExperimentSpec, base_layers, importance_rng, new_generator
+from .experiment import ExperimentSpec, base_layers, new_generator
 from .mask import MODE_READS, MaskGenConfig
 from .nn import Mlp, load_params, save_params, split_model
 from .rundir import RunDirectory
@@ -278,8 +279,7 @@ def _mask_source(cfg, mode, split, train_data):
         if not 0.0 <= percent <= 100.0:
             raise ConfigError(f"eval.mask_percent must be in [0, 100], got {percent}")
         pooled = pool_domains(train_data)
-        z = split.encode_np(pooled.features)
-        scores = permutation_importance(split, z, pooled.labels, rng=importance_rng(cfg["seed"]))
+        scores = permutation_importance(split, split.encode_np(pooled.features), pooled.labels)
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
     gen = _load_generator(cfg, split, train_data[0].dim)
@@ -357,7 +357,7 @@ def cmd_sweep_global(cfg) -> None:
     train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
     split = _load_split(cfg, train_data, unseen)
     grid = parse_grid(cfg["sweep.grid"])
-    table = sweep_mask_percent(split, train_data, unseen, grid, rng=importance_rng(cfg["seed"]))
+    table = sweep_mask_percent(split, train_data, unseen, grid)
     run = RunDirectory(cfg["out_dir"], cfg)
     table.to_csv(run.file("sweep.csv"))
     run.register("sweep.csv")

@@ -1,11 +1,11 @@
 """The headline experiment, defined once: ERM base model, per-sample masks and
-the global-mask baseline. The CLI's defaults and the scripts read it."""
+the global-mask baseline. The CLI's defaults and the scripts read it. A run
+seed sets every stream of the base model and the generator; the global mask
+draws nothing."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .baseline import sweep_mask_percent
 from .errors import DegenerateDataError
@@ -26,11 +26,6 @@ class ExperimentSpec:
     # filtering benefit lives in the early epochs.
     emg_epochs: int = 3
     mask: MaskGenConfig = field(default_factory=MaskGenConfig)
-
-
-def importance_rng(seed: int) -> np.random.Generator:
-    """Run seed ``seed``'s permutation-importance stream, one wherever it is used."""
-    return np.random.default_rng(np.random.SeedSequence((seed, 0x6B)))
 
 
 def base_layers(train: list[DomainDataset], hidden) -> list[int]:
@@ -67,7 +62,7 @@ def run_seed(spec: ExperimentSpec, train: list, unseen: DomainDataset, seed: int
     row["masked_train"] = accuracy(split, pooled, emg_masks(gen, pooled.features, spec.mask, seed))
     row["masked_unseen"] = accuracy(split, unseen, emg_masks(gen, unseen.features, spec.mask, seed))
 
-    table = sweep_mask_percent(split, train, unseen, rng=importance_rng(seed))
+    table = sweep_mask_percent(split, train, unseen)
     best = next(r for r in table.rows if r.percent == table.best_percent)
     row["global_best_percent"] = best.percent
     row["global_unseen"] = best.unseen_accuracy

@@ -4,7 +4,9 @@ subprocess), and its copy of the checkout."""
 import importlib.util
 import json
 import os
+import signal
 import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,41 @@ def test_json_out_holds_what_the_tables_show(monkeypatch, capsys, tmp_path):
     assert (op["name"], op["better"], op["wins"], op["pairs"], op["clear"]) == ("op_s", "lower", 3, 3, True)
     assert (op["bound"], op["worse"], op["unresolved"]) == (0.25, False, False)
     assert " 3/3 " in capsys.readouterr().out
+
+
+class _Terminated(Exception):
+    """Raised by the test's own SIGTERM handler, should ``main`` not replace it."""
+
+
+def _terminated(signum, frame):
+    raise _Terminated
+
+
+def test_sigterm_removes_both_copies_and_restores_the_handler(monkeypatch, tmp_path):
+    _fake_runs(monkeypatch)
+    made, real_mkdtemp = [], tempfile.mkdtemp
+
+    def mkdtemp(prefix):
+        made.append(real_mkdtemp(prefix=prefix, dir=tmp_path))
+        return made[-1]
+
+    def run_bench(checkout, workload, seconds, seed):
+        assert all(os.path.isdir(path) for path in made)
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not stop the run")
+
+    monkeypatch.setattr(ab_bench.tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(ab_bench, "run_bench", run_bench)
+    # A handler of the test's own, so that a missing one cannot end pytest.
+    outer = signal.signal(signal.SIGTERM, _terminated)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            ab_bench.main(["HEAD~1", "global_sweep", "--pairs", "2"])
+        assert signal.getsignal(signal.SIGTERM) is _terminated
+    finally:
+        signal.signal(signal.SIGTERM, outer)
+    assert exit_info.value.code == 128 + signal.SIGTERM
+    assert len(made) == 2 and not any(os.path.exists(path) for path in made)
 
 
 def test_copy_checkout_takes_what_git_does_not_ignore(monkeypatch, tmp_path):

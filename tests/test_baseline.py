@@ -2,10 +2,11 @@
 
 import contextlib
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from embmask import (
@@ -22,7 +23,7 @@ from embmask import (
     sweep_mask_percent,
     train_erm,
 )
-from embmask.errors import ShapeMismatchError, UsageError
+from embmask.errors import NumericError, ShapeMismatchError, UsageError
 from embmask.baseline import SweepRow, SweepTable
 from embmask.evaluate import masked_accuracy
 from embmask.nn import SplitModel
@@ -44,7 +45,7 @@ def test_unused_dimension_scores_near_zero():
     w = np.array([[2.0, -2.0], [1.5, -1.5], [0.0, 0.0]])  # dim 2 unused
     split = _linear_split(w, np.zeros(2))
     labels = np.argmax(split.predict_np(x), axis=1)
-    scores = permutation_importance(split, x, labels, repeats=5, rng=np.random.default_rng(1))
+    scores = permutation_importance(split, x, labels)
     assert scores[2] == 0.0
 
 
@@ -65,14 +66,12 @@ def test_decisive_dimension_outranks_noise_dimension():
     x = np.column_stack([np.where(y == 1, 2.0, -2.0), rng.normal(size=n)])
     w = np.array([[-1.0, 1.0], [0.05, -0.05]])
     split = _linear_split(w, np.zeros(2))
-    scores = permutation_importance(split, x, y, rng=np.random.default_rng(4))
+    scores = permutation_importance(split, x, y)
     assert scores[0] > scores[1]
 
 
-def test_permutation_importance_rejects_empty_or_bad_repeats():
+def test_permutation_importance_rejects_empty_data():
     split = _linear_split(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(UsageError):
-        permutation_importance(split, np.ones((4, 2)), np.zeros(4, dtype=int), repeats=0)
     with pytest.raises(UsageError):
         permutation_importance(split, np.ones((0, 2)), np.zeros(0, dtype=int))
 
@@ -132,7 +131,7 @@ def trained_setup():
 
 def test_sweep_zero_row_is_unmasked_bitwise(trained_setup):
     split, train, unseen = trained_setup
-    table = sweep_mask_percent(split, train, unseen, [0.0, 50.0], rng=np.random.default_rng(0))
+    table = sweep_mask_percent(split, train, unseen, [0.0, 50.0])
 
     row0 = [r for r in table.rows if r.percent == 0.0][0]
     assert row0.unseen_accuracy == accuracy(split, unseen)
@@ -140,7 +139,7 @@ def test_sweep_zero_row_is_unmasked_bitwise(trained_setup):
 
 def test_sweep_hundred_percent_is_constant_prediction(trained_setup):
     split, train, unseen = trained_setup
-    table = sweep_mask_percent(split, train, unseen, [0.0, 100.0], rng=np.random.default_rng(0))
+    table = sweep_mask_percent(split, train, unseen, [0.0, 100.0])
     row100 = [r for r in table.rows if r.percent == 100.0][0]
     zero_pred = int(np.argmax(split.predict_np(np.zeros((1, split.embedding_dim)))))
     majority = float(np.mean(unseen.labels == zero_pred))
@@ -155,7 +154,7 @@ def test_sweep_requires_zero_in_grid(trained_setup):
 
 def test_sweep_csv_format(trained_setup, tmp_path):
     split, train, unseen = trained_setup
-    table = sweep_mask_percent(split, train, unseen, [0.0, 25.0], rng=np.random.default_rng(0))
+    table = sweep_mask_percent(split, train, unseen, [0.0, 25.0])
     path = tmp_path / "sweep.csv"
     table.to_csv(str(path))
     lines = path.read_text().splitlines()
@@ -175,19 +174,21 @@ def test_sweep_csv_tells_close_percents_apart(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["affine", "general"])
-def test_sweep_equals_a_per_mask_table(trained_setup, case):
+def test_sweep_equals_a_per_mask_table(trained_setup, case, monkeypatch):
     """The stacked scoring of the p > 0 masks gives the table that scoring
-    each mask's broadcast copy on its own gives."""
+    each mask's broadcast copy on its own gives. Scaled past the overflow
+    guard (``general``), the sweep is refused before any prediction."""
     split, train, unseen = trained_setup
     if case == "general":
-        split = _scaled_past_guard(split)
-    table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID, 2, np.random.default_rng(3))
+        calls = _count_predicted_rows(monkeypatch)
+        with pytest.raises(NumericError, match="overflow bound"):
+            sweep_mask_percent(_scaled_past_guard(split), train, unseen, baseline.PERCENT_GRID)
+        assert calls == []
+        return
+    table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
     pooled = pool_domains(train)
     z_tr, z_un = split.encode_np(pooled.features), split.encode_np(unseen.features)
-    rng = np.random.default_rng(3)
-    scores = permutation_importance(split, z_tr, pooled.labels, 2, rng)
-    # Only the sampled path draws.
-    assert (rng.bit_generator.state != np.random.default_rng(3).bit_generator.state) == (case == "general")
+    scores = permutation_importance(split, z_tr, pooled.labels)
     expected = []
     for p in baseline.PERCENT_GRID:
         mask = global_mask_from_scores(scores, p)
@@ -228,13 +229,13 @@ def test_sweep_calls_the_public_importance_pass_once(trained_setup, monkeypatch)
     calls = []
     importance = baseline.permutation_importance
 
-    def counted(split, z, labels, *args, **kwargs):
+    def counted(split, z, labels):
         calls.append((z.copy(), labels))
-        return importance(split, z, labels, *args, **kwargs)
+        return importance(split, z, labels)
 
     # The benchmark's tracer hooks this module attribute.
     monkeypatch.setattr(baseline, "permutation_importance", counted)
-    sweep_mask_percent(split, train, unseen, [0.0, 50.0], rng=np.random.default_rng(0))
+    sweep_mask_percent(split, train, unseen, [0.0, 50.0])
     pooled = pool_domains(train)
     assert len(calls) == 1
     assert calls[0][0].tobytes() == split.encode_np(pooled.features).tobytes()
@@ -247,7 +248,7 @@ def test_sweep_predicts_only_the_importance_base_and_the_unmasked_rows(trained_s
     split, train, unseen = trained_setup
     pooled = pool_domains(train)
     calls = _count_predicted_rows(monkeypatch)
-    table = sweep_mask_percent(split, train, unseen, [0.0, 25.0, 50.0, 100.0], 3, np.random.default_rng(7))
+    table = sweep_mask_percent(split, train, unseen, [0.0, 25.0, 50.0, 100.0])
     assert len(table.rows) == 4
     assert calls == [pooled.n, unseen.n, pooled.n]
 
@@ -300,14 +301,11 @@ def _rounded_affine_case(draw):
 @given(_rounded_affine_case())
 def test_exact_importance_is_the_mean_over_every_permutation(case):
     split, z, labels = case
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    scores = permutation_importance(split, z, labels, rng=rng)
+    scores = permutation_importance(split, z, labels)
     np.testing.assert_allclose(scores, _all_permutations_importance(split, z, labels), rtol=0, atol=1e-12)
     # An exact expectation: a whole number of hits over n * n row-values.
     pairs = len(z) ** 2
     assert scores.tobytes() == (np.round(scores * pairs) / pairs).tobytes()
-    assert rng.bit_generator.state == state
 
 
 def test_exact_importance_scores_a_value_on_a_rounded_end():
@@ -322,16 +320,8 @@ def test_exact_importance_scores_a_value_on_a_rounded_end():
 
 
 # An exact power of two: it takes an affine split's embedding past the
-# overflow guard, onto the sampled path, and keeps every tie of its logits.
+# overflow guard and keeps every tie of its logits.
 _PAST_GUARD = 2.0**1000
-
-
-def _past_guard(w, b, z):
-    """``_linear_split(w, b)`` and its embedding ``z``, with the embedding
-    and the bias scaled by 2**1000: every logit is exactly 2**1000 times as
-    large, so every prediction is the same, but the embedding is past the
-    overflow guard and permutation importance samples."""
-    return _linear_split(w, b * _PAST_GUARD), z * _PAST_GUARD
 
 
 def _scaled_past_guard(split):
@@ -351,50 +341,53 @@ def _scaled_past_guard(split):
     st.integers(0, 2**32 - 1),
 )
 def test_exact_importance_within_monte_carlo_error(n, d, c, step, seed):
-    """The exact score lies within 4 standard errors of the sampled path's
-    2000-permutation mean on the same model. ``step`` rounds the embedding
-    (0: no rounding) so that ties occur."""
+    """The exact score lies within 4 standard errors of the mean drop over
+    2000 random permutations, each predicted in full. ``step`` rounds the
+    embedding (0: no rounding) so that ties occur."""
     gen = np.random.default_rng(seed)
     z = gen.normal(size=(n, d)) * 2
     z = np.round(z / step) * step if step else z
     split = _linear_split(gen.normal(size=(d, c)), gen.normal(size=c) * 0.5)
     labels = gen.integers(c, size=n)
     repeats = 2000
-    w, b = split.predictor_affine_params()
-    monte_carlo = permutation_importance(*_past_guard(w, b, z), labels, repeats, np.random.default_rng(seed))
-    # The same stream again, one accuracy per permutation, for the spread.
+    # One accuracy per permutation, for the mean and its spread.
     rng, base = np.random.default_rng(seed), masked_accuracy(split, z, labels)
+    exact = permutation_importance(split, z, labels)
     for k in range(d):
         stacked = np.repeat(z[None], repeats, axis=0)
         stacked[:, :, k] = z[np.array([rng.permutation(n) for _ in range(repeats)]), k]
         hits = np.argmax(split.predict_np(stacked.reshape(-1, d)), axis=1).reshape(repeats, n) == labels
         drops = base - hits.mean(axis=1)
-        assert monte_carlo[k] == pytest.approx(drops.mean(), abs=1e-12)
-        exact = permutation_importance(split, z, labels)[k]
-        assert abs(exact - monte_carlo[k]) <= 4 * drops.std(ddof=1) / np.sqrt(repeats) + 1e-12
+        assert abs(exact[k] - drops.mean()) <= 4 * drops.std(ddof=1) / np.sqrt(repeats) + 1e-12
 
 
 def test_exact_importance_draws_nothing_and_ignores_repeats(trained_setup, monkeypatch):
-    split, train, _ = trained_setup
+    """The importance predicts the base logits alone. The sweep still takes
+    ``repeats`` and ``rng`` and reads neither: its table is the same bits,
+    and the generator is not drawn from."""
+    split, train, unseen = trained_setup
     pooled = pool_domains(train)
     z = split.encode_np(pooled.features)
+    sizes = _count_predicted_rows(monkeypatch)
+    once = permutation_importance(split, z, pooled.labels)
+    assert sizes == [pooled.n]  # the base logits only
+    assert once.tobytes() == permutation_importance(split, z, pooled.labels).tobytes()
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    sizes = _count_predicted_rows(monkeypatch)
-    once = permutation_importance(split, z, pooled.labels, repeats=1, rng=rng)
+    plain = sweep_mask_percent(split, train, unseen)
+    rows = np.array([astuple(r) for r in plain.rows])
+    for repeats in (5, 0):  # neither read nor checked
+        given = sweep_mask_percent(split, train, unseen, repeats=repeats, rng=rng)
+        assert np.array([astuple(r) for r in given.rows]).tobytes() == rows.tobytes()
+        assert given.best_percent == plain.best_percent
     assert rng.bit_generator.state == state
-    assert sizes == [pooled.n]  # the base logits only
-    five = permutation_importance(split, z, pooled.labels, repeats=5, rng=np.random.default_rng(4))
-    assert once.tobytes() == five.tobytes()
-    assert once.tobytes() == permutation_importance(split, z, pooled.labels).tobytes()
 
 
 def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
     """Intervals are built once per dimension, only for the rows some column
     value can flip: on this briefly trained model about 79% of them (1.2-1.5%
-    on the benchmark's base models), against every row of every permutation
-    on the sampled path. Every other row keeps its base prediction for every
-    value of the column."""
+    on the benchmark's base models). Every other row keeps its base
+    prediction for every value of the column."""
     split, train, _ = trained_setup
     pooled = pool_domains(train)
     z, labels = split.encode_np(pooled.features), pooled.labels
@@ -418,22 +411,35 @@ def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
             assert (np.argmax(split.predict_np(moved), axis=1) == base[kept]).all()
 
 
-# -- the sampled path equals the copy-per-permutation loop --------------------------
+# -- the exact path equals a brute force over every row and value ------------------
 
 
-def _reference_importance(split, z, labels, repeats, rng):
-    """Permutation importance as first written: copy the whole embedding and
-    predict every row for each permutation."""
-    base = masked_accuracy(split, z, labels)
-    scores = np.zeros(z.shape[1])
-    for k in range(z.shape[1]):
-        drops = []
-        for _ in range(repeats):
-            zp = z.copy()
-            zp[:, k] = zp[rng.permutation(len(zp)), k]
-            drops.append(base - masked_accuracy(split, zp, labels))
-        scores[k] = np.mean(drops)
+def _reference_importance(split, z, labels):
+    """The exact expected drop by its definition: under a uniformly random
+    permutation row i receives each of the n values of column k with
+    probability 1/n, so every row is predicted in full with every value, and
+    the score is (n * ok - hits) / n**2 for the ``ok`` rows the unpermuted
+    embedding gets right."""
+    n, d = z.shape
+    ok = int(np.count_nonzero(np.argmax(split.predict_np(z), axis=1) == labels))
+    scores = np.zeros(d)
+    for k in range(d):
+        preds = np.argmax(split.predict_np(_with_every_value(z, k)), axis=1)
+        scores[k] = (n * ok - int(np.count_nonzero(preds == np.repeat(labels, n)))) / (n * n)
     return scores
+
+
+def _with_every_value(z, k):
+    """Each row of ``z`` n times over, given each value of column k in turn."""
+    every = np.repeat(z, len(z), axis=0)
+    every[:, k] = np.tile(z[:, k], len(z))
+    return every
+
+
+def _assert_whole_hits(scores, n):
+    """Scores that are whole numbers of hits over n * n row-values, in [-1, 1]."""
+    assert scores.tobytes() == (np.round(scores * n * n) / (n * n)).tobytes()
+    assert ((-1.0 <= scores) & (scores <= 1.0)).all()
 
 
 def _tie_setup():
@@ -452,7 +458,7 @@ def _tie_setup():
 
 def _cancellation_setup():
     """Class 1 leads class 0 by 1e-11, which vanishes next to dimension 0's
-    1e6: a row at 1e6 is a tie, while the full product of one permuted to 0
+    1e6: a row at 1e6 is a tie, while the full product of one given 0
     predicts class 1."""
     w = np.array([[1.0, 1.0], [0.0, 1e-11]])
     x = np.column_stack([np.tile([1e6, 0.0], 10), np.ones(20)])
@@ -461,8 +467,12 @@ def _cancellation_setup():
 
 @pytest.mark.parametrize("case", ["affine", "general", "exact_tie", "cancellation"])
 def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, monkeypatch):
-    """The sampled path: each case's embedding is scaled past the overflow
-    guard; ``general`` is an untrained model with two hidden layers."""
+    """The exact path against the brute force; ``general`` is an untrained
+    model with two hidden layers. The exact path builds its intervals from
+    the base logits: in ``cancellation`` the lead has already rounded away
+    there, so its scores are only checked to be whole hit counts, and in
+    ``exact_tie`` the scores may differ by the row-values whose full product
+    ties two classes exactly, and by no more."""
     split, train, _ = trained_setup
     if case == "general":
         split = split_model(Mlp([8, 12, 6, 3], seed=4))
@@ -471,19 +481,24 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
     elif case == "cancellation":
         split, train = _cancellation_setup()
     pooled = pool_domains(train)
-    n, z = pooled.n, split.encode_np(pooled.features) * _PAST_GUARD
-    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-    expected = _reference_importance(split, z, pooled.labels, 3, ref_rng)
+    n, z = pooled.n, split.encode_np(pooled.features)
+    expected = _reference_importance(split, z, pooled.labels)
 
     sizes = _count_predicted_rows(monkeypatch)
-    scores = permutation_importance(split, z, pooled.labels, repeats=3, rng=rng)
+    scores = permutation_importance(split, z, pooled.labels)
+    assert sizes == [n]  # the base logits only
 
-    # Every score is the base accuracy minus a permuted one, so this also
+    # Every score is the base hits minus the permuted ones, so this also
     # pins the base accuracy.
-    assert scores.tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # Only full products: the base logits, then one per permutation.
-    assert sizes == [n] * (1 + split.embedding_dim * 3)
+    if case in ("affine", "general"):
+        assert scores.tobytes() == expected.tobytes()
+        return
+    _assert_whole_hits(scores, n)
+    if case == "exact_tie":
+        for k in range(split.embedding_dim):
+            top_two = np.sort(split.predict_np(_with_every_value(z, k)), axis=1)[:, -2:]
+            ties = np.count_nonzero(top_two[:, 0] == top_two[:, 1])
+            assert abs(round((scores[k] - expected[k]) * n * n)) <= ties
 
 
 @pytest.mark.parametrize("n", [511, 512, 513])
@@ -491,17 +506,15 @@ def test_importance_matches_copy_per_permutation_bitwise(trained_setup, case, mo
 def test_importance_at_the_tile_edges_matches_copy_per_permutation(layers, n):
     rng = np.random.default_rng(n)
     split = split_model(Mlp(layers, seed=4))
-    z = rng.normal(size=(n, split.embedding_dim)) * _PAST_GUARD
+    z = rng.normal(size=(n, split.embedding_dim))
     labels = rng.integers(3, size=n)
-    ref_rng, imp_rng = np.random.default_rng(8), np.random.default_rng(8)
-    expected = _reference_importance(split, z, labels, 2, ref_rng)
-    assert permutation_importance(split, z, labels, 2, imp_rng).tobytes() == expected.tobytes()
-    assert imp_rng.bit_generator.state == ref_rng.bit_generator.state
+    expected = _reference_importance(split, z, labels)
+    assert permutation_importance(split, z, labels).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1.0, _PAST_GUARD], ids=["affine", "general"])
 def test_importance_leaves_features_and_sweep_embedding_unchanged(scale):
-    """Inside the overflow guard and, scaled past it, on the sampled path."""
+    """Inside the overflow guard and, scaled past it, when refused."""
     rng = np.random.default_rng(9)
     datasets = [
         DomainDataset(rng.normal(size=(50, 4)) * scale, rng.integers(3, size=50), i) for i in range(3)
@@ -509,12 +522,16 @@ def test_importance_leaves_features_and_sweep_embedding_unchanged(scale):
     before = [d.features.copy() for d in datasets]
     split = split_model(Mlp([4, 3], seed=1))  # identity encoder: z is the features
     data = datasets[0]
-    permutation_importance(split, data.features, data.labels, 2, np.random.default_rng(0))
+    refused = pytest.raises(NumericError) if scale != 1.0 else contextlib.nullcontext()
+    with refused:
+        permutation_importance(split, data.features, data.labels)
     # The sweep hands its train embedding to the importance pass, then scores it.
-    table = sweep_mask_percent(split, datasets[:2], datasets[2], [0.0], repeats=2)
+    with refused:
+        table = sweep_mask_percent(split, datasets[:2], datasets[2], [0.0])
     for d, b in zip(datasets, before):
         assert d.features.tobytes() == b.tobytes()
-    assert table.rows[0].train_accuracy == accuracy(split, pool_domains(datasets[:2]))
+    if scale == 1.0:
+        assert table.rows[0].train_accuracy == accuracy(split, pool_domains(datasets[:2]))
 
 
 _PLANTS = (
@@ -563,76 +580,71 @@ def _planted_affine_case(draw):
         # alone (0 when the weight is 0).
         w[0] = gen.choice([-1.0, 0.0, 0.25])
     elif plant == "huge":
-        # Finite logits near the float limit. Dimension 0 weighs all classes
-        # alike, so its permutations move no lead but can push a logit past
-        # the limit.
+        # Finite logits near the float limit, past the overflow guard unless
+        # the embedding is all zeros. Dimension 0 weighs all classes alike.
         z *= 6e307
         w[0] = 1.0
     else:
         z[gen.integers(n), gen.integers(d)] = np.nan if plant == "nan" else np.inf
     labels = gen.integers(c, size=n)
-    return plant, _linear_split(w, b), z, labels, draw(st.integers(0, 2**16))
+    return plant, _linear_split(w, b), z, labels
 
 
-# Row 1's class 1 leads by 1e307, which dimension 0 cannot change; taking
-# row 0's 1.7e308 there (seed 2 swaps them) overflows that logit.
+# Row 1's class 1 leads by 1e307, which dimension 0 cannot change; giving
+# it row 0's 1.7e308 would overflow that logit.
 _OVERFLOW = np.array([[1.7e308, 1e307], [0.0, -1e307]])
 
 
 @settings(deadline=None, max_examples=120)
 @given(_planted_affine_case())
-@example(("huge", _linear_split(np.array([[1.0, 1.0], [0.0, -1.0]]), np.zeros(2)), _OVERFLOW, np.array([0, 1]), 2))
+@example(("huge", _linear_split(np.array([[1.0, 1.0], [0.0, -1.0]]), np.zeros(2)), _OVERFLOW, np.array([0, 1])))
 def test_candidate_rows_match_copy_per_permutation_bitwise(case):
-    """On the planted ties, near ties, cancellations, overflows, NaN and inf
-    that stress the affine path's candidate rows, the sampled path keeps
-    every score bit and the random stream of a copy per permutation."""
-    plant, split, z, labels, seed = case
-    w, b = split.predictor_affine_params()
-    # An all-zero embedding or weight matrix stays inside the overflow guard
-    # at any scale, and no permutation moves a logit there: the exact path
-    # takes it, and the tests above check that path.
-    assume(z.any() and w.any())
-    if plant != "huge":  # past the guard already, and scaled it would overflow
-        split, z = _past_guard(w, b, z)
-    repeats = 3
-    # These embeddings make non-finite logits by design.
-    nonfinite = plant in ("huge", "nan", "inf")
-    quiet = np.errstate(invalid="ignore", over="ignore") if nonfinite else contextlib.nullcontext()
-    with quiet, pytest.MonkeyPatch.context() as mp:
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = _reference_importance(split, z, labels, repeats, ref_rng)
+    """On the planted ties, near ties, constant columns and flat weights that
+    stress the candidate rows, the exact path keeps every score bit of the
+    brute force. Huge, NaN and inf embeddings are refused before anything is
+    predicted. In ``cancellation`` each row's interval comes from base
+    logits in which the 1e-11 lead has already rounded to a tie, where the
+    brute force predicts in full: its scores are only checked to be whole
+    hit counts."""
+    plant, split, z, labels = case
+    with pytest.MonkeyPatch.context() as mp:
         sizes = _count_predicted_rows(mp)
-        scores = permutation_importance(split, z, labels, repeats=repeats, rng=rng)
-    assert scores.tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert sizes == [len(z)] * (1 + z.shape[1] * repeats)
+        if plant in ("huge", "nan", "inf") and z.any():
+            with pytest.raises(NumericError, match="overflow bound"):
+                permutation_importance(split, z, labels)
+            assert sizes == []
+            return
+        scores = permutation_importance(split, z, labels)
+    assert sizes == [len(z)]  # the base logits only
+    if plant == "cancellation":
+        _assert_whole_hits(scores, len(z))
+    else:
+        assert scores.tobytes() == _reference_importance(split, z, labels).tobytes()
 
 
-def test_near_float_limit_importance_matches_copy_per_permutation():
-    """Past the overflow guard every permutation is predicted in full: at
-    this scale a rank-1 update of the base logits overflows where the full
-    product does not (dimension 1 scored 1/12 that way, against 1/6 from
-    permuted copies)."""
+def test_near_float_limit_importance_is_refused(monkeypatch):
+    """Past the overflow guard nothing is predicted: at this scale a rank-1
+    update of the base logits overflows where the full product does not
+    (dimension 1 scored 1/12 that way, against 1/6 from permuted copies)."""
     z = np.array([[1.2e308, -6e307, -6e307], [0, -6e307, 0], [1.2e308, 3e307, 3e307], [-6e307, 0, 0]])
     split = _linear_split(np.array([[0.25, 0.25], [-1.0, 0.25], [-1.0, -1.0]]), np.zeros(2))
     labels = np.array([0, 1, 1, 0])
-    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
-    expected = _reference_importance(split, z, labels, 3, ref_rng)
-    scores = permutation_importance(split, z, labels, repeats=3, rng=rng)
-    assert scores.tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    sizes = _count_predicted_rows(monkeypatch)
+    with pytest.raises(NumericError, match="overflow bound"):
+        permutation_importance(split, z, labels)
+    assert sizes == []
 
 
-def test_weights_near_the_float_limit_take_the_sampled_path():
+def test_weights_near_the_float_limit_are_refused(monkeypatch):
     """Weights of +-1e308 keep the logits of tiny embeddings small, but their
-    difference overflows: the guard's max|W| term sends them to the sampled
-    path, where the exact path would score 0.625 against a true 0.25."""
+    difference overflows: the guard's max|W| term refuses them, where the
+    exact path would score 0.625 against a true 0.25."""
     split = _linear_split(np.array([[1e308, -1e308]]), np.zeros(2))
     z, labels = np.array([[1e-12], [-1e-12], [2e-12], [0.0]]), np.array([0, 1, 0, 1])
-    ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
-    expected = _reference_importance(split, z, labels, 3, ref_rng)
-    assert permutation_importance(split, z, labels, repeats=3, rng=rng).tobytes() == expected.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    sizes = _count_predicted_rows(monkeypatch)
+    with pytest.raises(NumericError, match="overflow bound"):
+        permutation_importance(split, z, labels)
+    assert sizes == []
 
 
 @settings(deadline=None, max_examples=200)

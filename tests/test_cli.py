@@ -364,7 +364,7 @@ def test_missing_seed_exits_3(tmp_path):
             {"eval.mode": "global", "eval.mask_percent": 150},
             id="eval-global-eval.mask_percent=150",
         ),
-        # Removed too: the CLI takes permutation importance's default repeats.
+        # Removed too: permutation importance draws nothing, so it has no repeats.
         pytest.param(
             "eval", {"eval.mode": "global", "eval.repeats": 0}, id="eval-global-eval.repeats=0"
         ),
@@ -924,6 +924,39 @@ def test_inputs_outside_the_manifest_are_not_read(pipeline, tmp_path, capsys):
     assert run_cmd("eval", cfg, out_dir=out, **{"data.dir": data, "base.model": stale}) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "manifest" in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def past_the_guard(tmp_path_factory):
+    """A data directory whose finite features are near 1e300, and a 2-epoch
+    base model trained on the default data: the embedding is past permutation
+    importance's overflow guard."""
+    root = tmp_path_factory.mktemp("past_the_guard")
+    cfg = root / "cfg.txt"
+    cfg.write_text("seed = 0\nout_dir = unused\n")
+    assert run_cmd("gen-data", cfg, out_dir=root / "data") == 0
+    assert run_cmd("gen-data", cfg, out_dir=root / "huge", **{"benchmark.noise_sigma": 1e300}) == 0
+    assert run_cmd("train-erm", cfg, out_dir=root / "erm", **{"data.dir": root / "data", "train.max_epochs": 2}) == 0
+    return cfg, {"data.dir": root / "huge", "base.model": root / "erm" / "base_model"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "cmd, overrides",
+    [("sweep-global", {}), ("eval", {"eval.mode": "global"}), ("export-embeddings", {"eval.mode": "global"})],
+    ids=["sweep-global", "eval-global", "export-embeddings-global"],
+)
+def test_embedding_past_the_overflow_guard_exits_1_before_run_dir(past_the_guard, tmp_path, capsys, cmd, overrides):
+    """The global mask is refused before anything is predicted, so no
+    product overflows, and before ``out_dir`` exists."""
+    cfg, inputs = past_the_guard
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cmd(cmd, cfg, out_dir=out, **inputs, **overrides) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error code=1 msg="permutation importance: overflow bound')
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
 
 
