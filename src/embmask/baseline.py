@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericError, ShapeMismatchError, UsageError
 from .evaluate import ROW_BLOCK, global_mask_accuracies, masked_accuracy
 from .nn import SplitModel
-from .synthbench import DomainDataset, pool_domains
+from .synthbench import DomainDataset, pool_domains, save_table
 
 Array = np.ndarray
 
@@ -60,14 +60,9 @@ class SweepTable:
     best_percent: float = 0.0
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("percent,unseen_acc,train_acc\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.percent:.17g},{row.unseen_accuracy:.17g},"
-                    f"{row.train_accuracy:.17g}\n"
-                )
-            fh.write(f"# best_percent={self.best_percent:.17g}\n")
+        """One row per percent; ``unseen_best`` is 1 on ``best_percent``."""
+        cols = np.array([(r.percent, r.unseen_accuracy, r.train_accuracy) for r in self.rows]).reshape(-1, 3)
+        save_table(path, ["percent", "unseen_acc", "train_acc", "unseen_best"], cols, cols[:, 0] == self.best_percent)
 
 
 def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:

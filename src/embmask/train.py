@@ -40,7 +40,7 @@ from .errors import (
 )
 from .mask import MaskGenConfig, logistic_noise, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
-from .synthbench import DomainDataset
+from .synthbench import DomainDataset, save_table
 
 Array = np.ndarray
 
@@ -75,13 +75,12 @@ class TrainTrace:
     selected_epoch: int = -1
 
     def to_csv(self, path: str) -> None:
+        """One row per epoch; ``selected`` is 1 on ``selected_epoch``."""
         # Wall-clock deliberately excluded: metrics files must be
         # byte-identical across reruns of the same config+seed.
-        with open(path, "w") as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for i, (tr, va) in enumerate(zip(self.train_loss, self.val_loss)):
-                fh.write(f"{i},{tr:.17g},{va:.17g}\n")
-            fh.write(f"# selected_epoch={self.selected_epoch}\n")
+        epochs = np.arange(len(self.train_loss))
+        header = ["epoch", "train_loss", "val_loss", "selected"]
+        save_table(path, header, epochs, self.train_loss, self.val_loss, epochs == self.selected_epoch)
 
 
 # -- losses -------------------------------------------------------------------

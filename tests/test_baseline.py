@@ -158,9 +158,10 @@ def test_sweep_csv_format(trained_setup, tmp_path):
     path = tmp_path / "sweep.csv"
     table.to_csv(str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "percent,unseen_acc,train_acc"
-    assert lines[-1].startswith("# best_percent=")
-    assert len(lines) == 4
+    assert lines[0] == "percent,unseen_acc,train_acc,unseen_best"
+    assert len(lines) == 3
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert rows[rows[:, 3] == 1, 0].tolist() == [table.best_percent]
 
 
 def test_sweep_csv_tells_close_percents_apart(tmp_path):
@@ -168,9 +169,9 @@ def test_sweep_csv_tells_close_percents_apart(tmp_path):
     path = tmp_path / "sweep.csv"
     SweepTable(rows, best_percent=33.3333334).to_csv(str(path))
     lines = path.read_text().splitlines()
-    assert [float(line.split(",")[0]) for line in lines[1:4]] == [0.0, 33.3333331, 33.3333334]
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 33.3333331, 33.3333334]
     assert lines[1].startswith("0,")
-    assert float(lines[-1].split("=")[1]) == 33.3333334
+    assert [line.split(",")[3] for line in lines[1:]] == ["0", "0", "1"]
 
 
 @pytest.mark.parametrize("case", ["affine", "general"])

@@ -117,9 +117,9 @@ def test_command_keys_are_pinned(pipeline):
     emg_dir = pipeline["emg"].parent
     config = _config(emg_dir)
     assert sorted(config) == sorted(COMMAND_KEYS["train-emg"])
-    trace = (emg_dir / "emg_trace.csv").read_text().splitlines()[1:]
-    epochs = [row for row in trace if not row.startswith("#")]
+    epochs = (emg_dir / "emg_trace.csv").read_text().splitlines()[1:]
     assert 1 <= len(epochs) <= int(config["emg.max_epochs"])
+    assert [row.split(",")[3] for row in epochs].count("1") == 1
 
 
 def test_gen_data_rundir_complete_and_verifies(pipeline):
@@ -208,7 +208,7 @@ def test_sweep_global_csv(pipeline, tmp_path):
     )
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "percent,unseen_acc,train_acc"
+    assert lines[0] == "percent,unseen_acc,train_acc,unseen_best"
     assert lines[1].startswith("0,")
     RunDirectory.verify(str(out))
 
@@ -224,7 +224,7 @@ def test_global_eval_matches_its_sweep_row(pipeline, tmp_path):
     assert run_cmd("sweep-global", cfg, out_dir=tmp_path / "sweep", **inputs, **grid) == 0
     report = json.loads((tmp_path / "eval" / "report.json").read_text())["per_domain_mean"]
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    _, unseen, train = next(r for r in rows if r.startswith("50,")).split(",")
+    _, unseen, train, _ = next(r for r in rows if r.startswith("50,")).split(",")
     assert (float(unseen), float(train)) == (report["unseen"], report["train_pooled"])
 
 
@@ -985,18 +985,27 @@ def test_artifact_digest_chain_covers_every_code_path(monkeypatch):
     assert {m for cmd, m in used("mask.inference_mode") if cmd == "eval"} == set(INFERENCE_MODES)
 
 
-def test_artifact_digests_match_golden(tmp_path):
-    """The 14 run directories of scripts/artifact_digests.py are byte for
-    byte those recorded in tests/golden/artifact_digests.txt. The chain runs
-    in its own process, so no state of this one leaks into it."""
+@pytest.fixture(scope="module")
+def digest_chain(tmp_path_factory):
+    """The 14 run directories of scripts/artifact_digests.py, run in its own
+    process so that no state of this one leaks into it: (out root, process)."""
     root = Path(__file__).parents[1]
+    out = tmp_path_factory.mktemp("digest_chain")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "artifact_digests.py"), str(tmp_path)],
+        [sys.executable, str(root / "scripts" / "artifact_digests.py"), str(out)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    return out, proc
+
+
+def test_artifact_digests_match_golden(digest_chain):
+    """The 14 run directories of scripts/artifact_digests.py are byte for
+    byte those recorded in tests/golden/artifact_digests.txt."""
+    root = Path(__file__).parents[1]
+    _, proc = digest_chain
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     golden = (root / "tests" / "golden" / "artifact_digests.txt").read_text()
     moved = sorted({line.split()[-1] for line in set(proc.stdout.splitlines()) ^ set(golden.splitlines())})
@@ -1004,3 +1013,22 @@ def test_artifact_digests_match_golden(tmp_path):
         f"run directories that differ: {', '.join(moved)}; "
         f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
     )
+
+
+def test_every_chain_csv_is_one_dialect(digest_chain):
+    """Every CSV the 14 chain runs write is one header row, then rows of as
+    many cells, every line ending in CRLF, no line a reader must skip, and a
+    body that ``np.loadtxt`` parses whole."""
+    out, _ = digest_chain
+    paths = sorted(out.rglob("*.csv"))
+    assert {p.relative_to(out).parts[0] for p in paths} >= {"data", "erm", "emg", "sweep", "export_none"}
+    for path in paths:
+        raw = path.read_bytes()
+        assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), path
+        lines = raw.decode().split("\r\n")[:-1]
+        header = lines[0].split(",")
+        assert all(cell.isidentifier() for cell in header), path
+        assert not [line for line in lines if line.startswith("#")], path
+        assert all(len(line.split(",")) == len(header) for line in lines[1:]), path
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert body.shape == (len(lines) - 1, len(header)), path

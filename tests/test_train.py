@@ -515,6 +515,7 @@ def test_train_trace_csv_excludes_wall_clock(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(str(path))
     text = path.read_text()
-    assert text.startswith("epoch,train_loss,val_loss\n")
-    assert f"# selected_epoch={trace.selected_epoch}" in text
+    assert text.startswith("epoch,train_loss,val_loss,selected\n")
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert np.flatnonzero(rows[:, 3]).tolist() == [trace.selected_epoch]
     assert "wall" not in text
