@@ -7,7 +7,7 @@ synthetic multi-domain benchmark with known shared/specific features, and
 empirical generalization-bound diagnostics.
 """
 
-from .mask import MaskGenConfig, gumbel_sample, inference_mask
+from .mask import MaskGenConfig, inference_mask
 from .nn import Mlp, ParamStore, SplitModel, load_params, save_params, split_model
 from .synthbench import BenchmarkSpec, DomainDataset, generate_benchmark
 from .train import TrainConfig, TrainTrace, train_emg, train_erm
@@ -16,7 +16,6 @@ from .baseline import global_mask_from_scores, permutation_importance, sweep_mas
 
 __all__ = [
     "MaskGenConfig",
-    "gumbel_sample",
     "inference_mask",
     "Mlp",
     "ParamStore",

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .mask import MaskGenConfig, logistic_noise, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
-from .synthbench import DomainDataset, save_table
+from .synthbench import DomainDataset, pool_domains, save_table
 
 Array = np.ndarray
 
@@ -235,55 +235,30 @@ def optimizer_step(
 # -- data plumbing -----------------------------------------------------------
 
 
-def _stratified_split(
-    labels: Array, val_fraction: float, rng: np.random.Generator
-) -> tuple[Array, Array]:
-    """Per-class index split; at least one validation sample per class when
-    the class has >= 2 members."""
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    for cls in np.unique(labels):
-        idx = np.flatnonzero(labels == cls)
-        idx = rng.permutation(idx)
-        n_val = int(round(len(idx) * val_fraction))
-        if len(idx) >= 2:
-            n_val = min(max(n_val, 1), len(idx) - 1)
-        else:
-            n_val = 0
-        val_idx.extend(idx[:n_val])
-        train_idx.extend(idx[n_val:])
-    return (
-        np.sort(np.array(train_idx, dtype=np.int64)),
-        np.sort(np.array(val_idx, dtype=np.int64)),
-    )
-
-
 def pooled_split(
     datasets: list[DomainDataset], val_fraction: float, seed: int
 ) -> tuple[Array, Array, Array, Array]:
     """Pool domains and hold out a stratified validation share per domain.
 
-    Only sample indices are used for the split; domain identity never leaks
-    into features or targets. Raises DegenerateDataError when no domain has
-    a class with two members to hold one out, so the pooled validation
-    split would be empty.
+    Each class of each domain, of n rows, holds out round(val_fraction * n)
+    of them clamped to [1, n - 1], so none for a one-row class; both shares
+    keep the pooled row order. Only sample indices are used for the split;
+    domain identity never leaks into features or targets. Raises
+    DegenerateDataError when the pooled validation split would be empty.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
-    xs_tr, ys_tr, xs_va, ys_va = [], [], [], []
+    pool = pool_domains(datasets)
+    is_val = np.zeros(pool.n, dtype=bool)
+    offset = 0
     for data in datasets:
-        tr, va = _stratified_split(data.labels, val_fraction, rng)
-        xs_tr.append(data.features[tr])
-        ys_tr.append(data.labels[tr])
-        xs_va.append(data.features[va])
-        ys_va.append(data.labels[va])
-    if not sum(len(y) for y in ys_va):
+        for cls in np.unique(data.labels):
+            idx = rng.permutation(np.flatnonzero(data.labels == cls))
+            n_val = min(max(round(len(idx) * val_fraction), 1), len(idx) - 1)
+            is_val[offset + idx[:n_val]] = True
+        offset += data.n
+    if not is_val.any():
         raise DegenerateDataError("the pooled validation split is empty")
-    return (
-        np.concatenate(xs_tr),
-        np.concatenate(ys_tr),
-        np.concatenate(xs_va),
-        np.concatenate(ys_va),
-    )
+    return pool.features[~is_val], pool.labels[~is_val], pool.features[is_val], pool.labels[is_val]
 
 
 # -- ERM fine-tuning ------------------------------------------------------------
@@ -292,7 +267,7 @@ def pooled_split(
 def train_erm(
     config: TrainConfig,
     datasets: list[DomainDataset],
-    layer_sizes: list[int] | None = None,
+    layer_sizes: list[int],
 ) -> tuple[Mlp, TrainTrace]:
     """Pooled-domain ERM training of the base model with hard-label cross
     entropy; returns the best-validation-epoch parameters."""
@@ -302,8 +277,6 @@ def train_erm(
         raise DegenerateDataError("ERM training needs at least 2 classes")
     n_classes = int(classes.max()) + 1
     dim = x_tr.shape[1]
-    if layer_sizes is None:
-        layer_sizes = [dim, n_classes]
     if layer_sizes[0] != dim or layer_sizes[-1] < n_classes:
         raise ConfigError(
             f"layer sizes {layer_sizes} incompatible with data ({dim} -> {n_classes})"
@@ -411,7 +384,6 @@ def _fit(
     best_val = np.inf
     best_params = params.copy()
     best_epoch = -1
-    epochs_since_best = 0
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -432,11 +404,8 @@ def _fit(
             best_val = val
             best_params = params.copy()
             best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+        elif epoch - best_epoch >= config.patience:
+            break
 
     params[...] = best_params
     trace.selected_epoch = best_epoch

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, gumbel_sample, inference_mask, split_model
+from embmask import Mlp, MaskGenConfig, inference_mask, split_model
 from embmask import mask as mask_module
 from embmask import tensor as T
 from embmask.errors import ConfigError, NumericError, ShapeMismatchError
 from embmask.mask import (
     TAU_MIN,
+    gumbel_sample,
     keep_mask,
     logistic_noise,
     relaxed_mask,

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from embmask import BenchmarkSpec, DomainDataset, TrainConfig, accuracy, generate_benchmark, split_model, train_erm
 from embmask.errors import ConfigError, CorruptFileError, CsvParseError
+from embmask.experiment import base_layers
 from embmask.synthbench import (
     Oracle,
     _sample_class_means,
@@ -139,8 +140,8 @@ def test_shared_only_classifier_beats_full_on_unseen():
     sh = oracle.shared_dims
     train_sh = [DomainDataset(d.features[:, sh], d.labels, d.domain_index) for d in train]
     unseen_sh = DomainDataset(unseen.features[:, sh], unseen.labels, unseen.domain_index)
-    full, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train)
-    shared, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train_sh)
+    full, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train, base_layers(train, []))
+    shared, _ = train_erm(TrainConfig(seed=0, max_epochs=40), train_sh, base_layers(train_sh, []))
     acc_full = accuracy(split_model(full), unseen)
     acc_shared = accuracy(split_model(shared), unseen_sh)
     assert acc_shared > acc_full

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,13 +28,16 @@ from embmask.errors import (
     ShapeMismatchError,
     UsageError,
 )
+from embmask.experiment import base_layers
 from embmask.mask import training_mask
+from embmask.nn import ParamStore
 from embmask.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
     _emg_target,
+    _fit,
     _onehot,
     emg_forward,
     erm_forward,
@@ -359,8 +362,8 @@ def test_pooled_split_is_stratified_and_deterministic():
 def test_split_indices_are_integers_even_when_a_domain_holds_none_back():
     rng = np.random.default_rng(0)
     big = DomainDataset(rng.normal(size=(10, 2)), np.arange(10) % 2, 0)
-    # one row per class: nothing to hold out, so this domain's validation
-    # index array is empty
+    # one row per class: nothing to hold out, so this domain adds no
+    # validation row
     tiny = DomainDataset(rng.normal(size=(2, 2)), np.array([0, 1]), 1)
     x_tr, y_tr, x_va, y_va = pooled_split([tiny, big], 0.2, seed=0)
     assert len(x_tr) == 2 + 8 and len(x_va) == 2
@@ -373,7 +376,78 @@ def test_empty_pooled_validation_split_is_degenerate():
     with pytest.raises(DegenerateDataError):
         pooled_split(data, 0.2, seed=0)
     with pytest.raises(DegenerateDataError):
-        train_erm(TrainConfig(seed=0), data)
+        train_erm(TrainConfig(seed=0), data, base_layers(data, []))
+
+
+def _reference_pooled_split(datasets, val_fraction, seed):
+    """Per-class index lists, sorted per domain, then pooled: the split as
+    first written, kept as the oracle for ``pooled_split``."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5EED)))
+    xs_tr, ys_tr, xs_va, ys_va = [], [], [], []
+    for data in datasets:
+        train_idx, val_idx = [], []
+        for cls in np.unique(data.labels):
+            idx = rng.permutation(np.flatnonzero(data.labels == cls))
+            n_val = int(round(len(idx) * val_fraction))
+            n_val = min(max(n_val, 1), len(idx) - 1) if len(idx) >= 2 else 0
+            val_idx.extend(idx[:n_val])
+            train_idx.extend(idx[n_val:])
+        tr = np.sort(np.array(train_idx, dtype=np.int64))
+        va = np.sort(np.array(val_idx, dtype=np.int64))
+        xs_tr.append(data.features[tr])
+        ys_tr.append(data.labels[tr])
+        xs_va.append(data.features[va])
+        ys_va.append(data.labels[va])
+    if not sum(len(y) for y in ys_va):
+        raise DegenerateDataError("the pooled validation split is empty")
+    return tuple(np.concatenate(part) for part in (xs_tr, ys_tr, xs_va, ys_va))
+
+
+@st.composite
+def _split_layouts(draw):
+    n_classes = draw(st.integers(1, 5))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    datasets = []
+    for d in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 30))
+        labels = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+        # distinct rows, so any reordering shows in the features
+        features = (np.arange(n * 2).reshape(n, 2) + 100 * d).astype(dtype)
+        datasets.append(DomainDataset(features, labels, d))
+    # 1e-3 rounds to 0 and 0.999 to the size for every class of <= 30 rows
+    val_fraction = draw(
+        st.one_of(
+            st.sampled_from([1e-3, 0.5, 0.999]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        )
+    )
+    return datasets, val_fraction, draw(st.integers(0, 2**32 - 1))
+
+
+_ONE_ROW_CLASSES = [DomainDataset(np.eye(2), np.array([0, 1]), d) for d in range(2)]
+_MIXED = [
+    DomainDataset(np.eye(2), np.array([0, 1]), 0),
+    DomainDataset(np.arange(14.0).reshape(7, 2), np.array([2, 0, 2, 1, 0, 2, 0]), 1),
+]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_split_layouts())
+@example((_ONE_ROW_CLASSES, 0.5, 0))  # nothing to hold out: both sides raise
+@example((_MIXED, 0.2, 7))  # a one-row class next to larger ones
+def test_pooled_split_matches_the_per_class_index_reference(layout):
+    datasets, val_fraction, seed = layout
+    try:
+        expected = _reference_pooled_split(datasets, val_fraction, seed)
+    except DegenerateDataError:
+        with pytest.raises(DegenerateDataError):
+            pooled_split(datasets, val_fraction, seed)
+        return
+    got = pooled_split(datasets, val_fraction, seed)
+    assert len(got) == 4
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 # -- ERM loop ------------------------------------------------------------------------
@@ -385,7 +459,7 @@ def test_erm_fits_separable_toy():
     y = rng.integers(2, size=n)
     x = rng.normal(size=(n, 2)) + np.where(y[:, None] == 1, 4.0, -4.0)
     data = [DomainDataset(x, y, 0)]
-    model, _ = train_erm(TrainConfig(seed=0, max_epochs=60, learning_rate=0.05), data)
+    model, _ = train_erm(TrainConfig(seed=0, max_epochs=60, learning_rate=0.05), data, base_layers(data, []))
     preds = np.argmax(model.forward_np(x), axis=1)
     assert (preds == y).mean() >= 0.99
 
@@ -394,7 +468,7 @@ def test_erm_shuffled_labels_stay_at_chance():
     rng = np.random.default_rng(1)
     n, c = 300, 3
     data = [DomainDataset(rng.normal(size=(n, 6)), rng.integers(c, size=n), 0)]
-    _, trace = train_erm(TrainConfig(seed=0, max_epochs=15), data)
+    _, trace = train_erm(TrainConfig(seed=0, max_epochs=15), data, base_layers(data, []))
     assert min(trace.val_loss) >= math.log(c) - 0.05
 
 
@@ -408,8 +482,43 @@ def test_erm_deterministic_given_seed():
 
 def test_erm_rejects_single_class():
     x = np.random.default_rng(0).normal(size=(40, 3))
+    data = [DomainDataset(x, np.zeros(40, dtype=int), 0)]
     with pytest.raises(DegenerateDataError):
-        train_erm(TrainConfig(seed=0), [DomainDataset(x, np.zeros(40, dtype=int), 0)])
+        train_erm(TrainConfig(seed=0), data, base_layers(data, []))
+
+
+@pytest.mark.parametrize(
+    "val_losses, patience, max_epochs, epochs, selected",
+    [
+        ([5, 4, 4, 4.5, 4, 3, 3, 3], 3, 8, 5, 1),
+        ([5, 4, 4, 4.5, 4, 3, 3, 3], 1, 8, 3, 1),
+        ([5, 4, 4, 3, 3.5, 2], 3, 6, 6, 5),
+    ],
+    ids=["patience_3", "patience_1", "runs_to_max_epochs"],
+)
+def test_fit_stops_after_patience_epochs_without_a_strictly_lower_val_loss(
+    val_losses, patience, max_epochs, epochs, selected
+):
+    store = ParamStore({"w": np.zeros(3)})
+    after_epoch = []
+
+    def step(idx):
+        def backward(grads):
+            grads["w"][...] = 1.0  # a constant gradient: every step moves w
+
+        return 0.0, backward
+
+    def val_loss():
+        after_epoch.append(store.flat.copy())
+        return float(val_losses[len(after_epoch) - 1])
+
+    config = TrainConfig(patience=patience, max_epochs=max_epochs)
+    trace = _fit(store, config, step, val_loss, n=4)
+    assert len(trace.val_loss) == len(trace.train_loss) == epochs
+    assert trace.val_loss == val_losses[:epochs]
+    assert trace.selected_epoch == selected  # an equal loss is no improvement
+    assert len({p.tobytes() for p in after_epoch}) == epochs
+    assert store.flat.tobytes() == after_epoch[selected].tobytes()
 
 
 # -- EMG loop -------------------------------------------------------------------------
