@@ -57,12 +57,12 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
-    best_percent: float = 0.0
+    unseen_best_percent: float = 0.0
 
     def to_csv(self, path: str) -> None:
-        """One row per percent; ``unseen_best`` is 1 on ``best_percent``."""
+        """One row per percent; ``unseen_best`` is 1 on ``unseen_best_percent``."""
         cols = np.array([(r.percent, r.unseen_accuracy, r.train_accuracy) for r in self.rows]).reshape(-1, 3)
-        save_table(path, ["percent", "unseen_acc", "train_acc", "unseen_best"], cols, cols[:, 0] == self.best_percent)
+        save_table(path, ["percent", "unseen_acc", "train_acc", "unseen_best"], cols, cols[:, 0] == self.unseen_best_percent)
 
 
 def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:
@@ -184,5 +184,5 @@ def sweep_mask_percent(
     train += global_mask_accuracies(split, z_tr, pooled.labels, masks)
     table = SweepTable([SweepRow(*row) for row in zip(grid, unseen, train)])
     best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))
-    table.best_percent = best.percent
+    table.unseen_best_percent = best.percent
     return table

@@ -176,9 +176,10 @@ def _require_path(path: str, what: str) -> None:
         raise MissingArtifact(f"{what} not found: {path}")
 
 
-def _load_model(path: str, what: str, prefix: str) -> Mlp:
+def _load_model(path: str, what: str, prefix: str, widths: tuple) -> Mlp:
     """The model saved at ``path``, listed in its run's verified manifest;
-    its parameter names must start with ``prefix``."""
+    its parameter names must start with ``prefix`` and its (input, output)
+    widths must equal ``widths``, where None accepts any width."""
     if not path:
         raise MissingArtifact(f"{what} not configured")
     run_path, name = os.path.split(path)
@@ -192,6 +193,9 @@ def _load_model(path: str, what: str, prefix: str) -> Mlp:
         raise CorruptFileError(
             f"{what} {path} has parameter prefix {model.prefix!r}, not {prefix!r}"
         )
+    has = (model.layer_sizes[0], model.layer_sizes[-1])
+    if any(w is not None and w != h for w, h in zip(widths, has)):
+        raise ShapeMismatchError(f"{what} {path} has (input, output) widths {has}, needs {widths}")
     return model
 
 
@@ -224,36 +228,20 @@ def _load_data_dir(data_dir: str):
     return domains[:-1], domains[-1], oracle
 
 
-def _load_split(cfg, train_data, unseen):
-    """The frozen base model, split before its last linear layer; it must
-    take the data's features and have an output for every label of every
-    domain."""
-    model = _load_model(cfg["base.model"], "base model", "")
+def _load_base(cfg):
+    """Train domains, unseen domain, oracle (or None) and the frozen base
+    model split before its last linear layer; the model must take the data's
+    features and have an output for every label of every domain."""
+    train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
+    model = _load_model(cfg["base.model"], "base model", "", (train_data[0].dim, None))
     model.store.freeze()
-    dim, classes = train_data[0].dim, model.layer_sizes[-1]
-    if model.layer_sizes[0] != dim:
-        raise ShapeMismatchError(
-            f"base model takes {model.layer_sizes[0]} features, the data has {dim}"
-        )
+    classes = model.layer_sizes[-1]
     for data in (*train_data, unseen):
         if not 0 <= data.labels.min() <= data.labels.max() < classes:
             raise ShapeMismatchError(
                 f"a label of domain {data.domain_index} is not one of the base model's {classes} classes"
             )
-    return split_model(model)
-
-
-def _load_generator(cfg, split, dim: int) -> Mlp:
-    """The mask generator; it must map ``dim`` features to a mask as wide as
-    ``split``'s embedding."""
-    gen = _load_model(cfg["emg.model"], "EMG model", "g.")
-    widths = (gen.layer_sizes[0], gen.layer_sizes[-1])
-    if widths != (dim, split.embedding_dim):
-        raise ShapeMismatchError(
-            f"EMG model maps {widths[0]} features to {widths[1]} mask values; "
-            f"data has {dim} features, the embedding {split.embedding_dim} values"
-        )
-    return gen
+    return train_data, unseen, oracle, split_model(model)
 
 
 def _mask_source(cfg, mode, split, train_data):
@@ -282,7 +270,7 @@ def _mask_source(cfg, mode, split, train_data):
         scores = permutation_importance(split, split.encode_np(pooled.features), pooled.labels)
         mask = global_mask_from_scores(scores, percent)
         return lambda data: mask
-    gen = _load_generator(cfg, split, train_data[0].dim)
+    gen = _load_model(cfg["emg.model"], "EMG model", "g.", (train_data[0].dim, split.embedding_dim))
     return lambda data: emg_masks(gen, data.features, mask_cfg, seed=cfg["seed"])
 
 
@@ -325,8 +313,7 @@ def cmd_train_erm(cfg) -> None:
 
 
 def cmd_train_emg(cfg) -> None:
-    train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data, unseen)
+    train_data, unseen, _oracle, split = _load_base(cfg)
     hidden = parse_hidden(cfg["emg.hidden"])
     tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
@@ -340,8 +327,7 @@ def cmd_train_emg(cfg) -> None:
 
 
 def cmd_eval(cfg) -> None:
-    train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data, unseen)
+    train_data, unseen, _oracle, split = _load_base(cfg)
     masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
 
     named = [(f"train_domain_{d.domain_index}", d) for d in train_data]
@@ -354,8 +340,7 @@ def cmd_eval(cfg) -> None:
 
 
 def cmd_sweep_global(cfg) -> None:
-    train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data, unseen)
+    train_data, unseen, _oracle, split = _load_base(cfg)
     grid = parse_grid(cfg["sweep.grid"])
     table = sweep_mask_percent(split, train_data, unseen, grid)
     run = RunDirectory(cfg["out_dir"], cfg)
@@ -365,10 +350,9 @@ def cmd_sweep_global(cfg) -> None:
 
 
 def cmd_bound_check(cfg) -> None:
-    train_data, unseen, oracle = _load_data_dir(cfg["data.dir"])
+    train_data, unseen, oracle, split = _load_base(cfg)
     if oracle is None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
-    split = _load_split(cfg, train_data, unseen)
     masks = _mask_source(cfg, "emg", split, train_data)(unseen)
     z = split.encode_np(unseen.features)
     reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in DISTANCE_KINDS}
@@ -382,8 +366,7 @@ def cmd_export_embeddings(cfg) -> None:
     which = cfg["export.which"]
     if which not in EXPORT_WHICH:
         raise ConfigError(f"export.which must be train or unseen, got {which!r}")
-    train_data, unseen, _oracle = _load_data_dir(cfg["data.dir"])
-    split = _load_split(cfg, train_data, unseen)
+    train_data, unseen, _oracle, split = _load_base(cfg)
     masks_for = _mask_source(cfg, cfg["eval.mode"], split, train_data)
     run = RunDirectory(cfg["out_dir"], cfg)
 

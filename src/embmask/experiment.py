@@ -63,7 +63,7 @@ def run_seed(spec: ExperimentSpec, train: list, unseen: DomainDataset, seed: int
     row["masked_unseen"] = accuracy(split, unseen, emg_masks(gen, unseen.features, spec.mask, seed))
 
     table = sweep_mask_percent(split, train, unseen)
-    best = next(r for r in table.rows if r.percent == table.best_percent)
+    best = next(r for r in table.rows if r.percent == table.unseen_best_percent)
     row["global_best_percent"] = best.percent
     row["global_unseen"] = best.unseen_accuracy
     return row

@@ -51,9 +51,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Array:
         return self._values[name]
 
-    def names(self) -> list[str]:
-        return list(self._values)
-
     def freeze(self) -> None:
         """Mark the store untrainable. Idempotent; the values stay views of
         ``flat``."""

@@ -161,13 +161,13 @@ def test_sweep_csv_format(trained_setup, tmp_path):
     assert lines[0] == "percent,unseen_acc,train_acc,unseen_best"
     assert len(lines) == 3
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert rows[rows[:, 3] == 1, 0].tolist() == [table.best_percent]
+    assert rows[rows[:, 3] == 1, 0].tolist() == [table.unseen_best_percent]
 
 
 def test_sweep_csv_tells_close_percents_apart(tmp_path):
     rows = [SweepRow(p, 0.5, 0.5) for p in (0.0, 33.3333331, 33.3333334)]
     path = tmp_path / "sweep.csv"
-    SweepTable(rows, best_percent=33.3333334).to_csv(str(path))
+    SweepTable(rows, unseen_best_percent=33.3333334).to_csv(str(path))
     lines = path.read_text().splitlines()
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 33.3333331, 33.3333334]
     assert lines[1].startswith("0,")
@@ -380,7 +380,7 @@ def test_exact_importance_draws_nothing_and_ignores_repeats(trained_setup, monke
     for repeats in (5, 0):  # neither read nor checked
         given = sweep_mask_percent(split, train, unseen, repeats=repeats, rng=rng)
         assert np.array([astuple(r) for r in given.rows]).tobytes() == rows.tobytes()
-        assert given.best_percent == plain.best_percent
+        assert given.unseen_best_percent == plain.unseen_best_percent
     assert rng.bit_generator.state == state
 
 

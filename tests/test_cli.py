@@ -15,7 +15,7 @@ import pytest
 from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
 from embmask.experiment import base_layers
 from embmask.mask import INFERENCE_MODES
-from embmask.nn import load_params
+from embmask.nn import Mlp, load_params, save_params
 from embmask.rundir import RunDirectory
 from embmask.synthbench import (
     BenchmarkSpec,
@@ -436,7 +436,8 @@ def misfits(pipeline):
     Data directories with 5 classes and with a label -1; the pipeline's
     base model predicts 3 classes. Also base models, in runs that verify,
     with a NaN parameter, and with payloads too short for their layers: a
-    ``w1`` that takes 32 values after a 64-wide layer, and ``b0`` missing."""
+    ``w1`` that takes 32 values after a 64-wide layer, and ``b0`` missing.
+    A generator that masks the 8 embedding values but takes 16 features."""
     root, cfg = pipeline["root"], pipeline["cfg"]
     wide = {**SMALL_BENCH, "benchmark.d_shared": 8, "benchmark.d_specific": 8}
     assert run_cmd("gen-data", cfg, out_dir=root / "data16", **wide) == 0
@@ -450,6 +451,10 @@ def misfits(pipeline):
     _reseal(negative)
     erm = {"data.dir": pipeline["data"], "model.hidden": "12", "train.max_epochs": 1}
     assert run_cmd("train-erm", cfg, out_dir=root / "erm12", **erm) == 0
+    gen16 = RunDirectory(str(root / "gen16"), {})
+    save_params(Mlp([16, 8], prefix="g."), gen16.file("emg_model"))
+    gen16.register("emg_model.manifest", "emg_model.params")
+    gen16.finalize()
     line = pipeline["base"].with_suffix(".manifest").read_text()
     nan = np.fromfile(pipeline["base"].with_suffix(".params"), "<f8")
     nan[0] = np.nan
@@ -458,6 +463,7 @@ def misfits(pipeline):
         "more_classes": root / "more_classes",
         "negative_label": negative,
         "base12": root / "erm12" / "base_model",
+        "gen16": root / "gen16" / "emg_model",
         "nan_parameter": _model_run(root / "nan_parameter", line, nan),
         "unchained": _model_run(
             root / "unchained",
@@ -479,7 +485,12 @@ def misfits(pipeline):
             for cmd in SCHEMAS
             if "base.model" in SCHEMAS[cmd]
         ),
-        *((cmd, "generator") for cmd in SCHEMAS if "emg.model" in SCHEMAS[cmd]),
+        *(
+            (cmd, misfit)
+            for misfit in ("generator", "generator_input")
+            for cmd in SCHEMAS
+            if "emg.model" in SCHEMAS[cmd]
+        ),
         ("eval", "nan_parameter"),
         ("eval", "unchained"),
         ("eval", "missing_bias"),
@@ -496,17 +507,42 @@ def test_inputs_that_do_not_fit_exit_1_before_run_dir(
         inputs = {"data.dir": pipeline["data"], "base.model": misfits["base12"]}
         if cmd != "bound-check":
             inputs["eval.mode"] = "emg"
+    elif misfit == "generator_input":  # the generator takes 16 features, the data has 8
+        inputs = {"data.dir": pipeline["data"], "base.model": pipeline["base"]}
+        if cmd != "bound-check":
+            inputs["eval.mode"] = "emg"
     else:  # a base model file that holds no usable model
         inputs = {"data.dir": pipeline["data"], "base.model": misfits[misfit]}
     if cmd == "bound-check" or inputs.get("eval.mode") == "emg":
-        inputs["emg.model"] = pipeline["emg"]
+        inputs["emg.model"] = misfits["gen16"] if misfit == "generator_input" else pipeline["emg"]
     out = tmp_path / "out"
     assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs) == 1
     err = capsys.readouterr().err
     assert err.startswith("error code=1") and "Traceback" not in err
     if misfit in ("more_classes", "negative_label"):
         assert "not one of the base model's 3 classes" in err
+    if misfit == "generator_input":
+        assert "EMG model" in err and "widths (16, 8), needs (8, 8)" in err
     assert not out.exists()
+
+
+def test_bound_check_without_oracle_exits_2_before_run_dir(pipeline, tmp_path, capsys):
+    """A data directory that is complete and verifies, but whose manifest
+    does not list oracle.json."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    (data / "oracle.json").unlink()
+    manifest = data / "MANIFEST.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines if not line.endswith("  oracle.json\n")))
+    assert "oracle.json" not in RunDirectory.verify(str(data))
+    out = tmp_path / "out"
+    inputs = {"data.dir": data, "base.model": pipeline["base"], "emg.model": pipeline["emg"]}
+    assert run_cmd("bound-check", pipeline["cfg"], out_dir=out, **inputs) == 2
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1
+    assert err.startswith(f'error code=2 msg="oracle.json missing in {data}"')
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_base_model_with_more_outputs_than_the_data_has_classes_is_valid(pipeline, tmp_path):

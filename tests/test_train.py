@@ -204,7 +204,7 @@ def test_optimizer_rejects_unknown_name():
 
 
 def _randomize(store, rng):
-    for name in store.names():
+    for name in store.views(store.flat):
         store[name][...] = rng.normal(size=store[name].shape)
 
 
