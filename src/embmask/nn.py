@@ -132,11 +132,10 @@ class Mlp:
         output (the last entry), each a fresh array. ``ShapeMismatchError``
         unless ``x`` is as wide as the model's input."""
         self._check_width(x)
-        last = self.n_layers - 1
+        last = len(self.layers) - 1
         h = np.asarray(x, dtype=np.float64)
         acts = [h]
-        for i in range(last + 1 if stop is None else stop):
-            w, b = self.layers[i][:2]
+        for i, (w, b, _, _) in enumerate(self.layers[:stop]):
             h = T.linear_np(h, w, b)
             if i < last:
                 T.relu_np(h, out=h)
@@ -147,15 +146,13 @@ class Mlp:
         """Backpropagate the output gradient ``g`` of a ``forward_train``
         pass: each layer writes its weight and bias gradient into ``grads``,
         views into the flat gradient vector."""
-        last = self.n_layers - 1
-        for i in range(last, -1, -1):
+        for i in range(len(self.layers) - 1, -1, -1):
             w, _, w_name, b_name = self.layers[i]
-            if i < last:
-                g = T.relu_grad(g, acts[i + 1])
             T.linear_grad_b(g, out=grads[b_name])
             T.linear_grad_w(g, acts[i], out=grads[w_name])
-            if i > 0:
-                g = T.linear_grad_x(g, w)
+            if i:
+                # acts[i] is the previous layer's relu output
+                g = T.relu_grad(T.linear_grad_x(g, w), acts[i])
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Losses, the Adam optimizer, ERM fine-tuning, and mask-generator training.
 
-A fit is per-row constants computed once, plus a step over row indices.
-Both graphs are cross entropy against a fixed per-row target distribution q:
-for ERM, the one-hot labels; for EMG, the frozen encoder/predictor pair's
-softmax(c(z)) on the embedding z = g(x), computed once with z since the base
-model cannot change. Each EMG step draws a stochastic mask m from G(x) and
-updates theta_G to minimize the cross entropy between q and the predictor's
+A fit is per-row arrays computed once, plus a step over batches of them:
+``(x, q)`` for ERM, ``(x, z, q)`` for EMG. Each epoch ``_fit`` gathers every
+array once in that epoch's shuffled row order, into buffers allocated once
+per fit, and hands each step contiguous slices of them. Both graphs are
+cross entropy against a fixed per-row target distribution q: for ERM, the
+one-hot labels; for EMG, the frozen encoder/predictor pair's softmax(c(z))
+on the embedding z = g(x), computed once with z since the base model cannot
+change. Each EMG step draws a stochastic mask m from G(x) and updates
+theta_G to minimize the cross entropy between q and the predictor's
 distribution on the masked embedding c(m * z). Domain labels are never used.
 
 "Until convergence" is concretized as patience-based early stopping on a
@@ -15,7 +18,9 @@ best-validation epoch.
 Each step is fused NumPy (``erm_forward``, ``emg_forward``): a forward that
 keeps its intermediates and a hand-derived backward that writes into views of
 one flat gradient vector, followed by one in-place Adam step over the store's
-flat parameter vector. ``hard_ce`` and ``soft_ce`` are the same losses on the
+flat parameter vector. ``erm_forward`` takes one-hot q only, as ``_onehot``
+builds it, so its cross-entropy gradient scales by a scalar where the general
+one reduces every row. ``hard_ce`` and ``soft_ce`` are the same losses on the
 tape. Targets are checked once per fit, where they are built (``_onehot``
 rejects out-of-range labels, ``_softmax_target`` non-finite target logits);
 the per-batch cross entropy scans only the logits.
@@ -128,21 +133,37 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
 # gradient wrt the trainable parameters into ``grads``, the views
 # ``ParamStore.views`` gives of a flat gradient vector. They call the array
 # functions of ``tensor`` and ``mask`` in the tape's order, so their gradients
-# equal ``backward_grads`` on the tape bit for bit.
+# equal ``backward_grads`` on the tape bit for bit; ``erm_forward``'s
+# ``_onehot_ce_grad`` equals ``cross_entropy_grad`` bit for bit on the one-hot
+# q it takes. The batches are slices of ``_fit``'s per-epoch buffers, so a step
+# must not write into x, z or q.
 
 Backward = Callable[[Mapping[str, Array]], None]
 
 
 def erm_forward(model: Mlp, x: Array, q: Array) -> tuple[float, Backward]:
-    """``cross_entropy(q, model.forward(x))``, fused; ``hard_ce`` when q is
-    one-hot."""
+    """``hard_ce`` on ``model.forward(x)``, fused, for the one-hot targets q
+    that ``_onehot`` builds; the backward relies on q being one-hot."""
     acts = model.forward_train(x)
     loss, lsm = T.cross_entropy_np(q, acts[-1])
 
     def backward(grads: Mapping[str, Array]) -> None:
-        model.backward_train(acts, T.cross_entropy_grad(1.0, q, lsm), grads)
+        model.backward_train(acts, _onehot_ce_grad(q, lsm), grads)
 
     return float(loss), backward
+
+
+def _onehot_ce_grad(q: Array, lsm: Array) -> Array:
+    """``T.cross_entropy_grad(1.0, q, lsm)`` for one-hot q, bit for bit.
+
+    Every row of d = (-1/n) q holds one -1/n and zeros, so it sums to
+    exactly -1/n: the row sums ``cross_entropy_grad`` reduces are that scalar.
+    """
+    scale = -1.0 / q.shape[0]
+    d = q * scale
+    p = np.exp(lsm)
+    p *= scale
+    return np.subtract(d, p, out=d)
 
 
 def emg_forward(
@@ -288,9 +309,9 @@ def train_erm(
     trace = _fit(
         model.store,
         config,
-        step=lambda idx: erm_forward(model, x_tr[idx], q_tr[idx]),
+        (x_tr, q_tr),
+        step=lambda x, q: erm_forward(model, x, q),
         val_loss=lambda: erm_forward(model, x_va, q_va)[0],
-        n=len(x_tr),
     )
     return model, trace
 
@@ -340,11 +361,9 @@ def train_emg(
     trace = _fit(
         generator.store,
         train_cfg,
-        step=lambda idx: emg_forward(
-            split, generator, x_tr[idx], z_tr[idx], q_tr[idx], mask_cfg, noise_rng
-        ),
+        (x_tr, z_tr, q_tr),
+        step=lambda x, z, q: emg_forward(split, generator, x, z, q, mask_cfg, noise_rng),
         val_loss=val_loss,
-        n=len(x_tr),
     )
 
     if base_store.checksum() != checksum_before:
@@ -366,13 +385,19 @@ def _emg_target(split: SplitModel, x: Array) -> tuple[Array, Array]:
 def _fit(
     store: ParamStore,
     config: TrainConfig,
-    step: Callable[[Array], tuple[float, Backward]],
+    rows: tuple[Array, ...],
+    step: Callable[..., tuple[float, Backward]],
     val_loss: Callable[[], float],
-    n: int,
 ) -> TrainTrace:
-    """Adam over shuffled minibatches of the n training rows with
-    patience-based early stopping; ``step(idx)`` is the fused step on the
-    rows ``idx``, ``val_loss()`` the validation loss."""
+    """Adam over shuffled minibatches of the training rows with
+    patience-based early stopping; ``val_loss()`` is the validation loss.
+
+    ``rows`` holds the per-row arrays of the fit, row i of each belonging to
+    training row i. Each epoch gathers them once, in that epoch's shuffled
+    order, into buffers allocated once per fit, and ``step(*batch)`` is the
+    fused step on one contiguous slice of each buffer. The caller's arrays
+    are only read.
+    """
     if store.frozen:
         raise ContractError("cannot train a frozen parameter store")
     params = store.flat
@@ -384,13 +409,20 @@ def _fit(
     best_val = np.inf
     best_params = params.copy()
     best_epoch = -1
+    n = len(rows[0])
+    shuffled = tuple(np.empty(a.shape, a.dtype) for a in rows)
+    bs = config.batch_size
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(n)
+        for a, buf in zip(rows, shuffled):
+            # "clip" never clips a permutation; "raise" would copy through
+            # a temporary.
+            np.take(a, order, axis=0, out=buf, mode="clip")
         epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            loss, backward = step(order[start : start + config.batch_size])
+        for start in range(0, n, bs):
+            loss, backward = step(*[buf[start : start + bs] for buf in shuffled])
             backward(grads)
             optimizer_step(store, grad, state, config.learning_rate)
             epoch_losses.append(loss)

@@ -124,7 +124,7 @@ def test_freeze_keeps_flat_bound_and_blocks_training():
     with pytest.raises(ContractError):
         optimizer_step(store, np.zeros_like(flat), AdamState(), 1e-3)
     with pytest.raises(ContractError):
-        _fit(store, TrainConfig(), step=None, val_loss=None, n=1)
+        _fit(store, TrainConfig(), (np.zeros((1, 1)),), step=None, val_loss=None)
     assert store.checksum() == before
 
 

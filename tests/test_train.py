@@ -14,6 +14,7 @@ from embmask import (
     MaskGenConfig,
     Mlp,
     TrainConfig,
+    TrainTrace,
     generate_benchmark,
     split_model,
     train_emg,
@@ -39,6 +40,7 @@ from embmask.train import (
     _emg_target,
     _fit,
     _onehot,
+    _onehot_ce_grad,
     emg_forward,
     erm_forward,
     hard_ce,
@@ -238,6 +240,26 @@ def test_fused_erm_gradient_equals_tape_bitwise(sizes):
     tape_grads = T.backward_grads(tape_loss, leaves)
     loss, grads = _fused(model.store, lambda: erm_forward(model, x, _onehot(labels, 3)))
     _assert_bitwise(loss, grads, tape_loss, tape_grads)
+
+
+@st.composite
+def _onehot_logits(draw):
+    n, c = draw(st.integers(1, 70)), draw(st.integers(2, 12))
+    # +-700 in one row: exp underflows to 0 in the softmax
+    logits = draw(
+        arrays(np.float64, (n, c), elements=st.floats(-1e3, 1e3) | st.sampled_from([-700.0, 700.0]))
+    )
+    return _onehot(draw(arrays(np.int64, n, elements=st.integers(0, c - 1))), c), logits
+
+
+@settings(deadline=None, max_examples=200)
+@given(_onehot_logits())
+@example((_onehot(np.array([0, 1]), 2), np.array([[700.0, -700.0], [700.0, -700.0]])))
+def test_onehot_gradient_equals_the_general_cross_entropy_gradient_bitwise(case):
+    q, logits = case
+    lsm = T.cross_entropy_np(q, logits)[1]
+    # tobytes: a signed zero that differs counts
+    assert _onehot_ce_grad(q, lsm).tobytes() == T.cross_entropy_grad(1.0, q, lsm).tobytes()
 
 
 def _emg_case(split, x, one_hot):
@@ -502,7 +524,7 @@ def test_fit_stops_after_patience_epochs_without_a_strictly_lower_val_loss(
     store = ParamStore({"w": np.zeros(3)})
     after_epoch = []
 
-    def step(idx):
+    def step(x):
         def backward(grads):
             grads["w"][...] = 1.0  # a constant gradient: every step moves w
 
@@ -513,7 +535,7 @@ def test_fit_stops_after_patience_epochs_without_a_strictly_lower_val_loss(
         return float(val_losses[len(after_epoch) - 1])
 
     config = TrainConfig(patience=patience, max_epochs=max_epochs)
-    trace = _fit(store, config, step, val_loss, n=4)
+    trace = _fit(store, config, (np.zeros((4, 1)),), step, val_loss)
     assert len(trace.val_loss) == len(trace.train_loss) == epochs
     assert trace.val_loss == val_losses[:epochs]
     assert trace.selected_epoch == selected  # an equal loss is no improvement
@@ -616,6 +638,107 @@ def test_emg_deterministic_given_seed():
         gen, _ = train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=2, max_epochs=3))
         sums.append(gen.store.checksum())
     assert sums[0] == sums[1]
+
+
+def test_emg_raises_when_the_frozen_base_changes_during_training(monkeypatch):
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+
+    def leaky_forward(split, *args):
+        loss, backward = emg_forward(split, *args)
+
+        def leaky_backward(grads):
+            backward(grads)
+            split.model.store.flat[0] += 1.0
+
+        return loss, leaky_backward
+
+    monkeypatch.setattr("embmask.train.emg_forward", leaky_forward)
+    gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+    with pytest.raises(ContractError, match="frozen base model changed"):
+        train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=0, max_epochs=1))
+
+
+# -- the epoch loop against the per-step index loop ----------------------------------
+
+
+def _fit_reference(store, config, step, val_loss, n):
+    """``_fit`` as it was before the per-epoch gather: ``step(idx)`` is the
+    fused step on the training rows ``idx``, each step gathering its own."""
+    params = store.flat
+    grad = np.zeros_like(params)
+    grads = store.views(grad)
+    state = AdamState()
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xC3)))
+    trace = TrainTrace()
+    best_val = np.inf
+    best_params = params.copy()
+    best_epoch = -1
+
+    for epoch in range(config.max_epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, config.batch_size):
+            loss, backward = step(order[start : start + config.batch_size])
+            backward(grads)
+            optimizer_step(store, grad, state, config.learning_rate)
+            epoch_losses.append(loss)
+
+        val = val_loss()
+        trace.train_loss.append(float(np.mean(epoch_losses)))
+        trace.val_loss.append(val)
+
+        if val < best_val:
+            best_val = val
+            best_params = params.copy()
+            best_epoch = epoch
+        elif epoch - best_epoch >= config.patience:
+            break
+
+    params[...] = best_params
+    trace.selected_epoch = best_epoch
+    return trace
+
+
+def _per_step_index_fit(store, config, rows, step, val_loss):
+    return _fit_reference(
+        store, config, lambda idx: step(*[a[idx] for a in rows]), val_loss, n=len(rows[0])
+    )
+
+
+@pytest.mark.parametrize("stop", ["patience", "max_epochs"])
+@pytest.mark.parametrize("batch", [1, 7, 64, "n+3"])
+@pytest.mark.parametrize("kind", ["erm", "emg"])
+def test_fit_equals_the_per_step_index_loop_bitwise(monkeypatch, kind, batch, stop):
+    train, _, _ = _small_benchmark()
+    n = len(pooled_split(train, 0.2, 4)[0])
+    batch_size = n + 3 if batch == "n+3" else batch  # n + 3: one oversize batch
+    if stop == "patience":
+        cfg = TrainConfig(batch_size=batch_size, learning_rate=0.2, max_epochs=40, patience=1, seed=4)
+    else:
+        cfg = TrainConfig(batch_size=batch_size, max_epochs=3, patience=10, seed=4)
+    split = _trained_split(train) if kind == "emg" else None
+
+    def gather_fit(store, config, rows, step, val_loss):
+        assert len(rows) == (2 if kind == "erm" else 3)  # (x, q) or (x, z, q)
+        before = [a.tobytes() for a in rows]
+        trace = _fit(store, config, rows, step, val_loss)
+        assert [a.tobytes() for a in rows] == before  # the caller's rows are only read
+        return trace
+
+    def run(fit):
+        monkeypatch.setattr("embmask.train._fit", fit)
+        if kind == "erm":
+            model, trace = train_erm(cfg, train, [8, 6, 3])
+        else:
+            gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+            model, trace = train_emg(split, gen, train, MaskGenConfig(), cfg)
+        return model.store.checksum(), trace.train_loss, trace.val_loss, trace.selected_epoch
+
+    got = run(gather_fit)
+    assert got == run(_per_step_index_fit)
+    epochs = len(got[1])
+    assert epochs < cfg.max_epochs if stop == "patience" else epochs == cfg.max_epochs
 
 
 def test_train_trace_csv_excludes_wall_clock(tmp_path):
