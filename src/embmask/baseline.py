@@ -164,7 +164,7 @@ def sweep_mask_percent(
 
     The p = 0 row is the unmasked evaluation bit for bit (the all-ones mask
     is skipped entirely rather than multiplied through). ``repeats`` and ``rng``
-    are never read: ``perfbench/workloads.py`` and criterion 6's test pass them.
+    are never read: ``perfbench/workloads.py`` is the only caller that passes them.
     """
     grid = sorted(set(percent_grid))
     if 0.0 not in grid:

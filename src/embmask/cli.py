@@ -40,7 +40,6 @@ from .baseline import (
 from .config import Field, load_config, parse_grid, parse_hidden
 from .errors import ConfigError, CorruptFileError, EmbmaskError, ShapeMismatchError
 from .evaluate import (
-    DISTANCE_KINDS,
     accuracy,
     bound_terms,
     emg_masks,
@@ -355,7 +354,7 @@ def cmd_bound_check(cfg) -> None:
         raise MissingArtifact(f"oracle.json missing in {cfg['data.dir']}")
     masks = _mask_source(cfg, "emg", split, train_data)(unseen)
     z = split.encode_np(unseen.features)
-    reports = {k: asdict(bound_terms(split, oracle, z, masks, k)) for k in DISTANCE_KINDS}
+    reports = {k: asdict(r) for k, r in bound_terms(split, oracle, z, masks).items()}
 
     run = RunDirectory(cfg["out_dir"], cfg)
     run.write_text("bound.json", json.dumps(reports, indent=1, sort_keys=True) + "\n")

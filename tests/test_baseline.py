@@ -14,6 +14,7 @@ from embmask import (
     accuracy,
     baseline,
     DomainDataset,
+    evaluate,
     Mlp,
     TrainConfig,
     generate_benchmark,
@@ -259,6 +260,31 @@ def test_sweep_rejects_empty_unseen_domain(trained_setup):
     empty = DomainDataset(unseen.features[:0], unseen.labels[:0], unseen.domain_index)
     with pytest.raises(UsageError, match="empty"):
         sweep_mask_percent(split, train, empty, [0.0, 50.0])
+
+
+@pytest.fixture(scope="module")
+def block_setup():
+    """1200 pooled rows and 513 unseen ones: several blocks per pass at
+    every ``ROW_BLOCK`` below, and a lone last unseen row at 512."""
+    train, unseen, _ = generate_benchmark(
+        BenchmarkSpec(num_classes=3, d_shared=4, d_specific=4, samples_per_domain=400, unseen_samples=513)
+    )
+    model, _ = train_erm(TrainConfig(seed=0, max_epochs=15), train, [8, 12, 3])
+    return split_model(model), train, unseen
+
+
+@pytest.mark.parametrize("block", [511, 7, 1199])
+def test_sweep_table_does_not_depend_on_the_row_block(block_setup, block, monkeypatch):
+    """``ROW_BLOCK`` sets how many rows each product takes, not the bits:
+    the table at 511, 7 and 1199 (a lone last pooled row) is the one at
+    512. ``baseline`` holds its own copy of the value, so both are set."""
+    split, train, unseen = block_setup
+    assert evaluate.ROW_BLOCK == baseline.ROW_BLOCK == 512
+    expected = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
+    monkeypatch.setattr(evaluate, "ROW_BLOCK", block)
+    monkeypatch.setattr(baseline, "ROW_BLOCK", block)
+    table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
+    assert table == expected
 
 
 # -- the exact expected drop on the affine path -----------------------------------

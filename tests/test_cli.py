@@ -1,5 +1,6 @@
 """End-to-end CLI: run directories, exit codes, determinism."""
 
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -1037,18 +1038,34 @@ def digest_chain(tmp_path_factory):
     return out, proc
 
 
+def _numeric_environment() -> str:
+    """NumPy's version and enabled SIMD targets, and the BLAS build and the
+    OpenBLAS core it runs ("unknown" where the library does not say)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    simd = " ".join(name for name, on in umath.__cpu_features__.items() if on)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
+    core = "unknown"
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return (
+        f"numpy {np.__version__}, SIMD targets {simd}; "
+        f"BLAS {blas.get('name')} {blas.get('version')}, OpenBLAS core {core}"
+    )
+
+
 def test_artifact_digests_match_golden(digest_chain):
     """The 14 run directories of scripts/artifact_digests.py are byte for
     byte those recorded in tests/golden/artifact_digests.txt."""
     root = Path(__file__).parents[1]
     _, proc = digest_chain
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     golden = (root / "tests" / "golden" / "artifact_digests.txt").read_text()
     moved = sorted({line.split()[-1] for line in set(proc.stdout.splitlines()) ^ set(golden.splitlines())})
-    assert proc.stdout == golden, (
-        f"run directories that differ: {', '.join(moved)}; "
-        f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
-    )
+    assert proc.stdout == golden, f"run directories that differ: {', '.join(moved)}; {_numeric_environment()}"
 
 
 def test_every_chain_csv_is_one_dialect(digest_chain):

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
 from embmask.errors import ContractError, ShapeMismatchError, UsageError
-from embmask.evaluate import ROW_BLOCK, export_embeddings, export_masks, global_mask_accuracies, masked_accuracy
+from embmask.evaluate import (
+    ROW_BLOCK,
+    BoundReport,
+    export_embeddings,
+    export_masks,
+    global_mask_accuracies,
+    masked_accuracy,
+)
 from embmask.nn import SplitModel
 from embmask.synthbench import Oracle, save_csv_dataset
 
@@ -232,13 +239,48 @@ def test_accuracy_sample_order_invariant():
 # -- bound diagnostics ------------------------------------------------------------
 
 
+def _rowdist(a, b, kind):
+    if kind == "L2":
+        return np.linalg.norm(a - b, axis=1)
+    if kind == "L1":
+        return np.abs(a - b).sum(axis=1)
+
+
+def _bound_terms_reference(split, oracle, z, masks, kind):
+    """``bound_terms`` as it was with a ``distance_kind`` parameter, less its
+    input checks: one report per call, the ge pair as ``z @ w + b``."""
+    w, b = split.predictor_affine_params()
+    z = np.asarray(z, dtype=np.float64)
+    masks = np.asarray(masks, dtype=np.float64)
+    sh = np.zeros_like(z)
+    sh[:, oracle.shared_dims] = z[:, oracle.shared_dims]
+    sp = np.zeros_like(z)
+    sp[:, oracle.specific_dims] = z[:, oracle.specific_dims]
+
+    ge = _rowdist(z @ w + b, (masks * z) @ w + b, kind)
+    t_sh = _rowdist(sh @ w, (masks * sh) @ w, kind)
+    t_sp = _rowdist(sp @ w, (masks * sp) @ w, kind)
+    violations = int(np.sum(ge > t_sh + t_sp + 1e-9))
+    return BoundReport(
+        distance_kind=kind,
+        ge=float(ge.mean()),
+        term_sh=float(t_sh.mean()),
+        term_sp=float(t_sp.mean()),
+        violation_count=violations,
+        n=len(z),
+    )
+
+
 def test_bound_all_ones_mask_is_zero():
     rng = np.random.default_rng(4)
     split = _affine_split(rng.normal(size=(6, 3)), rng.normal(size=3))
     z = rng.normal(size=(20, 6))
-    report = bound_terms(split, _oracle(range(3), range(3, 6)), z, np.ones_like(z))
-    assert report.ge == 0.0 and report.term_sh == 0.0 and report.term_sp == 0.0
-    assert report.violation_count == 0
+    reports = bound_terms(split, _oracle(range(3), range(3, 6)), z, np.ones_like(z))
+    assert list(reports) == ["L2", "L1"]
+    for kind, report in reports.items():
+        assert report.distance_kind == kind
+        assert report.ge == 0.0 and report.term_sh == 0.0 and report.term_sp == 0.0
+        assert report.violation_count == 0
 
 
 @pytest.mark.parametrize("kind", ["L2", "L1"])
@@ -249,8 +291,29 @@ def test_bound_holds_on_random_instances(kind):
         split = _affine_split(rng.normal(size=(6, 4)), rng.normal(size=4))
         z = rng.normal(size=(10, 6))
         masks = rng.uniform(size=(10, 6))
-        report = bound_terms(split, oracle, z, masks, kind)
+        report = bound_terms(split, oracle, z, masks)[kind]
+        assert report.distance_kind == kind
         assert report.violation_count == 0
+
+
+def test_bound_reports_equal_the_per_kind_reference():
+    """Both reports of one call equal, field for field, those of the old
+    one-distance-per-call computation, on seeded random affine splits whose
+    masks hold exact 0s and 1s."""
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        d, c, n = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(1, 40))
+        perm = rng.permutation(d)
+        k = int(rng.integers(1, d))
+        oracle = _oracle(sorted(perm[:k].tolist()), sorted(perm[k:].tolist()))
+        split = _affine_split(rng.normal(scale=2.0, size=(d, c)), rng.normal(size=c))
+        z = rng.normal(scale=3.0, size=(n, d))
+        masks = rng.uniform(size=(n, d))
+        masks[rng.uniform(size=(n, d)) < 0.25] = 0.0
+        masks[rng.uniform(size=(n, d)) < 0.25] = 1.0
+        reports = bound_terms(split, oracle, z, masks)
+        for kind in ("L2", "L1"):
+            assert reports[kind] == _bound_terms_reference(split, oracle, z, masks, kind)
 
 
 def test_bound_rejects_oracle_dims_outside_the_embedding():
@@ -261,16 +324,17 @@ def test_bound_rejects_oracle_dims_outside_the_embedding():
             bound_terms(split, _oracle(shared, specific), np.ones((2, 4)), np.ones((2, 4)))
 
 
-def test_bound_rejects_bad_distance_or_shapes():
+def test_bound_rejects_bad_shapes_or_empty_data():
     rng = np.random.default_rng(7)
     split = _affine_split(rng.normal(size=(4, 2)), rng.normal(size=2))
     oracle = _oracle(range(2), range(2, 4))
-    with pytest.raises(UsageError):
-        bound_terms(split, oracle, np.ones((2, 4)), np.ones((2, 4)), "L3")
     with pytest.raises(ShapeMismatchError):
         bound_terms(split, oracle, np.ones((2, 4)), np.ones((3, 4)))
     with pytest.raises(UsageError):
         bound_terms(split, oracle, np.ones((0, 4)), np.ones((0, 4)))
+    z = np.ones((5, 4))
+    with pytest.raises(ShapeMismatchError, match=r"embedding width 4 != predictor input width 3"):
+        bound_terms(split_model(Mlp([4, 3, 2])), oracle, z, np.ones_like(z))
 
 
 @pytest.mark.parametrize("mask_shape", [(3, 4), (2, 5), (4,), (2, 4, 1)])

@@ -78,6 +78,26 @@ def test_class_means_unit_norm_and_separated():
             assert abs(means[i] @ means[j]) <= cos_limit + 1e-12
 
 
+def test_class_means_reject_a_candidate_just_inside_30_degrees():
+    """Candidates at 0, 29.5 and 30.5 degrees: the 29.5-degree one is too
+    close to the first mean, so the means are the 0- and 30.5-degree ones."""
+
+    def unit(deg):
+        return np.array([math.cos(math.radians(deg)), math.sin(math.radians(deg))])
+
+    class Candidates:
+        def __init__(self, vectors):
+            self.vectors = iter(vectors)
+
+        def normal(self, size):
+            assert size == 2
+            return next(self.vectors)
+
+    at = [unit(0.0), unit(29.5), unit(30.5)]
+    means = _sample_class_means(Candidates(at), 2, 2)
+    np.testing.assert_array_equal(means, [at[0], at[2]])
+
+
 def test_domain_maps_orthonormal_and_unseen_fresh():
     _, maps, unseen_map = _construction(BenchmarkSpec())
     for amap in maps + [unseen_map]:
