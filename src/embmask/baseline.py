@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeMismatchError, UsageError
-from .evaluate import ROW_BLOCK, global_mask_accuracies, masked_accuracy
+from .errors import NumericError, UsageError
+from .evaluate import ROW_BLOCK, _check_rows, global_mask_accuracies, masked_accuracy
 from .nn import SplitModel
 from .synthbench import DomainDataset, pool_domains, save_table
 
@@ -69,11 +69,8 @@ def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:
     """The exact expected accuracy drop per dimension of the embeddings ``z``
     under a uniformly random permutation of its values, in [-1, 1]. Input
     past the overflow guard raises ``NumericError``. ``z`` is left unchanged."""
+    z = _check_rows(split, z, labels)
     n, d = z.shape
-    if n == 0:
-        raise UsageError("permutation importance needs non-empty data")
-    if np.shape(labels) != (n,):
-        raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({n},)")
     w, b = split.predictor_affine_params()
     # The overflow guard, in Python floats (no warning); NaN or inf fails it.
     # Its max|W| term keeps every difference of two weights finite.
@@ -87,7 +84,7 @@ def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:
     z_t = np.empty((d, n), dtype=z.dtype)
     for lo in range(0, n, ROW_BLOCK):
         z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK].T
-    return _expected_drops(z_t, logits, labels, base_ok, w)
+    return _expected_drops(z_t, logits, np.asarray(labels), base_ok, w)
 
 
 def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w: Array) -> Array:

@@ -13,7 +13,7 @@ inputs that do not fit together (domains of different widths, a label the base
 model has no output for), a domain CSV without rows, an embedding past
 permutation importance's overflow guard, a manifest name that is not a regular
 file in its run, an operating-system error such as an ``out_dir`` that is an
-existing file, and an allocation that fails. Configuration and inputs are
+existing file, and an array NumPy cannot allocate. Configuration and inputs are
 checked, and results computed, before ``out_dir`` is created, so a command that
 fails leaves none behind; ``export-embeddings`` writes each domain's files as
 it goes. The training commands default to the recipe of
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingArtifact as exc:
         print(f'error code=2 msg="{exc}"', file=sys.stderr)
         return EXIT_MISSING_ARTIFACT
-    except (EmbmaskError, OSError, MemoryError) as exc:
+    except (EmbmaskError, OSError, MemoryError, ValueError, OverflowError) as exc:
         print(f'error code=1 msg="{str(exc) or type(exc).__name__}"', file=sys.stderr)
         return 1
 

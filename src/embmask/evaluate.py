@@ -2,6 +2,7 @@
 
 ``emg_masks`` passes the generator's drop probabilities and the run seed to
 ``mask.inference_mask``, which alone decides whether and what noise it draws.
+``_check_rows``, on ``nn.as_batch`` (the batch contract's one owner), checks every scored z.
 
 The bound check is the empirical counterpart of the triangle-inequality
 argument for linear predictors: with the embedding split additively into
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeMismatchError, UsageError
 from .mask import MaskGenConfig, drop_probabilities, inference_mask
-from .nn import Mlp, SplitModel
+from .nn import Mlp, SplitModel, as_batch
 from .synthbench import DomainDataset, Oracle, save_table
 
 Array = np.ndarray
@@ -54,7 +55,7 @@ def masked_accuracy(
     row. A global mask is a stack of one for ``global_mask_accuracies``: a
     0/1 mask scales the predictor's weight rows, ``ROW_BLOCK`` rows of ``z``
     at a time, not ``z`` (see there for when that is bitwise)."""
-    _check_rows(z, labels)
+    z = _check_rows(split, z, labels)
     masks = None if masks is None else _checked_mask(masks, z)
     if masks is not None and masks.ndim == 1:
         return global_mask_accuracies(split, z, labels, masks[None])[0]
@@ -73,12 +74,10 @@ def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Ar
     shapes); its small-matrix kernels may not (2-3 classes or few rows, 16+
     dims), moving a last bit and so only a near-tied row. Otherwise z * m is
     predicted per mask."""
-    _check_rows(z, labels)
+    z = _check_rows(split, z, labels)
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1:] != z.shape[1:]:
         raise ShapeMismatchError(f"masks shape {masks.shape} is not (g, {z.shape[1]})")
-    if z.shape[1] != split.embedding_dim:
-        raise ShapeMismatchError(f"embedding width {z.shape[1]} != predictor input width {split.embedding_dim}")
     n = len(z)
     if not (z.dtype == np.float64 and z.flags.c_contiguous and n > 1
             and np.isin(masks, (0.0, 1.0)).all()):
@@ -97,11 +96,14 @@ def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Ar
     return [h / n for h in hits.tolist()]
 
 
-def _check_rows(z: Array, labels: Array) -> None:
+def _check_rows(split: SplitModel, z: Array, labels: Array | None = None) -> Array:
+    """``z`` as ``split``'s embedding batch (``as_batch``) of 1+ rows, ``labels`` (if given) one per row."""
+    z = as_batch(z, split.embedding_dim, "embedding", "predictor input width")
     if len(z) == 0:
-        raise UsageError("accuracy of empty data is undefined")
-    if np.shape(labels) != (len(z),):
+        raise UsageError("scores of empty data are undefined")
+    if labels is not None and np.shape(labels) != (len(z),):
         raise ShapeMismatchError(f"labels shape {np.shape(labels)} != ({len(z)},)")
+    return z
 
 
 def _hit_rate(logits: Array, labels: Array) -> float:
@@ -131,21 +133,18 @@ def bound_terms(split: SplitModel, oracle: Oracle, z: Array, masks: Array) -> di
     one report per row distance: ``{"L2": ..., "L1": ...}``.
 
     Requires every oracle dimension inside the embedding (a model without
-    hidden layers embeds its input), or ``ContractError``; a mask not
-    shaped like ``z``, or a ``z`` not as wide as the predictor's input,
-    raises ``ShapeMismatchError``.
+    hidden layers embeds its input), or ``ContractError``; ``z`` is checked
+    by ``_check_rows``, and a mask not shaped like it raises
+    ``ShapeMismatchError``.
     """
     w, _ = split.predictor_affine_params()
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(_check_rows(split, z), dtype=np.float64)
     masks = np.asarray(masks, dtype=np.float64)
     if masks.shape != z.shape:
         raise ShapeMismatchError(f"masks shape {masks.shape} != embeddings {z.shape}")
-    if len(z) == 0:
-        raise UsageError("bound terms of empty data are undefined")
-    width = z.shape[1]
+    width = split.embedding_dim
     if any(not 0 <= d < width for d in oracle.shared_dims + oracle.specific_dims):
         raise ContractError(f"an oracle dimension is outside the {width}-wide embedding")
-    # predict_np first: it checks z's width before the bare products below.
     ge_diff = split.predict_np(z) - split.predict_np(masks * z)
 
     sh = np.zeros_like(z)
@@ -197,7 +196,7 @@ def aggregate_runs(reports: list[dict[str, float]]) -> tuple[dict[str, float], d
     keys = set(reports[0])
     for r in reports[1:]:
         if set(r) != keys:
-            raise UsageError("reports cover different domain sets")
+            raise UsageError(f"reports have different keys: {sorted(keys ^ set(r))} are not in both")
     mean, stderr = {}, {}
     n = len(reports)
     for key in sorted(keys):

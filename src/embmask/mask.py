@@ -81,7 +81,8 @@ def sigmoid_np(x: Array, out: Array | None = None) -> Array:
     """Stable logistic function into ``out`` (may be ``x``) if given; with e =
     exp(-|x|) in [0, 1], max(e, x >= 0) is 1 where x >= 0 and e elsewhere."""
     e = np.asarray(np.abs(x))  # a 0-d result is a NumPy scalar, not writable
-    np.exp(np.negative(e, out=e), out=e)
+    with np.errstate(invalid="ignore"):  # NaN in, NaN out: some SIMD paths of exp warn on a signalling NaN
+        np.exp(np.negative(e, out=e), out=e)
     num = np.maximum(e, x >= 0, out=out)
     e += 1.0
     num /= e

@@ -9,6 +9,7 @@ them all with one vectorized optimizer step. A store is trainable or
 (frozen bytes must survive a whole training run).
 ``Mlp.forward_train`` is the one NumPy layer loop: inference takes its last
 entry, and training hands all of it to ``Mlp.backward_train``.
+``as_batch`` is the batch contract's one owner: x is (n, input width), z (n, embedding_dim).
 """
 
 from __future__ import annotations
@@ -25,6 +26,17 @@ from . import tensor as T
 from .errors import CorruptFileError, ShapeMismatchError, UsageError
 
 Array = np.ndarray
+
+
+def as_batch(a, width: int, kind: str, of: str) -> Array:
+    """``np.asarray(a)``, or ``ShapeMismatchError`` unless it is 2-D and
+    ``width`` wide; the error names a as ``kind`` and ``width`` as ``of``."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"{kind} batch of shape {a.shape} is not 2-D (n, {width})")
+    if a.shape[1] != width:
+        raise ShapeMismatchError(f"{kind} width {a.shape[1]} != {of} {width}")
+    return a
 
 
 class ParamStore:
@@ -108,19 +120,13 @@ class Mlp:
     def forward(self, x: T.Tensor, leaves: Mapping[str, T.Tensor]) -> T.Tensor:
         """The forward on the tape; ``leaves`` maps parameter names to leaf
         tensors."""
-        self._check_width(x)
+        as_batch(x.data, self.layer_sizes[0], "input", "model input dim")
         h = x
         for i, (_, _, w, b) in enumerate(self.layers):
             h = T.linear(h, leaves[w], leaves[b])
             if i < self.n_layers - 1:
                 h = T.relu(h)
         return h
-
-    def _check_width(self, x) -> None:
-        if x.shape[1] != self.layer_sizes[0]:
-            raise ShapeMismatchError(
-                f"input width {x.shape[1]} != model input dim {self.layer_sizes[0]}"
-            )
 
     def forward_np(self, x: Array) -> Array:
         """Inference-only forward on raw arrays; matches forward() bitwise."""
@@ -129,11 +135,9 @@ class Mlp:
     def forward_train(self, x: Array, stop: int | None = None) -> list[Array]:
         """The layers before ``stop`` (default: all) on raw arrays, keeping
         what ``backward_train`` needs: the input of every layer, then the
-        output (the last entry), each a fresh array. ``ShapeMismatchError``
-        unless ``x`` is as wide as the model's input."""
-        self._check_width(x)
+        output (the last entry), each a fresh array; ``x`` passes ``as_batch``."""
         last = len(self.layers) - 1
-        h = np.asarray(x, dtype=np.float64)
+        h = np.asarray(as_batch(x, self.layer_sizes[0], "input", "model input dim"), dtype=np.float64)
         acts = [h]
         for i, (w, b, _, _) in enumerate(self.layers[:stop]):
             h = T.linear_np(h, w, b)
@@ -170,8 +174,7 @@ class SplitModel:
         return self.model.forward_train(x, self.model.n_layers - 1)[-1]
 
     def predict_np(self, z: Array) -> Array:
-        if z.shape[1] != self.embedding_dim:
-            raise ShapeMismatchError(f"embedding width {z.shape[1]} != predictor input width {self.embedding_dim}")
+        z = as_batch(z, self.embedding_dim, "embedding", "predictor input width")
         return T.linear_np(np.asarray(z, dtype=np.float64), *self.predictor_affine_params())
 
     def predictor_affine_params(self) -> tuple[Array, Array]:

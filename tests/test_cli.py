@@ -732,6 +732,33 @@ def test_failed_allocation_exits_1_without_traceback(pipeline, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cmd, key, value",
+    [
+        ("gen-data", "benchmark.samples_per_domain", 2**63),
+        ("gen-data", "benchmark.samples_per_domain", 2**63 - 1),
+        ("gen-data", "benchmark.d_specific", 2**63),
+        ("gen-data", "benchmark.unseen_samples", 2**63),
+        ("gen-data", "benchmark.d_shared", 2**62),
+        ("gen-data", "benchmark.num_train_domains", 10**20),
+        ("train-erm", "model.hidden", 10**20),
+        ("train-emg", "emg.hidden", 2**63),
+    ],
+)
+def test_size_numpy_refuses_to_represent_exits_1_without_traceback(pipeline, tmp_path, capsys, cmd, key, value):
+    """NumPy refuses these sizes with a ValueError or OverflowError before it
+    allocates anything; the command reports that as it reports a MemoryError."""
+    inputs = {"gen-data": SMALL_BENCH, "train-erm": {"data.dir": pipeline["data"]}}.get(
+        cmd, {"data.dir": pipeline["data"], "base.model": pipeline["base"]}
+    )
+    out = tmp_path / "out"
+    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **{**inputs, key: value}) == 1
+    err = capsys.readouterr().err
+    assert err.count("error code=") == 1 and err.startswith("error code=1")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["eval", "train-emg"])
 def test_models_given_in_each_others_place_exit_1_before_run_dir(pipeline, tmp_path, capsys, cmd):
     """A base model and a generator file differ in their parameter prefix:

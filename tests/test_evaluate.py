@@ -7,16 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from embmask import DomainDataset, Mlp, accuracy, aggregate_runs, bound_terms, split_model
+from embmask import DomainDataset, MaskGenConfig, Mlp, accuracy, aggregate_runs, bound_terms, split_model
+from embmask.baseline import permutation_importance
 from embmask.errors import ContractError, ShapeMismatchError, UsageError
 from embmask.evaluate import (
     ROW_BLOCK,
     BoundReport,
+    emg_masks,
     export_embeddings,
     export_masks,
     global_mask_accuracies,
     masked_accuracy,
 )
+from embmask.mask import drop_probabilities
 from embmask.nn import SplitModel
 from embmask.synthbench import Oracle, save_csv_dataset
 
@@ -335,6 +338,10 @@ def test_bound_rejects_bad_shapes_or_empty_data():
     z = np.ones((5, 4))
     with pytest.raises(ShapeMismatchError, match=r"embedding width 4 != predictor input width 3"):
         bound_terms(split_model(Mlp([4, 3, 2])), oracle, z, np.ones_like(z))
+    # A mask shaped like a z that is not 2-D passes the mask check; z's own check refuses it.
+    for z in (np.ones(4), np.ones((2, 4, 1))):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"embedding batch of shape {z.shape} is not 2-D")):
+            bound_terms(split, oracle, z, np.ones_like(z))
 
 
 @pytest.mark.parametrize("mask_shape", [(3, 4), (2, 5), (4,), (2, 4, 1)])
@@ -345,6 +352,54 @@ def test_bound_rejects_a_mask_not_shaped_like_z_as_shape_mismatch(mask_shape):
     split = _affine_split(rng.normal(size=(4, 2)), rng.normal(size=2))
     with pytest.raises(ShapeMismatchError, match=r"masks shape"):
         bound_terms(split, _oracle(range(2), range(2, 4)), np.ones((2, 4)), np.ones(mask_shape))
+
+
+# -- the batch contract ----------------------------------------------------------------
+
+_BASE = Mlp([3, 4, 2], seed=3)  # inputs x are 3 wide, embeddings z 4 wide
+_GENERATOR = Mlp([3, 5, 4], prefix="g.", seed=4)
+_SPLIT = split_model(_BASE)
+
+
+def _labels(a):
+    """Labels for the rows of ``a``: a list for a list, so a nested batch comes with list labels."""
+    labels = np.arange(len(a)) % 2
+    return labels.tolist() if isinstance(a, list) else labels
+
+
+# Each entry point that takes a batch: (the batch's width, a call on the batch).
+_BATCH_ENTRY_POINTS = {
+    "forward_train": (3, lambda x: _BASE.forward_train(x)),
+    "forward_np": (3, lambda x: _BASE.forward_np(x)),
+    "encode_np": (3, lambda x: _SPLIT.encode_np(x)),
+    "predict_np": (4, lambda z: _SPLIT.predict_np(z)),
+    "masked_accuracy": (4, lambda z: masked_accuracy(_SPLIT, z, _labels(z))),
+    "global_mask_accuracies": (
+        4, lambda z: global_mask_accuracies(_SPLIT, z, _labels(z), np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]]))
+    ),
+    "permutation_importance": (4, lambda z: permutation_importance(_SPLIT, z, _labels(z))),
+    "bound_terms": (4, lambda z: bound_terms(_SPLIT, _oracle([0, 1], [2, 3]), z, np.full(np.shape(z), 0.5))),
+    "emg_masks": (3, lambda x: emg_masks(_GENERATOR, x, MaskGenConfig())),
+    "drop_probabilities": (3, lambda x: drop_probabilities(_GENERATOR, x)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BATCH_ENTRY_POINTS))
+@pytest.mark.parametrize("case", ["1-D", "3-D", "wrong_width"])
+def test_every_batch_entry_point_rejects_a_batch_that_is_not_n_by_width(entry, case):
+    """x is (n, input width) and z is (n, embedding_dim), checked by
+    ``nn.as_batch``; a 3-D batch is as wide as it should be in its axis 1."""
+    width, call = _BATCH_ENTRY_POINTS[entry]
+    batch = {"1-D": np.ones(width), "3-D": np.ones((2, width, 2)), "wrong_width": np.ones((2, width + 1))}[case]
+    with pytest.raises(ShapeMismatchError):
+        call(batch)
+
+
+@pytest.mark.parametrize("entry", list(_BATCH_ENTRY_POINTS))
+def test_every_batch_entry_point_takes_a_nested_list_as_its_array(entry):
+    width, call = _BATCH_ENTRY_POINTS[entry]
+    batch = np.random.default_rng(5).normal(size=(6, width))
+    np.testing.assert_equal(call(batch.tolist()), call(batch))
 
 
 # -- exports ------------------------------------------------------------------------
@@ -433,7 +488,7 @@ def test_aggregate_identical_runs_zero_stderr():
 
 
 def test_aggregate_mismatched_domains_rejected():
-    with pytest.raises(UsageError):
-        aggregate_runs([{"a": 0.5}, {"b": 0.5}])
+    with pytest.raises(UsageError, match=re.escape("different keys: ['a', 'c'] are not in both")):
+        aggregate_runs([{"a": 0.5, "b": 0.5}, {"b": 0.5, "c": 0.5}])
     with pytest.raises(UsageError):
         aggregate_runs([])

@@ -1,8 +1,12 @@
 """Logistic and Gumbel sampling and the temperature-controlled soft mask."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +129,8 @@ def _ref_logistic_noise(rng, shape):
 
 
 def _ref_sigmoid_np(x):
-    e = np.exp(-np.abs(x))
+    with np.errstate(invalid="ignore"):  # as sigmoid_np: a signalling NaN may warn
+        e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -171,6 +176,30 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
     nans = np.concatenate([[np.nan, -np.nan], payloads.view(np.float64), [1.0]])
     assert np.isnan(sigmoid_np(nans)[:4]).all()
     assert sigmoid_np(nans).tobytes() == _ref_sigmoid_np(nans).tobytes()
+
+
+def _has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(not _has_avx512f(), reason="without AVX-512 the plain run already takes NumPy's non-AVX-512 paths")
+def test_sigmoid_bitwise_test_passes_with_numpys_avx512_paths_off():
+    """NumPy's non-AVX-512 exp warns "invalid value" on a signalling NaN; the
+    test above, with RuntimeWarning an error, must pass there too."""
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    test = f"{Path(__file__)}::test_sigmoid_matches_two_branch_formula_bitwise"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-W", "error::RuntimeWarning", test],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
 
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
