@@ -1,8 +1,11 @@
 """Accuracy evaluation, generalization-bound diagnostics, and CSV export.
 
 ``emg_masks`` passes the generator's drop probabilities and the run seed to
-``mask.inference_mask``, which alone decides whether and what noise it draws.
-``_check_rows``, on ``nn.as_batch`` (the batch contract's one owner), checks every scored z.
+``mask.inference_mask``, which alone decides whether and what noise it draws
+and writes the mask into those probabilities. ``accuracy`` and
+``export_embeddings`` scale the embedding they just encoded by a mask in
+place. ``_check_rows``, on ``nn.as_batch`` (the batch contract's one owner),
+checks every scored z.
 
 The bound check is the empirical counterpart of the triangle-inequality
 argument for linear predictors: with the embedding split additively into
@@ -41,8 +44,10 @@ def _checked_mask(masks: Array, z: Array) -> Array:
 
 
 def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
-    """Per-sample inference masks from the trained generator."""
-    return inference_mask(drop_probabilities(generator, x), cfg, seed)
+    """Per-sample inference masks from the trained generator, written into
+    the drop probabilities they are computed from."""
+    p = drop_probabilities(generator, x)
+    return inference_mask(p, cfg, seed, out=p)
 
 
 def masked_accuracy(
@@ -110,9 +115,22 @@ def _hit_rate(logits: Array, labels: Array) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
+def _encoded(split: SplitModel, x: Array) -> Array:
+    """``split.encode_np(x)`` in an array of its own, which the caller may
+    scale in place: a model without hidden layers embeds a float64 x as is."""
+    z = split.encode_np(x)
+    return z.copy() if np.may_share_memory(z, x) else z
+
+
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
-    """``masked_accuracy`` of the encoded dataset."""
-    return masked_accuracy(split, split.encode_np(data.features), data.labels, masks)
+    """``masked_accuracy`` of the encoded dataset; a per-sample (n, d) mask,
+    after the same checks, scales the embedding in place."""
+    z = _encoded(split, data.features)
+    if np.ndim(masks) != 2:
+        return masked_accuracy(split, z, data.labels, masks)
+    z = _check_rows(split, z, data.labels)
+    z *= _checked_mask(masks, z)
+    return _hit_rate(split.predict_np(z), data.labels)
 
 
 @dataclass
@@ -174,16 +192,21 @@ def export_embeddings(
     masks: Array | None = None,
 ) -> None:
     """CSV rows: sample id, label, domain index, then the (masked) embedding."""
-    z = split.encode_np(data.features)
+    z = _encoded(split, data.features)
     if masks is not None:
-        z = z * _checked_mask(masks, z) + 0.0  # + 0.0 normalizes -0.0 in the text output
+        z *= _checked_mask(masks, z)
+        z += 0.0  # normalizes -0.0 in the text output
     header = ["id", "label", "domain"] + [f"e{i}" for i in range(z.shape[1])]
     ids, domains = np.arange(data.n), np.full(data.n, data.domain_index)
     save_table(path, header, ids, data.labels, domains, z)
 
 
 def export_masks(masks: Array, path: str) -> None:
-    """One row per sample: sample id followed by the d mask values."""
+    """One row per sample: sample id followed by the d mask values; ``masks``
+    is an (n, d) batch, or ``ShapeMismatchError``."""
+    masks = np.asarray(masks)
+    if masks.ndim != 2:
+        raise ShapeMismatchError(f"mask batch of shape {masks.shape} is not 2-D (n, d)")
     header = ["id"] + [f"m{i}" for i in range(masks.shape[1])]
     save_table(path, header, np.arange(len(masks)), masks)
 

@@ -17,7 +17,10 @@ the zero-noise training mask. ``inference_mask`` walks the flattened p in
 blocks of ``_BLOCK`` entries; ``sample_avg`` draws each sample's noise from
 the stream ``SeedSequence((seed, 0xE7))`` block by block into one
 block-sized buffer, and every bit is that of the full-size formula. The
-kernels work in place on arrays they allocate, never on their arguments.
+kernels work in place: on arrays they allocate, or on an ``out`` their
+caller hands them, which may be their input (``evaluate.emg_masks`` writes
+its mask into the drop probabilities it just computed). With no ``out``
+they never write into their arguments.
 """
 
 from __future__ import annotations
@@ -56,17 +59,22 @@ class MaskGenConfig:
             raise ConfigError(f"unknown inference mode {self.inference_mode!r}")
 
 
+def _clamp(a: Array, out: Array | None = None) -> Array:
+    """``a`` clipped to [_P_EPS, 1 - _P_EPS], into ``out`` (may be ``a``) if given."""
+    return np.clip(a, _P_EPS, 1.0 - _P_EPS, out=out)
+
+
 def gumbel_sample(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """i.i.d. standard Gumbel draws -log(-log u), u clamped away from {0,1}."""
     g = rng.random(shape)
-    np.clip(g, _P_EPS, 1.0 - _P_EPS, out=g)
+    _clamp(g, out=g)
     np.negative(np.log(g, out=g), out=g)
     return np.negative(np.log(g, out=g), out=g)
 
 
 def _to_logistic(u: Array) -> Array:
     """Uniform draws u turned in place into log u - log(1-u), u clamped away from {0,1}."""
-    v = 1.0 - np.clip(u, _P_EPS, 1.0 - _P_EPS, out=u)
+    v = 1.0 - _clamp(u, out=u)
     np.log(u, out=u)
     u -= np.log(v, out=v)
     return u
@@ -89,33 +97,35 @@ def sigmoid_np(x: Array, out: Array | None = None) -> Array:
     return num
 
 
-def _log_odds(p: Array) -> Array:
-    """log(1-p) - log p, the noise-free mask logit before the 1/tau scale."""
-    lo = np.log(1.0 - p)
-    lo -= np.log(p)
-    return lo
+def _log_odds(p: Array, out: Array | None = None) -> Array:
+    """log(1-p) - log p, the noise-free mask logit before the 1/tau scale,
+    into ``out`` (may be ``p``) if given."""
+    lo = np.asarray(1.0 - p)
+    np.log(lo, out=lo)
+    return np.subtract(lo, np.log(p, out=out), out=lo if out is None else out)
 
 
-def _keep(log_odds: Array, noise: Array | float, tau: float) -> tuple[Array, Array]:
-    """The mask formula, the only place it is computed: the clipped mask m
-    and the unclipped m0 = sigmoid((log_odds + noise)/tau)."""
-    x = np.asarray(log_odds + noise)
+def _keep(log_odds: Array, noise: Array | float, tau: float, out: Array | None = None) -> Array:
+    """The mask formula, the only place it is computed: the unclipped
+    m0 = sigmoid((log_odds + noise)/tau), into ``out`` (may be either
+    operand) if given; the mask is ``_clamp(m0)``."""
+    x = np.asarray(np.add(log_odds, noise, out=out))
     x *= 1.0 / tau
-    m0 = sigmoid_np(x, out=x)
-    return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
+    return sigmoid_np(x, out=x)
 
 
 def keep_mask(p: Array, noise: Array | float, tau: float) -> tuple[Array, Array]:
     """The mask from clamped drop probabilities p and logistic noise: the
     clipped mask m and the unclipped m0 = sigmoid((log(1-p) - log p + noise)/tau)."""
-    return _keep(_log_odds(p), noise, tau)
+    m0 = _keep(_log_odds(p), noise, tau)
+    return _clamp(m0), m0
 
 
 def relaxed_mask_np(logits: Array, noise: Array, tau: float) -> tuple[Array, tuple]:
     """The training mask from generator logits, and what its gradient needs:
     p = clip(sigmoid(logits)), then ``keep_mask(p, noise, tau)``."""
     s = sigmoid_np(logits)
-    p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
+    p = _clamp(s)
     if np.shape(noise) != p.shape:
         raise ShapeMismatchError(f"noise shape {np.shape(noise)} != p shape {p.shape}")
     m, m0 = keep_mask(p, noise, tau)
@@ -157,45 +167,63 @@ def training_mask(
     return relaxed_mask(logits, logistic_noise(rng, logits.shape), cfg.tau)
 
 
-def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
-    """Deterministic (or seed-scoped averaged) mask for evaluation.
+def _blocks(a: Array) -> list[Array]:
+    """Consecutive ``_BLOCK``-entry runs of ``a``'s entries in C order: views
+    into ``a`` where it is C-contiguous, else into one flattened copy."""
+    flat = a.reshape(-1)
+    return [flat[lo:lo + _BLOCK] for lo in range(0, flat.size, _BLOCK)]
+
+
+def inference_mask(p: Array, cfg: MaskGenConfig, seed: int = 0, out: Array | None = None) -> Array:
+    """Deterministic (or seed-scoped averaged) mask for evaluation, into
+    ``out`` (may be ``p``) if given.
 
     noise_free: ``keep_mask`` with zero noise, (1-p)^(1/tau) / ((1-p)^(1/tau)
     + p^(1/tau)), special-cased to exactly 1-p at tau = 1. expected: the
     Bernoulli keep probability 1-p. sample_avg: mean of SAMPLE_COUNT training
     masks, their noise drawn from ``SeedSequence((seed, 0xE7))``; the other
     modes draw none. Every mode rejects a ``seed`` that is not a non-negative
-    int with ``ConfigError``, and a ``p`` outside [0, 1] (NaN included) with
-    ``NumericError``, before any draw.
+    int with ``ConfigError``, an ``out`` that is not a C-contiguous float64
+    array of p's shape with ``ShapeMismatchError``, and a ``p`` outside
+    [0, 1] (NaN included) with ``NumericError``, before any draw or write.
+    With ``out=None`` the result is a fresh array and ``p`` is left alone.
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
     p = np.asarray(p, dtype=np.float64)
-    if not ((p >= 0.0) & (p <= 1.0)).all():
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.flags.c_contiguous and out.shape == p.shape):
+        raise ShapeMismatchError(f"out must be a C-contiguous float64 array of p's shape {p.shape}")
+    src = _blocks(p)
+    if not all(((q >= 0.0) & (q <= 1.0)).all() for q in src):
         raise NumericError("drop probabilities must lie in [0, 1]")
     mode, tau = cfg.inference_mode, cfg.tau
-    if mode == "sample_avg":
-        kernel = _log_odds
-    elif mode == "expected" or tau == 1.0:
-        kernel = lambda q: 1.0 - q
-    else:
-        kernel = lambda q: _keep(_log_odds(q), 0.0, tau)[0]
-    flat, out = p.reshape(-1), np.empty(p.size)
-    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, flat.size, _BLOCK)]
-    for b in blocks:
-        out[b] = kernel(np.clip(flat[b], _P_EPS, 1.0 - _P_EPS))
+    out = np.empty(p.shape) if out is None else out
+    dst = _blocks(out)
+    for q, o in zip(src, dst):
+        _clamp(q, out=o)
+        if mode == "expected" or (mode == "noise_free" and tau == 1.0):
+            np.subtract(1.0, o, out=o)
+        elif mode == "noise_free":
+            _clamp(_keep(_log_odds(o, out=o), 0.0, tau, out=o), out=o)
+        else:
+            _log_odds(o, out=o)
     if mode == "sample_avg":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
-        log_odds, out, buf = out, np.zeros(p.size), np.empty(min(p.size, _BLOCK))
+        acc, buf = np.zeros(p.shape), np.empty(min(p.size, _BLOCK))
+        pairs = list(zip(dst, _blocks(acc)))
         for _ in range(SAMPLE_COUNT):
-            for b in blocks:
-                noise = _to_logistic(rng.random(out=buf[:log_odds[b].size]))
-                out[b] += _keep(log_odds[b], noise, tau)[0]
-        out /= SAMPLE_COUNT
-    return out.reshape(p.shape)
+            for log_odds, a in pairs:
+                noise = _to_logistic(rng.random(out=buf[:log_odds.size]))
+                a += _clamp(_keep(log_odds, noise, tau, out=noise), out=noise)
+        np.divide(acc, SAMPLE_COUNT, out=out)
+    return out
 
 
 def drop_probabilities(generator: Mlp, x: Array) -> Array:
-    """p = sigmoid(G(x)) on raw arrays, for evaluation paths."""
-    logits = generator.forward_np(x)  # a fresh array
-    return sigmoid_np(logits, out=logits)
+    """p = sigmoid(G(x)) on raw arrays, for evaluation paths: the sigmoid runs
+    in place on the generator's fresh logits, one ``_BLOCK`` at a time."""
+    logits = generator.forward_np(x)  # a fresh C-ordered array
+    for block in _blocks(logits):
+        sigmoid_np(block, out=block)
+    return logits

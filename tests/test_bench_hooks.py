@@ -10,7 +10,11 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
+import pytest
+
 import embmask.tensor
+from embmask import MaskGenConfig, Mlp, evaluate
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -44,3 +48,27 @@ def test_tensor_class_exists_and_install_round_trips():
     tracer.install()
     tracer.uninstall()
     assert embmask.tensor.Tensor.__init__ is init
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_a_traced_emg_masks_call_splits_into_its_two_layers(mode):
+    """``emg_masks`` calls ``drop_probabilities`` and ``inference_mask`` by
+    name, so a traced call records one span of each under its own, and the
+    per-layer metrics keep both."""
+    tracing = _tracing()
+    for hook in tracing.HOOKS:
+        importlib.import_module(hook.owner.partition(":")[0])
+    gen = Mlp([3, 5, 4], prefix="g.", seed=4)
+    x = np.random.default_rng(0).normal(size=(7, 3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin(0)
+        evaluate.emg_masks(gen, x, MaskGenConfig(inference_mode=mode), seed=1)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    (top,) = [s for s in tracer.spans if s.name == "evaluate.emg_masks"]
+    assert top.rows == 7
+    children = [(s.name, s.rows) for s in tracer.spans if s.parent == top.id]
+    assert children == [("mask.drop_probabilities", 0), (f"mask.inference_mask.{mode}", 7)]

@@ -19,7 +19,7 @@ from embmask.evaluate import (
     global_mask_accuracies,
     masked_accuracy,
 )
-from embmask.mask import drop_probabilities
+from embmask.mask import _BLOCK, drop_probabilities, inference_mask, sigmoid_np
 from embmask.nn import SplitModel
 from embmask.synthbench import Oracle, save_csv_dataset
 
@@ -200,9 +200,11 @@ def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
         (np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0, ["0", "7"]),
     ):
         assert masked_accuracy(split, z, labels, mask) == acc
+        assert accuracy(split, data, mask) == acc  # masks an embedding of its own, not data's
         export_embeddings(split, data, str(path), mask)
         assert path.read_text().splitlines()[1].split(",")[3:] == row
     assert masked_accuracy(split, z, labels) == 1.0
+    assert data.features is z and (z == [[3.0, 7.0], [2.0, -1.0]]).all()
     # Neither (d,) nor z's shape, though NumPy would broadcast the last four.
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), np.ones(()), np.ones((1, 1))):
         message = re.escape(f"masks shape {bad.shape}") + r".*\(2, 2\)"
@@ -425,6 +427,34 @@ def test_export_embeddings_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     export_embeddings(split, data, str(a))
     export_embeddings(split, data, str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_emg_masks_equal_the_mask_of_a_separate_p_bitwise(mode):
+    """The blocked in-place sigmoid and the mask written over p give the
+    bits of the out-of-place chain, over several ragged blocks."""
+    gen = Mlp([3, 5, 64], prefix="g.", seed=4)
+    x = np.random.default_rng(6).normal(scale=4.0, size=(2 * _BLOCK // 64 + 3, 3))
+    cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
+    p = sigmoid_np(gen.forward_np(x))
+    assert drop_probabilities(gen, x).tobytes() == p.tobytes()
+    assert emg_masks(gen, x, cfg, 7).tobytes() == inference_mask(p, cfg, 7).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()], ids=["1-D", "3-D", "0-D"])
+def test_export_masks_rejects_a_mask_batch_that_is_not_2d(tmp_path, shape):
+    path = tmp_path / "masks.csv"
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"mask batch of shape {shape} is not 2-D")):
+        export_masks(np.ones(shape), str(path))
+    assert not path.exists()
+
+
+def test_export_masks_takes_a_nested_list_as_its_array(tmp_path):
+    masks = np.random.default_rng(10).uniform(size=(4, 3))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    export_masks(masks, str(a))
+    export_masks(masks.tolist(), str(b))
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embmask import Mlp, MaskGenConfig, inference_mask, split_model
+from embmask import DomainDataset, Mlp, MaskGenConfig, accuracy, emg_masks, inference_mask, split_model
 from embmask import mask as mask_module
 from embmask import tensor as T
 from embmask.errors import ConfigError, NumericError, ShapeMismatchError
@@ -432,6 +432,7 @@ def test_sample_avg_matches_reference_loop_bitwise_at_block_edges(shape, monkeyp
     want = _ref_sample_avg(p, cfg, 5, 2)
     got = inference_mask(p, cfg, 5)
     assert got.shape == p.shape and got.tobytes() == want.tobytes()
+    assert inference_mask(p, cfg, 5, out=p) is p and p.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -448,6 +449,19 @@ def test_noise_free_and_expected_match_reference_formulas_at_block_edges(shape, 
     want = _ref_keep_mask(clamped, 0.0, tau)[0] if mode == "noise_free" and tau != 1.0 else 1.0 - clamped
     got = inference_mask(p, MaskGenConfig(tau=tau, inference_mode=mode))
     assert got.shape == p.shape and got.tobytes() == want.tobytes()
+    assert inference_mask(p, MaskGenConfig(tau=tau, inference_mode=mode), out=p) is p
+    assert p.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """The traced peak of fn(*args) above what was allocated before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
@@ -456,14 +470,28 @@ def test_inference_mask_allocates_no_full_size_temporaries(mode, bound):
     log-odds and the running sum for sample_avg, plus block-sized scratch."""
     p = sigmoid_np(np.random.default_rng(6).normal(size=(4000, 64)))
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        inference_mask(p, cfg, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - before) / p.nbytes <= bound
+    assert _traced_peak(inference_mask, p, cfg, 2) / p.nbytes <= bound
+
+
+@pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
+def test_emg_masks_write_the_mask_into_their_drop_probabilities(mode, bound):
+    """Traced peak in units of the (n, d) mask: the generator's logits, which
+    become p and then the mask, plus the running sum for sample_avg, the
+    generator's narrow hidden layer and block-sized scratch."""
+    x = np.random.default_rng(6).normal(size=(4000, 16))
+    gen = Mlp([16, 8, 64], prefix="g.", seed=3)
+    cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
+    assert _traced_peak(emg_masks, gen, x, cfg, 2) / (4000 * 64 * 8) <= bound
+
+
+def test_accuracy_masks_the_embedding_it_just_encoded():
+    """Traced peak in units of the (n, d) embedding: the embedding itself,
+    scaled in place by the per-sample mask, plus the narrow logits."""
+    rng = np.random.default_rng(7)
+    split = split_model(Mlp([16, 64, 5], seed=3))
+    data = DomainDataset(rng.normal(size=(4000, 16)), rng.integers(5, size=4000), 0)
+    masks = rng.uniform(size=(4000, 64))
+    assert _traced_peak(accuracy, split, data, masks) / masks.nbytes <= 1.25
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
@@ -476,6 +504,19 @@ def test_inference_mask_rejects_a_seed_that_is_not_a_non_negative_int(mode):
     assert inference_mask(p, cfg, np.int64(3)).tobytes() == inference_mask(p, cfg, 3).tobytes()
 
 
+def _rejected_untouched(p, cfg, error, match=None):
+    """``inference_mask`` of a multi-block p whose last entry is ``p`` raises
+    ``error`` and writes neither into p nor into a separate ``out``."""
+    big = np.full(2 * _B + 5, 0.25)
+    big[-1] = p
+    want = big.tobytes()
+    other = np.full_like(big, 0.5)
+    for out in (big, other):
+        with pytest.raises(error, match=match):
+            inference_mask(big, cfg, 0, out=out)
+        assert big.tobytes() == want and (other == 0.5).all()
+
+
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
     def no_draw(g):
@@ -486,6 +527,7 @@ def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
     for p in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
         with pytest.raises(NumericError):
             inference_mask(p, cfg, 0)
+    _rejected_untouched(np.nan, cfg, NumericError)
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
@@ -501,6 +543,27 @@ def test_inference_mask_rejects_p_outside_the_unit_interval_before_any_draw(mode
     for p in (2.0, -1.0, 1.0 + 2.0**-52, -5e-324):
         with pytest.raises(NumericError, match=r"\[0, 1\]"):
             inference_mask([[0.5, p]], cfg, 0)
+    _rejected_untouched(1.0 + 2.0**-52, cfg, NumericError, r"\[0, 1\]")
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_inference_mask_rejects_an_out_unlike_p_before_any_draw_or_write(mode, monkeypatch):
+    def no_draw(g):
+        raise AssertionError("noise drawn for a bad out")
+
+    monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
+    p = np.full((3, 4), 0.25)
+    wide = np.zeros((3, 8))
+    for out in (np.zeros((4, 3)), np.zeros(12), np.zeros((3, 4), dtype=np.float32),
+                np.zeros((3, 4), order="F"), wide[:, ::2], np.zeros((3, 4)).tolist()):
+        with pytest.raises(ShapeMismatchError, match="out"):
+            inference_mask(p, cfg, 0, out=out)
+        assert not np.any(out) and (p == 0.25).all()
+    f32 = np.full((3, 4), 0.25, dtype=np.float32)  # p is taken as a float64 copy
+    with pytest.raises(ShapeMismatchError):
+        inference_mask(f32, cfg, 0, out=f32)
+    assert (wide == 0.0).all()
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
@@ -549,7 +612,7 @@ def test_kernels_never_write_into_their_arguments(monkeypatch):
     _unchanged(relaxed_mask_np, logits, noise, 0.1)
     for mode in ("noise_free", "expected", "sample_avg"):
         cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-        _unchanged(inference_mask, s, cfg, 14)
+        _unchanged(inference_mask, s, cfg, 14, None)
     # each noise array is a fresh one: a later draw leaves an earlier one alone
     rng = np.random.default_rng(15)
     first = logistic_noise(rng, logits.shape)
