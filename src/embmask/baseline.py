@@ -26,6 +26,15 @@ its top-two logit margin, L_i its largest |logit|, s_k = max W[k] - min W[k]
 and a_k = max |W[k]|: its lead drops by at most s_k * |t| for every v
 (1.2-1.5% of the rows per k need one on the benchmark's models).
 
+Consecutive dimensions are scored in groups whose candidate rows stay within
+``_GROUP_ROWS`` (a dimension past it alone is a group). A group's margins,
+interval ends, tolerances, base-correct and in-interval counts each take one
+call over all of its rows, in class-major (c, rows) arrays, and one in-place
+call sorts its columns; only the ``searchsorted`` calls run per dimension,
+and the rounding-band scoring per row as before. Every step is elementwise,
+per row or an exact count, so the cap sets how many rows go together, not
+the bits.
+
 The sweep scores all p > 0 masks of a domain set in one stacked
 ``evaluate.ROW_BLOCK``-blocked product (``evaluate.global_mask_accuracies``,
 with its BLAS caveat).
@@ -45,6 +54,7 @@ from .synthbench import DomainDataset, pool_domains, save_table
 Array = np.ndarray
 
 PERCENT_GRID = tuple(float(p) for p in range(0, 95, 5))  # the default sweep
+_GROUP_ROWS = 1024  # candidate rows scored together, over consecutive dimensions
 
 
 @dataclass
@@ -98,28 +108,57 @@ def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w:
     safe = top - second - 1e-6 * (1.0 + np.maximum(top, -logits.min(axis=1)))
     reach = np.ptp(w, axis=1) + 1e-6 * np.abs(w).max(axis=1)
     safe[~np.isin(labels, np.arange(c))] = np.inf  # a row labelled with no class never hits
-    scores = np.zeros(d)
-    for k, col in enumerate(z_t):
-        rows = _maybe_rows(col, reach[k], safe)
-        x, y, lg = col[rows], labels[rows].astype(np.intp), logits[rows]
-        g = lg[np.arange(len(rows)), y][:, None] - lg  # y's lead over each class
-        s = w[k, y][:, None] - w[k]  # and its slope in v
-        strict = np.arange(c) < y[:, None]  # ties go to the lowest class
+    # A group's arrays are class-major, (c, rows): a reduction over the
+    # classes runs elementwise along the rows.
+    scores, w_t, classes = np.zeros(d), np.ascontiguousarray(w.T), np.arange(c)[:, None]
+    for k0, group in _candidate_groups(z_t, reach, safe):
+        k1, sizes = k0 + len(group), [len(rows) for rows in group]
+        rows, dim = np.concatenate(group), np.repeat(np.arange(k0, k1), sizes)
+        x, y = z_t[dim, rows], labels[rows].astype(np.intp)
+        g, s = logits_t.take(rows, axis=1), w_t.take(dim, axis=1)
+        np.subtract(g[y, np.arange(len(rows))], g, out=g)  # y's lead over each class
+        np.subtract(w_t[y, dim], s, out=s)  # and its slope in v
+        strict = classes < y  # ties go to the lowest class
         with np.errstate(all="ignore"):
             root = -g / s
-        dead = ((s == 0) & np.where(strict, g <= 0, g < 0)).any(axis=1)
-        t = np.stack([root.max(1, where=s > 0, initial=-np.inf), root.min(1, where=s < 0, initial=np.inf)])
+        dead = ((s == 0) & ((g < 0) | (strict & (g == 0)))).any(axis=0)
+        t = np.stack([np.where(s > 0, root, -np.inf).max(axis=0), np.where(s < 0, root, np.inf).min(axis=0)])
         ends = x + t  # lo_i and hi_i, each with a rounding band [first, past) of sorted values
         tol = np.where(np.isfinite(ends), 1e-9 * np.abs(x) + 1e-9 * np.abs(t), 0.0)
-        col.sort()
-        first, past = col.searchsorted(ends - tol), col.searchsorted(ends + tol, "right")
-        hits = int(np.where(dead, 0, np.maximum(first[1] - past[0], 0)).sum())
+        below, above = ends - tol, ends + tol
+        z_t[k0:k1].sort(axis=1)
+        first, past = np.empty(ends.shape, np.intp), np.empty(ends.shape, np.intp)
+        lo = 0
+        for k, size in enumerate(sizes, k0):
+            first[:, lo:lo + size] = z_t[k].searchsorted(below[:, lo:lo + size])
+            past[:, lo:lo + size] = z_t[k].searchsorted(above[:, lo:lo + size], "right")
+            lo += size
+        # Whole counts per dimension, exact in float64 while n * n < 2**53.
+        ok = np.bincount(dim, base_ok[rows], k1)[k0:]
+        hits = np.bincount(dim, np.where(dead, 0, np.maximum(first[1] - past[0], 0)), k1)[k0:]
         for i in np.flatnonzero((past > first).any(axis=0)):
+            col = z_t[dim[i]]
             v = col[np.union1d(np.arange(first[0, i], past[0, i]), np.arange(first[1, i], past[1, i]))]
-            margins = g[i] + (v - x[i])[:, None] * s[i]
-            hits += int(np.where(strict[i], margins > 0, margins >= 0).all(axis=1).sum())
-        scores[k] = (n * int(np.count_nonzero(base_ok[rows])) - hits) / (n * n)
+            margins = g[:, i] + (v - x[i])[:, None] * s[:, i]
+            hits[dim[i] - k0] += np.count_nonzero(np.where(strict[:, i], margins > 0, margins >= 0).all(axis=1))
+        scores[k0:k1] = (n * ok - hits) / (n * n)
     return scores
+
+
+def _candidate_groups(z_t: Array, reach: Array, safe: Array):
+    """(k0, the candidate rows of dimensions k0, k0 + 1, ...) for runs of
+    consecutive dimensions, each run as long as their rows stay within
+    ``_GROUP_ROWS``; a dimension past it alone is a run. Each column's rows
+    are found before its run is yielded, so before the caller sorts it."""
+    k0, group, total = 0, [], 0
+    for k, col in enumerate(z_t):
+        rows = _maybe_rows(col, reach[k], safe)
+        if group and total + len(rows) > _GROUP_ROWS:
+            yield k0, group
+            k0, group, total = k, [], 0
+        group.append(rows)
+        total += len(rows)
+    yield k0, group
 
 
 def _maybe_rows(col: Array, reach_k: float, safe: Array) -> Array:

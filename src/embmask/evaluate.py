@@ -78,7 +78,8 @@ def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Ar
     OpenBLAS 0.3.31's general dgemm kernel does (pinned at the benchmark's
     shapes); its small-matrix kernels may not (2-3 classes or few rows, 16+
     dims), moving a last bit and so only a near-tied row. Otherwise z * m is
-    predicted per mask."""
+    predicted per mask. The bias, tiled once per mask, is added once over
+    each block's stacked logits, the same sums as one add per mask."""
     z = _check_rows(split, z, labels)
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1:] != z.shape[1:]:
@@ -90,13 +91,14 @@ def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Ar
     w, b = split.predictor_affine_params()
     labels, (g, c) = np.asarray(labels), (len(masks), w.shape[1])
     wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), g * c)
+    wide_b = np.tile(b, g)  # b after each mask's c logits
     hits = np.zeros(g, dtype=np.intp)
     for lo in range(0, n - 1, ROW_BLOCK):
         # A lone last row joins its block: NumPy sends 1-row products to gemv.
         hi = lo + ROW_BLOCK if n - lo > ROW_BLOCK + 1 else n
-        logits = (z[lo:hi] @ wide).reshape(hi - lo, g, c)
-        logits += b
-        hits += np.count_nonzero(np.argmax(logits, axis=2) == labels[lo:hi, None], axis=0)
+        logits = z[lo:hi] @ wide
+        logits += wide_b
+        hits += np.count_nonzero(np.argmax(logits.reshape(hi - lo, g, c), axis=2) == labels[lo:hi, None], axis=0)
     # Exact counts divided once: bitwise np.mean of the hits.
     return [h / n for h in hits.tolist()]
 

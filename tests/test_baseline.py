@@ -27,8 +27,10 @@ from embmask import (
 from embmask.errors import NumericError, ShapeMismatchError, UsageError
 from embmask.baseline import SweepRow, SweepTable
 from embmask.evaluate import masked_accuracy
+from embmask.experiment import ExperimentSpec, base_layers
 from embmask.nn import SplitModel
 from embmask.synthbench import pool_domains
+from memory_budget import traced_peak
 
 
 def _linear_split(w, b):
@@ -287,6 +289,55 @@ def test_sweep_table_does_not_depend_on_the_row_block(block_setup, block, monkey
     assert table == expected
 
 
+def _importance_at_each_cap(split, z, labels):
+    """``permutation_importance`` as bytes at the default ``_GROUP_ROWS``,
+    then at 1 (one dimension per group, as scored one at a time), 7 and
+    n * d + 1 (every dimension in one group)."""
+    scores = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (baseline._GROUP_ROWS, 1, 7, z.size + 1):
+            mp.setattr(baseline, "_GROUP_ROWS", cap)
+            scores.append(permutation_importance(split, z, labels).tobytes())
+    return scores
+
+
+def _oversized_and_empty_case():
+    """Dimension 0 moves a logit by up to 20 per unit over a column that
+    spans 2, past every margin: all 1500 rows are its candidates, past the
+    default cap alone. Dimension 1 weighs every class alike, so no row is
+    one of its candidates."""
+    gen = np.random.default_rng(11)
+    z = gen.uniform(-1.0, 1.0, size=(1500, 3))
+    w = np.array([[0.0, 10.0, -10.0], [2.0, 2.0, 2.0], [0.5, 0.0, -0.25]])
+    return _linear_split(w, np.array([5.0, 0.0, 0.0])), z, gen.integers(3, size=1500)
+
+
+@pytest.mark.parametrize("case", ["block_setup", "oversized_and_empty"])
+def test_importance_does_not_depend_on_the_group_cap(block_setup, case, monkeypatch):
+    """``_GROUP_ROWS`` sets how many candidate rows are scored together, not
+    the bits: every score at caps 1, 7 and n * d + 1 is the one at 1024."""
+    assert baseline._GROUP_ROWS == 1024
+    if case == "block_setup":
+        split, train, _ = block_setup
+        pooled = pool_domains(train)
+        z, labels = split.encode_np(pooled.features), pooled.labels
+    else:
+        split, z, labels = _oversized_and_empty_case()
+        sizes = []
+        maybe_rows = baseline._maybe_rows
+
+        def counted(col, reach_k, safe):
+            rows = maybe_rows(col, reach_k, safe)
+            sizes.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(baseline, "_maybe_rows", counted)
+        permutation_importance(split, z, labels)
+        assert sizes[:2] == [1500, 0]
+    scores = _importance_at_each_cap(split, z, labels)
+    assert scores[1:] == scores[:1] * 3
+
+
 # -- the exact expected drop on the affine path -----------------------------------
 
 
@@ -436,6 +487,29 @@ def test_affine_importance_updates_few_rows(trained_setup, monkeypatch):
             moved = z[kept].copy()
             moved[:, k] = v
             assert (np.argmax(split.predict_np(moved), axis=1) == base[kept]).all()
+
+
+@pytest.fixture(scope="module")
+def default_bases():
+    """The default benchmark's base model after 5 and after 80 ERM epochs:
+    15-17% and 0.7-1.2% of the rows per dimension are candidates at 3000
+    and 12000 pooled rows."""
+    train, _, _ = generate_benchmark(BenchmarkSpec())
+    layers = base_layers(train, ExperimentSpec().hidden)
+    return {epochs: split_model(train_erm(TrainConfig(seed=0, max_epochs=epochs), train, layers)[0]) for epochs in (5, 80)}
+
+
+@pytest.mark.parametrize("samples", [1000, 4000], ids=["3000-rows", "12000-rows"])
+@pytest.mark.parametrize("epochs", [80, 5])
+def test_importance_allocates_within_its_budget(default_bases, samples, epochs):
+    """Traced peak over the call, in units of z.nbytes: the transposed copy
+    of z, the base logits, per-row scratch and one group's candidate rows,
+    which ``_GROUP_ROWS`` bounds. Read 1.30-1.48; on the 5-epoch base one
+    group of all 64 dimensions read 6.8-7.4, and groups of 16 read 3.0-3.2."""
+    train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
+    pooled, split = pool_domains(train), default_bases[epochs]
+    z = split.encode_np(pooled.features)
+    assert traced_peak(permutation_importance, split, z, pooled.labels) / z.nbytes <= 1.5
 
 
 # -- the exact path equals a brute force over every row and value ------------------
@@ -647,6 +721,21 @@ def test_candidate_rows_match_copy_per_permutation_bitwise(case):
         _assert_whole_hits(scores, len(z))
     else:
         assert scores.tobytes() == _reference_importance(split, z, labels).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(_planted_affine_case())
+def test_planted_importance_does_not_depend_on_the_group_cap(case):
+    """On every plant, ties and cancellation included, the scores at caps
+    1, 7 and n * d + 1 are the ones at the default cap; past the overflow
+    guard the pass refuses before it forms any group."""
+    plant, split, z, labels = case
+    if plant in ("huge", "nan", "inf") and z.any():
+        with pytest.raises(NumericError, match="overflow bound"):
+            _importance_at_each_cap(split, z, labels)
+        return
+    scores = _importance_at_each_cap(split, z, labels)
+    assert scores[1:] == scores[:1] * 3
 
 
 def test_near_float_limit_importance_is_refused(monkeypatch):

@@ -111,7 +111,7 @@ def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, fortran):
     a C-ordered embedding and on the per-mask fallback of a Fortran-ordered
     one."""
     gen = np.random.default_rng(seed)
-    d, c = gen.integers(1, 5), gen.integers(2, 4)
+    d, c = gen.integers(1, 5), gen.integers(2, 6)
     z = gen.choice(_SPECIAL, size=(n, d))
     if fortran:
         z = np.asfortranarray(z)

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from embmask.mask import (
 )
 from embmask.train import emg_forward
 from finite_diff import finite_difference_error
+from memory_budget import traced_peak
 
 EULER_MASCHERONI = 0.5772156649015329
 _P_EPS = 1e-12
@@ -453,24 +453,13 @@ def test_noise_free_and_expected_match_reference_formulas_at_block_edges(shape, 
     assert p.tobytes() == want.tobytes()
 
 
-def _traced_peak(fn, *args):
-    """The traced peak of fn(*args) above what was allocated before it, in bytes."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
 def test_inference_mask_allocates_no_full_size_temporaries(mode, bound):
     """Traced peak over the call, in units of p.nbytes: the result, plus the
     log-odds and the running sum for sample_avg, plus block-sized scratch."""
     p = sigmoid_np(np.random.default_rng(6).normal(size=(4000, 64)))
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
-    assert _traced_peak(inference_mask, p, cfg, 2) / p.nbytes <= bound
+    assert traced_peak(inference_mask, p, cfg, 2) / p.nbytes <= bound
 
 
 @pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
@@ -481,7 +470,7 @@ def test_emg_masks_write_the_mask_into_their_drop_probabilities(mode, bound):
     x = np.random.default_rng(6).normal(size=(4000, 16))
     gen = Mlp([16, 8, 64], prefix="g.", seed=3)
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
-    assert _traced_peak(emg_masks, gen, x, cfg, 2) / (4000 * 64 * 8) <= bound
+    assert traced_peak(emg_masks, gen, x, cfg, 2) / (4000 * 64 * 8) <= bound
 
 
 def test_accuracy_masks_the_embedding_it_just_encoded():
@@ -491,7 +480,7 @@ def test_accuracy_masks_the_embedding_it_just_encoded():
     split = split_model(Mlp([16, 64, 5], seed=3))
     data = DomainDataset(rng.normal(size=(4000, 16)), rng.integers(5, size=4000), 0)
     masks = rng.uniform(size=(4000, 64))
-    assert _traced_peak(accuracy, split, data, masks) / masks.nbytes <= 1.25
+    assert traced_peak(accuracy, split, data, masks) / masks.nbytes <= 1.25
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
