@@ -35,9 +35,9 @@ and the rounding-band scoring per row as before. Every step is elementwise,
 per row or an exact count, so the cap sets how many rows go together, not
 the bits.
 
-The sweep scores all p > 0 masks of a domain set in one stacked
-``evaluate.ROW_BLOCK``-blocked product (``evaluate.global_mask_accuracies``,
-with its BLAS caveat).
+The sweep predicts each domain set's embedding once for its p = 0 row and
+scores all p > 0 masks in one stacked ``evaluate.ROW_BLOCK``-blocked product
+(``evaluate.global_mask_accuracies``, with its BLAS caveat).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .evaluate import ROW_BLOCK, _check_rows, global_mask_accuracies, masked_accuracy
+from .evaluate import ROW_BLOCK, _check_rows, _hit_rate, global_mask_accuracies
 from .nn import SplitModel
 from .synthbench import DomainDataset, pool_domains, save_table
 
@@ -212,10 +212,11 @@ def sweep_mask_percent(
     scores = permutation_importance(split, z_tr, pooled.labels)
     z_un = split.encode_np(unseen_data.features)
 
-    # grid[0] is the zero: the unmasked evaluation, unseen then train.
     masks = np.array([global_mask_from_scores(scores, p) for p in grid[1:]]).reshape(-1, len(scores))
-    unseen = [masked_accuracy(split, z_un, unseen_data.labels)]
-    train = [masked_accuracy(split, z_tr, pooled.labels)]
+    # grid[0] is the zero: the unmasked evaluation, unseen then train. The
+    # importance pass checked the pooled labels; the unseen ones are checked here.
+    unseen = [_hit_rate(split.predict_np(_check_rows(split, z_un, unseen_data.labels)), unseen_data.labels)]
+    train = [_hit_rate(split.predict_np(z_tr), pooled.labels)]
     unseen += global_mask_accuracies(split, z_un, unseen_data.labels, masks)
     train += global_mask_accuracies(split, z_tr, pooled.labels, masks)
     table = SweepTable([SweepRow(*row) for row in zip(grid, unseen, train)])

@@ -3,9 +3,10 @@
 ``emg_masks`` passes the generator's drop probabilities and the run seed to
 ``mask.inference_mask``, which alone decides whether and what noise it draws
 and writes the mask into those probabilities. ``accuracy`` and
-``export_embeddings`` scale the embedding they just encoded by a mask in
-place. ``_check_rows``, on ``nn.as_batch`` (the batch contract's one owner),
-checks every scored z.
+``export_embeddings`` scale the embedding they just encoded in place by a
+(d,) or (n, d) mask; ``global_mask_accuracies`` is the sweep's stacked
+product. ``_check_rows``, on ``nn.as_batch`` (the batch contract's one
+owner), checks every scored z.
 
 The bound check is the empirical counterpart of the triangle-inequality
 argument for linear predictors: with the embedding split additively into
@@ -50,25 +51,8 @@ def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Ar
     return inference_mask(p, cfg, seed, out=p)
 
 
-def masked_accuracy(
-    split: SplitModel, z: Array, labels: Array, masks: Array | None = None
-) -> float:
-    """Fraction of argmax-correct predictions on embeddings ``z``; argmax
-    ties resolve to the lowest class index. ``masks`` is per-sample (n x d),
-    a single global mask (d,) broadcast over the rows, or None. Rejects
-    empty data, other mask shapes and ``labels`` that are not one entry per
-    row. A global mask is a stack of one for ``global_mask_accuracies``: a
-    0/1 mask scales the predictor's weight rows, ``ROW_BLOCK`` rows of ``z``
-    at a time, not ``z`` (see there for when that is bitwise)."""
-    z = _check_rows(split, z, labels)
-    masks = None if masks is None else _checked_mask(masks, z)
-    if masks is not None and masks.ndim == 1:
-        return global_mask_accuracies(split, z, labels, masks[None])[0]
-    return _hit_rate(split.predict_np(z if masks is None else z * masks), labels)
-
-
 def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Array) -> list[float]:
-    """``masked_accuracy`` under each row of a (g, d) stack of global masks.
+    """The hit rate of embeddings ``z`` under each row of a (g, d) stack of global masks.
 
     0/1 masks, C-ordered float64 ``z`` of 2+ rows: each ``ROW_BLOCK``-row block
     (a lone last row joins it) meets every mask's weight rows in one product
@@ -125,13 +109,12 @@ def _encoded(split: SplitModel, x: Array) -> Array:
 
 
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
-    """``masked_accuracy`` of the encoded dataset; a per-sample (n, d) mask,
-    after the same checks, scales the embedding in place."""
-    z = _encoded(split, data.features)
-    if np.ndim(masks) != 2:
-        return masked_accuracy(split, z, data.labels, masks)
-    z = _check_rows(split, z, data.labels)
-    z *= _checked_mask(masks, z)
+    """Fraction of argmax-correct predictions (ties to the lowest class) on
+    the encoded dataset, scaled in place by a (d,) or (n, d) ``masks``;
+    rejects empty data, other mask shapes and labels not one per row."""
+    z = _check_rows(split, _encoded(split, data.features), data.labels)
+    if masks is not None:
+        z *= _checked_mask(masks, z)
     return _hit_rate(split.predict_np(z), data.labels)
 
 

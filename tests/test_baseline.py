@@ -26,7 +26,6 @@ from embmask import (
 )
 from embmask.errors import NumericError, ShapeMismatchError, UsageError
 from embmask.baseline import SweepRow, SweepTable
-from embmask.evaluate import masked_accuracy
 from embmask.experiment import ExperimentSpec, base_layers
 from embmask.nn import SplitModel
 from embmask.synthbench import pool_domains
@@ -39,6 +38,11 @@ def _linear_split(w, b):
     model.store["w0"][...] = w
     model.store["b0"][...] = b
     return split_model(model)
+
+
+def _reference_accuracy(split, z, labels, m=None):
+    """The per-mask definition: embeddings ``z`` (masked by ``m`` unless None) predicted in full."""
+    return float(np.mean(np.argmax(split.predict_np(z if m is None else z * m), axis=1) == labels))
 
 
 def test_unused_dimension_scores_near_zero():
@@ -199,8 +203,8 @@ def test_sweep_equals_a_per_mask_table(trained_setup, case, monkeypatch):
         expected.append(
             SweepRow(
                 p,
-                masked_accuracy(split, z_un, unseen.labels, np.broadcast_to(mask, z_un.shape)),
-                masked_accuracy(split, z_tr, pooled.labels, np.broadcast_to(mask, z_tr.shape)),
+                _reference_accuracy(split, z_un, unseen.labels, np.broadcast_to(mask, z_un.shape)),
+                _reference_accuracy(split, z_tr, pooled.labels, np.broadcast_to(mask, z_tr.shape)),
             )
         )
     assert table.rows == expected
@@ -262,6 +266,17 @@ def test_sweep_rejects_empty_unseen_domain(trained_setup):
     empty = DomainDataset(unseen.features[:0], unseen.labels[:0], unseen.domain_index)
     with pytest.raises(UsageError, match="empty"):
         sweep_mask_percent(split, train, empty, [0.0, 50.0])
+
+
+@pytest.mark.parametrize("shape", [(1,), (2, 1)], ids=["one", "column"])
+def test_sweep_rejects_unseen_labels_not_one_per_row_before_predicting_them(trained_setup, shape, monkeypatch):
+    """Such labels would broadcast against the unseen predictions."""
+    split, train, unseen = trained_setup
+    bad = DomainDataset(unseen.features, np.zeros(shape, dtype=int), unseen.domain_index)
+    calls = _count_predicted_rows(monkeypatch)
+    with pytest.raises(ShapeMismatchError, match="labels shape"):
+        sweep_mask_percent(split, train, bad, [0.0, 50.0])
+    assert unseen.n not in calls
 
 
 @pytest.fixture(scope="module")
@@ -346,7 +361,7 @@ def _all_permutations_importance(split, z, labels):
     full: n! permuted copies stacked into one product per dimension."""
     n, d = z.shape
     perms = np.array(list(itertools.permutations(range(n))))
-    base = masked_accuracy(split, z, labels)
+    base = _reference_accuracy(split, z, labels)
     scores = np.zeros(d)
     for k in range(d):
         stacked = np.repeat(z[None], len(perms), axis=0)
@@ -429,7 +444,7 @@ def test_exact_importance_within_monte_carlo_error(n, d, c, step, seed):
     labels = gen.integers(c, size=n)
     repeats = 2000
     # One accuracy per permutation, for the mean and its spread.
-    rng, base = np.random.default_rng(seed), masked_accuracy(split, z, labels)
+    rng, base = np.random.default_rng(seed), _reference_accuracy(split, z, labels)
     exact = permutation_importance(split, z, labels)
     for k in range(d):
         stacked = np.repeat(z[None], repeats, axis=0)

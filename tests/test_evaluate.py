@@ -17,7 +17,6 @@ from embmask.evaluate import (
     export_embeddings,
     export_masks,
     global_mask_accuracies,
-    masked_accuracy,
 )
 from embmask.mask import _BLOCK, drop_probabilities, inference_mask, sigmoid_np
 from embmask.nn import SplitModel
@@ -33,6 +32,11 @@ def _affine_split(w, b):
 
 def _oracle(shared, specific):
     return Oracle(shared_dims=list(shared), specific_dims=list(specific))
+
+
+def _reference_accuracy(split, z, labels, m=None):
+    """The per-mask definition: embeddings ``z`` (masked by ``m`` unless None) predicted in full."""
+    return float(np.mean(np.argmax(split.predict_np(z if m is None else z * m), axis=1) == labels))
 
 
 def test_accuracy_label_revealing_logits():
@@ -56,20 +60,18 @@ def test_accuracy_all_ones_mask_identical_to_none():
     rng = np.random.default_rng(2)
     split = _affine_split(rng.normal(size=(4, 3)), rng.normal(size=3))
     data = DomainDataset(rng.normal(size=(50, 4)), rng.integers(3, size=50), 0)
-    assert accuracy(split, data) == accuracy(split, data, np.ones(4))
-    z = split.encode_np(data.features)
-    assert masked_accuracy(split, z, data.labels) == masked_accuracy(split, z, data.labels, np.ones(4))
+    assert accuracy(split, data) == accuracy(split, data, np.ones(4)) == accuracy(split, data, np.ones((50, 4)))
 
 
 def test_global_mask_equals_its_broadcast_bitwise():
     rng = np.random.default_rng(11)
-    model = Mlp([5, 6, 3], seed=3)
-    split = split_model(model)
-    z = split.encode_np(rng.normal(size=(200, 5)))
-    labels = rng.integers(3, size=200)
+    split = split_model(Mlp([5, 6, 3], seed=3))
+    data = DomainDataset(rng.normal(size=(200, 5)), rng.integers(3, size=200), 0)
     mask = rng.uniform(size=6)
+    z = split.encode_np(data.features)
     per_sample = np.broadcast_to(mask, z.shape).copy()
-    assert masked_accuracy(split, z, labels, mask) == masked_accuracy(split, z, labels, per_sample)
+    assert accuracy(split, data, mask) == accuracy(split, data, per_sample)
+    assert accuracy(split, data, mask) == _reference_accuracy(split, z, data.labels, per_sample)
 
 
 _SPECIAL = [-0.0, 0.0, 1.0, -2.5, 3e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
@@ -78,8 +80,9 @@ _SPECIAL = [-0.0, 0.0, 1.0, -2.5, 3e-310, 1e300, -1e300, np.inf, -np.inf, np.nan
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2**32 - 1))
 def test_global_binary_mask_on_affine_split_equals_its_broadcast(seed):
-    """The weight-row path of a global 0/1 mask predicts every row as the
-    masked copy does, signed zeros, infinities, NaN and 1e300 included."""
+    """A global 0/1 mask scaled into the encoded embedding in place predicts
+    every row as the masked copy does, signed zeros, infinities, NaN and
+    1e300 included."""
     gen = np.random.default_rng(seed)
     n, d, c = gen.integers(1, 12), gen.integers(1, 5), gen.integers(2, 4)
     z = gen.choice(_SPECIAL, size=(n, d))
@@ -88,10 +91,10 @@ def test_global_binary_mask_on_affine_split_equals_its_broadcast(seed):
     with np.errstate(invalid="ignore", over="ignore"):
         preds = np.argmax(split.predict_np(z * mask), axis=1)
         # Labels equal to the masked copy's predictions pin each row's argmax.
-        assert masked_accuracy(split, z, preds, mask) == 1.0
+        assert accuracy(split, DomainDataset(z, preds, 0), mask) == 1.0
         labels = gen.integers(c, size=n)
         per_sample = np.broadcast_to(mask, z.shape).copy()
-        assert masked_accuracy(split, z, labels, mask) == masked_accuracy(split, z, labels, per_sample)
+        assert accuracy(split, DomainDataset(z, labels, 0), mask) == _reference_accuracy(split, z, labels, per_sample)
 
 
 @settings(deadline=None, max_examples=60)
@@ -120,7 +123,7 @@ def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, fortran):
     with np.errstate(invalid="ignore", over="ignore"):
         preds = [np.argmax(split.predict_np(z * m), axis=1) for m in masks]
         for j, labels in enumerate(preds + [gen.integers(c, size=n)]):
-            expected = [masked_accuracy(split, z, labels, np.broadcast_to(m, z.shape)) for m in masks]
+            expected = [_reference_accuracy(split, z, labels, np.broadcast_to(m, z.shape)) for m in masks]
             scored = global_mask_accuracies(split, z, labels, masks)
             assert scored == expected
             # Labels equal to mask j's predictions pin each of its rows' argmax.
@@ -164,7 +167,7 @@ def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch
     assert calls == [600] * 5
 
 
-def test_global_mask_accuracies_reject_what_masked_accuracy_rejects():
+def test_global_mask_accuracies_reject_what_accuracy_rejects():
     split = _affine_split(np.ones((3, 2)), np.zeros(2))
     z, labels, masks = np.ones((4, 3)), np.zeros(4, dtype=int), np.ones((2, 3))
     with pytest.raises(UsageError, match="empty"):
@@ -181,9 +184,9 @@ def test_global_mask_accuracies_reject_what_masked_accuracy_rejects():
 
 def test_global_mask_keeps_the_width_check():
     split = _affine_split(np.ones((3, 2)), np.zeros(2))
-    z = np.ones((4, 2))
-    with pytest.raises(ShapeMismatchError, match="embedding width 2 != predictor input width 3"):
-        masked_accuracy(split, z, np.zeros(4, dtype=int), np.ones(2))
+    data = DomainDataset(np.ones((4, 2)), np.zeros(4, dtype=int), 0)
+    with pytest.raises(ShapeMismatchError, match="input width 2 != model input dim 3"):
+        accuracy(split, data, np.ones(2))
 
 
 def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
@@ -199,37 +202,36 @@ def test_mask_identity_zero_select_and_shape_mismatch(tmp_path):
         (np.array([1.0, 0.0]), 0.5, ["3", "0"]),
         (np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0, ["0", "7"]),
     ):
-        assert masked_accuracy(split, z, labels, mask) == acc
         assert accuracy(split, data, mask) == acc  # masks an embedding of its own, not data's
         export_embeddings(split, data, str(path), mask)
         assert path.read_text().splitlines()[1].split(",")[3:] == row
-    assert masked_accuracy(split, z, labels) == 1.0
+    assert accuracy(split, data) == 1.0
     assert data.features is z and (z == [[3.0, 7.0], [2.0, -1.0]]).all()
     # Neither (d,) nor z's shape, though NumPy would broadcast the last four.
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2)), np.ones(()), np.ones((1, 1))):
         message = re.escape(f"masks shape {bad.shape}") + r".*\(2, 2\)"
         with pytest.raises(ShapeMismatchError, match=message):
-            masked_accuracy(split, z, labels, bad)
+            accuracy(split, data, bad)
         with pytest.raises(ShapeMismatchError, match=message):
             export_embeddings(split, data, str(path), bad)
 
 
 def test_accuracy_empty_data_rejected():
     split = _affine_split(np.ones((2, 2)), np.zeros(2))
-    with pytest.raises(UsageError):
-        accuracy(split, DomainDataset(np.ones((0, 2)), np.zeros(0, dtype=int), 0))
-    with pytest.raises(UsageError):
-        masked_accuracy(split, np.ones((0, 2)), np.zeros(0, dtype=int), np.ones(2))
+    empty = DomainDataset(np.ones((0, 2)), np.zeros(0, dtype=int), 0)
+    for mask in (None, np.ones(2), np.ones((0, 2))):
+        with pytest.raises(UsageError):
+            accuracy(split, empty, mask)
 
 
 @pytest.mark.parametrize("shape", [(1,), (50, 1), (49,)], ids=["one", "column", "short"])
-def test_masked_accuracy_rejects_labels_not_one_per_row(shape):
+def test_accuracy_rejects_labels_not_one_per_row(shape):
     """A length-1 or (n, 1) label array would broadcast against the n
     predictions and score something meaningless."""
     split = _affine_split(np.ones((4, 2)), np.zeros(2))
-    z = np.random.default_rng(0).normal(size=(50, 4))
+    x = np.random.default_rng(0).normal(size=(50, 4))
     with pytest.raises(ShapeMismatchError, match="labels shape"):
-        masked_accuracy(split, z, np.zeros(shape, dtype=int))
+        accuracy(split, DomainDataset(x, np.zeros(shape, dtype=int), 0))
 
 
 def test_accuracy_sample_order_invariant():
@@ -348,7 +350,7 @@ def test_bound_rejects_bad_shapes_or_empty_data():
 
 @pytest.mark.parametrize("mask_shape", [(3, 4), (2, 5), (4,), (2, 4, 1)])
 def test_bound_rejects_a_mask_not_shaped_like_z_as_shape_mismatch(mask_shape):
-    """The error class of masked_accuracy and export_embeddings for the same
+    """The error class of accuracy and export_embeddings for the same
     kind of input; a global (d,) mask is no exception here."""
     rng = np.random.default_rng(7)
     split = _affine_split(rng.normal(size=(4, 2)), rng.normal(size=2))
@@ -375,7 +377,7 @@ _BATCH_ENTRY_POINTS = {
     "forward_np": (3, lambda x: _BASE.forward_np(x)),
     "encode_np": (3, lambda x: _SPLIT.encode_np(x)),
     "predict_np": (4, lambda z: _SPLIT.predict_np(z)),
-    "masked_accuracy": (4, lambda z: masked_accuracy(_SPLIT, z, _labels(z))),
+    "accuracy": (3, lambda x: accuracy(_SPLIT, DomainDataset(x, _labels(x), 0))),
     "global_mask_accuracies": (
         4, lambda z: global_mask_accuracies(_SPLIT, z, _labels(z), np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]]))
     ),

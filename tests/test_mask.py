@@ -473,14 +473,16 @@ def test_emg_masks_write_the_mask_into_their_drop_probabilities(mode, bound):
     assert traced_peak(emg_masks, gen, x, cfg, 2) / (4000 * 64 * 8) <= bound
 
 
-def test_accuracy_masks_the_embedding_it_just_encoded():
+@pytest.mark.parametrize("rows", [4000, 16000])
+@pytest.mark.parametrize("kind", ["none", "global", "per_sample"])
+def test_accuracy_masks_the_embedding_it_just_encoded(kind, rows):
     """Traced peak in units of the (n, d) embedding: the embedding itself,
-    scaled in place by the per-sample mask, plus the narrow logits."""
+    scaled in place by any mask, plus the narrow logits."""
     rng = np.random.default_rng(7)
     split = split_model(Mlp([16, 64, 5], seed=3))
-    data = DomainDataset(rng.normal(size=(4000, 16)), rng.integers(5, size=4000), 0)
-    masks = rng.uniform(size=(4000, 64))
-    assert traced_peak(accuracy, split, data, masks) / masks.nbytes <= 1.25
+    data = DomainDataset(rng.normal(size=(rows, 16)), rng.integers(5, size=rows), 0)
+    masks = {"none": None, "global": rng.choice([0.0, 1.0], size=64), "per_sample": rng.uniform(size=(rows, 64))}[kind]
+    assert traced_peak(accuracy, split, data, masks) / (rows * 64 * 8) <= 1.25
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
