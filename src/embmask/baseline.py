@@ -36,8 +36,7 @@ per row or an exact count, so the cap sets how many rows go together, not
 the bits.
 
 The sweep predicts each domain set's embedding once for its p = 0 row and
-scores all p > 0 masks in one stacked ``evaluate.ROW_BLOCK``-blocked product
-(``evaluate.global_mask_accuracies``, with its BLAS caveat).
+scores every p > 0 mask in one stacked product (``_stacked_accuracies``).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .evaluate import ROW_BLOCK, _check_rows, _hit_rate, global_mask_accuracies
+from .evaluate import _check_rows, _hit_rate
 from .nn import SplitModel
 from .synthbench import DomainDataset, pool_domains, save_table
 
@@ -55,6 +54,7 @@ Array = np.ndarray
 
 PERCENT_GRID = tuple(float(p) for p in range(0, 95, 5))  # the default sweep
 _GROUP_ROWS = 1024  # candidate rows scored together, over consecutive dimensions
+ROW_BLOCK = 512  # embedding rows per transpose tile and per block of the stacked product
 
 
 @dataclass
@@ -187,6 +187,33 @@ def global_mask_from_scores(scores: Array, percent: float) -> Array:
     return mask
 
 
+def _stacked_accuracies(split: SplitModel, z: Array, labels: Array, masks: Array) -> list[float]:
+    """The hit rate of the sweep's checked z under each row of its (g, d)
+    float64 0/1 mask stack, unchecked here. Each ``ROW_BLOCK``-row block of z
+    (a lone last row joins it) meets every mask's weight rows in one product
+    z [m_1 W | ... | m_g W], with no masked copy of z. It is (z m) W bitwise
+    for m in {0, 1} where BLAS runs each logit as one k-ordered FMA chain
+    whatever the other sizes: OpenBLAS 0.3.31's general dgemm kernel does
+    (pinned at the benchmark's shapes); its small-matrix kernels (2-3 classes
+    or few rows, 16+ dims) may move a last bit, and so a near-tied row. The
+    bias, tiled once per mask, is added once over each block's logits."""
+    n, z = len(z), np.ascontiguousarray(z)  # a base without hidden layers embeds non-C features as is
+    if n == 1:  # NumPy sends a one-row product to gemv, whose bits may differ
+        return [_hit_rate(split.predict_np(z * m), labels) for m in masks]
+    w, b = split.predictor_affine_params()
+    labels, (g, c) = np.asarray(labels), (len(masks), w.shape[1])
+    wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), g * c)
+    wide_b = np.tile(b, g)  # b after each mask's c logits
+    hits = np.zeros(g, dtype=np.intp)
+    for lo in range(0, n - 1, ROW_BLOCK):
+        hi = lo + ROW_BLOCK if n - lo > ROW_BLOCK + 1 else n
+        logits = z[lo:hi] @ wide
+        logits += wide_b
+        hits += np.count_nonzero(np.argmax(logits.reshape(hi - lo, g, c), axis=2) == labels[lo:hi, None], axis=0)
+    # Exact counts divided once: bitwise np.mean of the hits.
+    return [h / n for h in hits.tolist()]
+
+
 def sweep_mask_percent(
     split: SplitModel,
     train_data: list[DomainDataset],
@@ -217,8 +244,8 @@ def sweep_mask_percent(
     # importance pass checked the pooled labels; the unseen ones are checked here.
     unseen = [_hit_rate(split.predict_np(_check_rows(split, z_un, unseen_data.labels)), unseen_data.labels)]
     train = [_hit_rate(split.predict_np(z_tr), pooled.labels)]
-    unseen += global_mask_accuracies(split, z_un, unseen_data.labels, masks)
-    train += global_mask_accuracies(split, z_tr, pooled.labels, masks)
+    unseen += _stacked_accuracies(split, z_un, unseen_data.labels, masks)
+    train += _stacked_accuracies(split, z_tr, pooled.labels, masks)
     table = SweepTable([SweepRow(*row) for row in zip(grid, unseen, train)])
     best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))
     table.unseen_best_percent = best.percent

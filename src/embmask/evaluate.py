@@ -4,9 +4,8 @@
 ``mask.inference_mask``, which alone decides whether and what noise it draws
 and writes the mask into those probabilities. ``accuracy`` and
 ``export_embeddings`` scale the embedding they just encoded in place by a
-(d,) or (n, d) mask; ``global_mask_accuracies`` is the sweep's stacked
-product. ``_check_rows``, on ``nn.as_batch`` (the batch contract's one
-owner), checks every scored z.
+(d,) or (n, d) mask. ``_check_rows``, on ``nn.as_batch`` (the batch
+contract's one owner), checks every scored z.
 
 The bound check is the empirical counterpart of the triangle-inequality
 argument for linear predictors: with the embedding split additively into
@@ -33,58 +32,12 @@ from .synthbench import DomainDataset, Oracle, save_table
 
 Array = np.ndarray
 
-ROW_BLOCK = 512  # embedding rows per block of a stacked or tiled pass
-
-
-def _checked_mask(masks: Array, z: Array) -> Array:
-    """``masks`` as an array if it is (d,) or ``z``'s shape, else ``ShapeMismatchError``."""
-    masks = np.asarray(masks)
-    if masks.shape not in (z.shape[1:], z.shape):
-        raise ShapeMismatchError(f"masks shape {masks.shape} is neither (d,) nor embeddings {z.shape}")
-    return masks
-
 
 def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Per-sample inference masks from the trained generator, written into
     the drop probabilities they are computed from."""
     p = drop_probabilities(generator, x)
     return inference_mask(p, cfg, seed, out=p)
-
-
-def global_mask_accuracies(split: SplitModel, z: Array, labels: Array, masks: Array) -> list[float]:
-    """The hit rate of embeddings ``z`` under each row of a (g, d) stack of global masks.
-
-    0/1 masks, C-ordered float64 ``z`` of 2+ rows: each ``ROW_BLOCK``-row block
-    (a lone last row joins it) meets every mask's weight rows in one product
-    z [m_1 W | ... | m_g W], with no masked copy of ``z``. z (m W) = (z m) W
-    bitwise for m in {0, 1}, so this is the per-mask product where BLAS
-    computes each logit as one k-ordered FMA chain whatever the other sizes:
-    OpenBLAS 0.3.31's general dgemm kernel does (pinned at the benchmark's
-    shapes); its small-matrix kernels may not (2-3 classes or few rows, 16+
-    dims), moving a last bit and so only a near-tied row. Otherwise z * m is
-    predicted per mask. The bias, tiled once per mask, is added once over
-    each block's stacked logits, the same sums as one add per mask."""
-    z = _check_rows(split, z, labels)
-    masks = np.asarray(masks)
-    if masks.ndim != 2 or masks.shape[1:] != z.shape[1:]:
-        raise ShapeMismatchError(f"masks shape {masks.shape} is not (g, {z.shape[1]})")
-    n = len(z)
-    if not (z.dtype == np.float64 and z.flags.c_contiguous and n > 1
-            and np.isin(masks, (0.0, 1.0)).all()):
-        return [_hit_rate(split.predict_np(z * m), labels) for m in masks]
-    w, b = split.predictor_affine_params()
-    labels, (g, c) = np.asarray(labels), (len(masks), w.shape[1])
-    wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(len(w), g * c)
-    wide_b = np.tile(b, g)  # b after each mask's c logits
-    hits = np.zeros(g, dtype=np.intp)
-    for lo in range(0, n - 1, ROW_BLOCK):
-        # A lone last row joins its block: NumPy sends 1-row products to gemv.
-        hi = lo + ROW_BLOCK if n - lo > ROW_BLOCK + 1 else n
-        logits = z[lo:hi] @ wide
-        logits += wide_b
-        hits += np.count_nonzero(np.argmax(logits.reshape(hi - lo, g, c), axis=2) == labels[lo:hi, None], axis=0)
-    # Exact counts divided once: bitwise np.mean of the hits.
-    return [h / n for h in hits.tolist()]
 
 
 def _check_rows(split: SplitModel, z: Array, labels: Array | None = None) -> Array:
@@ -101,20 +54,26 @@ def _hit_rate(logits: Array, labels: Array) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _encoded(split: SplitModel, x: Array) -> Array:
-    """``split.encode_np(x)`` in an array of its own, which the caller may
-    scale in place: a model without hidden layers embeds a float64 x as is."""
-    z = split.encode_np(x)
-    return z.copy() if np.may_share_memory(z, x) else z
+def _masked(z: Array, x: Array, masks: Array) -> Array:
+    """``z`` scaled by a (d,) or (n, d) ``masks`` (other shapes raise
+    ``ShapeMismatchError``) in place, or in a copy where a model without
+    hidden layers embedded a float64 ``x`` as ``z``."""
+    masks = np.asarray(masks)
+    if masks.shape not in (z.shape[1:], z.shape):
+        raise ShapeMismatchError(f"masks shape {masks.shape} is neither (d,) nor embeddings {z.shape}")
+    if np.may_share_memory(z, x):
+        z = z.copy()
+    z *= masks
+    return z
 
 
 def accuracy(split: SplitModel, data: DomainDataset, masks: Array | None = None) -> float:
     """Fraction of argmax-correct predictions (ties to the lowest class) on
     the encoded dataset, scaled in place by a (d,) or (n, d) ``masks``;
     rejects empty data, other mask shapes and labels not one per row."""
-    z = _check_rows(split, _encoded(split, data.features), data.labels)
+    z = _check_rows(split, split.encode_np(data.features), data.labels)
     if masks is not None:
-        z *= _checked_mask(masks, z)
+        z = _masked(z, data.features, masks)
     return _hit_rate(split.predict_np(z), data.labels)
 
 
@@ -177,9 +136,9 @@ def export_embeddings(
     masks: Array | None = None,
 ) -> None:
     """CSV rows: sample id, label, domain index, then the (masked) embedding."""
-    z = _encoded(split, data.features)
+    z = split.encode_np(data.features)
     if masks is not None:
-        z *= _checked_mask(masks, z)
+        z = _masked(z, data.features, masks)
         z += 0.0  # normalizes -0.0 in the text output
     header = ["id", "label", "domain"] + [f"e{i}" for i in range(z.shape[1])]
     ids, domains = np.arange(data.n), np.full(data.n, data.domain_index)

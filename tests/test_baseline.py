@@ -14,7 +14,6 @@ from embmask import (
     accuracy,
     baseline,
     DomainDataset,
-    evaluate,
     Mlp,
     TrainConfig,
     generate_benchmark,
@@ -30,6 +29,7 @@ from embmask.experiment import ExperimentSpec, base_layers
 from embmask.nn import SplitModel
 from embmask.synthbench import pool_domains
 from memory_budget import traced_peak
+from numeric_env import numeric_environment
 
 
 def _linear_split(w, b):
@@ -294,14 +294,97 @@ def block_setup():
 def test_sweep_table_does_not_depend_on_the_row_block(block_setup, block, monkeypatch):
     """``ROW_BLOCK`` sets how many rows each product takes, not the bits:
     the table at 511, 7 and 1199 (a lone last pooled row) is the one at
-    512. ``baseline`` holds its own copy of the value, so both are set."""
+    512."""
     split, train, unseen = block_setup
-    assert evaluate.ROW_BLOCK == baseline.ROW_BLOCK == 512
+    assert baseline.ROW_BLOCK == 512
     expected = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
-    monkeypatch.setattr(evaluate, "ROW_BLOCK", block)
     monkeypatch.setattr(baseline, "ROW_BLOCK", block)
     table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
     assert table == expected
+
+
+@pytest.mark.parametrize("rows", [1, 2, 513])
+def test_sweep_scores_tiny_unseen_domains_as_accuracy_does(block_setup, rows):
+    """One unseen row takes the per-mask path, two rows one stacked block, and
+    513 a lone last row joining its block; every row of the table is
+    ``accuracy`` under the same global mask."""
+    split, train, unseen = block_setup
+    unseen = DomainDataset(unseen.features[:rows], unseen.labels[:rows], unseen.domain_index)
+    table = sweep_mask_percent(split, train, unseen, baseline.PERCENT_GRID)
+    pooled = pool_domains(train)
+    scores = permutation_importance(split, split.encode_np(pooled.features), pooled.labels)
+    for row in table.rows:
+        mask = global_mask_from_scores(scores, row.percent)
+        assert row.unseen_accuracy == accuracy(split, unseen, mask), row.percent
+        assert row.train_accuracy == accuracy(split, pooled, mask), row.percent
+
+
+_SPECIAL = [-0.0, 0.0, 1.0, -2.5, 3e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 511, 512, 513, 1025]),
+    st.sampled_from([1, 18]),
+    st.booleans(),
+)
+# inf + fma(-1e300, 1e10, .) is inf where a gemv leftover column without FMA
+# gives NaN: one row alone, and a lone last row of the blocks.
+@example(seed=59, n=1, g=18, fortran=False)
+@example(seed=3149, n=1025, g=18, fortran=False)
+def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, fortran):
+    """Across the row-block edges, each mask of the stack scores every row
+    as its broadcast copy predicted in full does: on the stacked product of
+    a C-ordered embedding and of a Fortran-ordered one's C-ordered copy, and
+    on the per-mask path of a single row."""
+    gen = np.random.default_rng(seed)
+    d, c = gen.integers(1, 5), gen.integers(2, 6)
+    z = gen.choice(_SPECIAL, size=(n, d))
+    if fortran:
+        z = np.asfortranarray(z)
+    split = _linear_split(gen.choice([-1.0, 0.0, 0.5, 2.0, 1e10], size=(d, c)), gen.choice([0.0, -0.0, 1.0], size=c))
+    masks = gen.choice([0.0, 1.0], size=(g, d))
+    with np.errstate(invalid="ignore", over="ignore"):
+        preds = [np.argmax(split.predict_np(z * m), axis=1) for m in masks]
+        for j, labels in enumerate(preds + [gen.integers(c, size=n)]):
+            expected = [_reference_accuracy(split, z, labels, np.broadcast_to(m, z.shape)) for m in masks]
+            scored = baseline._stacked_accuracies(split, z, labels, masks)
+            assert scored == expected, numeric_environment()
+            # Labels equal to mask j's predictions pin each of its rows' argmax.
+            assert j == g or scored[j] == 1.0
+
+
+@pytest.mark.parametrize("n", [4000, 12000])
+def test_stacked_product_equals_the_per_mask_products_at_the_benchmark_shape(n):
+    """The stacked scoring is bitwise only where BLAS computes every logit as
+    the same k-ordered chain whatever the product's other sizes are; pin it
+    for the benchmark's 64-wide embedding, 5 classes and 18 masks."""
+    rng = np.random.default_rng(n)
+    z, w = rng.normal(size=(n, 64)), rng.normal(size=(64, 5))
+    masks = rng.choice([0.0, 1.0], size=(18, 64))
+    wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(64, 90)
+    block = baseline.ROW_BLOCK
+    stacked = np.concatenate([z[lo:lo + block] @ wide for lo in range(0, n, block)])
+    for j, m in enumerate(masks):
+        assert stacked[:, 5 * j:5 * j + 5].tobytes() == (z @ (m[:, None] * w)).tobytes(), numeric_environment()
+
+
+@pytest.mark.parametrize("layers", [[4, 3], [4, 5, 3]], ids=["affine", "two_layer"])
+def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch):
+    """Two or more rows are scored through the weight rows with no predict
+    call; one row is predicted per mask."""
+    rng = np.random.default_rng(4)
+    split = split_model(Mlp(layers, seed=2))
+    d = split.embedding_dim
+    z, labels = rng.normal(size=(600, d)), rng.integers(3, size=600)
+    calls = _count_predicted_rows(monkeypatch)
+    masks = rng.choice([0.0, 1.0], size=(5, d))
+    assert len(baseline._stacked_accuracies(split, z, labels, masks)) == 5
+    assert baseline._stacked_accuracies(split, z, labels, np.ones((0, d))) == []
+    assert calls == []
+    assert len(baseline._stacked_accuracies(split, z[:1], labels[:1], masks)) == 5
+    assert calls == [1] * 5
 
 
 def _importance_at_each_cap(split, z, labels):
@@ -525,6 +608,19 @@ def test_importance_allocates_within_its_budget(default_bases, samples, epochs):
     pooled, split = pool_domains(train), default_bases[epochs]
     z = split.encode_np(pooled.features)
     assert traced_peak(permutation_importance, split, z, pooled.labels) / z.nbytes <= 1.5
+
+
+@pytest.mark.parametrize("samples", [1000, 4000], ids=["3000-rows", "12000-rows"])
+def test_stacked_scorer_allocates_within_its_budget(default_bases, samples):
+    """Traced peak of the sweep's stacked scorer over its 18 masks, in units
+    of z.nbytes: one block's stacked logits and the masked weight rows, no
+    masked n x d copy of z (a per-mask ``predict_np(z * m)`` reads 2.4)."""
+    train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
+    pooled, split = pool_domains(train), default_bases[80]
+    z = split.encode_np(pooled.features)
+    scores = permutation_importance(split, z, pooled.labels)
+    masks = np.array([global_mask_from_scores(scores, p) for p in baseline.PERCENT_GRID[1:]])
+    assert traced_peak(baseline._stacked_accuracies, split, z, pooled.labels, masks) / z.nbytes <= 0.75
 
 
 # -- the exact path equals a brute force over every row and value ------------------

@@ -1,19 +1,29 @@
 """End-to-end CLI: run directories, exit codes, determinism."""
 
-import ctypes
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from embmask.cli import COMMANDS, EVAL_MODES, EXPORT_WHICH, SCHEMAS, main
+from embmask.cli import (
+    COMMANDS,
+    EVAL_MODES,
+    EXIT_CONFIG_ERROR,
+    EXIT_MISSING_ARTIFACT,
+    EXIT_OK,
+    EXPORT_WHICH,
+    SCHEMAS,
+    main,
+)
 from embmask.experiment import base_layers
 from embmask.mask import INFERENCE_MODES
 from embmask.nn import Mlp, load_params, save_params
@@ -26,6 +36,7 @@ from embmask.synthbench import (
     save_csv_dataset,
 )
 from embmask.train import TrainConfig, train_erm
+from numeric_env import numeric_environment
 
 SMALL_BENCH = {
     "benchmark.num_classes": 3,
@@ -1065,26 +1076,6 @@ def digest_chain(tmp_path_factory):
     return out, proc
 
 
-def _numeric_environment() -> str:
-    """NumPy's version and enabled SIMD targets, and the BLAS build and the
-    OpenBLAS core it runs ("unknown" where the library does not say)."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # NumPy 1.x
-        from numpy.core import _multiarray_umath as umath
-    simd = " ".join(name for name, on in umath.__cpu_features__.items() if on)
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    corename = getattr(ctypes.CDLL(umath.__file__), "scipy_openblas_get_corename64_", None)
-    core = "unknown"
-    if corename is not None:
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
-    return (
-        f"numpy {np.__version__}, SIMD targets {simd}; "
-        f"BLAS {blas.get('name')} {blas.get('version')}, OpenBLAS core {core}"
-    )
-
-
 def test_artifact_digests_match_golden(digest_chain):
     """The 14 run directories of scripts/artifact_digests.py are byte for
     byte those recorded in tests/golden/artifact_digests.txt."""
@@ -1092,7 +1083,54 @@ def test_artifact_digests_match_golden(digest_chain):
     _, proc = digest_chain
     golden = (root / "tests" / "golden" / "artifact_digests.txt").read_text()
     moved = sorted({line.split()[-1] for line in set(proc.stdout.splitlines()) ^ set(golden.splitlines())})
-    assert proc.stdout == golden, f"run directories that differ: {', '.join(moved)}; {_numeric_environment()}"
+    assert proc.stdout == golden, f"run directories that differ: {', '.join(moved)}; {numeric_environment()}"
+
+
+def _readme_text() -> str:
+    """README.md with every run of whitespace, line breaks included, one space."""
+    return " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+
+
+def test_readme_violation_counts_are_the_chains_bound_report(digest_chain):
+    out, _ = digest_chain
+    report = json.loads((out / "bound" / "bound.json").read_text())
+    stated = re.search(r"(\d+) of (\d+) \(L2\) and (\d+) \(L1\) in the run of `scripts/artifact_digests\.py`", _readme_text())
+    assert stated, "the README quotes no violation counts of the digest chain"
+    l2, n, l1 = map(int, stated.groups())
+    assert (l2, n, l1) == (report["L2"]["violation_count"], report["L2"]["n"], report["L1"]["violation_count"])
+
+
+def _keys(cmd: str, prefix: str) -> set[str]:
+    return {key for key in SCHEMAS[cmd] if key.startswith(prefix)}
+
+
+def test_readme_key_counts_and_lists_are_the_schemas():
+    text = _readme_text()
+    counts = re.search(r"The (\w+) commands take (\d+) distinct keys, (\d+) over all commands", text)
+    assert counts, "the README states no key counts"
+    assert counts.groups() == ("seven", str(len(set().union(*SCHEMAS.values()))), str(sum(map(len, SCHEMAS.values()))))
+    assert len(SCHEMAS) == 7
+    gen = re.search(r"`gen-data` takes every `benchmark\.\*` key: (.*?)\.", text)
+    assert {f"benchmark.{name}" for name in re.findall(r"`(\w+)`", gen.group(1))} == _keys("gen-data", "benchmark.")
+    assert "`train-erm` takes every `train.*` key" in text
+    assert _keys("train-erm", "train.") == {f"train.{f.name}" for f in fields(TrainConfig)} - {"train.seed"}
+    assert "`train-emg` takes the `train.*` keys except `train.max_epochs`" in text
+    assert _keys("train-emg", "train.") == _keys("train-erm", "train.") - {"train.max_epochs"}
+    assert "Of the `mask.*` keys it takes `mask.tau`, the one that training reads" in text
+    assert _keys("train-emg", "mask.") == {"mask.tau"}
+    both = re.search(r"`eval`, `bound-check` and `export-embeddings` take both `mask\.\*` keys \((.*?)\)", text)
+    for cmd in ("eval", "bound-check", "export-embeddings"):
+        assert set(re.findall(r"`([\w.]+)`", both.group(1))) == _keys(cmd, "mask."), cmd
+
+
+def test_readme_exit_codes_are_the_clis():
+    stated = re.search(
+        r"Exit codes: `(\d+)` success, `(\d+)` missing input artifact, `(\d+)` configuration error .*?, `(\d+)` any other error",
+        _readme_text(),
+    )
+    assert stated, "the README lists no exit codes"
+    # ``main`` returns a literal 1 for every error without a code of its own.
+    assert tuple(map(int, stated.groups())) == (EXIT_OK, EXIT_MISSING_ARTIFACT, EXIT_CONFIG_ERROR, 1)
 
 
 def test_every_chain_csv_is_one_dialect(digest_chain):

@@ -4,22 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embmask import DomainDataset, MaskGenConfig, Mlp, accuracy, aggregate_runs, bound_terms, split_model
 from embmask.baseline import permutation_importance
 from embmask.errors import ContractError, ShapeMismatchError, UsageError
-from embmask.evaluate import (
-    ROW_BLOCK,
-    BoundReport,
-    emg_masks,
-    export_embeddings,
-    export_masks,
-    global_mask_accuracies,
-)
+from embmask.evaluate import BoundReport, emg_masks, export_embeddings, export_masks
 from embmask.mask import _BLOCK, drop_probabilities, inference_mask, sigmoid_np
-from embmask.nn import SplitModel
 from embmask.synthbench import Oracle, save_csv_dataset
 
 
@@ -95,91 +87,6 @@ def test_global_binary_mask_on_affine_split_equals_its_broadcast(seed):
         labels = gen.integers(c, size=n)
         per_sample = np.broadcast_to(mask, z.shape).copy()
         assert accuracy(split, DomainDataset(z, labels, 0), mask) == _reference_accuracy(split, z, labels, per_sample)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1, 511, 512, 513, 1025]),
-    st.sampled_from([1, 18]),
-    st.booleans(),
-)
-# inf + fma(-1e300, 1e10, .) is inf where a gemv leftover column without FMA
-# gives NaN: one row alone, and a lone last row of the blocks.
-@example(seed=59, n=1, g=18, fortran=False)
-@example(seed=3149, n=1025, g=18, fortran=False)
-def test_global_mask_accuracies_equal_each_broadcast_copy(seed, n, g, fortran):
-    """Across the row-block edges, each mask of the stack scores every row
-    as its broadcast copy predicted in full does, on the stacked product of
-    a C-ordered embedding and on the per-mask fallback of a Fortran-ordered
-    one."""
-    gen = np.random.default_rng(seed)
-    d, c = gen.integers(1, 5), gen.integers(2, 6)
-    z = gen.choice(_SPECIAL, size=(n, d))
-    if fortran:
-        z = np.asfortranarray(z)
-    split = _affine_split(gen.choice([-1.0, 0.0, 0.5, 2.0, 1e10], size=(d, c)), gen.choice([0.0, -0.0, 1.0], size=c))
-    masks = gen.choice([0.0, 1.0], size=(g, d))
-    with np.errstate(invalid="ignore", over="ignore"):
-        preds = [np.argmax(split.predict_np(z * m), axis=1) for m in masks]
-        for j, labels in enumerate(preds + [gen.integers(c, size=n)]):
-            expected = [_reference_accuracy(split, z, labels, np.broadcast_to(m, z.shape)) for m in masks]
-            scored = global_mask_accuracies(split, z, labels, masks)
-            assert scored == expected
-            # Labels equal to mask j's predictions pin each of its rows' argmax.
-            assert j == g or scored[j] == 1.0
-
-
-@pytest.mark.parametrize("n", [4000, 12000])
-def test_stacked_product_equals_the_per_mask_products_at_the_benchmark_shape(n):
-    """The stacked scoring is bitwise only where BLAS computes every logit as
-    the same k-ordered chain whatever the product's other sizes are; pin it
-    for the benchmark's 64-wide embedding, 5 classes and 18 masks."""
-    rng = np.random.default_rng(n)
-    z, w = rng.normal(size=(n, 64)), rng.normal(size=(64, 5))
-    masks = rng.choice([0.0, 1.0], size=(18, 64))
-    wide = (masks[:, :, None] * w).transpose(1, 0, 2).reshape(64, 90)
-    stacked = np.concatenate([z[lo:lo + ROW_BLOCK] @ wide for lo in range(0, n, ROW_BLOCK)])
-    for j, m in enumerate(masks):
-        assert stacked[:, 5 * j:5 * j + 5].tobytes() == (z @ (m[:, None] * w)).tobytes()
-
-
-@pytest.mark.parametrize("layers", [[4, 3], [4, 5, 3]], ids=["affine", "two_layer"])
-def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch):
-    rng = np.random.default_rng(4)
-    split = split_model(Mlp(layers, seed=2))
-    d = split.embedding_dim
-    z, labels = rng.normal(size=(600, d)), rng.integers(3, size=600)
-    calls = []
-    predict = SplitModel.predict_np
-
-    def counted(self, x):
-        calls.append(len(x))
-        return predict(self, x)
-
-    monkeypatch.setattr(SplitModel, "predict_np", counted)
-    masks = rng.choice([0.0, 1.0], size=(5, d))
-    assert len(global_mask_accuracies(split, z, labels, masks)) == 5
-    assert global_mask_accuracies(split, z, labels, np.ones((0, d))) == []
-    assert calls == []
-    # Masks other than 0/1 take the per-mask fallback.
-    assert len(global_mask_accuracies(split, z, labels, 0.5 * masks)) == 5
-    assert calls == [600] * 5
-
-
-def test_global_mask_accuracies_reject_what_accuracy_rejects():
-    split = _affine_split(np.ones((3, 2)), np.zeros(2))
-    z, labels, masks = np.ones((4, 3)), np.zeros(4, dtype=int), np.ones((2, 3))
-    with pytest.raises(UsageError, match="empty"):
-        global_mask_accuracies(split, z[:0], labels[:0], masks)
-    for bad in (np.zeros(3, dtype=int), np.zeros((4, 1), dtype=int)):
-        with pytest.raises(ShapeMismatchError, match="labels shape"):
-            global_mask_accuracies(split, z, bad, masks)
-    for bad in (np.ones(3), np.ones((2, 2)), np.ones((1, 2, 3))):
-        with pytest.raises(ShapeMismatchError, match=re.escape(f"masks shape {bad.shape}")):
-            global_mask_accuracies(split, z, labels, bad)
-    with pytest.raises(ShapeMismatchError, match="embedding width 2 != predictor input width 3"):
-        global_mask_accuracies(split, z[:, :2], labels, np.ones((0, 2)))
 
 
 def test_global_mask_keeps_the_width_check():
@@ -378,9 +285,6 @@ _BATCH_ENTRY_POINTS = {
     "encode_np": (3, lambda x: _SPLIT.encode_np(x)),
     "predict_np": (4, lambda z: _SPLIT.predict_np(z)),
     "accuracy": (3, lambda x: accuracy(_SPLIT, DomainDataset(x, _labels(x), 0))),
-    "global_mask_accuracies": (
-        4, lambda z: global_mask_accuracies(_SPLIT, z, _labels(z), np.array([[1.0, 0, 1, 1], [0, 1, 1, 0]]))
-    ),
     "permutation_importance": (4, lambda z: permutation_importance(_SPLIT, z, _labels(z))),
     "bound_terms": (4, lambda z: bound_terms(_SPLIT, _oracle([0, 1], [2, 3]), z, np.full(np.shape(z), 0.5))),
     "emg_masks": (3, lambda x: emg_masks(_GENERATOR, x, MaskGenConfig())),

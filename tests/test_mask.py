@@ -485,6 +485,17 @@ def test_accuracy_masks_the_embedding_it_just_encoded(kind, rows):
     assert traced_peak(accuracy, split, data, masks) / (rows * 64 * 8) <= 1.25
 
 
+@pytest.mark.parametrize("rows", [4000, 16000])
+def test_unmasked_accuracy_scores_an_identity_embedding_without_a_copy(rows):
+    """A model without hidden layers embeds its float64 features as they are;
+    with no mask nothing is scaled, so nothing is copied. Traced peak in
+    units of the (n, 64) features: the narrow logits and the hit vector."""
+    rng = np.random.default_rng(7)
+    split = split_model(Mlp([64, 5], seed=3))
+    data = DomainDataset(rng.normal(size=(rows, 64)), rng.integers(5, size=rows), 0)
+    assert traced_peak(accuracy, split, data) / data.features.nbytes <= 0.25
+
+
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_inference_mask_rejects_a_seed_that_is_not_a_non_negative_int(mode):
     cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
