@@ -26,14 +26,19 @@ its top-two logit margin, L_i its largest |logit|, s_k = max W[k] - min W[k]
 and a_k = max |W[k]|: its lead drops by at most s_k * |t| for every v
 (1.2-1.5% of the rows per k need one on the benchmark's models).
 
-Consecutive dimensions are scored in groups whose candidate rows stay within
+The columns of z are walked in chunks of ``_CHUNK_DIMS`` (8, one 64-byte
+line of each float64 row), each copied in ``ROW_BLOCK``-row tiles into the
+rows of one reused (8, n) buffer; z itself is only read. Within a chunk,
+consecutive dimensions are scored in groups whose candidate rows stay within
 ``_GROUP_ROWS`` (a dimension past it alone is a group). A group's margins,
 interval ends, tolerances, base-correct and in-interval counts each take one
 call over all of its rows, in class-major (c, rows) arrays, and one in-place
 call sorts its columns; only the ``searchsorted`` calls run per dimension,
-and the rounding-band scoring per row as before. Every step is elementwise,
-per row or an exact count, so the cap sets how many rows go together, not
-the bits.
+and the rounding-band scoring per row. So the pass holds one chunk, the
+(n, c) logits, per-row scratch and one group: a traced peak of 0.43-0.60
+units of z on the benchmark's bases. Every step is elementwise, per row or
+an exact count, so the chunk width and the cap set how many columns and rows
+go together, not the bits.
 
 The sweep predicts each domain set's embedding once for its p = 0 row and
 scores every p > 0 mask in one stacked product (``_stacked_accuracies``).
@@ -53,7 +58,8 @@ from .synthbench import DomainDataset, pool_domains, save_table
 Array = np.ndarray
 
 PERCENT_GRID = tuple(float(p) for p in range(0, 95, 5))  # the default sweep
-_GROUP_ROWS = 1024  # candidate rows scored together, over consecutive dimensions
+_GROUP_ROWS = 1024  # candidate rows scored together, over consecutive dimensions of a chunk
+_CHUNK_DIMS = 8  # embedding columns copied out per chunk: one 64-byte line of a float64 row
 ROW_BLOCK = 512  # embedding rows per transpose tile and per block of the stacked product
 
 
@@ -80,7 +86,6 @@ def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:
     under a uniformly random permutation of its values, in [-1, 1]. Input
     past the overflow guard raises ``NumericError``. ``z`` is left unchanged."""
     z = _check_rows(split, z, labels)
-    n, d = z.shape
     w, b = split.predictor_affine_params()
     # The overflow guard, in Python floats (no warning); NaN or inf fails it.
     # Its max|W| term keeps every difference of two weights finite.
@@ -90,16 +95,12 @@ def permutation_importance(split: SplitModel, z: Array, labels: Array) -> Array:
         raise NumericError(f"permutation importance: overflow bound {bound:.3g} is not below 1e300")
     logits = split.predict_np(z)
     base_ok = np.argmax(logits, axis=1) == labels
-    # Column k of z is the contiguous row z_t[k], copied in cache-sized tiles.
-    z_t = np.empty((d, n), dtype=z.dtype)
-    for lo in range(0, n, ROW_BLOCK):
-        z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK].T
-    return _expected_drops(z_t, logits, np.asarray(labels), base_ok, w)
+    return _expected_drops(z, logits, np.asarray(labels), base_ok, w)
 
 
-def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w: Array) -> Array:
-    """The module docstring's exact expected drops; sorts z_t's rows in place."""
-    (d, n), c = z_t.shape, logits.shape[1]
+def _expected_drops(z: Array, logits: Array, labels: Array, base_ok: Array, w: Array) -> Array:
+    """The module docstring's exact expected drops; ``z`` is only read."""
+    (n, d), c = z.shape, logits.shape[1]
     logits_t = np.ascontiguousarray(logits.T)
     top, second = logits_t[0].copy(), np.full(n, -np.inf)
     for row in logits_t[1:]:
@@ -111,13 +112,13 @@ def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w:
     # A group's arrays are class-major, (c, rows): a reduction over the
     # classes runs elementwise along the rows.
     scores, w_t, classes = np.zeros(d), np.ascontiguousarray(w.T), np.arange(c)[:, None]
-    for k0, group in _candidate_groups(z_t, reach, safe):
+    for k0, cols, group in _candidate_groups(z, reach, safe):
         k1, sizes = k0 + len(group), [len(rows) for rows in group]
-        rows, dim = np.concatenate(group), np.repeat(np.arange(k0, k1), sizes)
-        x, y = z_t[dim, rows], labels[rows].astype(np.intp)
-        g, s = logits_t.take(rows, axis=1), w_t.take(dim, axis=1)
+        rows, dim = np.concatenate(group), np.repeat(np.arange(len(group)), sizes)
+        x, y, w_g = cols[dim, rows], labels[rows].astype(np.intp), w_t[:, k0:k1]
+        g, s = logits_t.take(rows, axis=1), w_g.take(dim, axis=1)
         np.subtract(g[y, np.arange(len(rows))], g, out=g)  # y's lead over each class
-        np.subtract(w_t[y, dim], s, out=s)  # and its slope in v
+        np.subtract(w_g[y, dim], s, out=s)  # and its slope in v
         strict = classes < y  # ties go to the lowest class
         with np.errstate(all="ignore"):
             root = -g / s
@@ -126,39 +127,47 @@ def _expected_drops(z_t: Array, logits: Array, labels: Array, base_ok: Array, w:
         ends = x + t  # lo_i and hi_i, each with a rounding band [first, past) of sorted values
         tol = np.where(np.isfinite(ends), 1e-9 * np.abs(x) + 1e-9 * np.abs(t), 0.0)
         below, above = ends - tol, ends + tol
-        z_t[k0:k1].sort(axis=1)
+        cols.sort(axis=1)
         first, past = np.empty(ends.shape, np.intp), np.empty(ends.shape, np.intp)
         lo = 0
-        for k, size in enumerate(sizes, k0):
-            first[:, lo:lo + size] = z_t[k].searchsorted(below[:, lo:lo + size])
-            past[:, lo:lo + size] = z_t[k].searchsorted(above[:, lo:lo + size], "right")
+        for col, size in zip(cols, sizes):
+            first[:, lo:lo + size] = col.searchsorted(below[:, lo:lo + size])
+            past[:, lo:lo + size] = col.searchsorted(above[:, lo:lo + size], "right")
             lo += size
         # Whole counts per dimension, exact in float64 while n * n < 2**53.
-        ok = np.bincount(dim, base_ok[rows], k1)[k0:]
-        hits = np.bincount(dim, np.where(dead, 0, np.maximum(first[1] - past[0], 0)), k1)[k0:]
+        ok = np.bincount(dim, base_ok[rows], len(group))
+        hits = np.bincount(dim, np.where(dead, 0, np.maximum(first[1] - past[0], 0)), len(group))
         for i in np.flatnonzero((past > first).any(axis=0)):
-            col = z_t[dim[i]]
+            col = cols[dim[i]]
             v = col[np.union1d(np.arange(first[0, i], past[0, i]), np.arange(first[1, i], past[1, i]))]
             margins = g[:, i] + (v - x[i])[:, None] * s[:, i]
-            hits[dim[i] - k0] += np.count_nonzero(np.where(strict[:, i], margins > 0, margins >= 0).all(axis=1))
+            hits[dim[i]] += np.count_nonzero(np.where(strict[:, i], margins > 0, margins >= 0).all(axis=1))
         scores[k0:k1] = (n * ok - hits) / (n * n)
     return scores
 
 
-def _candidate_groups(z_t: Array, reach: Array, safe: Array):
-    """(k0, the candidate rows of dimensions k0, k0 + 1, ...) for runs of
-    consecutive dimensions, each run as long as their rows stay within
-    ``_GROUP_ROWS``; a dimension past it alone is a run. Each column's rows
+def _candidate_groups(z: Array, reach: Array, safe: Array):
+    """(k0, a copy of z's columns k0, k0 + 1, ... as contiguous rows, their
+    candidate rows) for runs of consecutive dimensions within one chunk of
+    ``_CHUNK_DIMS`` columns, each run as long as its rows stay within
+    ``_GROUP_ROWS``; a dimension past it alone is a run. A chunk is copied in
+    ``ROW_BLOCK``-row tiles into one reused buffer, and each column's rows
     are found before its run is yielded, so before the caller sorts it."""
-    k0, group, total = 0, [], 0
-    for k, col in enumerate(z_t):
-        rows = _maybe_rows(col, reach[k], safe)
-        if group and total + len(rows) > _GROUP_ROWS:
-            yield k0, group
-            k0, group, total = k, [], 0
-        group.append(rows)
-        total += len(rows)
-    yield k0, group
+    n, d = z.shape
+    buf = np.empty((min(_CHUNK_DIMS, d), n), dtype=z.dtype)
+    for c0 in range(0, d, _CHUNK_DIMS):
+        z_t = buf[:min(_CHUNK_DIMS, d - c0)]
+        for lo in range(0, n, ROW_BLOCK):
+            z_t[:, lo:lo + ROW_BLOCK] = z[lo:lo + ROW_BLOCK, c0:c0 + len(z_t)].T
+        k0, group, total = 0, [], 0
+        for k, col in enumerate(z_t):
+            rows = _maybe_rows(col, reach[c0 + k], safe)
+            if group and total + len(rows) > _GROUP_ROWS:
+                yield c0 + k0, z_t[k0:k], group
+                k0, group, total = k, [], 0
+            group.append(rows)
+            total += len(rows)
+        yield c0 + k0, z_t[k0:], group
 
 
 def _maybe_rows(col: Array, reach_k: float, safe: Array) -> Array:
@@ -235,17 +244,18 @@ def sweep_mask_percent(
     for p in grid:
         _check_percent(p)
     pooled = pool_domains(train_data)
-    z_tr = split.encode_np(pooled.features)
-    scores = permutation_importance(split, z_tr, pooled.labels)
+    z_tr, labels = split.encode_np(pooled.features), pooled.labels
+    del pooled  # the pooled features are freed before the importance pass
+    scores = permutation_importance(split, z_tr, labels)
     z_un = split.encode_np(unseen_data.features)
 
     masks = np.array([global_mask_from_scores(scores, p) for p in grid[1:]]).reshape(-1, len(scores))
     # grid[0] is the zero: the unmasked evaluation, unseen then train. The
     # importance pass checked the pooled labels; the unseen ones are checked here.
     unseen = [_hit_rate(split.predict_np(_check_rows(split, z_un, unseen_data.labels)), unseen_data.labels)]
-    train = [_hit_rate(split.predict_np(z_tr), pooled.labels)]
+    train = [_hit_rate(split.predict_np(z_tr), labels)]
     unseen += _stacked_accuracies(split, z_un, unseen_data.labels, masks)
-    train += _stacked_accuracies(split, z_tr, pooled.labels, masks)
+    train += _stacked_accuracies(split, z_tr, labels, masks)
     table = SweepTable([SweepRow(*row) for row in zip(grid, unseen, train)])
     best = max(table.rows, key=lambda r: (r.unseen_accuracy, -r.percent))
     table.unseen_best_percent = best.percent

@@ -10,6 +10,8 @@ clamps of u and p, log-odds and noise are each at most 27.64 in size, so
 their sum times 1/tau is finite for every tau >= ``TAU_MIN`` (about
 3.07e-307), the smallest tau ``MaskGenConfig`` accepts. As tau -> 0 the mask
 approaches a Bernoulli(1-p) keep draw. Gradients flow to G through p only.
+Training needs tau >= ``TRAIN_TAU_MIN`` (about 5.56e-197), where
+``relaxed_mask_grad`` stays finite for every |dloss/dm| <= ``_GRAD_BOUND``.
 
 ``_keep`` is the one place the formula is computed: the training mask and
 the noise_free and sample_avg modes reuse it, so a noise_free mask is bitwise
@@ -45,6 +47,11 @@ _BLOCK = 32768  # inference entries per block: 256 KiB of float64, cache-sized
 # The largest |log-odds| or |noise| under the clamps is log(1-eps) - log(1-(1-eps));
 # below TAU_MIN twice that times 1/tau overflows.
 TAU_MIN = 2.0 * float(np.log(1.0 - _P_EPS) - np.log(1.0 - (1.0 - _P_EPS))) / np.finfo(np.float64).max
+# relaxed_mask_grad's largest intermediate, |dloss/dm| * m0(1-m0) * (1/tau) * (1/p + 1/(1-p)),
+# is under the clamps at most _GRAD_BOUND * (1/4) * (1/tau) * (2/eps): half the float64
+# maximum at TRAIN_TAU_MIN, the floor train_emg checks (inference keeps TAU_MIN).
+_GRAD_BOUND = 1e100  # the |dloss/dm| training allows; a default EMG fit reads below 0.05
+TRAIN_TAU_MIN = _GRAD_BOUND / (_P_EPS * np.finfo(np.float64).max)
 
 
 @dataclass

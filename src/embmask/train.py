@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatchError,
     UsageError,
 )
-from .mask import MaskGenConfig, logistic_noise, relaxed_mask_grad, relaxed_mask_np
+from .mask import TRAIN_TAU_MIN, MaskGenConfig, logistic_noise, relaxed_mask_grad, relaxed_mask_np
 from .nn import Mlp, ParamStore, SplitModel
 from .synthbench import DomainDataset, pool_domains, save_table
 
@@ -330,10 +330,13 @@ def train_emg(
 
     z = g(x) and the target q come from ``_emg_target`` once per row. Per
     batch: draw m from G(x) with fresh logistic noise and update theta_G to
-    minimize the cross entropy between q and c(m * z). Raises if the base
-    model is not frozen, and verifies by checksum that it stayed bitwise
-    intact.
+    minimize the cross entropy between q and c(m * z). Raises
+    ``ConfigError`` for a tau below ``mask.TRAIN_TAU_MIN``, where the mask
+    gradient may overflow, before any draw. Raises if the base model is not
+    frozen, and verifies by checksum that it stayed bitwise intact.
     """
+    if not mask_cfg.tau >= TRAIN_TAU_MIN:
+        raise ConfigError(f"training tau must be >= {TRAIN_TAU_MIN:.4g}, got {mask_cfg.tau}")
     base_store = split.model.store
     if not base_store.frozen:
         raise ContractError("base model must be frozen before EMG training")

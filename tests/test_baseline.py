@@ -387,12 +387,14 @@ def test_global_mask_accuracies_predict_only_on_the_fallback(layers, monkeypatch
     assert calls == [1] * 5
 
 
-def _importance_at_each_cap(split, z, labels):
-    """``permutation_importance`` as bytes at the default ``_GROUP_ROWS``,
-    then at 1 (one dimension per group, as scored one at a time), 7 and
-    n * d + 1 (every dimension in one group)."""
+def _importance_at_each_cap(split, z, labels, width):
+    """``permutation_importance`` as bytes with ``width`` columns per chunk,
+    at the default ``_GROUP_ROWS``, then at 1 (one dimension per group, as
+    scored one at a time), 7 and n * d + 1 (every dimension of a chunk in one
+    group)."""
     scores = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "_CHUNK_DIMS", width)
         for cap in (baseline._GROUP_ROWS, 1, 7, z.size + 1):
             mp.setattr(baseline, "_GROUP_ROWS", cap)
             scores.append(permutation_importance(split, z, labels).tobytes())
@@ -412,9 +414,11 @@ def _oversized_and_empty_case():
 
 @pytest.mark.parametrize("case", ["block_setup", "oversized_and_empty"])
 def test_importance_does_not_depend_on_the_group_cap(block_setup, case, monkeypatch):
-    """``_GROUP_ROWS`` sets how many candidate rows are scored together, not
-    the bits: every score at caps 1, 7 and n * d + 1 is the one at 1024."""
-    assert baseline._GROUP_ROWS == 1024
+    """``_GROUP_ROWS`` sets how many candidate rows are scored together and
+    ``_CHUNK_DIMS`` how many columns are copied out at a time, not the bits:
+    every score at caps 1, 7 and n * d + 1, each with chunks of 1, 3, 8 and
+    d + 1 columns, is the one at 1024 and 8."""
+    assert baseline._GROUP_ROWS == 1024 and baseline._CHUNK_DIMS == 8
     if case == "block_setup":
         split, train, _ = block_setup
         pooled = pool_domains(train)
@@ -432,8 +436,9 @@ def test_importance_does_not_depend_on_the_group_cap(block_setup, case, monkeypa
         monkeypatch.setattr(baseline, "_maybe_rows", counted)
         permutation_importance(split, z, labels)
         assert sizes[:2] == [1500, 0]
-    scores = _importance_at_each_cap(split, z, labels)
-    assert scores[1:] == scores[:1] * 3
+    expected = permutation_importance(split, z, labels).tobytes()
+    for width in (1, 3, baseline._CHUNK_DIMS, z.shape[1] + 1):
+        assert _importance_at_each_cap(split, z, labels, width) == [expected] * 4, f"{width} columns per chunk"
 
 
 # -- the exact expected drop on the affine path -----------------------------------
@@ -600,14 +605,39 @@ def default_bases():
 @pytest.mark.parametrize("samples", [1000, 4000], ids=["3000-rows", "12000-rows"])
 @pytest.mark.parametrize("epochs", [80, 5])
 def test_importance_allocates_within_its_budget(default_bases, samples, epochs):
-    """Traced peak over the call, in units of z.nbytes: the transposed copy
-    of z, the base logits, per-row scratch and one group's candidate rows,
-    which ``_GROUP_ROWS`` bounds. Read 1.30-1.48; on the 5-epoch base one
-    group of all 64 dimensions read 6.8-7.4, and groups of 16 read 3.0-3.2."""
+    """Traced peak over the call, in units of z.nbytes: one chunk's copy of
+    8 columns of z, the base logits, per-row scratch and one group's
+    candidate rows, which ``_GROUP_ROWS`` bounds. Read 0.43-0.60; 1.30-1.48
+    with all of z copied transposed at once."""
     train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
     pooled, split = pool_domains(train), default_bases[epochs]
     z = split.encode_np(pooled.features)
+    assert traced_peak(permutation_importance, split, z, pooled.labels) / z.nbytes <= 0.75
+
+
+@pytest.mark.parametrize("samples", [1000, 4000], ids=["3000-rows", "12000-rows"])
+def test_one_uncapped_group_per_chunk_allocates_within_its_budget(default_bases, samples, monkeypatch):
+    """With no cap, every chunk of 8 dimensions is one group: on the 5-epoch
+    base, whose columns have the most candidate rows, the traced peak read
+    1.29-1.41 units of z.nbytes; 6.8-7.4 when one group held all 64."""
+    train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
+    pooled, split = pool_domains(train), default_bases[5]
+    z = split.encode_np(pooled.features)
+    monkeypatch.setattr(baseline, "_GROUP_ROWS", z.size + 1)
     assert traced_peak(permutation_importance, split, z, pooled.labels) / z.nbytes <= 1.5
+
+
+@pytest.mark.parametrize("samples, budget", [(1000, 2.0), (4000, 1.5)], ids=["3000-rows", "12000-rows"])
+def test_sweep_allocates_within_its_budget(default_bases, samples, budget):
+    """Traced peak of the whole default sweep on the 80-epoch base, in units
+    of the pooled embedding's bytes: that embedding, the importance pass,
+    then the 1000-row unseen embedding and the stacked scorer. Read 1.87 at
+    3000 pooled rows and 1.44 at 12000; 2.71 and 2.57 while the pooled
+    features lived through the importance pass and it copied all of z."""
+    train, unseen, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
+    split = default_bases[80]
+    z_bytes = sum(len(d.labels) for d in train) * split.embedding_dim * 8
+    assert traced_peak(sweep_mask_percent, split, train, unseen) / z_bytes <= budget
 
 
 @pytest.mark.parametrize("samples", [1000, 4000], ids=["3000-rows", "12000-rows"])
@@ -843,9 +873,9 @@ def test_planted_importance_does_not_depend_on_the_group_cap(case):
     plant, split, z, labels = case
     if plant in ("huge", "nan", "inf") and z.any():
         with pytest.raises(NumericError, match="overflow bound"):
-            _importance_at_each_cap(split, z, labels)
+            _importance_at_each_cap(split, z, labels, baseline._CHUNK_DIMS)
         return
-    scores = _importance_at_each_cap(split, z, labels)
+    scores = _importance_at_each_cap(split, z, labels, baseline._CHUNK_DIMS)
     assert scores[1:] == scores[:1] * 3
 
 

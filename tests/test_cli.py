@@ -25,7 +25,7 @@ from embmask.cli import (
     main,
 )
 from embmask.experiment import base_layers
-from embmask.mask import INFERENCE_MODES
+from embmask.mask import INFERENCE_MODES, TAU_MIN, TRAIN_TAU_MIN
 from embmask.nn import Mlp, load_params, save_params
 from embmask.rundir import RunDirectory
 from embmask.synthbench import (
@@ -337,8 +337,11 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-erm", "train.learning_rate", 0),
                 ("train-emg", "mask.tau", "nan"),
                 ("train-emg", "mask.tau", "inf"),
-                # Below mask.TAU_MIN the mask logit overflows.
+                # Below mask.TAU_MIN the mask logit overflows, and below
+                # mask.TRAIN_TAU_MIN training's gradient may.
                 ("train-emg", "mask.tau", "1e-320"),
+                ("train-emg", "mask.tau", repr(float(TAU_MIN))),
+                ("train-emg", "mask.tau", repr(float(np.nextafter(TRAIN_TAU_MIN, 0.0)))),
                 # Keys a command does not read are not accepted.
                 ("train-emg", "train.max_epochs", 5),
                 # Removed settings are unknown keys to every command.
@@ -412,7 +415,7 @@ def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd
     out = tmp_path / "out"
     assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs, **overrides) == 3
     err = capsys.readouterr().err
-    assert "error code=3" in err
+    assert len(err.splitlines()) == 1 and err.startswith("error code=3")
     assert str(overrides.get("export.which", "")) in err
     assert not out.exists()
 

@@ -18,6 +18,7 @@ from embmask import tensor as T
 from embmask.errors import ConfigError, NumericError, ShapeMismatchError
 from embmask.mask import (
     TAU_MIN,
+    TRAIN_TAU_MIN,
     gumbel_sample,
     keep_mask,
     logistic_noise,
@@ -371,6 +372,27 @@ def test_config_validation():
     assert MaskGenConfig(tau=1e-300).tau == 1e-300
     with pytest.raises(ConfigError):
         MaskGenConfig(inference_mode="nope")
+
+
+def test_mask_gradient_overflows_below_the_training_floor_and_not_at_it():
+    """At ``TAU_MIN`` logit 0, zero noise and dloss/dm = 100 overflow the
+    gradient. At ``TRAIN_TAU_MIN`` the worst case under the clamps, p at
+    either clamp with noise cancelling its log-odds (m0 = 1/2, where
+    m0(1 - m0) peaks) and |dloss/dm| = ``_GRAD_BOUND``, stays finite."""
+    assert 5.56e-197 < TRAIN_TAU_MIN < 5.57e-197
+    assert mask_module._GRAD_BOUND == 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = relaxed_mask_np(np.zeros(1), np.zeros(1), TAU_MIN)[1]
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            relaxed_mask_grad(np.full(1, 100.0), cache)
+        logits = np.array([-27.6, 27.6, -40.0, 40.0, 0.0])  # p at, or clamped to, eps and 1 - eps
+        p = np.clip(_ref_sigmoid_np(logits), _P_EPS, 1.0 - _P_EPS)
+        _, cache = relaxed_mask_np(logits, np.log(p) - np.log(1.0 - p), TRAIN_TAU_MIN)
+        assert (cache[2] == 0.5).all()
+        for g in (1e100, -1e100):
+            grad = relaxed_mask_grad(np.full(5, g), cache)
+            assert np.isfinite(grad).all() and (grad[[0, 1, 4]] != 0.0).all()
 
 
 # -- in-place kernels against the out-of-place reference ---------------------------

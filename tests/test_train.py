@@ -30,7 +30,7 @@ from embmask.errors import (
     UsageError,
 )
 from embmask.experiment import base_layers
-from embmask.mask import training_mask
+from embmask.mask import TAU_MIN, TRAIN_TAU_MIN, training_mask
 from embmask.nn import ParamStore
 from embmask.train import (
     ADAM_BETA1,
@@ -638,6 +638,28 @@ def test_emg_deterministic_given_seed():
         gen, _ = train_emg(split, gen, train, MaskGenConfig(), TrainConfig(seed=2, max_epochs=3))
         sums.append(gen.store.checksum())
     assert sums[0] == sums[1]
+
+
+def test_emg_refuses_a_tau_below_the_training_floor_before_any_draw(monkeypatch):
+    """``MaskGenConfig`` takes tau down to ``TAU_MIN``, but training refuses
+    any tau below ``TRAIN_TAU_MIN`` with ``ConfigError`` before it splits the
+    rows or draws noise; at the floor itself it trains without a warning."""
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+    gen = Mlp([8, 4, 8], prefix="g.", seed=1)
+    before = gen.store.checksum()
+
+    def no_draw(*args):
+        raise AssertionError("drew before checking tau")
+
+    with monkeypatch.context() as mp:
+        mp.setattr("embmask.train.pooled_split", no_draw)
+        mp.setattr("embmask.train.logistic_noise", no_draw)
+        for tau in (TAU_MIN, np.nextafter(TRAIN_TAU_MIN, 0.0)):
+            with pytest.raises(ConfigError, match="training tau must be >= 5.563e-197"):
+                train_emg(split, gen, train, MaskGenConfig(tau=tau), TrainConfig(seed=0, max_epochs=1))
+    assert gen.store.checksum() == before
+    train_emg(split, gen, train, MaskGenConfig(tau=TRAIN_TAU_MIN), TrainConfig(seed=0, max_epochs=1))
 
 
 def test_emg_raises_when_the_frozen_base_changes_during_training(monkeypatch):
