@@ -8,7 +8,7 @@ config and seed. Its ``config.txt`` holds only the keys that shaped the run:
 ``eval`` and ``export-embeddings`` leave out the mask-source keys their
 ``eval.mode`` does not read, and reject them unless they hold their defaults.
 Exit codes: 0 success, 2 missing input artifact, 3 config error (including a
-value out of range and an ``out_dir`` that is an input's run), 1 anything else:
+value out of range and an ``out_dir`` that is empty or an input's run), 1 anything else:
 inputs that do not fit together (domains of different widths, a label the base
 model has no output for), a domain CSV without rows, an embedding past
 permutation importance's overflow guard, a manifest name that is not a regular
@@ -274,7 +274,9 @@ def _mask_source(cfg, mode, split, train_data):
 
 
 def _check_out_dir(cfg) -> None:
-    """Refuse an ``out_dir`` whose new manifest would replace an input's."""
+    """Refuse an empty ``out_dir``, and one whose new manifest would replace an input's."""
+    if not cfg["out_dir"]:
+        raise ConfigError("out_dir is empty")
     for key in ("data.dir", "base.model", "emg.model"):
         path = cfg.get(key, "")
         run = path if key == "data.dir" else os.path.dirname(path) or "."
@@ -289,13 +291,11 @@ def cmd_gen_data(cfg) -> None:
     spec = _build(BenchmarkSpec, cfg, "benchmark", seed=cfg["seed"])
     train, unseen, oracle = generate_benchmark(spec)
     run = RunDirectory(cfg["out_dir"], cfg)
-    for d in train:
-        name = f"train_domain_{d.domain_index}.csv"
+    for name, d in [*((f"train_domain_{d.domain_index}.csv", d) for d in train), ("unseen.csv", unseen)]:
         save_csv_dataset(d, run.file(name))
         run.register(name)
-    save_csv_dataset(unseen, run.file("unseen.csv"))
     save_oracle(oracle, run.file("oracle.json"))
-    run.register("unseen.csv", "oracle.json")
+    run.register("oracle.json")
     run.finalize()
 
 

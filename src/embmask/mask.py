@@ -169,7 +169,7 @@ def training_mask(
     rng: np.random.Generator,
 ) -> T.Tensor:
     """Stochastic mask for a training batch on the tape; fresh logistic noise
-    per call, drawn as ``train.emg_forward`` draws it."""
+    per call, drawn as ``train.train_emg`` draws it for each batch."""
     logits = generator.forward(T.Tensor(x), leaves)
     return relaxed_mask(logits, logistic_noise(rng, logits.shape), cfg.tau)
 

@@ -7,9 +7,9 @@ per fit, and hands each step contiguous slices of them. Both graphs are
 cross entropy against a fixed per-row target distribution q: for ERM, the
 one-hot labels; for EMG, the frozen encoder/predictor pair's softmax(c(z))
 on the embedding z = g(x), computed once with z since the base model cannot
-change. Each EMG step draws a stochastic mask m from G(x) and updates
-theta_G to minimize the cross entropy between q and the predictor's
-distribution on the masked embedding c(m * z). Domain labels are never used.
+change. An EMG step masks z by m from G(x) under the batch's logistic noise
+(``train_emg`` draws it) and updates theta_G to minimize the cross entropy
+between q and softmax(c(m * z)). Domain labels are never used.
 
 "Until convergence" is concretized as patience-based early stopping on a
 training-domain validation split; the returned parameters are those of the
@@ -135,8 +135,9 @@ def soft_ce(target_logits, pred_logits: T.Tensor) -> T.Tensor:
 # functions of ``tensor`` and ``mask`` in the tape's order, so their gradients
 # equal ``backward_grads`` on the tape bit for bit; ``erm_forward``'s
 # ``_onehot_ce_grad`` equals ``cross_entropy_grad`` bit for bit on the one-hot
-# q it takes. The batches are slices of ``_fit``'s per-epoch buffers, so a step
-# must not write into x, z or q.
+# q it takes. The batches are slices of ``_fit``'s per-epoch buffers and
+# ``train_emg`` reuses one validation noise array every epoch, so a step must
+# not write into x, z, q or the noise.
 
 Backward = Callable[[Mapping[str, Array]], None]
 
@@ -173,14 +174,13 @@ def emg_forward(
     z: Array,
     q: Array,
     mask_cfg: MaskGenConfig,
-    rng: np.random.Generator,
+    noise: Array,
 ) -> tuple[float, Backward]:
     """The EMG objective, fused: cross entropy between the target
     distribution q and the frozen predictor on m * z, with m the training
-    mask the generator gives x under fresh logistic noise from rng."""
+    mask the generator gives x under the caller's logistic noise."""
     gen_acts = generator.forward_train(x)
-    logits = gen_acts[-1]
-    m, mask_cache = relaxed_mask_np(logits, logistic_noise(rng, logits.shape), mask_cfg.tau)
+    m, mask_cache = relaxed_mask_np(gen_acts[-1], noise, mask_cfg.tau)
     if m.shape != z.shape or z.shape[1] != split.embedding_dim:
         raise ShapeMismatchError(f"mask {m.shape} and embedding {z.shape}, predictor input width {split.embedding_dim}")
     w, b = split.predictor_affine_params()
@@ -352,12 +352,10 @@ def train_emg(
     z_tr, q_tr = _emg_target(split, x_tr)
     z_va, q_va = _emg_target(split, x_va)
     noise_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xB2)))
-
-    def val_loss():
-        # The same noise draw every epoch, so epochs are comparable and the
-        # selection rule is deterministic.
-        rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xA1)))
-        return emg_forward(split, generator, x_va, z_va, q_va, mask_cfg, rng)[0]
+    # One validation draw serves every epoch, so epochs are comparable and the
+    # selection rule is deterministic.
+    val_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xA1)))
+    val_noise = logistic_noise(val_rng, z_va.shape)
 
     # Base-model parameters are not in the generator's store, so _fit can
     # only ever touch theta_G.
@@ -365,8 +363,8 @@ def train_emg(
         generator.store,
         train_cfg,
         (x_tr, z_tr, q_tr),
-        step=lambda x, z, q: emg_forward(split, generator, x, z, q, mask_cfg, noise_rng),
-        val_loss=val_loss,
+        step=lambda x, z, q: emg_forward(split, generator, x, z, q, mask_cfg, logistic_noise(noise_rng, z.shape)),
+        val_loss=lambda: emg_forward(split, generator, x_va, z_va, q_va, mask_cfg, val_noise)[0],
     )
 
     if base_store.checksum() != checksum_before:

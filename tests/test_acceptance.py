@@ -25,7 +25,7 @@ from embmask import (
     train_erm,
 )
 from embmask.evaluate import emg_masks
-from embmask.mask import keep_mask
+from embmask.mask import keep_mask, logistic_noise
 from embmask.cli import main
 from embmask.synthbench import DomainDataset, Oracle
 from embmask.train import _emg_target, _onehot, emg_forward, erm_forward
@@ -59,11 +59,12 @@ def test_criterion_1_gradient_correctness():
             split = split_model(base)
             gen = Mlp([din, 3, emb], prefix="g.", seed=i + 1)
             z, q = _emg_target(split, x)
-            # the rng is re-seeded per call: every evaluation sees one noise draw
+            # one noise draw, seen by every evaluation
+            noise = logistic_noise(np.random.default_rng(2000 + i), z.shape)
             err = fused_grad_error(
                 gen.store,
-                lambda gen=gen, split=split, x=x, z=z, q=q, seed=2000 + i: emg_forward(
-                    split, gen, x, z, q, MaskGenConfig(tau=0.1), np.random.default_rng(seed)
+                lambda gen=gen, split=split, x=x, z=z, q=q, noise=noise: emg_forward(
+                    split, gen, x, z, q, MaskGenConfig(tau=0.1), noise
                 ),
             )
         worst = max(worst, err)

@@ -403,21 +403,28 @@ def test_missing_seed_exits_3(tmp_path):
             {"eval.mode": "emg", "mask.inference_mode": "expected", "mask.tau": 0.7},
             id="eval-emg-expected-mask.tau=0.7",
         ),
+        # An out_dir that is empty once stripped names no directory; it is
+        # refused before any data is generated or read.
+        *(pytest.param(cmd, {"out_dir": " "}, id=f"{cmd}-out_dir=") for cmd in COMMANDS),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(v),
 )
-def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, cmd, overrides):
+def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, monkeypatch, cmd, overrides):
     inputs = {} if cmd == "gen-data" else {"data.dir": pipeline["data"]}
     if cmd not in ("gen-data", "train-erm"):
         inputs["base.model"] = pipeline["base"]
     if cmd == "bound-check" or overrides.get("eval.mode") == "emg":
         inputs["emg.model"] = pipeline["emg"]
+    if "out_dir" in overrides:
+        for name in ("generate_benchmark", "_load_data_dir"):
+            monkeypatch.setattr(f"embmask.cli.{name}", lambda *a: pytest.fail("worked before checking out_dir"))
+    monkeypatch.chdir(tmp_path)  # an empty out_dir would resolve here
     out = tmp_path / "out"
-    assert run_cmd(cmd, pipeline["cfg"], out_dir=out, **inputs, **overrides) == 3
+    assert run_cmd(cmd, pipeline["cfg"], **{"out_dir": out, **inputs, **overrides}) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error code=3")
     assert str(overrides.get("export.which", "")) in err
-    assert not out.exists()
+    assert not out.exists() and not any(tmp_path.iterdir())
 
 
 def test_bound_check_unread_mask_key_names_only_its_setting(pipeline, tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_noise_streams_take_one_uniform_per_mask_entry(monkeypatch):
     split, gen = split_model(base), Mlp([4, 5], prefix="g.", seed=2)
     x = np.random.default_rng(0).normal(size=(7, 4))
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-    emg_forward(split, gen, x, split.encode_np(x), np.full((7, 3), 1.0 / 3.0), MaskGenConfig(), rng)
+    emg_forward(split, gen, x, split.encode_np(x), np.full((7, 3), 1.0 / 3.0), MaskGenConfig(), logistic_noise(rng, (7, 5)))
     twin.random(7 * 5)  # batch x embedding width
     assert rng.bit_generator.state == twin.bit_generator.state
 

@@ -1,10 +1,11 @@
 """The README's runnable claims: the library quick start prints what the
-README says it prints, and the CLI chain at its defaults gives the
-headline experiment's seed-0 accuracies."""
+README says it prints, its CLI quick start runs as written, and the CLI
+chain at its defaults gives the headline experiment's seed-0 accuracies."""
 
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,14 +17,35 @@ from embmask.synthbench import BenchmarkSpec, generate_benchmark
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _section(heading):
+    """The README's text from ``heading`` to the next "## " heading."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index(heading):]
+    return section[:section.index("\n## ")]
+
+
 def _quick_start():
     """The ``python`` block under "## Quick start (library)" and the ``text`` block after it."""
-    readme = (ROOT / "README.md").read_text()
-    section = readme[readme.index("## Quick start (library)"):]
-    section = section[:section.index("\n## ")]
-    found = re.search(r"```python\n(.*?)```.*?```text\n(.*?)```", section, re.S)
+    found = re.search(r"```python\n(.*?)```.*?```text\n(.*?)```", _section("## Quick start (library)"), re.S)
     assert found, "the quick start has no python block followed by a text block"
     return found.group(1), found.group(2)
+
+
+def _cli_quick_start():
+    """The ``embmask`` commands of the ``sh`` block under "## Quick start
+    (CLI)", each with its continuation lines joined, as argument lists."""
+    found = re.search(r"```sh\n(.*?)```", _section("## Quick start (CLI)"), re.S)
+    assert found, "the CLI quick start has no sh block"
+    commands = [shlex.split(line) for line in found.group(1).replace("\\\n", " ").splitlines()]
+    assert commands and all(argv[0] == "embmask" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def test_cli_quick_start_runs_as_written(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text("seed = 0\n")
+    for argv in _cli_quick_start():
+        assert main(argv) == 0, argv
 
 
 def test_library_quick_start_prints_what_the_readme_states():

@@ -30,7 +30,7 @@ from embmask.errors import (
     UsageError,
 )
 from embmask.experiment import base_layers
-from embmask.mask import TAU_MIN, TRAIN_TAU_MIN, training_mask
+from embmask.mask import TAU_MIN, TRAIN_TAU_MIN, logistic_noise, training_mask
 from embmask.nn import ParamStore
 from embmask.train import (
     ADAM_BETA1,
@@ -49,6 +49,7 @@ from embmask.train import (
     soft_ce,
 )
 from finite_diff import fused_grad_error
+from memory_budget import traced_peak
 
 
 def _small_benchmark(seed=0):
@@ -283,10 +284,11 @@ def test_fused_emg_gradient_matches_finite_differences(base_sizes, one_hot, tau)
     x = rng.normal(size=(10, 5))
     z, q = _emg_case(split, x, one_hot)
     cfg = MaskGenConfig(tau=tau)
+    # one draw, so every evaluation sees the same noise
+    noise = logistic_noise(np.random.default_rng(11), z.shape)
 
     def forward():
-        # re-seeded per call, so every evaluation sees the same noise
-        return emg_forward(split, gen, x, z, q, cfg, np.random.default_rng(11))
+        return emg_forward(split, gen, x, z, q, cfg, noise)
 
     _, grads = _fused(gen.store, forward)
     assert all(np.isfinite(g).all() for g in grads.values())
@@ -330,7 +332,7 @@ def test_fused_emg_gradient_equals_tape_bitwise(base_sizes, one_hot, tau):
     tape_loss = T.cross_entropy(q, _tape_predict(split, _tape_mul(m, T.Tensor(z))))
     tape_grads = T.backward_grads(tape_loss, leaves)
     loss, grads = _fused(
-        gen.store, lambda: emg_forward(split, gen, x, z, q, cfg, np.random.default_rng(11))
+        gen.store, lambda: emg_forward(split, gen, x, z, q, cfg, logistic_noise(np.random.default_rng(11), z.shape))
     )
     _assert_bitwise(loss, grads, tape_loss, tape_grads)
 
@@ -357,13 +359,72 @@ def test_finite_differences_catch_a_wrong_mask_gradient(monkeypatch):
     gen = Mlp([4, 5], prefix="g.", seed=2)
     x = rng.normal(size=(8, 4))
     z, q = _emg_target(split, x)
+    noise = logistic_noise(np.random.default_rng(3), z.shape)
 
     def forward():
-        return emg_forward(split, gen, x, z, q, MaskGenConfig(tau=0.5), np.random.default_rng(3))
+        return emg_forward(split, gen, x, z, q, MaskGenConfig(tau=0.5), noise)
 
     assert fused_grad_error(gen.store, forward) < 1e-4
     monkeypatch.setattr("embmask.train.relaxed_mask_grad", lambda g, cache: g)
     assert fused_grad_error(gen.store, forward) > 1e-4
+
+
+# -- fused steps: memory and inputs -------------------------------------------------
+
+
+def _recipe_step(kind, batch):
+    """One fused step at the default recipe's shapes (16 features, a 64-wide
+    embedding, 5 classes; the generator's hidden layer 32 wide): ``step()``
+    runs its forward and backward into a gradient allocated here, as ``_fit``
+    allocates one per fit; ``inputs`` are the arrays the step reads, the EMG
+    step's logistic noise among them."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(batch, 16))
+    if kind == "erm":
+        model = Mlp([16, 64, 5], seed=0)
+        q = _onehot(rng.integers(5, size=batch), 5)
+        store, inputs, forward = model.store, (x, q), lambda: erm_forward(model, x, q)
+    else:
+        base = Mlp([16, 64, 5], seed=0)
+        base.store.freeze()
+        split, gen, cfg = split_model(base), Mlp([16, 32, 64], prefix="g.", seed=1), MaskGenConfig()
+        z, q = _emg_target(split, x)
+        noise = logistic_noise(rng, z.shape)
+        store, inputs = gen.store, (x, z, q, noise)
+        forward = lambda: emg_forward(split, gen, x, z, q, cfg, noise)
+    grads = store.views(np.zeros_like(store.flat))
+
+    def step():
+        forward()[1](grads)
+
+    return step, inputs
+
+
+@pytest.mark.parametrize(
+    "kind, batch, budget", [("erm", 64, 4.5), ("erm", 256, 4.0), ("emg", 64, 11.75), ("emg", 256, 11.75)]
+)
+def test_fused_step_allocates_within_its_budget(kind, batch, budget):
+    """Traced peak of one step, forward and backward, in units of one
+    (batch, 64) float64 array. ERM holds the hidden layer and, in the
+    backward, two gradients of its width and the relu mask, plus fixed-size
+    temporaries that weigh more at batch 64 (read 4.43, and 3.88 at 256).
+    EMG holds the generator's logits and the mask's cache (sigmoid, clamped
+    p, unclipped mask), and in the backward the predictor's gradient, its
+    product with z and the chain of temporaries of ``relaxed_mask_grad``
+    (read 11.65 and 11.59)."""
+    step, _ = _recipe_step(kind, batch)
+    assert traced_peak(step) / (batch * 64 * 8) <= budget
+
+
+@pytest.mark.parametrize("kind", ["erm", "emg"])
+def test_fused_step_leaves_its_inputs_unchanged(kind):
+    """The batches are slices of ``_fit``'s per-epoch buffers and
+    ``train_emg`` hands the same validation noise to every epoch, so neither
+    the forward nor the backward may write into x, z, q or the noise."""
+    step, inputs = _recipe_step(kind, 64)
+    before = [a.tobytes() for a in inputs]
+    step()
+    assert [a.tobytes() for a in inputs] == before
 
 
 # -- data splits --------------------------------------------------------------------
@@ -592,7 +653,7 @@ def test_emg_step_rejects_an_embedding_the_predictor_does_not_take():
     for gen_width, z_width in ((4, 4), (6, 4)):
         gen = Mlp([5, gen_width], prefix="g.", seed=1)
         with pytest.raises(ShapeMismatchError, match="predictor input width 6"):
-            emg_forward(split, gen, x, np.ones((2, z_width)), q, MaskGenConfig(), rng)
+            emg_forward(split, gen, x, np.ones((2, z_width)), q, MaskGenConfig(), logistic_noise(rng, (2, gen_width)))
 
 
 def test_emg_keeps_base_bitwise_and_improves_val_loss():
@@ -625,8 +686,38 @@ def test_emg_selects_on_soft_validation_loss():
     _, _, x_va, _ = pooled_split(train, cfg.val_fraction, cfg.seed)
     z, q = _emg_target(split, x_va)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA1)))
-    loss = emg_forward(split, gen, x_va, z, q, MaskGenConfig(), rng)[0]
+    loss = emg_forward(split, gen, x_va, z, q, MaskGenConfig(), logistic_noise(rng, z.shape))[0]
     assert trace.val_loss[trace.selected_epoch] == loss
+
+
+def test_emg_draws_one_validation_block_per_fit_and_one_block_per_batch(monkeypatch):
+    """The step draws nothing: ``train_emg`` draws the validation noise once,
+    from its own stream, and then each batch's noise, shaped like the batch's
+    z, from one stream in batch order."""
+    train, _, _ = _small_benchmark()
+    split = _trained_split(train)
+    cfg = TrainConfig(seed=3, max_epochs=3, batch_size=32)
+    x_tr, _, x_va, _ = pooled_split(train, cfg.val_fraction, cfg.seed)
+    draws = []
+
+    def recording_noise(rng, shape):
+        draws.append((rng, rng.bit_generator.state, shape))
+        return logistic_noise(rng, shape)
+
+    monkeypatch.setattr("embmask.train.logistic_noise", recording_noise)
+    _, trace = train_emg(split, Mlp([8, 4, 8], prefix="g.", seed=1), train, MaskGenConfig(), cfg)
+
+    def fresh(key):
+        return np.random.default_rng(np.random.SeedSequence((cfg.seed, key))).bit_generator.state
+
+    (val_rng, val_state, val_shape), *steps = draws
+    assert val_state == fresh(0xA1) and val_shape == (len(x_va), 8)
+    n, bs = len(x_tr), cfg.batch_size
+    shapes = [(min(bs, n - start), 8) for start in range(0, n, bs)] * len(trace.train_loss)
+    assert [shape for _, _, shape in steps] == shapes
+    batch_rng = steps[0][0]
+    assert steps[0][1] == fresh(0xB2) and batch_rng is not val_rng
+    assert all(rng is batch_rng for rng, _, _ in steps)
 
 
 def test_emg_deterministic_given_seed():
