@@ -1,8 +1,8 @@
 """Accuracy evaluation, generalization-bound diagnostics, and CSV export.
 
-``emg_masks`` passes the generator's drop probabilities and the run seed to
+``emg_masks`` passes the generator's logits and the run seed to
 ``mask.inference_mask``, which alone decides whether and what noise it draws
-and writes the mask into those probabilities. ``accuracy`` and
+and writes the mask into those logits. ``accuracy`` and
 ``export_embeddings`` scale the embedding they just encoded in place by a
 (d,) or (n, d) mask. ``_check_rows``, on ``nn.as_batch`` (the batch
 contract's one owner), checks every scored z.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeMismatchError, UsageError
-from .mask import MaskGenConfig, drop_probabilities, inference_mask
+from .mask import MaskGenConfig, inference_mask
 from .nn import Mlp, SplitModel, as_batch
 from .synthbench import DomainDataset, Oracle, save_table
 
@@ -35,9 +35,9 @@ Array = np.ndarray
 
 def emg_masks(generator: Mlp, x: Array, cfg: MaskGenConfig, seed: int = 0) -> Array:
     """Per-sample inference masks from the trained generator, written into
-    the drop probabilities they are computed from."""
-    p = drop_probabilities(generator, x)
-    return inference_mask(p, cfg, seed, out=p)
+    the logits they are computed from (the generator's fresh output)."""
+    logits = generator.forward_np(x)
+    return inference_mask(logits, cfg, seed, out=logits)
 
 
 def _check_rows(split: SplitModel, z: Array, labels: Array | None = None) -> Array:

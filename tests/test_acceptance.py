@@ -6,7 +6,9 @@ shows one PASSED/FAILED row per criterion.
 
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from embmask import (
     train_erm,
 )
 from embmask.evaluate import emg_masks
-from embmask.mask import keep_mask, logistic_noise
+from embmask.mask import logistic_noise, relaxed_mask_np, sigmoid_np
 from embmask.cli import main
 from embmask.synthbench import DomainDataset, Oracle
 from embmask.train import _emg_target, _onehot, emg_forward, erm_forward
@@ -83,7 +85,7 @@ def test_criterion_2_gumbel_max_statistics():
     for p in (0.1, 0.5, 0.9):
         h = -np.log(-np.log(np.clip(rng.random(n), 1e-12, 1 - 1e-12)))
         hp = -np.log(-np.log(np.clip(rng.random(n), 1e-12, 1 - 1e-12)))
-        m = keep_mask(np.full(n, p), h - hp, 0.01)[0]
+        m = relaxed_mask_np(np.full(n, np.log(p) - np.log(1.0 - p)), h - hp, 0.01)[0]
         keep = float((m > 0.5).mean())
         tol = 3.0 * math.sqrt(p * (1.0 - p) / n)
         assert abs(keep - (1.0 - p)) <= tol, f"p={p}: keep {keep} vs {1-p} +- {tol}"
@@ -94,14 +96,19 @@ def test_criterion_2_gumbel_max_statistics():
 
 
 def test_criterion_3_mask_closed_forms():
-    """Noise-free mask closed forms at pinned (tau, p) points."""
-    p = np.linspace(0.01, 0.99, 23)
-    m = inference_mask(p, MaskGenConfig(tau=1.0))
-    assert (m == 1.0 - p).all(), "tau=1 must reduce to 1-p exactly"
+    """Noise-free mask closed forms at pinned (tau, p) points, each fed the
+    logit log p - log(1-p) of its p."""
+
+    def logit(p):
+        return np.log(p) - np.log(1.0 - p)
+
+    logits = logit(np.linspace(0.01, 0.99, 23))
+    m = inference_mask(logits, MaskGenConfig(tau=1.0))
+    assert (m == 1.0 - sigmoid_np(logits)).all(), "tau=1 must reduce to 1-p exactly"
     for tau in (0.05, 0.1, 0.5, 1.0, 2.0):
-        m_half = inference_mask(np.array([0.5]), MaskGenConfig(tau=tau))
+        m_half = inference_mask(logit(np.array([0.5])), MaskGenConfig(tau=tau))
         assert abs(m_half[0] - 0.5) < 1e-15, f"tau={tau}: m(0.5)={m_half[0]}"
-    m_02 = inference_mask(np.array([0.2]), MaskGenConfig(tau=0.5))
+    m_02 = inference_mask(logit(np.array([0.2])), MaskGenConfig(tau=0.5))
     assert abs(m_02[0] - 0.64 / 0.68) < 1e-12
     print("criterion 3 PASS: 1-p at tau=1 exact; m(0.5)=0.5; m(0.2; 0.5)=0.9411764705882353")
 
@@ -140,7 +147,8 @@ def test_criterion_5_masking_improves_unseen_domain():
     (a) a train/unseen gap exists; (b) per-sample masking recovers >= 0.02
     unseen accuracy on average over training seeds 0-2 (the brute-force
     shared-dims-only oracle shows ~0.35 of headroom, so 0.02 is a floor);
-    (c) train-domain accuracy degrades by <= 0.02."""
+    (c) train-domain accuracy degrades by <= 0.02. The README's headline
+    numbers are this run's, rounded as printed."""
     t0 = time.perf_counter()
     train, unseen, _ = generate_benchmark(BenchmarkSpec())
     pooled = DomainDataset(
@@ -149,7 +157,7 @@ def test_criterion_5_masking_improves_unseen_domain():
         -1,
     )
     mask_cfg = MaskGenConfig()
-    deltas_unseen, deltas_train = [], []
+    deltas_unseen, deltas_train, unmasked_unseen = [], [], []
     gap_seed0 = None
     for seed in (0, 1, 2):
         model, _ = train_erm(TrainConfig(seed=seed, max_epochs=80), train, [16, 64, 5])
@@ -163,6 +171,7 @@ def test_criterion_5_masking_improves_unseen_domain():
         gen, _ = train_emg(split, gen, train, mask_cfg, TrainConfig(seed=seed, max_epochs=3))
         m_un = emg_masks(gen, unseen.features, mask_cfg, seed)
         m_tr = emg_masks(gen, pooled.features, mask_cfg, seed)
+        unmasked_unseen.append(acc_un)
         deltas_unseen.append(accuracy(split, unseen, m_un) - acc_un)
         deltas_train.append(accuracy(split, pooled, m_tr) - acc_tr)
     elapsed = time.perf_counter() - t0
@@ -173,10 +182,28 @@ def test_criterion_5_masking_improves_unseen_domain():
     assert mean_unseen >= 0.02, f"unseen gain {mean_unseen:+.4f} < +0.02 {deltas_unseen}"
     assert mean_train >= -0.02, f"train degradation {mean_train:+.4f} worse than -0.02"
     assert elapsed < 300.0
+    _assert_readme_headline(float(np.mean(unmasked_unseen)), mean_unseen, mean_train)
     print(
         f"criterion 5 PASS: gap {gap_seed0[0]:.3f}->{gap_seed0[1]:.3f}, "
         f"unseen {mean_unseen:+.4f}, train {mean_train:+.4f}, {elapsed:.1f}s"
     )
+
+
+def _assert_readme_headline(unmasked, gain_unseen, mean_train):
+    """The README's "gains +G unseen-domain accuracy over the unmasked model
+    (U → M, ...) while train accuracy stays within T" holds G, U and M as
+    criterion 5 measured them, to the printed digits, and |train change| <= T."""
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    found = re.search(
+        r"per-sample masking gains (\S+) unseen-domain accuracy over the unmasked model "
+        r"\((\S+) → (\S+), mean of training seeds 0–2\) while train accuracy stays within (\S+)\.",
+        text,
+    )
+    assert found, "the README's headline sentence is missing"
+    gain, before, after, within = found.groups()
+    measured = (f"{gain_unseen:+.3f}", f"{unmasked:.3f}", f"{unmasked + gain_unseen:.3f}")
+    assert (gain, before, after) == measured, f"README says {(gain, before, after)}, criterion 5 measured {measured}"
+    assert abs(mean_train) <= float(within), f"train change {mean_train:+.4f} exceeds the README's {within}"
 
 
 def test_criterion_6_global_mask_sweep_improves():

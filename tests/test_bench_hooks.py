@@ -52,9 +52,9 @@ def test_tensor_class_exists_and_install_round_trips():
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_a_traced_emg_masks_call_splits_into_its_two_layers(mode):
-    """``emg_masks`` calls ``drop_probabilities`` and ``inference_mask`` by
-    name, so a traced call records one span of each under its own, and the
-    per-layer metrics keep both."""
+    """``emg_masks`` calls ``inference_mask`` by name on the generator's
+    logits, so a traced call records one span of it under its own, with the
+    rows of the batch."""
     tracing = _tracing()
     for hook in tracing.HOOKS:
         importlib.import_module(hook.owner.partition(":")[0])
@@ -71,4 +71,4 @@ def test_a_traced_emg_masks_call_splits_into_its_two_layers(mode):
     (top,) = [s for s in tracer.spans if s.name == "evaluate.emg_masks"]
     assert top.rows == 7
     children = [(s.name, s.rows) for s in tracer.spans if s.parent == top.id]
-    assert children == [("mask.drop_probabilities", 0), (f"mask.inference_mask.{mode}", 7)]
+    assert children == [(f"mask.inference_mask.{mode}", 7)]

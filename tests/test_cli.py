@@ -338,7 +338,7 @@ def test_missing_seed_exits_3(tmp_path):
                 ("train-emg", "mask.tau", "nan"),
                 ("train-emg", "mask.tau", "inf"),
                 # Below mask.TAU_MIN the mask logit overflows, and below
-                # mask.TRAIN_TAU_MIN training's gradient may.
+                # mask.TRAIN_TAU_MIN training's gradient may (|dloss/dm|/(4 tau)).
                 ("train-emg", "mask.tau", "1e-320"),
                 ("train-emg", "mask.tau", repr(float(TAU_MIN))),
                 ("train-emg", "mask.tau", repr(float(np.nextafter(TRAIN_TAU_MIN, 0.0)))),

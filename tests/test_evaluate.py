@@ -338,14 +338,16 @@ def test_export_embeddings_deterministic_bytes(tmp_path):
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_emg_masks_equal_the_mask_of_a_separate_p_bitwise(mode):
-    """The blocked in-place sigmoid and the mask written over p give the
-    bits of the out-of-place chain, over several ragged blocks."""
+    """The mask written over the generator's logits gives the bits of the
+    mask of a separate copy of them, and the blocked in-place sigmoid of
+    ``drop_probabilities`` those of the out-of-place one, over several
+    ragged blocks."""
     gen = Mlp([3, 5, 64], prefix="g.", seed=4)
     x = np.random.default_rng(6).normal(scale=4.0, size=(2 * _BLOCK // 64 + 3, 3))
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
-    p = sigmoid_np(gen.forward_np(x))
-    assert drop_probabilities(gen, x).tobytes() == p.tobytes()
-    assert emg_masks(gen, x, cfg, 7).tobytes() == inference_mask(p, cfg, 7).tobytes()
+    logits = gen.forward_np(x)
+    assert drop_probabilities(gen, x).tobytes() == sigmoid_np(logits).tobytes()
+    assert emg_masks(gen, x, cfg, 7).tobytes() == inference_mask(logits, cfg, 7).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()], ids=["1-D", "3-D", "0-D"])

@@ -20,7 +20,6 @@ from embmask.mask import (
     TAU_MIN,
     TRAIN_TAU_MIN,
     gumbel_sample,
-    keep_mask,
     logistic_noise,
     relaxed_mask,
     relaxed_mask_grad,
@@ -34,6 +33,13 @@ from memory_budget import traced_peak
 
 EULER_MASCHERONI = 0.5772156649015329
 _P_EPS = 1e-12
+_C = float(np.log(1.0 - _P_EPS) - np.log(_P_EPS))  # logits are clipped to [-C, C]
+
+
+def _logit(p):
+    """The log-odds log p - log(1-p) of drop probabilities p."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.log(p) - np.log(1.0 - p)
 
 
 def _total(t):
@@ -96,15 +102,15 @@ def test_noise_streams_take_one_uniform_per_mask_entry(monkeypatch):
     twin.random(7 * 5)  # batch x embedding width
     assert rng.bit_generator.state == twin.bit_generator.state
 
-    p = np.full((3 * _B // 64 + 17, 64), 0.3)
+    logits = np.full((3 * _B // 64 + 17, 64), 0.3)
     twin = _stream(4)
-    twin.random(mask_module.SAMPLE_COUNT * p.size)
+    twin.random(mask_module.SAMPLE_COUNT * logits.size)
     made, default_rng = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
     for mode in ("noise_free", "expected"):
-        inference_mask(p, MaskGenConfig(inference_mode=mode), 4)
+        inference_mask(logits, MaskGenConfig(inference_mode=mode), 4)
     assert made == []  # the other modes draw none
-    inference_mask(p, MaskGenConfig(inference_mode="sample_avg"), 4)
+    inference_mask(logits, MaskGenConfig(inference_mode="sample_avg"), 4)
     assert [g.bit_generator.state for g in made] == [twin.bit_generator.state]
 
 
@@ -135,9 +141,16 @@ def _ref_sigmoid_np(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _ref_keep_mask(p, noise, tau):
-    m0 = _ref_sigmoid_np((np.log(1.0 - p) - np.log(p) + noise) * (1.0 / tau))
+def _ref_mask(logits, noise, tau):
+    """The clipped mask and m0 = sigmoid((k + noise)/tau), k = -clip(logits, -C, C)."""
+    k = -np.clip(logits, -_C, _C)
+    m0 = _ref_sigmoid_np((k + noise) * (1.0 / tau))
     return np.clip(m0, _P_EPS, 1.0 - _P_EPS), m0
+
+
+def _ref_expected(logits):
+    """1 - p with p = clamp(sigmoid(logits)): expected's mask, and noise_free's at tau = 1."""
+    return 1.0 - np.clip(_ref_sigmoid_np(logits), _P_EPS, 1.0 - _P_EPS)
 
 
 def _stream(seed):
@@ -145,12 +158,12 @@ def _stream(seed):
     return np.random.default_rng(np.random.SeedSequence((seed, 0xE7)))
 
 
-def _ref_sample_avg(p, cfg, seed, count):
+def _ref_sample_avg(logits, cfg, seed, count):
     rng = _stream(seed)
-    p = np.clip(np.asarray(p, dtype=np.float64), _P_EPS, 1.0 - _P_EPS)
-    acc = np.zeros_like(p)
+    logits = np.asarray(logits, dtype=np.float64)
+    acc = np.zeros_like(logits)
     for _ in range(count):
-        acc += _ref_keep_mask(p, _ref_logistic_noise(rng, p.shape), cfg.tau)[0]
+        acc += _ref_mask(logits, _ref_logistic_noise(rng, logits.shape), cfg.tau)[0]
     return acc / count
 
 
@@ -205,18 +218,18 @@ def test_sigmoid_bitwise_test_passes_with_numpys_avx512_paths_off():
 
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
 def test_mask_symmetry_at_half(tau):
-    m = keep_mask(np.full(4, 0.5), np.zeros(4), tau)[0]
+    m = relaxed_mask_np(_logit(np.full(4, 0.5)), np.zeros(4), tau)[0]
     np.testing.assert_allclose(m, 0.5, atol=1e-15)
 
 
 def test_mask_tau_one_no_noise_is_one_minus_p():
     p = np.array([0.2, 0.5, 0.9])
-    m = keep_mask(p, np.zeros(3), 1.0)[0]
+    m = relaxed_mask_np(_logit(p), np.zeros(3), 1.0)[0]
     np.testing.assert_allclose(m, 1.0 - p, atol=1e-15)
 
 
 def test_mask_hand_oracle_tau_half():
-    m = keep_mask(np.array([0.2]), np.zeros(1), 0.5)[0]
+    m = inference_mask(_logit([0.2]), MaskGenConfig(tau=0.5))
     np.testing.assert_allclose(m, 0.64 / 0.68, atol=1e-12)
     # same value through the training op, from the logit of p = 0.2
     mt = relaxed_mask(T.Tensor([[math.log(0.25)]]), np.zeros((1, 1)), 0.5)
@@ -232,7 +245,7 @@ def test_mask_noise_shape_mismatch():
 
 def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
     # m = sigmoid((h - h' - logit)/tau), so dm/dlogit = -m(1-m)/tau while no
-    # clip is active. Logit 40 saturates p (p clip); noise -30 at tau 0.5
+    # clip is active. Logit 40 lies beyond C (logit clip); noise -30 at tau 0.5
     # drives m below 1e-12 (m clip): both get exactly 0.
     tau = 0.5
     logits = T.Tensor([[-1.0, 0.3, 2.0, 40.0, 0.0]], requires_grad=True)
@@ -249,13 +262,13 @@ def test_relaxed_mask_gradient_closed_form_and_zero_under_clip():
 @settings(deadline=None, max_examples=80)
 @given(
     st.floats(1e-4, 10.0),
-    st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1, max_size=8),
+    st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=8),
     st.integers(0, 2**31),
 )
-def test_mask_stays_inside_open_unit_interval(tau, p, seed):
+def test_mask_stays_inside_open_unit_interval(tau, logits, seed):
     rng = np.random.default_rng(seed)
-    p = np.array(p)
-    m = keep_mask(p, logistic_noise(rng, p.shape), tau)[0]
+    logits = np.array(logits)
+    m = relaxed_mask_np(logits, logistic_noise(rng, logits.shape), tau)[0]
     assert np.isfinite(m).all()
     assert ((m > 0.0) & (m < 1.0)).all()
 
@@ -263,22 +276,23 @@ def test_mask_stays_inside_open_unit_interval(tau, p, seed):
 @settings(deadline=None, max_examples=60)
 @given(st.floats(1e-3, 10.0), st.integers(0, 2**31))
 def test_noise_free_mask_decreasing_in_p(tau, seed):
+    """Decreasing in the logit, so in p = sigmoid(logit)."""
     rng = np.random.default_rng(seed)
     cfg = MaskGenConfig(tau=tau)
     # non-increasing everywhere (float saturation can tie at the clamp)...
-    p = np.sort(rng.uniform(1e-6, 1.0 - 1e-6, size=16))
-    assert (np.diff(inference_mask(p, cfg)) <= 0.0).all()
-    # ...strictly decreasing away from the saturated ends
+    logits = np.sort(rng.uniform(-40.0, 40.0, size=16))
+    assert (np.diff(inference_mask(logits, cfg)) <= 0.0).all()
+    # ...strictly decreasing away from the saturated ends (p in [0.2, 0.8])
     if tau >= 0.05:
-        p_mid = np.sort(rng.uniform(0.2, 0.8, size=16))
-        assert (np.diff(inference_mask(p_mid, cfg)) < 0.0).all()
+        mid = np.sort(rng.uniform(-1.38, 1.38, size=16))
+        assert (np.diff(inference_mask(mid, cfg)) < 0.0).all()
 
 
 # -- training / inference entry points --------------------------------------------
 
 
 def _logits():
-    """Generator-like logits, including ones that saturate the p clip."""
+    """Generator-like logits, including ones beyond the logit clip C."""
     logits = np.random.default_rng(4).normal(scale=3.0, size=(16, 8))
     logits[0, :4] = [-40.0, 40.0, 0.0, 1e-3]
     return logits
@@ -287,7 +301,7 @@ def _logits():
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 3.0])
 def test_noise_free_inference_is_training_mask_without_noise_bitwise(tau):
     logits = _logits()
-    m = inference_mask(sigmoid_np(logits), MaskGenConfig(tau=tau))
+    m = inference_mask(logits, MaskGenConfig(tau=tau))
     m_train, _ = relaxed_mask_np(logits, np.zeros_like(logits), tau)
     assert m.tobytes() == m_train.tobytes()
 
@@ -297,7 +311,7 @@ def test_sample_avg_of_one_sample_is_training_mask_bitwise(tau, monkeypatch):
     monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 1)
     logits = _logits()
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
-    m = inference_mask(sigmoid_np(logits), cfg, 9)
+    m = inference_mask(logits, cfg, 9)
     noise = logistic_noise(_stream(9), logits.shape)
     m_train, _ = relaxed_mask_np(logits, noise, tau)
     assert m.tobytes() == m_train.tobytes()
@@ -335,31 +349,31 @@ def test_training_mask_gradient_matches_finite_differences():
 
 
 def test_inference_noise_free_tau_one_exact():
-    p = np.random.default_rng(0).uniform(0.01, 0.99, size=32)
-    m = inference_mask(p, MaskGenConfig(tau=1.0))
-    assert (m == 1.0 - p).all()
+    logits = np.random.default_rng(0).normal(scale=3.0, size=32)
+    m = inference_mask(logits, MaskGenConfig(tau=1.0))
+    assert (m == 1.0 - sigmoid_np(logits)).all()
 
 
 def test_inference_expected_mode():
-    m = inference_mask(np.array([0.1, 0.9]), MaskGenConfig(inference_mode="expected"))
+    m = inference_mask(_logit([0.1, 0.9]), MaskGenConfig(inference_mode="expected"))
     np.testing.assert_allclose(m, [0.9, 0.1], atol=1e-15)
 
 
 def test_inference_noise_free_hand_oracle():
-    m = inference_mask(np.array([0.4]), MaskGenConfig(tau=0.1))
+    m = inference_mask(_logit([0.4]), MaskGenConfig(tau=0.1))
     expected = 0.6**10 / (0.6**10 + 0.4**10)
     np.testing.assert_allclose(m, expected, rtol=1e-12)
 
 
 def test_sample_avg_stays_open_and_is_seed_scoped():
     cfg = MaskGenConfig(inference_mode="sample_avg")
-    p = np.full((3, 2), 0.5)
-    m = inference_mask(p, cfg)
+    logits = np.zeros((3, 2))  # p = 1/2
+    m = inference_mask(logits, cfg)
     assert mask_module.SAMPLE_COUNT == 8
-    assert m.tobytes() == _ref_sample_avg(p, cfg, 0, 8).tobytes()
+    assert m.tobytes() == _ref_sample_avg(logits, cfg, 0, 8).tobytes()
     assert ((m > 0.0) & (m < 1.0)).all()
-    assert m.tobytes() == inference_mask(p, cfg, 0).tobytes()
-    assert m.tobytes() != inference_mask(p, cfg, 1).tobytes()
+    assert m.tobytes() == inference_mask(logits, cfg, 0).tobytes()
+    assert m.tobytes() != inference_mask(logits, cfg, 1).tobytes()
 
 
 def test_config_validation():
@@ -375,24 +389,40 @@ def test_config_validation():
 
 
 def test_mask_gradient_overflows_below_the_training_floor_and_not_at_it():
-    """At ``TAU_MIN`` logit 0, zero noise and dloss/dm = 100 overflow the
-    gradient. At ``TRAIN_TAU_MIN`` the worst case under the clamps, p at
-    either clamp with noise cancelling its log-odds (m0 = 1/2, where
-    m0(1 - m0) peaks) and |dloss/dm| = ``_GRAD_BOUND``, stays finite."""
-    assert 5.56e-197 < TRAIN_TAU_MIN < 5.57e-197
+    """The gradient's largest value is |dloss/dm|/(4 tau), where noise
+    cancels the keep logit (m0 = 1/2, where m0(1 - m0) peaks). With
+    |dloss/dm| = ``_GRAD_BOUND`` it overflows at ``TAU_MIN`` and at a quarter
+    of ``TRAIN_TAU_MIN``; at ``TRAIN_TAU_MIN`` it stays finite, up to and
+    just inside the logit clip and zero beyond it."""
+    assert 2.78e-209 < TRAIN_TAU_MIN < 2.79e-209
     assert mask_module._GRAD_BOUND == 1e100
+    logits = np.array([-27.6, 27.6, np.nextafter(-_C, 0.0), np.nextafter(_C, 0.0), -40.0, 40.0, 0.0])
+    noise = np.clip(logits, -_C, _C)  # k + noise = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cache = relaxed_mask_np(np.zeros(1), np.zeros(1), TAU_MIN)[1]
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            relaxed_mask_grad(np.full(1, 100.0), cache)
-        logits = np.array([-27.6, 27.6, -40.0, 40.0, 0.0])  # p at, or clamped to, eps and 1 - eps
-        p = np.clip(_ref_sigmoid_np(logits), _P_EPS, 1.0 - _P_EPS)
-        _, cache = relaxed_mask_np(logits, np.log(p) - np.log(1.0 - p), TRAIN_TAU_MIN)
-        assert (cache[2] == 0.5).all()
+        for tau in (TAU_MIN, TRAIN_TAU_MIN / 4.0):
+            cache = relaxed_mask_np(logits, noise, tau)[1]
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                relaxed_mask_grad(np.full(7, 1e100), cache)
+        _, cache = relaxed_mask_np(logits, noise, TRAIN_TAU_MIN)
+        assert (cache[1] == 0.5).all()
         for g in (1e100, -1e100):
-            grad = relaxed_mask_grad(np.full(5, g), cache)
-            assert np.isfinite(grad).all() and (grad[[0, 1, 4]] != 0.0).all()
+            grad = relaxed_mask_grad(np.full(7, g), cache)
+            assert np.isfinite(grad).all() and (grad[[0, 1, 2, 3, 6]] != 0.0).all()
+            assert (grad[4:6] == 0.0).all()
+
+
+def test_mask_gradient_is_zero_from_the_logit_clip_on():
+    """|logit| = C is clipped: the gradient is 0 there and beyond, the full
+    -m0(1 - m0)/tau one ulp inside, and the mask at an infinite logit is the
+    mask at C."""
+    assert mask_module._LOGIT_CLIP == _C and 27.631 < _C < 27.632
+    logits = np.array([-_C, _C, np.nextafter(-_C, 0.0), np.nextafter(_C, 0.0), -np.inf, np.inf])
+    noise = np.clip(logits, -_C, _C)  # k + noise = 0: m0 = 1/2
+    m, cache = relaxed_mask_np(logits, noise, 1.0)
+    assert (m == 0.5).all()
+    grad = relaxed_mask_grad(np.ones(6), cache)
+    assert (grad[[0, 1, 4, 5]] == 0.0).all() and (grad[2:4] == -0.25).all()
 
 
 # -- in-place kernels against the out-of-place reference ---------------------------
@@ -416,13 +446,12 @@ def test_kernels_match_reference_formulas_bitwise(tau, shape):
     assert noise.tobytes() == ref_noise.tobytes()
     assert gumbel_sample(rng, shape).tobytes() == _ref_gumbel_sample(ref_rng, shape).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    p = sigmoid_np(logits)
-    assert p.tobytes() == _ref_sigmoid_np(logits).tobytes()
-    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    for got, want in zip(keep_mask(p, noise, tau), _ref_keep_mask(p, noise, tau)):
+    assert sigmoid_np(logits).tobytes() == _ref_sigmoid_np(logits).tobytes()
+    m, (_, m0, _) = relaxed_mask_np(logits, noise, tau)
+    for got, want in zip((m, m0), _ref_mask(logits, noise, tau)):
         assert got.tobytes() == want.tobytes()
-    noise_free = inference_mask(p, MaskGenConfig(tau=tau))
-    want = 1.0 - p if tau == 1.0 else _ref_keep_mask(p, 0.0, tau)[0]
+    noise_free = inference_mask(logits, MaskGenConfig(tau=tau))
+    want = _ref_expected(logits) if tau == 1.0 else _ref_mask(logits, 0.0, tau)[0]
     assert noise_free.tobytes() == want.tobytes()
 
 
@@ -431,10 +460,10 @@ def test_kernels_match_reference_formulas_bitwise(tau, shape):
 @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 3.0])
 def test_sample_avg_matches_reference_loop_bitwise(tau, sample_count, shape, monkeypatch):
     monkeypatch.setattr(mask_module, "SAMPLE_COUNT", sample_count)
-    p = sigmoid_np(_edge_logits(shape))
+    logits = _edge_logits(shape)
     cfg = MaskGenConfig(tau=tau, inference_mode="sample_avg")
-    want = _ref_sample_avg(p, cfg, 12, sample_count)
-    assert inference_mask(p, cfg, 12).tobytes() == want.tobytes()
+    want = _ref_sample_avg(logits, cfg, 12, sample_count)
+    assert inference_mask(logits, cfg, 12).tobytes() == want.tobytes()
 
 
 _B = mask_module._BLOCK
@@ -449,12 +478,12 @@ def test_sample_avg_matches_reference_loop_bitwise_at_block_edges(shape, monkeyp
     """The blocked loop keeps the draw order of the full-size one: each
     sample's noise in turn, block after block."""
     monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 2)
-    p = sigmoid_np(_edge_logits(shape))
+    logits = _edge_logits(shape)
     cfg = MaskGenConfig(tau=0.1, inference_mode="sample_avg")
-    want = _ref_sample_avg(p, cfg, 5, 2)
-    got = inference_mask(p, cfg, 5)
-    assert got.shape == p.shape and got.tobytes() == want.tobytes()
-    assert inference_mask(p, cfg, 5, out=p) is p and p.tobytes() == want.tobytes()
+    want = _ref_sample_avg(logits, cfg, 5, 2)
+    got = inference_mask(logits, cfg, 5)
+    assert got.shape == logits.shape and got.tobytes() == want.tobytes()
+    assert inference_mask(logits, cfg, 5, out=logits) is logits and logits.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -466,29 +495,30 @@ def test_sample_avg_matches_reference_loop_bitwise_at_block_edges(shape, monkeyp
     "mode, tau", [("noise_free", 0.1), ("noise_free", 1.0), ("expected", 0.1)], ids=["noise_free", "tau-one", "expected"]
 )
 def test_noise_free_and_expected_match_reference_formulas_at_block_edges(shape, mode, tau):
-    p = sigmoid_np(_edge_logits(shape)) if shape else np.array(0.3)
-    clamped = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    want = _ref_keep_mask(clamped, 0.0, tau)[0] if mode == "noise_free" and tau != 1.0 else 1.0 - clamped
-    got = inference_mask(p, MaskGenConfig(tau=tau, inference_mode=mode))
-    assert got.shape == p.shape and got.tobytes() == want.tobytes()
-    assert inference_mask(p, MaskGenConfig(tau=tau, inference_mode=mode), out=p) is p
-    assert p.tobytes() == want.tobytes()
+    logits = _edge_logits(shape) if shape else np.array(0.3)
+    want = _ref_mask(logits, 0.0, tau)[0] if mode == "noise_free" and tau != 1.0 else _ref_expected(logits)
+    got = inference_mask(logits, MaskGenConfig(tau=tau, inference_mode=mode))
+    assert got.shape == logits.shape and got.tobytes() == want.tobytes()
+    assert inference_mask(logits, MaskGenConfig(tau=tau, inference_mode=mode), out=logits) is logits
+    assert logits.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
 def test_inference_mask_allocates_no_full_size_temporaries(mode, bound):
-    """Traced peak over the call, in units of p.nbytes: the result, plus the
-    log-odds and the running sum for sample_avg, plus block-sized scratch."""
-    p = sigmoid_np(np.random.default_rng(6).normal(size=(4000, 64)))
+    """Traced peak over the call, in units of the logits' nbytes: the result,
+    which holds the clipped logits for sample_avg, plus its running sum, plus
+    block-sized scratch."""
+    logits = np.random.default_rng(6).normal(size=(4000, 64))
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
-    assert traced_peak(inference_mask, p, cfg, 2) / p.nbytes <= bound
+    assert traced_peak(inference_mask, logits, cfg, 2) / logits.nbytes <= bound
 
 
 @pytest.mark.parametrize("mode, bound", [("noise_free", 1.75), ("expected", 1.75), ("sample_avg", 2.75)])
 def test_emg_masks_write_the_mask_into_their_drop_probabilities(mode, bound):
-    """Traced peak in units of the (n, d) mask: the generator's logits, which
-    become p and then the mask, plus the running sum for sample_avg, the
-    generator's narrow hidden layer and block-sized scratch."""
+    """Traced peak in units of the (n, d) mask: the generator's logits (its
+    drop probabilities as log-odds), which become the mask, plus the running
+    sum for sample_avg, the generator's narrow hidden layer and block-sized
+    scratch."""
     x = np.random.default_rng(6).normal(size=(4000, 16))
     gen = Mlp([16, 8, 64], prefix="g.", seed=3)
     cfg = MaskGenConfig(tau=0.1, inference_mode=mode)
@@ -521,18 +551,19 @@ def test_unmasked_accuracy_scores_an_identity_embedding_without_a_copy(rows):
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_inference_mask_rejects_a_seed_that_is_not_a_non_negative_int(mode):
     cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-    p = np.full((2, 3), 0.4)
+    logits = np.full((2, 3), 0.4)
     for seed in (-1, 2.5, True, False, np.int64(-3), "1", None, np.float64(2.0)):
         with pytest.raises(ConfigError, match="seed"):
-            inference_mask(p, cfg, seed)
-    assert inference_mask(p, cfg, np.int64(3)).tobytes() == inference_mask(p, cfg, 3).tobytes()
+            inference_mask(logits, cfg, seed)
+    assert inference_mask(logits, cfg, np.int64(3)).tobytes() == inference_mask(logits, cfg, 3).tobytes()
 
 
-def _rejected_untouched(p, cfg, error, match=None):
-    """``inference_mask`` of a multi-block p whose last entry is ``p`` raises
-    ``error`` and writes neither into p nor into a separate ``out``."""
+def _rejected_untouched(value, cfg, error, match=None):
+    """``inference_mask`` of multi-block logits whose last entry is ``value``
+    raises ``error`` and writes neither into the logits nor into a separate
+    ``out``."""
     big = np.full(2 * _B + 5, 0.25)
-    big[-1] = p
+    big[-1] = value
     want = big.tobytes()
     other = np.full_like(big, 0.5)
     for out in (big, other):
@@ -542,32 +573,23 @@ def _rejected_untouched(p, cfg, error, match=None):
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
-def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
-    def no_draw(g):
-        raise AssertionError("noise drawn for a non-finite p")
-
-    monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
+def test_inference_mask_rejects_a_non_finite_logit_before_any_draw_or_write(mode, monkeypatch):
+    """A NaN or infinite logit means the generator's forward overflowed: it is
+    refused, while any finite logit, however large, is clipped to a mask
+    inside (0, 1)."""
     cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-    for p in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
-        with pytest.raises(NumericError):
-            inference_mask(p, cfg, 0)
-    _rejected_untouched(np.nan, cfg, NumericError)
-
-
-@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
-def test_inference_mask_rejects_p_outside_the_unit_interval_before_any_draw(mode, monkeypatch):
-    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-    edges = inference_mask([0.0, 1.0], cfg, 0)  # a saturated sigmoid gives both
+    edges = inference_mask([-1e308, -_C, _C, 1e308], cfg, 0)
     assert ((edges > 0.0) & (edges < 1.0)).all()
 
     def no_draw(g):
-        raise AssertionError("noise drawn for a p outside [0, 1]")
+        raise AssertionError("noise drawn for a non-finite logit")
 
     monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
-    for p in (2.0, -1.0, 1.0 + 2.0**-52, -5e-324):
-        with pytest.raises(NumericError, match=r"\[0, 1\]"):
-            inference_mask([[0.5, p]], cfg, 0)
-    _rejected_untouched(1.0 + 2.0**-52, cfg, NumericError, r"\[0, 1\]")
+    for logits in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
+        with pytest.raises(NumericError, match="finite"):
+            inference_mask(logits, cfg, 0)
+    for value in (np.nan, np.inf, -np.inf):
+        _rejected_untouched(value, cfg, NumericError, "finite")
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
@@ -577,14 +599,14 @@ def test_inference_mask_rejects_an_out_unlike_p_before_any_draw_or_write(mode, m
 
     monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
     cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-    p = np.full((3, 4), 0.25)
+    logits = np.full((3, 4), 0.25)
     wide = np.zeros((3, 8))
     for out in (np.zeros((4, 3)), np.zeros(12), np.zeros((3, 4), dtype=np.float32),
                 np.zeros((3, 4), order="F"), wide[:, ::2], np.zeros((3, 4)).tolist()):
         with pytest.raises(ShapeMismatchError, match="out"):
-            inference_mask(p, cfg, 0, out=out)
-        assert not np.any(out) and (p == 0.25).all()
-    f32 = np.full((3, 4), 0.25, dtype=np.float32)  # p is taken as a float64 copy
+            inference_mask(logits, cfg, 0, out=out)
+        assert not np.any(out) and (logits == 0.25).all()
+    f32 = np.full((3, 4), 0.25, dtype=np.float32)  # the logits are taken as a float64 copy
     with pytest.raises(ShapeMismatchError):
         inference_mask(f32, cfg, 0, out=f32)
     assert (wide == 0.0).all()
@@ -593,12 +615,11 @@ def test_inference_mask_rejects_an_out_unlike_p_before_any_draw_or_write(mode, m
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
 def test_smallest_tau_gives_finite_masks_without_a_warning(mode):
     cfg = MaskGenConfig(tau=TAU_MIN, inference_mode=mode)
-    p = np.array([0.0, 0.5, 1.0] * 4)
     logits = np.array([-40.0, 0.0, 40.0] * 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = inference_mask(p, cfg, 3)
-        m_train = relaxed_mask_np(logits, logistic_noise(np.random.default_rng(3), p.shape), TAU_MIN)[0]
+        m = inference_mask(logits, cfg, 3)
+        m_train = relaxed_mask_np(logits, logistic_noise(np.random.default_rng(3), logits.shape), TAU_MIN)[0]
     for got in (m, m_train):
         assert np.isfinite(got).all() and ((got > 0.0) & (got < 1.0)).all()
 
@@ -608,9 +629,10 @@ def test_kernels_take_scalars_as_the_reference_did(monkeypatch):
     # NumPy returns a 0-d result as a scalar, which cannot be written in place
     for x in (0.7, np.float64(-2.0), np.array(-0.0)):
         assert sigmoid_np(x).tobytes() == _ref_sigmoid_np(x).tobytes()
-    for got, want in zip(keep_mask(np.float64(0.3), 0.4, 0.5), _ref_keep_mask(np.float64(0.3), 0.4, 0.5)):
+    m, (_, m0, _) = relaxed_mask_np(np.float64(0.3), 0.4, 0.5)
+    for got, want in zip((m, m0), _ref_mask(np.float64(0.3), 0.4, 0.5)):
         assert got.tobytes() == want.tobytes()
-    want = _ref_keep_mask(np.float64(0.3), 0.0, 0.5)[0]
+    want = _ref_mask(np.float64(0.3), 0.0, 0.5)[0]
     assert inference_mask(0.3, MaskGenConfig(tau=0.5)).tobytes() == want.tobytes()
     cfg = MaskGenConfig(tau=0.5, inference_mode="sample_avg")
     want = _ref_sample_avg(0.3, cfg, 1, 3)
@@ -627,16 +649,15 @@ def _unchanged(fn, *args):
 
 def test_kernels_never_write_into_their_arguments(monkeypatch):
     monkeypatch.setattr(mask_module, "SAMPLE_COUNT", 3)
-    logits = _logits()
-    s = sigmoid_np(logits)  # 0 and 1 at the saturated logits: outside the p clip
-    p = np.clip(s, _P_EPS, 1.0 - _P_EPS)
+    logits = _logits()  # some beyond the logit clip
     noise = logistic_noise(np.random.default_rng(13), logits.shape)
     _unchanged(sigmoid_np, logits)
-    _unchanged(keep_mask, p, noise, 0.1)
     _unchanged(relaxed_mask_np, logits, noise, 0.1)
+    _, (lo, m0, tau) = relaxed_mask_np(logits, noise, 0.1)
+    _unchanged(lambda g, lo, m0: relaxed_mask_grad(g, (lo, m0, tau)), noise, lo, m0)
     for mode in ("noise_free", "expected", "sample_avg"):
         cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-        _unchanged(inference_mask, s, cfg, 14, None)
+        _unchanged(inference_mask, logits, cfg, 14, None)
     # each noise array is a fresh one: a later draw leaves an earlier one alone
     rng = np.random.default_rng(15)
     first = logistic_noise(rng, logits.shape)
