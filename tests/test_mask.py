@@ -573,23 +573,44 @@ def _rejected_untouched(value, cfg, error, match=None):
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
-def test_inference_mask_rejects_a_non_finite_logit_before_any_draw_or_write(mode, monkeypatch):
-    """A NaN or infinite logit means the generator's forward overflowed: it is
-    refused, while any finite logit, however large, is clipped to a mask
-    inside (0, 1)."""
-    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
-    edges = inference_mask([-1e308, -_C, _C, 1e308], cfg, 0)
-    assert ((edges > 0.0) & (edges < 1.0)).all()
-
+def test_inference_mask_rejects_non_finite_p_before_any_draw(mode, monkeypatch):
+    """The mask takes p as its log-odds, the generator's logits. A NaN or
+    infinite logit means the generator's forward overflowed: it is refused
+    before any draw or write."""
     def no_draw(g):
         raise AssertionError("noise drawn for a non-finite logit")
 
     monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
     for logits in ([[np.nan, 0.5]], [[0.5, np.inf]], [-np.inf], np.nan):
         with pytest.raises(NumericError, match="finite"):
             inference_mask(logits, cfg, 0)
     for value in (np.nan, np.inf, -np.inf):
         _rejected_untouched(value, cfg, NumericError, "finite")
+
+
+@pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
+def test_inference_mask_rejects_p_outside_the_unit_interval_before_any_draw(mode, monkeypatch):
+    """Any finite logit, however large, is clipped to a mask inside (0, 1),
+    also where the sigmoid saturates p to exactly 0 or 1. A p outside
+    [0, 1] has NaN log-odds, which is refused before any draw or write."""
+    cfg = MaskGenConfig(tau=0.5, inference_mode=mode)
+    saturated = [-1e308, -_C, _C, 1e308]
+    assert (sigmoid_np(np.array(saturated)[[0, 3]]) == [0.0, 1.0]).all()
+    edges = inference_mask(saturated, cfg, 0)
+    assert ((edges > 0.0) & (edges < 1.0)).all()
+
+    def no_draw(g):
+        raise AssertionError("noise drawn for a p outside [0, 1]")
+
+    monkeypatch.setattr(mask_module, "_to_logistic", no_draw)
+    with np.errstate(invalid="ignore"):
+        outside = _logit([2.0, -1.0, 1.0 + 2.0**-52, -5e-324])
+    assert np.isnan(outside).all()
+    for value in outside:
+        with pytest.raises(NumericError, match="finite"):
+            inference_mask([[0.5, value]], cfg, 0)
+    _rejected_untouched(outside[2], cfg, NumericError, "finite")
 
 
 @pytest.mark.parametrize("mode", ["noise_free", "expected", "sample_avg"])
