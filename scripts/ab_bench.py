@@ -34,7 +34,11 @@ run in progress are cleaned up.
 revision as given and the commit it resolved to, ``--seed``, ``--seconds``
 and ``--pairs``, and per workload each metric's bound, quartiles, wins,
 pairs, ``clear``, ``worse`` and ``unresolved``, with the failed-operation
-counts of both sides.
+counts of both sides. It also records what was compared: each side's
+``env`` line from ``perfbench/run.py`` (its first run's: source line counts,
+NumPy, BLAS and the thread variables), and whether
+``PYTHONDONTWRITEBYTECODE`` was set, in which case every run compiles
+embmask from source and ``setup_s`` includes that compile time.
 """
 
 from __future__ import annotations
@@ -112,7 +116,8 @@ def format_rows(rows: list[dict]) -> str:
 
 
 def run_bench(checkout: str, workload: str, seconds: float, seed: int) -> dict:
-    """The JSON result line of one benchmark run in ``checkout``."""
+    """The JSON result line of one benchmark run in ``checkout``, with the
+    run's ``env`` line under ``"env"`` (None if it printed none)."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -121,7 +126,8 @@ def run_bench(checkout: str, workload: str, seconds: float, seed: int) -> dict:
     lines = done.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"no result line from {checkout} (exit {done.returncode}):\n{done.stderr}")
-    return json.loads(lines[-1])
+    env = [json.loads(line[len("env "):]) for line in lines if line.startswith("env ")]
+    return {**json.loads(lines[-1]), "env": env[-1] if env else None}
 
 
 def resolve(rev: str) -> str:
@@ -178,7 +184,9 @@ def main(argv=None) -> int:
 
     commit = resolve(args.parent_rev)
     report = {"parent_rev": args.parent_rev, "parent_commit": commit, "seed": args.seed,
-              "seconds": args.seconds, "pairs": args.pairs, "workloads": {}}
+              "seconds": args.seconds, "pairs": args.pairs,
+              "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+              "env": {}, "workloads": {}}
     checkouts: dict[str, str] = {}
     any_failed = False
     previous = signal.signal(signal.SIGTERM, exit_on_sigterm)
@@ -195,6 +203,7 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     result = run_bench(checkouts[side], workload, args.seconds, args.seed)
                     runs[side].append(result["metrics"])
+                    report["env"].setdefault(side, result["env"])
                     failed[side] += result["failed"]
                 print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr)
             print(f"{workload}: {args.parent_rev} (parent) vs this checkout, "

@@ -140,7 +140,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         **_BASE,
         "emg.hidden": Field(str, ",".join(map(str, _SPEC.emg_hidden))),
         "emg.max_epochs": Field(int, _SPEC.emg_epochs),
-        **_section(TrainConfig, "train", "seed", "max_epochs"),
         # Training draws its own noise: the inference settings do not apply.
         **_section(MaskGenConfig, "mask", "inference_mode"),
     },
@@ -314,7 +313,7 @@ def cmd_train_erm(cfg) -> None:
 def cmd_train_emg(cfg) -> None:
     train_data, unseen, _oracle, split = _load_base(cfg)
     hidden = parse_hidden(cfg["emg.hidden"])
-    tc = _build(TrainConfig, cfg, "train", seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
+    tc = TrainConfig(seed=cfg["seed"], max_epochs=cfg["emg.max_epochs"])
     mask_cfg = _build(MaskGenConfig, cfg, "mask")
     gen = new_generator(split, train_data[0].dim, hidden, cfg["seed"])
     gen, trace = train_emg(split, gen, train_data, mask_cfg, tc)

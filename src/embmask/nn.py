@@ -201,7 +201,7 @@ def save_params(model: Mlp, path: str) -> None:
     with open(path + ".manifest", "w") as fh:
         fh.write(f"layers={sizes} prefix={model.prefix} trainable={int(not model.store.frozen)}\n")
     with open(path + ".params", "wb") as fh:
-        fh.write(model.store.flat.astype("<f8").tobytes())
+        fh.write(model.store.flat.astype("<f8", copy=False))
 
 
 def load_params(path: str) -> Mlp:

@@ -13,7 +13,6 @@ dimensions hold which block.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -217,8 +216,8 @@ def load_csv_dataset(path: str) -> DomainDataset:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    buf = io.StringIO(text)
-    cells = buf.readline().removesuffix("\n").removesuffix("\r").split(",")
+    lines = text.split("\n")
+    cells = lines[0].removesuffix("\r").split(",")
     dim = len(cells) - 2
     if dim < 1 or cells != [*(f"f{i}" for i in range(dim)), "label", "domain"]:
         raise CsvParseError(f"{path}:1: expected the header f0,...,f{{D-1}},label,domain")
@@ -234,12 +233,13 @@ def load_csv_dataset(path: str) -> DomainDataset:
         except (ValueError, Warning) as exc:
             return None, str(exc).split(" at row ")[0]
 
-    body = buf.tell()
-    lines = text.count("\n", body) + (body < len(text) and not text.endswith("\n"))
-    rows = parse(buf)[0] if lines else np.empty(0, dtype)  # loadtxt warns on an empty body
-    if rows is None or len(rows) != lines:  # loadtxt skips blank lines
+    body = lines[1:]
+    if body and not body[-1]:  # what follows the newline that ends the last line
+        body.pop()
+    rows = parse(body)[0] if body else np.empty(0, dtype)  # loadtxt warns on an empty body
+    if rows is None or len(rows) != len(body):  # loadtxt skips blank lines
         # Unquoted, every line parses on its own, so some line is refused here.
-        for lineno, line in enumerate(text[body:].split("\n"), start=2):
+        for lineno, line in enumerate(body, start=2):
             reason = parse([line])[1]
             if reason:
                 if line in ("", "\r"):  # np.loadtxt refuses a blank line only with a warning

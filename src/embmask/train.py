@@ -11,9 +11,12 @@ change. An EMG step masks z by m from G(x) under the batch's logistic noise
 (``train_emg`` draws it) and updates theta_G to minimize the cross entropy
 between q and softmax(c(m * z)). Domain labels are never used.
 
-"Until convergence" is concretized as patience-based early stopping on a
-training-domain validation split; the returned parameters are those of the
-best-validation epoch.
+"Until convergence" is concretized as early stopping after ``PATIENCE``
+epochs without a strictly lower loss on a ``VAL_FRACTION`` training-domain
+validation split; the returned parameters are those of the best-validation
+epoch. Batch size, learning rate, patience and validation share are the
+module constants below, one recipe for every fit; a ``TrainConfig`` sets only
+the epoch budget and the seed.
 
 Each step is fused NumPy (``erm_forward``, ``emg_forward``): a forward that
 keeps its intermediates and a hand-derived backward that writes into views of
@@ -50,26 +53,22 @@ from .synthbench import DomainDataset, pool_domains, save_table
 Array = np.ndarray
 
 
+BATCH_SIZE = 64
+LEARNING_RATE = 1e-3
+PATIENCE = 10
+VAL_FRACTION = 0.2
+
+
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    learning_rate: float = 1e-3
     max_epochs: int = 100
-    patience: int = 10
-    val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.val_fraction < 1.0):
-            raise ConfigError("val_fraction must be in (0, 1)")
-        if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size, patience, max_epochs must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
 
 
 @dataclass
@@ -292,7 +291,7 @@ def train_erm(
 ) -> tuple[Mlp, TrainTrace]:
     """Pooled-domain ERM training of the base model with hard-label cross
     entropy; returns the best-validation-epoch parameters."""
-    x_tr, y_tr, x_va, y_va = pooled_split(datasets, config.val_fraction, config.seed)
+    x_tr, y_tr, x_va, y_va = pooled_split(datasets, VAL_FRACTION, config.seed)
     classes = np.unique(np.concatenate([y_tr, y_va]))
     if len(classes) < 2:
         raise DegenerateDataError("ERM training needs at least 2 classes")
@@ -348,7 +347,7 @@ def train_emg(
     checksum_before = base_store.checksum()
 
     # EMG training is label- and domain-free.
-    x_tr, _, x_va, _ = pooled_split(datasets, train_cfg.val_fraction, train_cfg.seed)
+    x_tr, _, x_va, _ = pooled_split(datasets, VAL_FRACTION, train_cfg.seed)
     z_tr, q_tr = _emg_target(split, x_tr)
     z_va, q_va = _emg_target(split, x_va)
     noise_rng = np.random.default_rng(np.random.SeedSequence((train_cfg.seed, 0xB2)))
@@ -390,8 +389,9 @@ def _fit(
     step: Callable[..., tuple[float, Backward]],
     val_loss: Callable[[], float],
 ) -> TrainTrace:
-    """Adam over shuffled minibatches of the training rows with
-    patience-based early stopping; ``val_loss()`` is the validation loss.
+    """Adam at ``LEARNING_RATE`` over shuffled ``BATCH_SIZE`` minibatches of
+    the training rows, stopping after ``PATIENCE`` epochs without a strictly
+    lower ``val_loss()``, the validation loss.
 
     ``rows`` holds the per-row arrays of the fit, row i of each belonging to
     training row i. Each epoch gathers them once, in that epoch's shuffled
@@ -412,7 +412,6 @@ def _fit(
     best_epoch = -1
     n = len(rows[0])
     shuffled = tuple(np.empty(a.shape, a.dtype) for a in rows)
-    bs = config.batch_size
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
@@ -422,10 +421,10 @@ def _fit(
             # a temporary.
             np.take(a, order, axis=0, out=buf, mode="clip")
         epoch_losses = []
-        for start in range(0, n, bs):
-            loss, backward = step(*[buf[start : start + bs] for buf in shuffled])
+        for start in range(0, n, BATCH_SIZE):
+            loss, backward = step(*[buf[start : start + BATCH_SIZE] for buf in shuffled])
             backward(grads)
-            optimizer_step(store, grad, state, config.learning_rate)
+            optimizer_step(store, grad, state, LEARNING_RATE)
             epoch_losses.append(loss)
 
         val = val_loss()
@@ -437,7 +436,7 @@ def _fit(
             best_val = val
             best_params = params.copy()
             best_epoch = epoch
-        elif epoch - best_epoch >= config.patience:
+        elif epoch - best_epoch >= PATIENCE:
             break
 
     params[...] = best_params

@@ -118,7 +118,9 @@ def _fake_runs(monkeypatch, failing=None):
         side = "change" if os.path.basename(checkout).startswith("ab_bench_change_") else "parent"
         calls.append((side, workload))
         op_s = 0.2 if side == "change" else 0.3
-        return {"metrics": {"op_s": {"value": op_s, "unit": "s"}}, "failed": int((side, workload) == failing)}
+        env = {"sloc": {"embmask.sloc": 2000 if side == "change" else 2100}, "run": len(calls)}
+        return {"metrics": {"op_s": {"value": op_s, "unit": "s"}}, "failed": int((side, workload) == failing),
+                "env": env}
 
     monkeypatch.setattr(ab_bench, "run_bench", run_bench)
     monkeypatch.setattr(ab_bench, "extract", lambda rev, dest: None)
@@ -166,6 +168,48 @@ def test_json_out_holds_what_the_tables_show(monkeypatch, capsys, tmp_path):
     assert (op["name"], op["better"], op["wins"], op["pairs"], op["clear"]) == ("op_s", "lower", 3, 3, True)
     assert (op["bound"], op["worse"], op["unresolved"]) == (0.25, False, False)
     assert " 3/3 " in capsys.readouterr().out
+
+
+def test_json_out_records_each_sides_env_and_the_bytecode_setting(monkeypatch, tmp_path):
+    path = tmp_path / "ab.json"
+    for value, written in [("1", True), ("", False), (None, False)]:
+        _fake_runs(monkeypatch)
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert ab_bench.main(["HEAD~1", "emg_mask", "erm_fit", "--pairs", "2", "--json-out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["pythondontwritebytecode"] is written, value
+        # Each side's first run's env line: pair 1 runs the parent, then the change.
+        assert report["env"] == {
+            "parent": {"sloc": {"embmask.sloc": 2100}, "run": 1},
+            "change": {"sloc": {"embmask.sloc": 2000}, "run": 2},
+        }
+
+
+def test_run_bench_returns_the_result_line_with_the_env_line(monkeypatch):
+    stdout = "\n".join([
+        "env " + json.dumps({"numpy": "2.4.6", "sloc": {"embmask.sloc": 2050}}),
+        "erm_fit op_s = 0.25 s",
+        json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}}),
+    ])
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append((argv, kwargs["cwd"]))
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout + "\n", stderr="")
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", run)
+    result = ab_bench.run_bench("/checkout", "erm_fit", 5.0, 2)
+    assert result == {"correct": True, "attempted": 3, "failed": 0, "metrics": {},
+                      "env": {"numpy": "2.4.6", "sloc": {"embmask.sloc": 2050}}}
+    (argv, cwd), = argvs
+    assert cwd == "/checkout" and argv[1:] == ["perfbench/run.py", "--workload", "erm_fit", "--seed", "2",
+                                               "--seconds", "5.0", "--trace", "0"]
+    monkeypatch.setattr(ab_bench.subprocess, "run",
+                        lambda argv, **kw: subprocess.CompletedProcess(argv, 0, stdout=stdout.split("\n", 1)[1]))
+    assert ab_bench.run_bench("/checkout", "erm_fit", 5.0, 2)["env"] is None
 
 
 class _Terminated(Exception):

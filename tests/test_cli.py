@@ -35,7 +35,7 @@ from embmask.synthbench import (
     load_csv_dataset,
     save_csv_dataset,
 )
-from embmask.train import TrainConfig, train_erm
+from embmask.train import BATCH_SIZE, LEARNING_RATE, PATIENCE, VAL_FRACTION, TrainConfig, train_erm
 from numeric_env import numeric_environment
 
 SMALL_BENCH = {
@@ -91,7 +91,6 @@ _RUN = ["seed", "out_dir"]
 _BASE = [*_RUN, "data.dir", "base.model"]
 _MASK = ["mask.tau", "mask.inference_mode"]
 _MASK_SOURCE = ["eval.mode", "emg.model", "eval.mask_percent", *_MASK]
-_TRAIN = ["train.batch_size", "train.learning_rate", "train.patience", "train.val_fraction"]
 
 # Every key of every command, so that a new field of BenchmarkSpec,
 # TrainConfig or MaskGenConfig does not become a CLI key unnoticed.
@@ -107,8 +106,8 @@ COMMAND_KEYS = {
             )
         ),
     ],
-    "train-erm": [*_RUN, "data.dir", "model.hidden", *_TRAIN, "train.max_epochs"],
-    "train-emg": [*_BASE, "emg.hidden", "emg.max_epochs", *_TRAIN, "mask.tau"],
+    "train-erm": [*_RUN, "data.dir", "model.hidden", "train.max_epochs"],
+    "train-emg": [*_BASE, "emg.hidden", "emg.max_epochs", "mask.tau"],
     "eval": [*_BASE, *_MASK_SOURCE],
     "sweep-global": [*_BASE, "sweep.grid"],
     "bound-check": [*_BASE, "emg.model", *_MASK],
@@ -327,14 +326,10 @@ def test_missing_seed_exits_3(tmp_path):
         ("eval", {"eval.mode": "emg", "mask.inference_mode": "zzz"}),
         ("bound-check", {"bound.distance": "L3"}),
         ("train-emg", {"mask.tau": 0}),
-        ("train-erm", {"train.val_fraction": 2}),
         ("sweep-global", {"sweep.grid": "0,x"}),
         *(
             pytest.param(cmd, {key: value}, id=f"{cmd}-{key}={value}")
             for cmd, key, value in (
-                ("train-erm", "train.learning_rate", "nan"),
-                ("train-erm", "train.learning_rate", -1),
-                ("train-erm", "train.learning_rate", 0),
                 ("train-emg", "mask.tau", "nan"),
                 ("train-emg", "mask.tau", "inf"),
                 # Below mask.TAU_MIN the mask logit overflows, and below
@@ -365,6 +360,8 @@ def test_missing_seed_exits_3(tmp_path):
                 ("sweep-global", "sweep.grid", "10,20"),
                 ("sweep-global", "sweep.grid", "0,150"),
                 ("train-erm", "model.hidden", 0),
+                ("train-erm", "train.max_epochs", 0),
+                ("train-emg", "emg.max_epochs", 0),
                 ("train-emg", "emg.hidden", -3),
                 ("gen-data", "benchmark.noise_sigma", "nan"),
                 ("gen-data", "benchmark.noise_sigma", "inf"),
@@ -425,6 +422,33 @@ def test_bad_config_value_exits_3_before_run_dir(pipeline, tmp_path, capsys, mon
     assert len(err.splitlines()) == 1 and err.startswith("error code=3")
     assert str(overrides.get("export.which", "")) in err
     assert not out.exists() and not any(tmp_path.iterdir())
+
+
+# The training settings that are now constants of embmask.train, as the
+# config.txt of a train-erm run recorded them while they were keys.
+_FORMER_TRAIN_LINES = [
+    "train.batch_size = 64",
+    "train.learning_rate = 0.001",
+    "train.patience = 10",
+    "train.val_fraction = 0.2",
+]
+
+
+@pytest.mark.parametrize("line", _FORMER_TRAIN_LINES, ids=lambda line: line.split(" = ")[0])
+@pytest.mark.parametrize("cmd", ["train-erm", "train-emg"])
+def test_former_training_key_exits_3_as_unknown_before_run_dir(pipeline, tmp_path, capsys, cmd, line):
+    inputs = {"data.dir": pipeline["data"]}
+    if cmd == "train-emg":
+        inputs["base.model"] = pipeline["base"]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"seed = 0\nout_dir = unused\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cmd(cmd, cfg, out_dir=out, **inputs) == 3
+    err = capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert len(err.splitlines()) == 1 and err.startswith('error code=3 msg="unknown keys')
+    assert f"'{key}': 3" in err  # the key and its line in the config file
+    assert not out.exists()
 
 
 def test_bound_check_unread_mask_key_names_only_its_setting(pipeline, tmp_path, capsys):
@@ -1122,10 +1146,18 @@ def test_readme_key_counts_and_lists_are_the_schemas():
     assert len(SCHEMAS) == 7
     gen = re.search(r"`gen-data` takes every `benchmark\.\*` key: (.*?)\.", text)
     assert {f"benchmark.{name}" for name in re.findall(r"`(\w+)`", gen.group(1))} == _keys("gen-data", "benchmark.")
-    assert "`train-erm` takes every `train.*` key" in text
+    assert "`train-erm` takes `train.max_epochs`, the one `train.*` key" in text
     assert _keys("train-erm", "train.") == {f"train.{f.name}" for f in fields(TrainConfig)} - {"train.seed"}
-    assert "`train-emg` takes the `train.*` keys except `train.max_epochs`" in text
-    assert _keys("train-emg", "train.") == _keys("train-erm", "train.") - {"train.max_epochs"}
+    assert _keys("train-erm", "train.") == {"train.max_epochs"}
+    assert "`train-emg` takes no `train.*` key" in text
+    assert _keys("train-emg", "train.") == set()
+    recipe = re.search(
+        r"Batch size (\d+), learning rate (\S+), patience (\d+) and validation share (\S+) are the constants "
+        r"`BATCH_SIZE`, `LEARNING_RATE`, `PATIENCE` and `VAL_FRACTION` of `embmask.train`",
+        text,
+    )
+    assert recipe, "the README states no training constants"
+    assert tuple(map(float, recipe.groups())) == (BATCH_SIZE, LEARNING_RATE, PATIENCE, VAL_FRACTION)
     assert "Of the `mask.*` keys it takes `mask.tau`, the one that training reads" in text
     assert _keys("train-emg", "mask.") == {"mask.tau"}
     both = re.search(r"`eval`, `bound-check` and `export-embeddings` take both `mask\.\*` keys \((.*?)\)", text)

@@ -1,6 +1,7 @@
 """Models, parameter store, encoder/predictor split, and serialization."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from embmask import Mlp, load_params, save_params, split_model
 from embmask import tensor as T
 from embmask.errors import ContractError, CorruptFileError, ShapeMismatchError, UsageError
 from embmask.train import AdamState, TrainConfig, _fit, optimizer_step
+from memory_budget import traced_peak
 
 # sha256 of Mlp([4,3,2], seed=123).forward_np(linspace input), frozen at first run
 GOLDEN_FORWARD_SHA = "65d07fe41994939cf434d4d8644d62e6bcf054279fd8c0e8c8457838c293cfe2"
@@ -126,6 +128,18 @@ def test_freeze_keeps_flat_bound_and_blocks_training():
     with pytest.raises(ContractError):
         _fit(store, TrainConfig(), (np.zeros((1, 1)),), step=None, val_loss=None)
     assert store.checksum() == before
+
+
+@pytest.mark.parametrize("layers, budget", [([16, 64, 5], 0.75), ([16, 256, 256, 5], 0.25)])
+def test_save_params_allocates_within_its_budget(tmp_path, layers, budget):
+    """Traced peak of ``save_params``, in units of the payload it writes:
+    the two files' objects and buffers, which depend a little on the path,
+    and no copy of the parameters. Read 0.49-0.51 for an 11304-byte payload
+    and 0.01 for 571432 bytes; 2.42 and 2.01 when it wrote the bytes of a
+    converted copy."""
+    path = str(tmp_path / "model")
+    peak = traced_peak(save_params, Mlp(layers, seed=0), path)
+    assert peak / os.path.getsize(path + ".params") <= budget
 
 
 def test_checksum_tracks_values():

@@ -21,6 +21,7 @@ from embmask import (
     train_erm,
 )
 from embmask import tensor as T
+from embmask import train as train_module
 from embmask.errors import (
     ConfigError,
     ContractError,
@@ -29,13 +30,14 @@ from embmask.errors import (
     ShapeMismatchError,
     UsageError,
 )
-from embmask.experiment import base_layers
+from embmask.experiment import ExperimentSpec, base_layers
 from embmask.mask import TAU_MIN, TRAIN_TAU_MIN, logistic_noise, training_mask
 from embmask.nn import ParamStore
 from embmask.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    VAL_FRACTION,
     AdamState,
     _emg_target,
     _fit,
@@ -416,6 +418,26 @@ def test_fused_step_allocates_within_its_budget(kind, batch, budget):
     assert traced_peak(step) / (batch * 64 * 8) <= budget
 
 
+@pytest.mark.parametrize("samples", [1000, 4000])
+def test_erm_fit_epoch_allocates_within_its_budget(samples):
+    """Traced peak of one whole ERM ``_fit`` epoch at the default recipe, in
+    units of the per-epoch gather buffers (the training rows' x and one-hot
+    q): the buffers, the steps' temporaries and the validation forward over
+    the held-out quarter. Read 2.23 at 2399 training rows and 2.07 at 9599.
+    One epoch runs before the traced one, so nothing imported or cached on
+    a first call counts."""
+    train, _, _ = generate_benchmark(BenchmarkSpec(samples_per_domain=samples))
+    x_tr, y_tr, x_va, y_va = pooled_split(train, VAL_FRACTION, 0)
+    layers = base_layers(train, ExperimentSpec().hidden)
+    model = Mlp(layers, seed=0)
+    rows = (x_tr, _onehot(y_tr, layers[-1]))
+    q_va = _onehot(y_va, layers[-1])
+    args = (model.store, TrainConfig(max_epochs=1), rows,
+            lambda x, q: erm_forward(model, x, q), lambda: erm_forward(model, x_va, q_va)[0])
+    _fit(*args)
+    assert traced_peak(_fit, *args) / sum(a.nbytes for a in rows) <= 2.25
+
+
 @pytest.mark.parametrize("kind", ["erm", "emg"])
 def test_fused_step_leaves_its_inputs_unchanged(kind):
     """The batches are slices of ``_fit``'s per-epoch buffers and
@@ -536,13 +558,14 @@ def test_pooled_split_matches_the_per_class_index_reference(layout):
 # -- ERM loop ------------------------------------------------------------------------
 
 
-def test_erm_fits_separable_toy():
+def test_erm_fits_separable_toy(monkeypatch):
+    monkeypatch.setattr(train_module, "LEARNING_RATE", 0.05)
     rng = np.random.default_rng(0)
     n = 200
     y = rng.integers(2, size=n)
     x = rng.normal(size=(n, 2)) + np.where(y[:, None] == 1, 4.0, -4.0)
     data = [DomainDataset(x, y, 0)]
-    model, _ = train_erm(TrainConfig(seed=0, max_epochs=60, learning_rate=0.05), data, base_layers(data, []))
+    model, _ = train_erm(TrainConfig(seed=0, max_epochs=60), data, base_layers(data, []))
     preds = np.argmax(model.forward_np(x), axis=1)
     assert (preds == y).mean() >= 0.99
 
@@ -580,8 +603,9 @@ def test_erm_rejects_single_class():
     ids=["patience_3", "patience_1", "runs_to_max_epochs"],
 )
 def test_fit_stops_after_patience_epochs_without_a_strictly_lower_val_loss(
-    val_losses, patience, max_epochs, epochs, selected
+    monkeypatch, val_losses, patience, max_epochs, epochs, selected
 ):
+    monkeypatch.setattr(train_module, "PATIENCE", patience)
     store = ParamStore({"w": np.zeros(3)})
     after_epoch = []
 
@@ -595,7 +619,7 @@ def test_fit_stops_after_patience_epochs_without_a_strictly_lower_val_loss(
         after_epoch.append(store.flat.copy())
         return float(val_losses[len(after_epoch) - 1])
 
-    config = TrainConfig(patience=patience, max_epochs=max_epochs)
+    config = TrainConfig(max_epochs=max_epochs)
     trace = _fit(store, config, (np.zeros((4, 1)),), step, val_loss)
     assert len(trace.val_loss) == len(trace.train_loss) == epochs
     assert trace.val_loss == val_losses[:epochs]
@@ -683,7 +707,7 @@ def test_emg_selects_on_soft_validation_loss():
     cfg = TrainConfig(seed=3, max_epochs=3)
     gen = Mlp([8, 4, 8], prefix="g.", seed=1)
     gen, trace = train_emg(split, gen, train, MaskGenConfig(), cfg)
-    _, _, x_va, _ = pooled_split(train, cfg.val_fraction, cfg.seed)
+    _, _, x_va, _ = pooled_split(train, VAL_FRACTION, cfg.seed)
     z, q = _emg_target(split, x_va)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA1)))
     loss = emg_forward(split, gen, x_va, z, q, MaskGenConfig(), logistic_noise(rng, z.shape))[0]
@@ -696,8 +720,9 @@ def test_emg_draws_one_validation_block_per_fit_and_one_block_per_batch(monkeypa
     z, from one stream in batch order."""
     train, _, _ = _small_benchmark()
     split = _trained_split(train)
-    cfg = TrainConfig(seed=3, max_epochs=3, batch_size=32)
-    x_tr, _, x_va, _ = pooled_split(train, cfg.val_fraction, cfg.seed)
+    monkeypatch.setattr(train_module, "BATCH_SIZE", 32)
+    cfg = TrainConfig(seed=3, max_epochs=3)
+    x_tr, _, x_va, _ = pooled_split(train, VAL_FRACTION, cfg.seed)
     draws = []
 
     def recording_noise(rng, shape):
@@ -712,7 +737,7 @@ def test_emg_draws_one_validation_block_per_fit_and_one_block_per_batch(monkeypa
 
     (val_rng, val_state, val_shape), *steps = draws
     assert val_state == fresh(0xA1) and val_shape == (len(x_va), 8)
-    n, bs = len(x_tr), cfg.batch_size
+    n, bs = len(x_tr), 32
     shapes = [(min(bs, n - start), 8) for start in range(0, n, bs)] * len(trace.train_loss)
     assert [shape for _, _, shape in steps] == shapes
     batch_rng = steps[0][0]
@@ -777,7 +802,10 @@ def test_emg_raises_when_the_frozen_base_changes_during_training(monkeypatch):
 
 def _fit_reference(store, config, step, val_loss, n):
     """``_fit`` as it was before the per-epoch gather: ``step(idx)`` is the
-    fused step on the training rows ``idx``, each step gathering its own."""
+    fused step on the training rows ``idx``, each step gathering its own.
+    It reads the recipe's constants from ``embmask.train`` when called, so a
+    test's monkeypatched values reach both loops."""
+    bs, lr, patience = train_module.BATCH_SIZE, train_module.LEARNING_RATE, train_module.PATIENCE
     params = store.flat
     grad = np.zeros_like(params)
     grads = store.views(grad)
@@ -791,10 +819,10 @@ def _fit_reference(store, config, step, val_loss, n):
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            loss, backward = step(order[start : start + config.batch_size])
+        for start in range(0, n, bs):
+            loss, backward = step(order[start : start + bs])
             backward(grads)
-            optimizer_step(store, grad, state, config.learning_rate)
+            optimizer_step(store, grad, state, lr)
             epoch_losses.append(loss)
 
         val = val_loss()
@@ -805,7 +833,7 @@ def _fit_reference(store, config, step, val_loss, n):
             best_val = val
             best_params = params.copy()
             best_epoch = epoch
-        elif epoch - best_epoch >= config.patience:
+        elif epoch - best_epoch >= patience:
             break
 
     params[...] = best_params
@@ -824,19 +852,29 @@ def _per_step_index_fit(store, config, rows, step, val_loss):
 @pytest.mark.parametrize("kind", ["erm", "emg"])
 def test_fit_equals_the_per_step_index_loop_bitwise(monkeypatch, kind, batch, stop):
     train, _, _ = _small_benchmark()
-    n = len(pooled_split(train, 0.2, 4)[0])
-    batch_size = n + 3 if batch == "n+3" else batch  # n + 3: one oversize batch
+    split = _trained_split(train) if kind == "emg" else None  # at the default recipe
+    n = len(pooled_split(train, VAL_FRACTION, 4)[0])
+    bs = n + 3 if batch == "n+3" else batch  # n + 3: one oversize batch
+    monkeypatch.setattr(train_module, "BATCH_SIZE", bs)
     if stop == "patience":
-        cfg = TrainConfig(batch_size=batch_size, learning_rate=0.2, max_epochs=40, patience=1, seed=4)
+        monkeypatch.setattr(train_module, "LEARNING_RATE", 0.2)
+        monkeypatch.setattr(train_module, "PATIENCE", 1)
+        cfg = TrainConfig(max_epochs=40, seed=4)
     else:
-        cfg = TrainConfig(batch_size=batch_size, max_epochs=3, patience=10, seed=4)
-    split = _trained_split(train) if kind == "emg" else None
+        cfg = TrainConfig(max_epochs=3, seed=4)
 
     def gather_fit(store, config, rows, step, val_loss):
         assert len(rows) == (2 if kind == "erm" else 3)  # (x, q) or (x, z, q)
         before = [a.tobytes() for a in rows]
-        trace = _fit(store, config, rows, step, val_loss)
+        sizes = []
+
+        def counted(*batch):
+            sizes.append(len(batch[0]))
+            return step(*batch)
+
+        trace = _fit(store, config, rows, counted, val_loss)
         assert [a.tobytes() for a in rows] == before  # the caller's rows are only read
+        assert sizes == [min(bs, n - start) for start in range(0, n, bs)] * len(trace.val_loss)
         return trace
 
     def run(fit):
